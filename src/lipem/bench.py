@@ -10,7 +10,7 @@ statistic.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -35,6 +35,7 @@ from .lip import Lip, fit_lip, read_records
 __all__ = [
     "NullGen",
     "HierarchicalSpec",
+    "SEPARATED_SPEC",
     "Truth",
     "OracleSpec",
     "BenchReport",
@@ -160,6 +161,18 @@ class HierarchicalSpec:
         return len(self.theta0)
 
 
+# default of the dichotomy and consistency checks: the first of three
+# sources is relevant, the other two sit at a fixed offset of 5 sigma
+SEPARATED_SPEC = HierarchicalSpec(
+    n_sources=3,
+    relevant=(1,),
+    theta0=(0.0,),
+    tau=0.0,
+    null_gen=NullGen(offset=(5.0,), spread=1.0),
+    seed=42,
+)
+
+
 @dataclass(frozen=True)
 class Truth:
     """Ground truth record for one generated replication."""
@@ -168,6 +181,23 @@ class Truth:
     source_thetas: np.ndarray
     relevant: tuple[int, ...]
     offset: np.ndarray
+
+
+def _draw_source_thetas(
+    spec: HierarchicalSpec, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Shared offset of the irrelevant cluster, then one parameter per
+    source: relevant ones at Normal(theta0, tau^2 I), irrelevant ones
+    at Normal(theta0 + offset, spread^2 I). Draws in that order."""
+    theta0 = np.asarray(spec.theta0, dtype=float)
+    spread = spec.null_gen.spread if spec.null_gen.spread is not None else spec.sigma
+    offset = spec.null_gen.draw_offset(spec.dim, spec.sigma, rng)
+    draws = rng.standard_normal((spec.n_sources, spec.dim))
+    relevant = np.isin(np.arange(1, spec.n_sources + 1), spec.relevant)[:, None]
+    thetas = np.where(
+        relevant, theta0 + spec.tau * draws, theta0 + offset + spread * draws
+    )
+    return offset, thetas
 
 
 def generate_hierarchical(
@@ -184,14 +214,7 @@ def generate_hierarchical(
     d = spec.dim
     theta0 = np.asarray(spec.theta0, dtype=float)
     sigma = spec.sigma
-    spread = spec.null_gen.spread if spec.null_gen.spread is not None else sigma
-    offset = spec.null_gen.draw_offset(d, sigma, rng)
-    thetas = np.empty((spec.n_sources, d))
-    for k in range(1, spec.n_sources + 1):
-        if k in spec.relevant:
-            thetas[k - 1] = theta0 + spec.tau * rng.standard_normal(d)
-        else:
-            thetas[k - 1] = theta0 + offset + spread * rng.standard_normal(d)
+    offset, thetas = _draw_source_thetas(spec, rng)
     target = Dataset(theta0 + sigma * rng.standard_normal((spec.n_target, d)))
     sources = [
         Dataset(thetas[k - 1] + sigma * rng.standard_normal((spec.n_source, d)))
@@ -556,16 +579,7 @@ def oracle_mse_check(
         weight_vectors = [
             rng.uniform(0.0, 1.0, spec.n_sources) for _ in range(n_weight_vectors)
         ]
-    spread = spec.null_gen.spread if spec.null_gen.spread is not None else spec.sigma
-    offset = spec.null_gen.draw_offset(spec.dim, spec.sigma, rng)
-    fixed_thetas = np.empty((spec.n_sources, spec.dim))
-    for k in range(1, spec.n_sources + 1):
-        if k in spec.relevant:
-            fixed_thetas[k - 1] = theta0 + spec.tau * rng.standard_normal(spec.dim)
-        else:
-            fixed_thetas[k - 1] = (
-                theta0 + offset + spread * rng.standard_normal(spec.dim)
-            )
+    _, fixed_thetas = _draw_source_thetas(spec, rng)
     checks = []
     for w in weight_vectors:
         w = np.asarray(w, dtype=float)
@@ -621,14 +635,7 @@ def dichotomy_check(
     commit to 1 and irrelevant ones to 0 as N grows, regardless of the
     prior.
     """
-    spec = spec or HierarchicalSpec(
-        n_sources=3,
-        relevant=(1,),
-        theta0=(0.0,),
-        tau=0.0,
-        null_gen=NullGen(offset=(5.0,), spread=1.0),
-        seed=42,
-    )
+    spec = spec or SEPARATED_SPEC
     theta0 = np.asarray(spec.theta0)
     model = GaussianMeanModel(spec.dim, covariance=spec.sigma**2)
     config = EmConfig(tau=tau_em, null_spec=NullSpec("empirical_bayes_mixture"))
@@ -637,17 +644,7 @@ def dichotomy_check(
     for prior in priors:
         pi = np.full(spec.n_sources, prior)
         for n in n_sweep:
-            sized = HierarchicalSpec(
-                n_sources=spec.n_sources,
-                relevant=spec.relevant,
-                theta0=spec.theta0,
-                tau=spec.tau,
-                sigma=spec.sigma,
-                n_target=spec.n_target,
-                n_source=int(n),
-                null_gen=spec.null_gen,
-                seed=spec.seed,
-            )
+            sized = replace(spec, n_source=int(n))
             per_source: list[list[float]] = [[] for _ in range(spec.n_sources)]
             for seed in rep_seeds:
                 rng = np.random.default_rng(seed)
@@ -692,14 +689,7 @@ def consistency_check(
     to 0.9 on the first irrelevant source and 0.01 elsewhere, the
     adversarial case: abundant target data must still wash it out.
     """
-    spec = spec or HierarchicalSpec(
-        n_sources=3,
-        relevant=(1,),
-        theta0=(0.0,),
-        tau=0.0,
-        null_gen=NullGen(offset=(5.0,), spread=1.0),
-        seed=42,
-    )
+    spec = spec or SEPARATED_SPEC
     theta0 = np.asarray(spec.theta0)
     if pi is None:
         pi = np.full(spec.n_sources, 0.01)
@@ -711,20 +701,11 @@ def consistency_check(
     pi = np.asarray(pi, dtype=float)
     model = GaussianMeanModel(spec.dim, covariance=spec.sigma**2)
     sigma = spec.sigma
-    spread = spec.null_gen.spread if spec.null_gen.spread is not None else sigma
     errors: dict[tuple[str, int], list[float]] = {}
     rep_seeds = np.random.SeedSequence(spec.seed).spawn(replications)
     for seed in rep_seeds:
         rng = np.random.default_rng(seed)
-        offset = spec.null_gen.draw_offset(spec.dim, sigma, rng)
-        thetas = np.empty((spec.n_sources, spec.dim))
-        for k in range(1, spec.n_sources + 1):
-            if k in spec.relevant:
-                thetas[k - 1] = theta0 + spec.tau * rng.standard_normal(spec.dim)
-            else:
-                thetas[k - 1] = (
-                    theta0 + offset + spread * rng.standard_normal(spec.dim)
-                )
+        _, thetas = _draw_source_thetas(spec, rng)
         sources = [
             Dataset(
                 thetas[k - 1]

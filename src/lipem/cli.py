@@ -155,6 +155,11 @@ def load_dataset(path) -> Dataset:
         raise ParseError(f"dataset file {path} is not numeric: {exc}") from exc
     if arr.size == 0:
         arr = arr.reshape(0, max(arr.shape[1], 1) if arr.ndim == 2 else 1)
+    bad = np.flatnonzero(~np.all(np.isfinite(arr), axis=1))
+    if bad.size:
+        raise ParseError(
+            f"dataset file {path} has a non-finite value in data row {bad[0] + 1}"
+        )
     return Dataset(arr)
 
 
@@ -298,7 +303,10 @@ def _build_em_config(section: dict, **overrides) -> EmConfig:
         null_table = {int(k): float(v) for k, v in null_table.items()}
     body["null_spec"] = NullSpec(null_kind, null_table)
     body.update(overrides)
-    return EmConfig(**body)
+    try:
+        return EmConfig(**body)
+    except InvalidConfigurationError as exc:
+        raise InvalidConfigurationError(str(exc.args[0]), key=f"em.{exc.key}") from exc
 
 
 def _build_model(section: dict, width: int):
@@ -333,6 +341,16 @@ def _build_generator(section: dict, seed: int | None) -> HierarchicalSpec:
         if k in body:
             body[k] = tuple(body[k])
     return HierarchicalSpec(null_gen=NullGen(**null_kwargs), **body)
+
+
+def _check_spec(cfg: RunConfig, seed: int | None) -> HierarchicalSpec:
+    # the generator section when given, else the checks' shared default
+    gen = cfg.section("generator")
+    if gen:
+        return _build_generator(gen, seed)
+    if seed is None:
+        return bench.SEPARATED_SPEC
+    return dataclasses.replace(bench.SEPARATED_SPEC, seed=seed)
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -545,18 +563,7 @@ def _cmd_bench_oracle_mse(args) -> int:
 def _cmd_bench_dichotomy(args) -> int:
     cfg = RunConfig.load(args.config)
     body = cfg.section("dichotomy")
-    gen = cfg.section("generator")
-    if gen:
-        spec = _build_generator(gen, args.seed)
-    else:
-        spec = HierarchicalSpec(
-            n_sources=3,
-            relevant=(1,),
-            theta0=(0.0,),
-            tau=0.0,
-            null_gen=NullGen(offset=(5.0,), spread=1.0),
-            seed=args.seed if args.seed is not None else 42,
-        )
+    spec = _check_spec(cfg, args.seed)
     reports = dichotomy_check(
         spec,
         tuple(body.get("n_sweep", (10, 100, 1000, 10000))),
@@ -574,18 +581,7 @@ def _cmd_bench_dichotomy(args) -> int:
 def _cmd_bench_consistency(args) -> int:
     cfg = RunConfig.load(args.config)
     body = cfg.section("consistency")
-    gen = cfg.section("generator")
-    if gen:
-        spec = _build_generator(gen, args.seed)
-    else:
-        spec = HierarchicalSpec(
-            n_sources=3,
-            relevant=(1,),
-            theta0=(0.0,),
-            tau=0.0,
-            null_gen=NullGen(offset=(5.0,), spread=1.0),
-            seed=args.seed if args.seed is not None else 42,
-        )
+    spec = _check_spec(cfg, args.seed)
     reports = consistency_check(
         spec,
         tuple(body.get("n0_sweep", (100, 1000, 10000, 100000))),
@@ -611,7 +607,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--config", default=None, help="JSON config file")
         p.add_argument("--out", default=out_default)
-        p.add_argument("--jobs", type=int, default=1)
 
     p = sub.add_parser("fit-lip", help="fit a prior from choice records")
     p.add_argument("--records", required=True)
@@ -636,6 +631,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replay", default=None, help="JSONL replay cache path")
     p.add_argument("--model", default="")
     p.add_argument("--temperature", type=float, default=0.0)
+    p.add_argument("--jobs", type=int, default=1, help="concurrent judge queries")
     common(p, "records.txt")
     p.set_defaults(handler=_cmd_elicit)
 

@@ -8,14 +8,26 @@ provided: an exact precision-weighted blend that reuses Hessians frozen
 at the MLEs, and a small-spread surrogate that reduces to a sample-size
 weighted average. Convergence is judged on the weight vector.
 
-All per-source summaries (MLE, Hessian at the MLE, size, cross
-log-likelihoods) are computed once up front and never mutated.
+Every dataset is read once. The likelihood families are exactly
+quadratic in theta, so :func:`build_sufficient_stats` evaluates each
+dataset at its MLE theta_k and keeps the log-likelihood l_k, gradient
+g_k and PSD Hessian H_k there; every later likelihood value (the cross
+table, the relevant marginal at the current theta, the pooled null)
+is the expansion
+
+    loglik(theta; D_k) = l_k + g_k'(theta - theta_k)
+                         - (1/2) (theta - theta_k)' H_k (theta - theta_k).
+
+Anchoring at each MLE rather than at theta = 0 keeps large responses
+from cancelling digits. The E-step, the null scores and both M-steps
+are array expressions over the K sources.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
+from numbers import Integral, Real
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -119,6 +131,17 @@ class EmConfig:
     init_at_target_mle: bool = False
 
     def __post_init__(self):
+        # values may come straight from JSON; check types before ranges
+        for names, kind, noun in (
+            (("tau", "nu", "tol"), Real, "a number"),
+            (("max_iters", "patience"), Integral, "an integer"),
+        ):
+            for name in names:
+                value = getattr(self, name)
+                if isinstance(value, bool) or not isinstance(value, kind):
+                    raise InvalidConfigurationError(
+                        f"{name} must be {noun}, got {value!r}", key=name
+                    )
         if not self.tau >= 0:
             raise InvalidConfigurationError("tau must be >= 0", key="tau")
         if not self.nu > 0:
@@ -132,13 +155,13 @@ class EmConfig:
             raise InvalidConfigurationError(
                 "null_spec must be a NullSpec", key="null_spec"
             )
-        if int(self.max_iters) < 1:
+        if self.max_iters < 1:
             raise InvalidConfigurationError(
                 "max_iters must be a positive integer", key="max_iters"
             )
         if not self.tol > 0:
             raise InvalidConfigurationError("tol must be > 0", key="tol")
-        if int(self.patience) < 1:
+        if self.patience < 1:
             raise InvalidConfigurationError(
                 "patience must be a positive integer", key="patience"
             )
@@ -157,82 +180,128 @@ class EmConfig:
             )
 
 
+@dataclass(eq=False)
 class SufficientStats:
-    """Per-dataset summaries computed once and reused across iterations.
+    """Quadratic summary of every dataset, computed once and frozen.
 
-    Index 0 is the target; 1..K are the candidate sources. Holds each
-    dataset's MLE, PSD Hessian at the MLE, size, and the cross
-    log-likelihood table loglik(theta_hat_j; D_k) needed by the
-    mixture null. Arrays are frozen after construction.
+    Index 0 is the target; 1..K are the candidate sources. Per dataset
+    k: the MLE ``theta_hat[k]``, the log-likelihood ``loglik_hat[k]``
+    and gradient ``gradients[k]`` there (the gradient is nonzero only
+    under a ridge), the PSD Hessian ``hessians[k]`` and the size
+    ``sizes[k]``; plus ``pooled_theta``, the MLE on all sources pooled.
+    ``crossloglik[j, k]`` is loglik(theta_hat_j; D_k), read off the
+    expansion like every other likelihood value the EM needs.
     """
 
-    def __init__(
-        self,
-        model: LikelihoodFamily,
-        datasets: Sequence[Dataset],
-        theta_hat: np.ndarray,
-        hessians: np.ndarray,
-        sizes: np.ndarray,
-        crossloglik: np.ndarray,
-    ):
-        self.model = model
-        self.datasets = tuple(datasets)
-        self.theta_hat = theta_hat
-        self.hessians = hessians
-        self.sizes = sizes
-        self.crossloglik = crossloglik
-        for arr in (self.theta_hat, self.hessians, self.sizes, self.crossloglik):
+    theta_hat: np.ndarray
+    loglik_hat: np.ndarray
+    gradients: np.ndarray
+    hessians: np.ndarray
+    sizes: np.ndarray
+    pooled_theta: np.ndarray
+
+    def __post_init__(self):
+        self.crossloglik = self.expand(self.theta_hat)[0]
+        for arr in vars(self).values():
             arr.setflags(write=False)
-        self._pooled_theta: np.ndarray | None = None
+        self._eps: dict[str, np.ndarray] = {}
 
     @property
     def n_sources(self) -> int:
-        return len(self.datasets) - 1
+        return self.theta_hat.shape[0] - 1
 
     @property
     def dim(self) -> int:
         return self.theta_hat.shape[1]
 
-    def per_sample_loglik(self, k: int, theta: np.ndarray) -> np.ndarray:
-        """Per-observation log-likelihood vector for dataset k."""
-        data = self.datasets[k]
-        return np.array(
-            [self.model.per_sample_loglik(theta, row) for row in data.points]
-        )
+    def expand(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Log-likelihood and gradient of every dataset at theta.
 
-    def pooled_theta(self) -> np.ndarray:
-        """MLE on the concatenation of all source datasets, cached."""
-        if self._pooled_theta is None:
-            pooled = Dataset.concat(self.datasets[1:])
-            theta = np.asarray(self.model.mle(pooled), dtype=float)
-            theta.setflags(write=False)
-            self._pooled_theta = theta
-        return self._pooled_theta
+        Uses the expansion around each dataset's own MLE,
+
+            l_k + g_k'(theta - theta_k) - (1/2)(theta - theta_k)' H_k (theta - theta_k),
+
+        exact for the shipped families. ``theta`` of shape (..., d)
+        gives values of shape (..., K+1) and gradients (..., K+1, d).
+        """
+        dev = np.asarray(theta, dtype=float)[..., None, :] - self.theta_hat
+        curv = np.einsum("kij,...kj->...ki", self.hessians, dev)
+        value = self.loglik_hat + np.einsum(
+            "...ki,...ki->...k", self.gradients - 0.5 * curv, dev
+        )
+        return value, self.gradients - curv
+
+    def tempering_scale(self, mode: str) -> np.ndarray:
+        """Per-source scales eps_k, computed once per mode.
+
+        eps_k^2 is the relative information of source k against the
+        target: Tr(H0^{-1} H_k) in trace_exact mode, d N_k / N0 in
+        fisher_ratio mode. A singular target Hessian downgrades
+        trace_exact to fisher_ratio with a warning.
+        """
+        if mode in self._eps:
+            return self._eps[mode]
+        eps_sq = self.dim * self.sizes[1:] / self.sizes[0]
+        if mode == "trace_exact":
+            try:
+                factor = cho_factor(self.hessians[0])
+            except np.linalg.LinAlgError:
+                warnings.warn(
+                    "target Hessian is singular; tempering falls back to "
+                    "the fisher_ratio scale",
+                    RuntimeWarning,
+                    stacklevel=3,
+                )
+            else:
+                # one solve against the source Hessians side by side
+                d, n = self.dim, self.n_sources
+                solved = cho_solve(factor, np.hstack(self.hessians[1:]))
+                eps_sq = np.trace(solved.reshape(d, n, d), axis1=0, axis2=2)
+        eps = np.maximum(np.sqrt(np.maximum(eps_sq, 0.0)), 1e-12)
+        eps.setflags(write=False)
+        self._eps[mode] = eps
+        return eps
+
+
+def _evaluate(model: LikelihoodFamily, data: Dataset, theta: np.ndarray):
+    # the one place the estimator reads a dataset through the likelihood
+    return (
+        float(model.loglik(theta, data)),
+        np.asarray(model.gradient(theta, data), dtype=float),
+        clamp_psd(model.hessian(theta, data)),
+    )
 
 
 def build_sufficient_stats(
     model: LikelihoodFamily, datasets: Sequence[Dataset]
 ) -> SufficientStats:
-    """Fit every dataset once and tabulate the reusable summaries."""
+    """Read every dataset once: fit it and evaluate it at its MLE."""
     datasets = [d if isinstance(d, Dataset) else Dataset(d) for d in datasets]
     if len(datasets) < 2:
         raise InsufficientDataError("need a target dataset and at least one source")
     if len(datasets[0]) == 0:
         raise InsufficientDataError("target dataset is empty")
-    n = len(datasets)
-    theta_hat = np.empty((n, model.dim))
-    hessians = np.empty((n, model.dim, model.dim))
-    sizes = np.empty(n, dtype=int)
     for k, data in enumerate(datasets):
-        theta = np.asarray(model.mle(data), dtype=float)
-        theta_hat[k] = theta
-        hessians[k] = clamp_psd(model.hessian(theta, data))
-        sizes[k] = len(data)
-    crossloglik = np.empty((n, n))
-    for j in range(n):
-        for k in range(n):
-            crossloglik[j, k] = model.loglik(theta_hat[j], datasets[k])
-    return SufficientStats(model, datasets, theta_hat, hessians, sizes, crossloglik)
+        bad = np.flatnonzero(~np.all(np.isfinite(data.points), axis=1))
+        if bad.size:
+            raise NonFiniteLikelihoodError(
+                f"dataset {k} (0 is the target) has a non-finite value "
+                f"in row {bad[0] + 1}",
+                source_index=k,
+            )
+    theta_hat = np.array([model.mle(data) for data in datasets], dtype=float)
+    values, gradients, hessians = zip(
+        *(_evaluate(model, data, th) for data, th in zip(datasets, theta_hat))
+    )
+    pooled = np.asarray(model.mle(Dataset.concat(datasets[1:])), dtype=float)
+    return SufficientStats(
+        theta_hat,
+        np.array(values),
+        np.array(gradients),
+        np.array(hessians),
+        np.array([len(data) for data in datasets]),
+        pooled,
+    )
 
 
 @dataclass
@@ -243,7 +312,6 @@ class EmState:
     weights: np.ndarray
     t: int
     beta: np.ndarray
-    history: list = field(default_factory=list)
 
 
 @dataclass
@@ -266,37 +334,81 @@ class EmRunReport:
     dropped_sources: tuple[int, ...] = ()
 
 
+def _laplace(value, grad, hess, tau: float):
+    """Laplace relevant marginal from the loglik, gradient and PSD
+    Hessian at theta, batched over leading axes:
+
+        value + (tau^2/2) g' (I + tau^2 H)^{-1} g - (1/2) logdet(I + tau^2 H)
+
+    At tau = 0 ``value`` is returned as it is.
+    """
+    if tau == 0:
+        return value
+    a = np.eye(hess.shape[-1]) + tau**2 * hess
+    solved = np.linalg.solve(a, grad[..., None])[..., 0]
+    quad = 0.5 * tau**2 * np.einsum("...i,...i->...", grad, solved)
+    return value + quad - 0.5 * np.linalg.slogdet(a)[1]
+
+
 def relevant_marginal_loglik(
     model: LikelihoodFamily, data: Dataset, theta: np.ndarray, tau: float
 ) -> float:
     """Laplace-approximated log marginal of a dataset near theta.
 
     Integrates the likelihood against an isotropic Gaussian of spread
-    tau centered at theta, using the curvature at theta:
-
-        loglik + (tau^2/2) g' (I + tau^2 H)^{-1} g
-               - (1/2) logdet(I + tau^2 H)
-
-    At tau = 0 the plain log-likelihood is returned directly, without
-    forming the gradient or Hessian.
+    tau centered at theta, using the curvature at theta (see
+    ``_laplace``). At tau = 0 this is the plain log-likelihood, bit
+    for bit.
     """
     if not tau >= 0:
         raise InvalidConfigurationError("tau must be >= 0", key="tau")
-    value = float(model.loglik(theta, data))
-    if not np.isfinite(value):
-        raise NonFiniteLikelihoodError("log-likelihood is not finite")
-    if tau == 0:
-        return value
-    g = model.gradient(theta, data)
-    h = clamp_psd(model.hessian(theta, data))
-    a = np.eye(model.dim) + tau**2 * h
-    factor = cho_factor(a)
-    quad = 0.5 * tau**2 * float(g @ cho_solve(factor, g))
-    logdet = 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
-    out = value + quad - 0.5 * logdet
+    out = float(_laplace(*_evaluate(model, data, theta), tau))
     if not np.isfinite(out):
         raise NonFiniteLikelihoodError("marginal log-likelihood is not finite")
     return out
+
+
+def _null_scores(
+    null_spec: NullSpec,
+    stats: SufficientStats,
+    weights_prev: np.ndarray,
+    ks: np.ndarray,
+) -> np.ndarray:
+    """Null log-densities of the sources ``ks`` (indexed from 1).
+
+    The mixture form averages the other sources' fitted models with
+    responsibilities (1 - w_j) lagged from the previous iteration,
+    evaluated with a log-sum-exp over one row of the cross table.
+    """
+    if null_spec.kind == "fixed":
+        try:
+            return np.array([null_spec.table[k] for k in ks], dtype=float)
+        except KeyError as exc:
+            raise InvalidConfigurationError(
+                f"fixed null table has no entry for source {exc.args[0]}",
+                key="null_spec.table",
+            ) from exc
+    if null_spec.kind == "parametric_pooled":
+        return stats.expand(stats.pooled_theta)[0][ks]
+    n_sources = stats.n_sources
+    if n_sources < 2:
+        raise InvalidConfigurationError(
+            "the mixture null needs at least two sources", key="null_spec.kind"
+        )
+    survival = 1.0 - np.asarray(weights_prev, dtype=float)
+    with np.errstate(divide="ignore"):
+        # rows: mixture components j = 1..K; columns: the scored sources
+        terms = np.log(survival)[:, None] + stats.crossloglik[1:, ks]
+    terms[np.arange(1, n_sources + 1)[:, None] == ks] = -np.inf
+    values = logsumexp(terms, axis=0) - np.log(n_sources - 1)
+    degenerate = ~np.isfinite(values)
+    if np.any(degenerate):
+        raise DegenerateNullError(
+            f"mixture null for source {ks[degenerate][0]} is degenerate: no "
+            "other component has positive responsibility and a finite "
+            "likelihood; fall back to the parametric_pooled null"
+        )
+    return values
 
 
 def null_loglik(
@@ -305,45 +417,11 @@ def null_loglik(
     stats: SufficientStats,
     weights_prev: np.ndarray,
 ) -> float:
-    """Log-density of dataset k under the irrelevance hypothesis.
-
-    The mixture form averages the other sources' fitted models with
-    responsibilities (1 - w_j) lagged from the previous iteration,
-    evaluated with a log-sum-exp; k indexes sources from 1.
-    """
-    n_sources = stats.n_sources
-    if not 1 <= k <= n_sources:
+    """Log-density of dataset k (indexed from 1) under the irrelevance
+    hypothesis; see ``_null_scores``."""
+    if not 1 <= k <= stats.n_sources:
         raise InvalidConfigurationError(f"source index {k} out of range", key="k")
-    if null_spec.kind == "fixed":
-        if k not in null_spec.table:
-            raise InvalidConfigurationError(
-                f"fixed null table has no entry for source {k}",
-                key="null_spec.table",
-            )
-        return float(null_spec.table[k])
-    if null_spec.kind == "parametric_pooled":
-        return float(stats.model.loglik(stats.pooled_theta(), stats.datasets[k]))
-    if n_sources < 2:
-        raise InvalidConfigurationError(
-            "the mixture null needs at least two sources", key="null_spec.kind"
-        )
-    weights_prev = np.asarray(weights_prev, dtype=float)
-    others = [j for j in range(1, n_sources + 1) if j != k]
-    survival = 1.0 - weights_prev[[j - 1 for j in others]]
-    if np.all(survival <= 0.0):
-        raise DegenerateNullError(
-            f"every mixture component for source {k} has zero responsibility; "
-            "fall back to the parametric_pooled null"
-        )
-    with np.errstate(divide="ignore"):
-        terms = np.log(survival) + stats.crossloglik[others, k]
-    value = float(logsumexp(terms) - np.log(n_sources - 1))
-    if not np.isfinite(value):
-        raise DegenerateNullError(
-            f"mixture null for source {k} is degenerate; "
-            "fall back to the parametric_pooled null"
-        )
-    return value
+    return float(_null_scores(null_spec, stats, weights_prev, np.array([k]))[0])
 
 
 def tempering_schedule(
@@ -351,11 +429,8 @@ def tempering_schedule(
 ) -> np.ndarray:
     """Per-source tempering multipliers beta_k at iteration t.
 
-    beta_k = (1 - exp(-nu t)) / eps_k with eps_k^2 the relative
-    information of source k against the target: Tr(H0^{-1} H_k) in
-    trace_exact mode, d N_k / N0 in fisher_ratio mode. A singular
-    target Hessian downgrades trace_exact to fisher_ratio with a
-    warning.
+    beta_k = (1 - exp(-nu t)) / eps_k, with eps_k from
+    ``SufficientStats.tempering_scale``.
     """
     if t < 0:
         raise InvalidConfigurationError("t must be >= 0", key="t")
@@ -363,29 +438,19 @@ def tempering_schedule(
         raise InvalidConfigurationError(
             f"unknown tempering_mode {mode!r}", key="tempering_mode"
         )
-    n_sources = stats.n_sources
     ramp = -np.expm1(-nu * t)
     if ramp == 0.0:
-        return np.zeros(n_sources)
-    eps_sq = np.empty(n_sources)
-    if mode == "trace_exact":
-        try:
-            factor = cho_factor(stats.hessians[0])
-            for k in range(1, n_sources + 1):
-                eps_sq[k - 1] = np.trace(cho_solve(factor, stats.hessians[k]))
-        except np.linalg.LinAlgError:
-            warnings.warn(
-                "target Hessian is singular; tempering falls back to "
-                "the fisher_ratio scale",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            mode = "fisher_ratio"
-    if mode == "fisher_ratio":
-        eps_sq = stats.dim * stats.sizes[1:] / stats.sizes[0]
-    eps = np.sqrt(np.maximum(eps_sq, 0.0))
-    eps = np.maximum(eps, 1e-12)
-    return ramp / eps
+        return np.zeros(stats.n_sources)
+    return ramp / stats.tempering_scale(mode)
+
+
+def _name_non_finite(values: np.ndarray, what: str) -> None:
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        k = int(bad[0]) + 1
+        raise NonFiniteLikelihoodError(
+            f"{what} for source {k} is not finite", source_index=k
+        )
 
 
 def e_step(
@@ -396,7 +461,7 @@ def e_step(
     w_k = sigmoid(beta_k [rel_k - null_k] + logit(pi_k)), where rel_k
     is the relevant marginal of dataset k at the current theta and
     null_k the irrelevance score. With beta identically zero (t = 0)
-    the prior is returned exactly and no likelihood is evaluated.
+    the prior is returned exactly and no statistic is read.
     """
     pi = np.asarray(pi, dtype=float)
     if pi.shape != (stats.n_sources,):
@@ -414,25 +479,13 @@ def e_step(
     prev = np.clip(
         np.asarray(state.weights, dtype=float), WEIGHT_CLAMP, 1.0 - WEIGHT_CLAMP
     )
-    z = np.empty(stats.n_sources)
-    for k in range(1, stats.n_sources + 1):
-        try:
-            rel = relevant_marginal_loglik(
-                stats.model, stats.datasets[k], state.theta, config.tau
-            )
-        except NonFiniteLikelihoodError as exc:
-            raise NonFiniteLikelihoodError(
-                f"relevant marginal for source {k} is not finite",
-                source_index=k,
-            ) from exc
-        null = null_loglik(config.null_spec, k, stats, prev)
-        ratio = rel - null
-        if not np.isfinite(ratio):
-            raise NonFiniteLikelihoodError(
-                f"log-ratio for source {k} is not finite", source_index=k
-            )
-        z[k - 1] = beta[k - 1] * ratio + logit(clamped[k - 1])
-    return expit(z)
+    value, grad = stats.expand(state.theta)
+    rel = _laplace(value[1:], grad[1:], stats.hessians[1:], config.tau)
+    _name_non_finite(rel, "relevant marginal")
+    sources = np.arange(1, stats.n_sources + 1)
+    ratio = rel - _null_scores(config.null_spec, stats, prev, sources)
+    _name_non_finite(ratio, "log-ratio")
+    return expit(beta * ratio + logit(clamped))
 
 
 def _solve_with_jitter(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -458,36 +511,29 @@ def m_step_exact(
     through by H0. One d x d solve, no explicit inverses.
     """
     weights = np.asarray(weights, dtype=float)
-    d = stats.dim
+    blocks = stats.hessians[1:]
+    if tau != 0:
+        blocks = np.linalg.solve(np.eye(stats.dim) + tau**2 * blocks, blocks)
+        blocks = 0.5 * (blocks + blocks.swapaxes(1, 2))
     h0 = stats.hessians[0]
-    lhs = h0.copy()
-    rhs = h0 @ stats.theta_hat[0]
-    eye = np.eye(d)
-    for k in range(1, stats.n_sources + 1):
-        hk = stats.hessians[k]
-        if tau == 0:
-            ck = hk
-        else:
-            ck = np.linalg.solve(eye + tau**2 * hk, hk)
-            ck = 0.5 * (ck + ck.T)
-        lhs = lhs + weights[k - 1] * ck
-        rhs = rhs + weights[k - 1] * (ck @ stats.theta_hat[k])
+    pulls = (blocks @ stats.theta_hat[1:, :, None])[..., 0]
+    # target term first, then the sources in order: the sums along the
+    # stacking axis run in that order, so rounding follows the formula
+    lhs = np.concatenate([h0[None], weights[:, None, None] * blocks]).sum(axis=0)
+    rhs = np.concatenate(
+        [(h0 @ stats.theta_hat[0])[None], weights[:, None] * pulls]
+    ).sum(axis=0)
     return _solve_with_jitter(lhs, rhs)
 
 
 def m_step_surrogate(stats: SufficientStats, weights: np.ndarray) -> np.ndarray:
     """Sample-size weighted average of the target and source MLEs."""
-    weights = np.asarray(weights, dtype=float)
     n0 = stats.sizes[0]
     if n0 < 1:
         raise InsufficientDataError("target dataset is empty")
-    numer = n0 * stats.theta_hat[0].copy()
-    denom = float(n0)
-    for k in range(1, stats.n_sources + 1):
-        mass = weights[k - 1] * stats.sizes[k]
-        numer += mass * stats.theta_hat[k]
-        denom += mass
-    return numer / denom
+    mass = np.asarray(weights, dtype=float) * stats.sizes[1:]
+    numer = n0 * stats.theta_hat[0] + mass @ stats.theta_hat[1:]
+    return numer / (n0 + mass.sum())
 
 
 def run_em(
@@ -574,14 +620,6 @@ def run_em(
     theta_rows = [state.theta.copy()]
     beta_rows = [state.beta.copy()]
     delta_rows = [np.inf]
-    state.history.append(
-        {
-            "t": 0,
-            "beta": state.beta.copy(),
-            "weights": state.weights.copy(),
-            "theta": state.theta.copy(),
-        }
-    )
 
     converged = False
     streak = 0
@@ -601,14 +639,6 @@ def run_em(
         theta_rows.append(state.theta.copy())
         beta_rows.append(state.beta.copy())
         delta_rows.append(delta)
-        state.history.append(
-            {
-                "t": t,
-                "beta": state.beta.copy(),
-                "weights": state.weights.copy(),
-                "theta": state.theta.copy(),
-            }
-        )
         streak = streak + 1 if delta <= config.tol else 0
         if streak >= config.patience:
             converged = True

@@ -4,8 +4,7 @@ Two concrete families are provided:
 
 * :class:`GaussianMeanModel` -- d-dimensional Gaussian observations with a
   known covariance and unknown mean.  The workhorse model for synthetic
-  benchmarks; its log-likelihood is an exact quadratic in the parameter, so
-  several downstream approximations become exact and are tested as such.
+  benchmarks.
 * :class:`SplineGlmModel` -- Gaussian regression of a scalar response on a
   natural cubic spline basis of a scalar input, with a known noise variance.
   Used for the turbofan sensor experiments, where each engine's
@@ -13,10 +12,13 @@ Two concrete families are provided:
 
 Both expose the same small surface: ``loglik``, ``gradient``, ``hessian``
 (defined as the negative second derivative of the log-likelihood, so it is
-positive semidefinite for these families), ``mle`` and
-``per_sample_loglik``.  All operations are pure functions of their inputs;
-models hold only fixed structural constants (dimension, covariance, knots,
-noise variance, ridge).
+positive semidefinite for these families) and ``mle``.  Both log-likelihoods
+are exact quadratics in the parameter, so the second-order expansion around
+any point reproduces them everywhere; the estimator in :mod:`lipem.em`
+relies on this to evaluate each dataset once, at its MLE, and to read every
+later likelihood value off that expansion.  All operations are pure
+functions of their inputs; models hold only fixed structural constants
+(dimension, covariance, knots, noise variance, ridge).
 """
 
 from __future__ import annotations
@@ -85,9 +87,11 @@ class Dataset:
 class LikelihoodFamily(ABC):
     """Interface every likelihood backbone implements.
 
-    ``hessian`` returns the negative Hessian of the log-likelihood, which
-    is positive semidefinite for the families shipped here.  ``theta`` is
-    always a length-``dim`` vector.
+    Contract: ``loglik`` is exactly quadratic in ``theta``, so
+    ``gradient`` is affine and ``hessian`` (the negative Hessian of the
+    log-likelihood, positive semidefinite) does not depend on ``theta``.
+    The EM evaluates each dataset once, at its MLE, and expands around
+    it.  ``theta`` is always a length-``dim`` vector.
     """
 
     @property
@@ -110,10 +114,6 @@ class LikelihoodFamily(ABC):
     @abstractmethod
     def mle(self, data: Dataset) -> np.ndarray:
         """Maximum likelihood (or ridge penalized) parameter estimate."""
-
-    @abstractmethod
-    def per_sample_loglik(self, theta: np.ndarray, obs: np.ndarray) -> float:
-        """Log-likelihood of a single observation row."""
 
     def _check_theta(self, theta: np.ndarray) -> np.ndarray:
         th = np.asarray(theta, dtype=float).reshape(-1)
@@ -197,11 +197,6 @@ class GaussianMeanModel(LikelihoodFamily):
         if data.size == 0:
             raise InsufficientDataError("cannot estimate a mean from zero observations")
         return data.points.mean(axis=0)
-
-    def per_sample_loglik(self, theta, obs) -> float:
-        th = self._check_theta(theta)
-        dev = np.asarray(obs, dtype=float).reshape(-1) - th
-        return float(-0.5 * dev @ self._precision @ dev - 0.5 * self._logdet_2pi_cov)
 
 
 def spline_design(inputs, knots) -> np.ndarray:
@@ -327,15 +322,6 @@ class SplineGlmModel(LikelihoodFamily):
     def predict(self, theta, inputs) -> np.ndarray:
         th = self._check_theta(theta)
         return self.design(inputs) @ th
-
-    def per_sample_loglik(self, theta, obs) -> float:
-        th = self._check_theta(theta)
-        row = np.asarray(obs, dtype=float).reshape(-1)
-        resid = row[1] - (self.design(row[:1]) @ th)[0]
-        return float(
-            -0.5 * resid * resid / self.noise_variance
-            - 0.5 * np.log(2.0 * np.pi * self.noise_variance)
-        )
 
 
 def pooled_noise_variance(

@@ -39,7 +39,6 @@ from .errors import (
 
 __all__ = [
     "ChoiceRecord",
-    "ElicitationSet",
     "WorthVector",
     "Lip",
     "choice_probability",
@@ -80,9 +79,6 @@ class ChoiceRecord:
             raise InvalidChoiceError(f"choice {ch} is not in subgroup {sub} or the null")
         object.__setattr__(self, "subgroup", sub)
         object.__setattr__(self, "choice", ch)
-
-
-ElicitationSet = list  # list[ChoiceRecord]; the record set M
 
 
 @dataclass(frozen=True)
@@ -175,12 +171,16 @@ class Lip:
                 val = float(value)
             except ValueError as exc:
                 raise ParseError(f"{path}: bad float {value!r} on line {lineno}", lineno) from exc
-            if name.startswith("alpha_"):
-                alpha[int(name[6:])] = val
-            elif name.startswith("pi_"):
-                pi[int(name[3:])] = val
-            else:
+            prefix, _, index = name.partition("_")
+            if prefix not in ("alpha", "pi"):
                 raise ParseError(f"{path}: unknown entry {name!r} on line {lineno}", lineno)
+            try:
+                number = int(index)
+            except ValueError as exc:
+                raise ParseError(
+                    f"{path}: bad index in {name!r} on line {lineno}", lineno
+                ) from exc
+            (alpha if prefix == "alpha" else pi)[number] = val
         if alpha and pi:
             raise ParseError(f"{path}: mixes alpha_ and pi_ entries")
         if alpha:

@@ -260,6 +260,65 @@ class TestExitCodes:
         assert "error:" in capsys.readouterr().err
 
 
+class TestInputContract:
+    """Malformed inputs at the EM's boundary end in one error line."""
+
+    def _run_em(self, tmp_path, *extra, target_text="0.1\n-0.3\n0.2\n"):
+        target = tmp_path / "target.txt"
+        target.write_text(target_text)
+        sources = []
+        for name, mean in (("near.txt", 0.0), ("far.txt", 5.0)):
+            path = tmp_path / name
+            np.savetxt(path, np.random.default_rng(42).normal(mean, 1.0, size=(20, 1)))
+            sources.append(str(path))
+        return dispatch(
+            ["run-em", "--target", str(target), "--sources", *sources,
+             "--out", str(tmp_path / "report.txt"), *extra]
+        )
+
+    def _single_error_line(self, capsys):
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        return err
+
+    def test_non_finite_target_value_names_file_and_row(self, tmp_path, capsys):
+        code = self._run_em(tmp_path, target_text="0.1\nnan\n0.2\n")
+        assert code == 1
+        err = self._single_error_line(capsys)
+        assert "target.txt" in err and "row 2" in err
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [({"max_iters": 2.5}, "em.max_iters"), ({"tau": "0.1"}, "em.tau")],
+    )
+    def test_mistyped_em_value_exits_three_naming_key(
+        self, tmp_path, capsys, section, key
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"em": section}))
+        assert self._run_em(tmp_path, "--config", str(cfg)) == 3
+        assert f"[key: {key}]" in self._single_error_line(capsys)
+
+    def test_bad_prior_entry_index_reports_line(self, tmp_path, capsys):
+        prior = tmp_path / "lip.txt"
+        prior.write_text("K=2\nalpha_0=0\nalpha_x=1\nalpha_2=0\n")
+        assert self._run_em(tmp_path, "--lip", str(prior)) == 1
+        assert "line 3" in self._single_error_line(capsys)
+
+    def test_jobs_flag_only_on_elicit(self, tmp_path, capsys):
+        assert self._run_em(tmp_path, "--jobs", "2") == 2
+        capsys.readouterr()
+        summaries = tmp_path / "summaries.json"
+        summaries.write_text(json.dumps({"1": "first", "2": "second"}))
+        code = dispatch(
+            ["elicit", "--summaries", str(summaries), "--jobs", "2",
+             "--out", str(tmp_path / "records.txt")]
+        )
+        # the flag parses; the run then stops on the missing context
+        assert code == 3
+        assert "[key: context]" in capsys.readouterr().err
+
+
 class TestFitLipCommand:
     def test_empty_records_fit_writes_baseline_prior(self, tmp_path, capsys):
         records = tmp_path / "records.txt"

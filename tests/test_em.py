@@ -8,6 +8,7 @@ tests for the E-step, both M-steps, and the full loop follow.
 
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -259,30 +260,23 @@ class TestTemperingSchedule:
         assert all(b2 >= b1 for b1, b2 in zip(values, values[1:]))
 
 
-class _RefusingModel:
-    """Stand-in model that fails loudly if any likelihood is evaluated."""
-
-    dim = 1
-
-    def __getattr__(self, name):
-        raise AssertionError(f"likelihood surface touched via {name!r}")
-
-
 class TestEStep:
     def test_zero_tempering_returns_prior_without_any_evaluation(self):
         rng = np.random.default_rng(42)
         _, _, stats = gaussian_stats(rng, [0.0, 1.0, 2.0], [4, 20, 20])
-        # swap in a model that raises on any use: the prior must still
-        # come back exactly because beta = 0 short-circuits the update
+        # swap in statistics that are NaN throughout: the prior must
+        # still come back exactly because beta = 0 short-circuits the
+        # update before any statistic is read
         from lipem.em import SufficientStats
 
+        n, d = stats.theta_hat.shape
         silent = SufficientStats(
-            _RefusingModel(),
-            stats.datasets,
-            stats.theta_hat.copy(),
-            stats.hessians.copy(),
+            np.full((n, d), np.nan),
+            np.full(n, np.nan),
+            np.full((n, d), np.nan),
+            np.full((n, d, d), np.nan),
             stats.sizes.copy(),
-            stats.crossloglik.copy(),
+            np.full(d, np.nan),
         )
         pi = np.array([0.37, 0.81])
         state = EmState(theta=np.zeros(1), weights=pi.copy(), t=0, beta=np.zeros(2))
@@ -336,6 +330,43 @@ class TestEStep:
         with pytest.raises(NonFiniteLikelihoodError) as err:
             e_step(state, stats, np.array([0.5, 0.5]), EmConfig(tau=0.0))
         assert err.value.source_index == 1
+
+
+    @pytest.mark.parametrize("kind", ["empirical_bayes_mixture", "parametric_pooled"])
+    def test_spline_weights_match_the_scalar_functions(self, kind):
+        # the E-step reads every value off the per-dataset expansions;
+        # the public scalar functions evaluate the relevant marginal on
+        # the data directly, so the two must agree for the spline family;
+        # a strong ridge keeps the gradients at the MLEs away from zero
+        rng = np.random.default_rng(42)
+        knots = np.linspace(0.0, 10.0, 4)
+        model = SplineGlmModel(knots, noise_variance=0.5, ridge=5.0)
+        datasets = []
+        for n, slope in ((12, 1.0), (40, 1.1), (40, -0.5), (40, 0.9)):
+            x = rng.uniform(0.0, 10.0, size=n)
+            y = 2.0 + slope * x + rng.normal(0.0, 0.7, size=n)
+            datasets.append(Dataset(np.column_stack([x, y])))
+        stats = build_sufficient_stats(model, datasets)
+        config = EmConfig(tau=0.1, null_spec=NullSpec(kind))
+        theta = stats.theta_hat[0] + 0.05
+        prev = np.array([0.6, 0.3, 0.5])
+        pi = np.array([0.4, 0.2, 0.7])
+        beta = np.array([0.004, 0.0004, 0.004])
+        state = EmState(theta=theta, weights=prev, t=3, beta=beta)
+        got = e_step(state, stats, pi, config)
+        expected = [
+            expit(
+                beta[k - 1]
+                * (
+                    relevant_marginal_loglik(model, datasets[k], theta, config.tau)
+                    - null_loglik(config.null_spec, k, stats, prev)
+                )
+                + logit(pi[k - 1])
+            )
+            for k in (1, 2, 3)
+        ]
+        assert np.all((0.05 < got) & (got < 0.95))
+        assert np.max(np.abs(got - expected)) <= 1e-10
 
 
 class TestMStepExact:
@@ -446,6 +477,18 @@ class TestSufficientStats:
                 model, [Dataset(np.zeros((0, 1))), Dataset(np.array([1.0]))]
             )
 
+    def test_non_finite_value_names_the_dataset(self):
+        model = GaussianMeanModel(1)
+        datasets = [
+            Dataset(np.array([0.0, 1.0])),
+            Dataset(np.array([1.0, 2.0])),
+            Dataset(np.array([1.0, np.inf, 2.0])),
+        ]
+        with pytest.raises(NonFiniteLikelihoodError) as err:
+            build_sufficient_stats(model, datasets)
+        assert err.value.source_index == 2
+        assert "dataset 2" in str(err.value) and "row 2" in str(err.value)
+
     def test_cross_table_holds_every_pairing(self):
         rng = np.random.default_rng(42)
         model, datasets, stats = gaussian_stats(rng, [0.0, 1.0, -1.0], [3, 5, 7])
@@ -462,16 +505,6 @@ class TestSufficientStats:
         _, _, stats = gaussian_stats(rng, [0.0, 1.0], [4, 8])
         with pytest.raises(ValueError):
             stats.theta_hat[0, 0] = 99.0
-
-    def test_per_sample_closure_sums_to_loglik(self):
-        rng = np.random.default_rng(42)
-        model, datasets, stats = gaussian_stats(rng, [0.0, 1.0], [4, 8])
-        theta = np.array([0.3])
-        rows = stats.per_sample_loglik(1, theta)
-        assert rows.shape == (8,)
-        np.testing.assert_allclose(
-            rows.sum(), model.loglik(theta, datasets[1]), rtol=1e-12
-        )
 
 
 class TestEmConfigValidation:
@@ -613,6 +646,34 @@ class TestRunEm:
         source = Dataset(rng.normal(size=(20, 1)))
         with pytest.raises(InvalidConfigurationError):
             run_em([target, source], model, [0.5], EmConfig(tau=0.0))
+
+    @pytest.mark.parametrize("max_iters", [1, 40])
+    def test_each_dataset_is_read_once(self, max_iters):
+        # the likelihood is evaluated once per dataset, at its MLE, while
+        # the statistics are built; no iteration reads the data again
+        class CountingModel(GaussianMeanModel):
+            calls = Counter()
+
+            def loglik(self, theta, data):
+                self.calls["loglik"] += 1
+                return super().loglik(theta, data)
+
+            def gradient(self, theta, data):
+                self.calls["gradient"] += 1
+                return super().gradient(theta, data)
+
+            def hessian(self, theta, data):
+                self.calls["hessian"] += 1
+                return super().hessian(theta, data)
+
+        rng = np.random.default_rng(42)
+        model = CountingModel(1)
+        datasets = [Dataset(rng.normal(m, 1.0, size=(n, 1))) for m, n in
+                    ((0.0, 4), (0.1, 50), (3.0, 50), (-2.0, 50))]
+        config = EmConfig(tau=0.1, nu=0.05, max_iters=max_iters, tol=1e-12)
+        _, report = run_em(datasets, model, [0.5, 0.5, 0.5], config)
+        assert report.iterations == max_iters
+        assert model.calls == {"loglik": 4, "gradient": 4, "hessian": 4}
 
     def test_iteration_cap_is_reported_not_raised(self):
         rng = np.random.default_rng(42)
