@@ -364,14 +364,12 @@ def _parse_ints(text: str) -> list[int]:
 def _cmd_fit_lip(args) -> int:
     cfg = RunConfig.load(args.config).section("lip")
     records = read_records(args.records)
-    worths, lip = fit_lip(
-        records,
-        args.sources,
-        p0=cfg.get("p0", 0.01),
-        eps=cfg.get("eps", 0.1),
-        tol=cfg.get("tol", 1e-8),
-        max_iters=cfg.get("max_iters", 200),
-    )
+    try:
+        worths, lip = fit_lip(records, args.sources, **cfg)
+    except InvalidConfigurationError as exc:
+        if exc.key is None:
+            raise
+        raise InvalidConfigurationError(str(exc.args[0]), key=f"lip.{exc.key}") from exc
     lip.write(args.out)
     print(f"wrote {args.out} ({lip.n_sources} sources)")
     return 0

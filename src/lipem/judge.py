@@ -32,6 +32,7 @@ import numpy as np
 from .errors import (
     InvalidConfigurationError,
     MalformedJudgeResponseError,
+    ParseError,
     RateLimitedError,
     TransportError,
 )
@@ -115,18 +116,45 @@ class ReplayLog:
     Replaying means a completed (context, subgroup, summaries) query is
     answered from disk with no transport at all; appends are serialized
     under a lock so concurrent judges cannot interleave partial lines.
+
+    A crash during an append can leave the last line cut off, or whole
+    but without its newline.  Loading skips a malformed last line and
+    counts it in ``truncated``; the next append first cuts it from the
+    file, or ends the unterminated line, so the log stays valid JSONL.
+    A malformed line anywhere else raises ``ParseError``.
     """
 
     def __init__(self, path):
         self.path = Path(path)
         self._lock = threading.Lock()
         self._entries: dict[str, dict] = {}
-        if self.path.exists():
-            for line in self.path.read_text(encoding="utf-8").splitlines():
-                if not line.strip():
-                    continue
+        self.truncated = 0
+        # (byte offset to cut the file at, text to write there) before
+        # the next append, when the last line needs mending
+        self._mend: tuple[int, str] | None = None
+        if not self.path.exists():
+            return
+        data = self.path.read_bytes()
+        if data and not data.endswith(b"\n"):
+            self._mend = (len(data), "\n")
+        lines = data.splitlines(keepends=True)
+        last = max((i for i, line in enumerate(lines) if line.strip()), default=-1)
+        offset = 0
+        for index, line in enumerate(lines):
+            start, offset = offset, offset + len(line)
+            if not line.strip():
+                continue
+            try:
                 entry = json.loads(line)
                 self._entries[entry["key"]] = entry
+            except (ValueError, KeyError, TypeError) as exc:
+                if index != last:
+                    raise ParseError(
+                        f"{self.path}: line {index + 1}: malformed replay entry: {exc}",
+                        line_number=index + 1,
+                    ) from exc
+                self.truncated += 1
+                self._mend = (start, "")
 
     def get(self, key: str) -> dict | None:
         return self._entries.get(key)
@@ -136,6 +164,11 @@ class ReplayLog:
         with self._lock:
             self._entries[key] = entry
             with self.path.open("a", encoding="utf-8") as fh:
+                if self._mend is not None:
+                    cut_at, text = self._mend
+                    fh.truncate(cut_at)
+                    fh.write(text)
+                    self._mend = None
                 fh.write(json.dumps(entry, sort_keys=True) + "\n")
 
 

@@ -305,6 +305,12 @@ class TestInputContract:
         assert self._run_em(tmp_path, "--lip", str(prior)) == 1
         assert "line 3" in self._single_error_line(capsys)
 
+    def test_bad_prior_entry_line_counts_blank_lines(self, tmp_path, capsys):
+        prior = tmp_path / "lip.txt"
+        prior.write_text("K=2\n\nalpha_0=0\n\nalpha_x=1\nalpha_2=0\n")
+        assert self._run_em(tmp_path, "--lip", str(prior)) == 1
+        assert "line 5" in self._single_error_line(capsys)
+
     def test_jobs_flag_only_on_elicit(self, tmp_path, capsys):
         assert self._run_em(tmp_path, "--jobs", "2") == 2
         capsys.readouterr()
@@ -354,6 +360,30 @@ class TestFitLipCommand:
         assert code == 0
         capsys.readouterr()
         np.testing.assert_allclose(Lip.read(out).pi, [0.2, 0.2], atol=1e-8)
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [
+            ({"max_iters": 2.5}, "lip.max_iters"),
+            ({"eps": "0.1"}, "lip.eps"),
+            ({"tol": None}, "lip.tol"),
+        ],
+    )
+    def test_mistyped_lip_value_exits_three_naming_key(
+        self, tmp_path, capsys, section, key
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"lip": section}))
+        records = tmp_path / "records.txt"
+        records.write_text("subgroup=1,2;choice=1\n")
+        code = dispatch(
+            ["fit-lip", "--records", str(records), "--sources", "2",
+             "--config", str(cfg), "--out", str(tmp_path / "lip.txt")]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"[key: {key}]" in err
 
 
 class TestSimulateOracleCommand:
@@ -599,3 +629,16 @@ class TestElicitCommand:
         )
         assert code == 3
         assert "[key: context]" in capsys.readouterr().err
+
+    def test_malformed_replay_line_exits_one(self, tmp_path, capsys):
+        summaries = tmp_path / "summaries.json"
+        summaries.write_text(json.dumps({"1": "first", "2": "second"}))
+        replay = tmp_path / "replay.jsonl"
+        replay.write_text('not json\n{"key": "a", "choice": 1}\n')
+        code = dispatch(
+            ["elicit", "--summaries", str(summaries), "--context", "pick one",
+             "--replay", str(replay), "--out", str(tmp_path / "records.txt")]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: parse:") and "line 1" in err

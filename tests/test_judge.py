@@ -15,6 +15,7 @@ import pytest
 from lipem.errors import (
     InvalidConfigurationError,
     MalformedJudgeResponseError,
+    ParseError,
     RateLimitedError,
     TransportError,
 )
@@ -179,6 +180,43 @@ class TestLlmJudge:
         # a rerun answers from the log without asking again, still failing
         with pytest.raises(MalformedJudgeResponseError):
             llm_judge(None, CONTEXT, (1, 2), SUMMARIES, replay=ReplayLog(path))
+
+    def test_truncated_last_line_is_skipped_and_counted(self, tmp_path):
+        path = tmp_path / "replay.jsonl"
+        llm_judge(ScriptedTransport(["1"]), CONTEXT, (1, 2), SUMMARIES, replay=ReplayLog(path))
+        # a crash during the next append leaves half a line behind
+        with path.open("a", encoding="utf-8") as fh:
+            fh.write('{"choice": 2, "key": "ab')
+        log = ReplayLog(path)
+        assert log.truncated == 1
+        assert llm_judge(None, CONTEXT, (1, 2), SUMMARIES, replay=log) == 1
+        # the next append replaces the cut-off line, so the file reloads cleanly
+        llm_judge(ScriptedTransport(["2"]), CONTEXT, (2, 3), SUMMARIES, replay=log)
+        reloaded = ReplayLog(path)
+        assert reloaded.truncated == 0
+        assert llm_judge(None, CONTEXT, (2, 3), SUMMARIES, replay=reloaded) == 2
+        assert len(path.read_text(encoding="utf-8").splitlines()) == 2
+
+    def test_unterminated_last_entry_is_kept(self, tmp_path):
+        path = tmp_path / "replay.jsonl"
+        llm_judge(ScriptedTransport(["1"]), CONTEXT, (1, 2), SUMMARIES, replay=ReplayLog(path))
+        # a crash between an entry and its newline
+        path.write_text(path.read_text(encoding="utf-8").rstrip("\n"), encoding="utf-8")
+        log = ReplayLog(path)
+        llm_judge(ScriptedTransport(["2"]), CONTEXT, (2, 3), SUMMARIES, replay=log)
+        reloaded = ReplayLog(path)
+        assert reloaded.truncated == 0
+        assert llm_judge(None, CONTEXT, (1, 2), SUMMARIES, replay=reloaded) == 1
+        assert llm_judge(None, CONTEXT, (2, 3), SUMMARIES, replay=reloaded) == 2
+
+    def test_malformed_inner_line_raises_parse_error(self, tmp_path):
+        path = tmp_path / "replay.jsonl"
+        llm_judge(ScriptedTransport(["1"]), CONTEXT, (1, 2), SUMMARIES, replay=ReplayLog(path))
+        good = path.read_text(encoding="utf-8")
+        path.write_text('{"choice": 2, "key": "ab\n' + good, encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            ReplayLog(path)
+        assert err.value.line_number == 1
 
     def test_no_transport_and_no_replay_entry_fails(self):
         with pytest.raises(TransportError):

@@ -5,6 +5,8 @@ and the fitted optimum against an independent dense grid search plus a
 separately coded quasi-Newton solve before recovery tests use the fit.
 """
 
+import math
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize as scipy_minimize
@@ -19,6 +21,7 @@ from lipem.lip import (
     ChoiceRecord,
     Lip,
     WorthVector,
+    _nll_hessian,
     choice_probability,
     drop_and_reindex,
     fit_lip,
@@ -134,6 +137,139 @@ class TestNllObjective:
         va, _ = nll_objective(a, [])
         vb, _ = nll_objective(b, [])
         assert va == pytest.approx(vb, abs=1e-15)
+
+
+def loop_objective(worths, records, p0=0.01, eps=0.1):
+    """Reference: the per-record loop the array kernels replace."""
+    alpha = worths.alpha
+    value = 0.0
+    grad = np.zeros_like(alpha)
+    for rec in records:
+        opts = np.array((0,) + rec.subgroup)
+        vals = alpha[opts]
+        shift = vals.max()
+        ex = np.exp(vals - shift)
+        denom = ex.sum()
+        value += math.log(denom) + shift - alpha[rec.choice]
+        grad[opts] += ex / denom
+        grad[rec.choice] -= 1.0
+    dev = alpha[1:] - float(logit(p0))
+    value += eps * float(dev @ dev)
+    grad[1:] += 2.0 * eps * dev
+    return value, grad
+
+
+def loop_hessian(worths, records, eps=0.1):
+    alpha = worths.alpha
+    hess = np.zeros((alpha.size, alpha.size))
+    for rec in records:
+        opts = np.array((0,) + rec.subgroup)
+        vals = alpha[opts]
+        ex = np.exp(vals - vals.max())
+        probs = ex / ex.sum()
+        hess[np.ix_(opts, opts)] += np.diag(probs) - np.outer(probs, probs)
+    hess[1:, 1:] += 2.0 * eps * np.eye(alpha.size - 1)
+    return hess
+
+
+def loop_judge(worths, subgroup, gen):
+    """Reference: one Generator.choice per query over its probabilities."""
+    options = (0, *subgroup)
+    vals = worths.alpha[list(options)]
+    ex = np.exp(vals - vals.max())
+    probs = ex / ex.sum()
+    return options[gen.choice(len(options), p=probs / probs.sum())]
+
+
+def random_records(rng, n_sources, count, max_size=10):
+    records = []
+    for _ in range(count):
+        size = int(rng.integers(1, min(n_sources, max_size) + 1))
+        subgroup = tuple(rng.choice(n_sources, size=size, replace=False) + 1)
+        records.append(ChoiceRecord(subgroup, int(rng.choice((0, *subgroup)))))
+    return records
+
+
+class TestArrayKernels:
+    """The array kernels against the per-record loops they replace."""
+
+    def test_kernels_match_per_record_loop(self):
+        rng = np.random.default_rng(42)
+        for trial in range(30):
+            n_sources = int(rng.integers(1, 61))
+            count = 0 if trial == 0 else int(rng.integers(1, 300))
+            records = random_records(rng, n_sources, count)
+            worths = random_worths(rng, n_sources)
+            p0, eps = float(rng.uniform(0.001, 0.5)), float(rng.uniform(0.0, 1.0))
+            value, grad = nll_objective(worths, records, p0, eps)
+            ref_value, ref_grad = loop_objective(worths, records, p0, eps)
+            # summed in record order, so equal to the last bit
+            assert value == ref_value
+            assert np.max(np.abs(grad - ref_grad)) <= 1e-12
+            hess = _nll_hessian(worths, records, eps)
+            assert np.max(np.abs(hess - loop_hessian(worths, records, eps))) <= 1e-12
+
+    def test_log_terms_match_per_record_loop_to_the_last_bit(self):
+        # the null wins at the top worth and eps is 0, so each term is
+        # exactly log(1 + exp(-u)) and no rounding hides its last bit
+        records = [ChoiceRecord((1,), 0)] * 16
+        for u in np.random.default_rng(42).uniform(0.0, 5.0, size=2000):
+            worths = WorthVector(np.array([0.0, -u]))
+            assert nll_objective(worths, records, eps=0.0)[0] == (
+                loop_objective(worths, records, eps=0.0)[0]
+            )
+
+    def test_hessian_matches_finite_differences_of_gradient(self):
+        rng = np.random.default_rng(42)
+        records = random_records(rng, 6, 150, max_size=6)
+        step = 1e-6
+        for _ in range(5):
+            worths = random_worths(rng, 6)
+            hess = _nll_hessian(worths, records, 0.1)
+            approx = np.empty_like(hess)
+            for i in range(worths.alpha.size):
+                bump = np.zeros_like(worths.alpha)
+                bump[i] = step
+                up = nll_objective(WorthVector(worths.alpha + bump), records)[1]
+                dn = nll_objective(WorthVector(worths.alpha - bump), records)[1]
+                approx[:, i] = (up - dn) / (2.0 * step)
+            assert np.max(np.abs(hess - approx)) <= 1e-6 * (1.0 + np.max(np.abs(hess)))
+
+    def test_batched_simulation_matches_per_query_judging(self):
+        rng = np.random.default_rng(42)
+        for _ in range(10):
+            n_sources = int(rng.integers(1, 61))
+            sizes = sorted(set(rng.integers(1, min(n_sources, 10) + 1, size=3).tolist()))
+            worths = random_worths(rng, n_sources, scale=3.0)
+            seed = int(rng.integers(2**31))
+            records = simulate_elicitation(worths, sizes, 200, np.random.default_rng(seed))
+            loop_gen = np.random.default_rng(seed)
+            subgroups = sample_subgroups(n_sources, sizes, 200, loop_gen)
+            judge_gen = np.random.default_rng(seed)
+            sample_subgroups(n_sources, sizes, 200, judge_gen)
+            assert records == [
+                ChoiceRecord(s, loop_judge(worths, s, loop_gen)) for s in subgroups
+            ]
+            assert records == [
+                ChoiceRecord(s, simulated_judge(worths, s, judge_gen)) for s in subgroups
+            ]
+
+    def test_subgroup_beyond_k_rejected(self):
+        records = [ChoiceRecord((1, 2), 1), ChoiceRecord((2, 4), 0)]
+        worths = WorthVector(np.zeros(4))
+        with pytest.raises(InvalidConfigurationError):
+            nll_objective(worths, records)
+        with pytest.raises(InvalidConfigurationError):
+            fit_lip(records, 3)
+        with pytest.raises(InvalidConfigurationError):
+            choice_probability(worths, (2, 4), 4)
+        with pytest.raises(InvalidConfigurationError):
+            simulated_judge(worths, (1, 4), np.random.default_rng(42))
+
+    def test_non_finite_worths_rejected_by_simulation(self):
+        worths = WorthVector(np.array([0.0, np.inf, 0.0]))
+        with pytest.raises(InvalidConfigurationError):
+            simulate_elicitation(worths, [2], 5, np.random.default_rng(42))
 
 
 class TestFitLip:
