@@ -36,6 +36,7 @@ from .errors import (
     LipemError,
     ParseError,
 )
+from .files import write_text_atomic
 from .judge import HttpTransport, ReplayLog, TransportConfig, elicit_records
 from .likelihood import Dataset, GaussianMeanModel, SplineGlmModel
 from .lip import (
@@ -56,51 +57,121 @@ __all__ = [
     "write_report",
 ]
 
-SECTION_SCHEMAS: Mapping[str, frozenset] = {
-    "em": frozenset(
-        {
-            "tau",
-            "nu",
-            "variant",
-            "null_kind",
-            "null_table",
-            "max_iters",
-            "tol",
-            "patience",
-            "tempering_mode",
-            "init_at_target_mle",
-        }
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_string(value) -> bool:
+    return isinstance(value, str)
+
+
+def _list_of(test):
+    return lambda value: isinstance(value, list) and all(map(test, value))
+
+
+def _or_null(test):
+    return lambda value: value is None or test(value)
+
+
+_is_numbers = _list_of(_is_number)
+
+# value kinds as JSON delivers them: (noun for the error, test)
+NUMBER = ("a number", _is_number)
+INTEGER = ("an integer", _is_integer)
+STRING = ("a string", _is_string)
+BOOLEAN = ("true or false", lambda value: isinstance(value, bool))
+NUMBERS = ("a list of numbers", _is_numbers)
+INTEGERS = ("a list of integers", _list_of(_is_integer))
+NULL_TABLE = (
+    "a list of numbers or an object mapping source indices to numbers",
+    lambda value: _is_numbers(value)
+    or (
+        isinstance(value, dict)
+        and all(k.isdigit() and _is_number(v) for k, v in value.items())
     ),
-    "model": frozenset({"kind", "covariance", "knots", "noise_variance", "ridge"}),
-    "generator": frozenset(
-        {
-            "n_sources",
-            "relevant",
-            "theta0",
-            "tau",
-            "sigma",
-            "n_target",
-            "n_source",
-            "seed",
-            "offset",
-            "shell",
-            "spread",
-        }
-    ),
-    "experiment": frozenset(
-        f.name for f in dataclasses.fields(GaussianExperimentConfig)
-    ),
-    "lip": frozenset({"p0", "eps", "tol", "max_iters"}),
-    "oracle": frozenset({"replications", "taus", "n_weight_vectors"}),
-    "dichotomy": frozenset({"n_sweep", "priors", "replications"}),
-    "consistency": frozenset({"n0_sweep", "replications", "nu"}),
-    "cmapss": frozenset({"cutoffs", "engines", "tau", "nu", "ridge", "p0", "knots"}),
+)
+# the experiment section follows GaussianExperimentConfig's annotations
+_ANNOTATED_KINDS = {
+    "int": INTEGER,
+    "float": NUMBER,
+    "str": STRING,
+    "tuple[int, ...]": INTEGERS,
+}
+
+SECTION_SCHEMAS: Mapping[str, Mapping[str, tuple]] = {
+    "em": {
+        "tau": NUMBER,
+        "nu": NUMBER,
+        "variant": STRING,
+        "null_kind": STRING,
+        "null_table": NULL_TABLE,
+        "max_iters": INTEGER,
+        "tol": NUMBER,
+        "patience": INTEGER,
+        "tempering_mode": ("a string or null", _or_null(_is_string)),
+        "init_at_target_mle": BOOLEAN,
+    },
+    "model": {
+        "kind": STRING,
+        "covariance": (
+            "a number or a list of lists of numbers",
+            lambda value: _is_number(value) or _list_of(_is_numbers)(value),
+        ),
+        "knots": NUMBERS,
+        "noise_variance": NUMBER,
+        "ridge": NUMBER,
+    },
+    "generator": {
+        "n_sources": INTEGER,
+        "relevant": INTEGERS,
+        "theta0": NUMBERS,
+        "tau": NUMBER,
+        "sigma": NUMBER,
+        "n_target": INTEGER,
+        "n_source": INTEGER,
+        "seed": INTEGER,
+        "offset": (
+            "a number, a list of numbers or null",
+            _or_null(lambda value: _is_number(value) or _is_numbers(value)),
+        ),
+        "shell": (
+            "a list of two numbers",
+            lambda value: _is_numbers(value) and len(value) == 2,
+        ),
+        "spread": ("a number or null", _or_null(_is_number)),
+    },
+    "experiment": {
+        f.name: _ANNOTATED_KINDS[f.type]
+        for f in dataclasses.fields(GaussianExperimentConfig)
+    },
+    "lip": {"p0": NUMBER, "eps": NUMBER, "tol": NUMBER, "max_iters": INTEGER},
+    "oracle": {"replications": INTEGER, "taus": NUMBERS, "n_weight_vectors": INTEGER},
+    "dichotomy": {"n_sweep": INTEGERS, "priors": NUMBERS, "replications": INTEGER},
+    "consistency": {"n0_sweep": INTEGERS, "replications": INTEGER, "nu": NUMBER},
+    "cmapss": {
+        "cutoffs": NUMBERS,
+        "engines": INTEGERS,
+        "tau": NUMBER,
+        "nu": NUMBER,
+        "ridge": NUMBER,
+        "p0": NUMBER,
+        "knots": NUMBERS,
+    },
 }
 
 
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
-    """Validated key-value document grouped into known sections."""
+    """Validated key-value document grouped into known sections.
+
+    ``load`` checks every key's name and the JSON type of its value
+    against ``SECTION_SCHEMAS``; ranges are checked where the values
+    are used.
+    """
 
     sections: Mapping[str, Mapping[str, object]] = dataclasses.field(
         default_factory=dict
@@ -133,10 +204,16 @@ class RunConfig:
                 raise InvalidConfigurationError(
                     f"section {section!r} must be an object", key=section
                 )
-            for k in body:
+            for k, value in body.items():
                 if k not in SECTION_SCHEMAS[section]:
                     raise InvalidConfigurationError(
                         f"unknown key {k!r} in section {section!r}",
+                        key=f"{section}.{k}",
+                    )
+                noun, test = SECTION_SCHEMAS[section][k]
+                if not test(value):
+                    raise InvalidConfigurationError(
+                        f"{section}.{k} must be {noun}, got {value!r}",
                         key=f"{section}.{k}",
                     )
         return cls(raw)
@@ -224,7 +301,8 @@ def write_report(
 
     Deterministic: rows are sorted, JSON keys are sorted, numbers are
     rendered with a fixed format, and nothing time-dependent is
-    written, so identical inputs give byte-identical files.
+    written, so identical inputs give byte-identical files. Each file
+    is replaced in one step (see ``write_text_atomic``).
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -239,7 +317,7 @@ def write_report(
             f"{r.method},{_fmt(r.param_value)},{_fmt(r.mean)},"
             f"{_fmt(r.stderr)},{r.replications}"
         )
-    csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text_atomic(csv_path, "\n".join(lines) + "\n")
     paths.append(csv_path)
 
     sidecar = {
@@ -259,9 +337,7 @@ def write_report(
         ],
     }
     json_path = out_dir / f"{stem}.json"
-    json_path.write_text(
-        json.dumps(sidecar, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    write_text_atomic(json_path, json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
     paths.append(json_path)
 
     if curves:
@@ -275,7 +351,7 @@ def write_report(
             rows.append(
                 ",".join([_fmt(x[i])] + [_fmt(col[i]) for col in cols])
             )
-        curve_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        write_text_atomic(curve_path, "\n".join(rows) + "\n")
         paths.append(curve_path)
     return paths
 
@@ -434,8 +510,13 @@ def _cmd_run_em(args) -> int:
     model = _build_model(cfg.section("model"), target.width)
     em_config = _build_em_config(cfg.section("em"))
     if args.lip == "uniform":
+        # RunConfig.load has checked that p0 is a number
         p0 = cfg.section("lip").get("p0", 0.01)
-        pi = np.full(len(sources), p0)
+        if not 0.0 < p0 < 1.0:
+            raise InvalidConfigurationError(
+                f"p0 must lie strictly in (0, 1), got {p0!r}", key="lip.p0"
+            )
+        pi = np.full(len(sources), float(p0))
     else:
         lip = Lip.read(args.lip)
         if lip.n_sources != len(sources):
@@ -527,9 +608,9 @@ def _cmd_bench_oracle_mse(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     json_path = out_dir / "oracle_mse.json"
-    json_path.write_text(
+    write_text_atomic(
+        json_path,
         json.dumps([_echo(r) for r in records], sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
     )
     csv_path = out_dir / "oracle_mse.csv"
     lines = ["method,tau,mean,stderr,replications"]
@@ -547,7 +628,7 @@ def _cmd_bench_oracle_mse(args) -> int:
                 f"fixed_w{i}_mc,{_fmt(r.tau)},{_fmt(chk.mc_mean)},"
                 f"{_fmt(chk.mc_stderr)},{r.replications}"
             )
-    csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text_atomic(csv_path, "\n".join(lines) + "\n")
     print(csv_path)
     print(json_path)
     for r in records:

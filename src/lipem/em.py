@@ -21,10 +21,22 @@ is the expansion
 Anchoring at each MLE rather than at theta = 0 keeps large responses
 from cancelling digits. The E-step, the null scores and both M-steps
 are array expressions over the K sources.
+
+What does not change between iterations is computed once per run and
+cached on the :class:`SufficientStats`: the cross table and the mixture
+null's copy of it (diagonal masked), the pooled-null scores, the
+tempering scales eps_k per mode, the logit of the clamped prior, and,
+per tau, the Laplace factors (I + tau^2 H_k)^{-1} with their
+log-determinants and the M-step blocks C_k with their pulls C_k theta_k.
+An iteration then computes only what depends on the iterate: the
+tempering ramp, the expansion at theta, the Laplace quadratic term, the
+mixture null's log-sum-exp over the lagged weights, the sigmoid, and one
+d x d solve for the blend.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 from numbers import Integral, Real
@@ -32,7 +44,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.special import expit, logit, logsumexp
+from scipy.special import expit, logit
 
 from .errors import (
     DegenerateNullError,
@@ -41,6 +53,7 @@ from .errors import (
     NonFiniteLikelihoodError,
     SingularFitError,
 )
+from .files import write_text_atomic
 from .likelihood import Dataset, LikelihoodFamily, clamp_psd
 
 __all__ = [
@@ -190,7 +203,13 @@ class SufficientStats:
     under a ridge), the PSD Hessian ``hessians[k]`` and the size
     ``sizes[k]``; plus ``pooled_theta``, the MLE on all sources pooled.
     ``crossloglik[j, k]`` is loglik(theta_hat_j; D_k), read off the
-    expansion like every other likelihood value the EM needs.
+    expansion like every other likelihood value the EM needs;
+    ``mixture_table`` is its source block ``crossloglik[1:, 1:]`` with
+    -inf on the diagonal, since no source is a component of its own
+    mixture null.
+
+    The methods below return per-run constants, each computed on first
+    use and cached on this object; the returned arrays are read-only.
     """
 
     theta_hat: np.ndarray
@@ -202,9 +221,20 @@ class SufficientStats:
 
     def __post_init__(self):
         self.crossloglik = self.expand(self.theta_hat)[0]
+        self.mixture_table = self.crossloglik[1:, 1:].copy()
+        np.fill_diagonal(self.mixture_table, -np.inf)
         for arr in vars(self).values():
             arr.setflags(write=False)
-        self._eps: dict[str, np.ndarray] = {}
+        self._cache: dict[tuple, object] = {}
+        self._prior: tuple[tuple, np.ndarray] | None = None
+
+    def _cached(self, key: tuple, build):
+        if key not in self._cache:
+            value = build()
+            for arr in value if isinstance(value, tuple) else (value,):
+                arr.setflags(write=False)
+            self._cache[key] = value
+        return self._cache[key]
 
     @property
     def n_sources(self) -> int:
@@ -239,8 +269,9 @@ class SufficientStats:
         fisher_ratio mode. A singular target Hessian downgrades
         trace_exact to fisher_ratio with a warning.
         """
-        if mode in self._eps:
-            return self._eps[mode]
+        return self._cached(("eps", mode), lambda: self._tempering_scale(mode))
+
+    def _tempering_scale(self, mode: str) -> np.ndarray:
         eps_sq = self.dim * self.sizes[1:] / self.sizes[0]
         if mode == "trace_exact":
             try:
@@ -250,17 +281,71 @@ class SufficientStats:
                     "target Hessian is singular; tempering falls back to "
                     "the fisher_ratio scale",
                     RuntimeWarning,
-                    stacklevel=3,
+                    stacklevel=6,  # the caller of tempering_schedule
                 )
             else:
                 # one solve against the source Hessians side by side
                 d, n = self.dim, self.n_sources
                 solved = cho_solve(factor, np.hstack(self.hessians[1:]))
                 eps_sq = np.trace(solved.reshape(d, n, d), axis1=0, axis2=2)
-        eps = np.maximum(np.sqrt(np.maximum(eps_sq, 0.0)), 1e-12)
-        eps.setflags(write=False)
-        self._eps[mode] = eps
-        return eps
+        return np.maximum(np.sqrt(np.maximum(eps_sq, 0.0)), 1e-12)
+
+    def pooled_null(self) -> np.ndarray:
+        """Log-likelihood of each source at the pooled MLE, computed once."""
+        return self._cached(
+            ("pooled",), lambda: self.expand(self.pooled_theta)[0][1:]
+        )
+
+    def laplace_factor(self, tau: float) -> tuple[np.ndarray, np.ndarray]:
+        """(I + tau^2 H_k)^{-1} and its log-determinant for every source,
+        computed once per tau; see ``_laplace``."""
+        return self._cached(
+            ("laplace", tau), lambda: _laplace_factor(self.hessians[1:], tau)
+        )
+
+    def blend_terms(self, tau: float) -> tuple[np.ndarray, np.ndarray]:
+        """The exact M-step's stack [H0, C_1..C_K] and pulls [H0 theta_0,
+        C_k theta_k], with C_k = (I + tau^2 H_k)^{-1} H_k, computed once
+        per tau; see ``m_step_exact``."""
+        return self._cached(("blend", tau), lambda: self._blend_terms(tau))
+
+    def _blend_terms(self, tau: float) -> tuple[np.ndarray, np.ndarray]:
+        blocks = self.hessians[1:]
+        if tau != 0:
+            blocks = np.linalg.solve(np.eye(self.dim) + tau**2 * blocks, blocks)
+            blocks = 0.5 * (blocks + blocks.swapaxes(1, 2))
+        h0 = self.hessians[0]
+        pulls = (blocks @ self.theta_hat[1:, :, None])[..., 0]
+        return (
+            np.concatenate([h0[None], blocks]),
+            np.concatenate([(h0 @ self.theta_hat[0])[None], pulls]),
+        )
+
+    def prior_logit(self, pi: np.ndarray) -> np.ndarray:
+        """logit of the prior clamped to [WEIGHT_CLAMP, 1 - WEIGHT_CLAMP].
+
+        The prior is checked, and its logit computed, only when it
+        differs from the last one seen, so a run pays for both once.
+        """
+        pi = np.asarray(pi, dtype=float)
+        key = (pi.shape, pi.tobytes())
+        if self._prior is None or self._prior[0] != key:
+            _check_prior(pi, self.n_sources)
+            value = logit(np.clip(pi, WEIGHT_CLAMP, 1.0 - WEIGHT_CLAMP))
+            value.setflags(write=False)
+            self._prior = (key, value)
+        return self._prior[1]
+
+
+def _check_prior(pi: np.ndarray, n_sources: int) -> None:
+    if pi.shape != (n_sources,):
+        raise InvalidConfigurationError(
+            f"pi must have one entry per source, got shape {pi.shape}", key="pi"
+        )
+    if not np.all((pi > 0.0) & (pi < 1.0)):
+        raise InvalidConfigurationError(
+            "prior probabilities must lie strictly inside (0, 1)", key="pi"
+        )
 
 
 def _evaluate(model: LikelihoodFamily, data: Dataset, theta: np.ndarray):
@@ -334,9 +419,17 @@ class EmRunReport:
     dropped_sources: tuple[int, ...] = ()
 
 
-def _laplace(value, grad, hess, tau: float):
-    """Laplace relevant marginal from the loglik, gradient and PSD
-    Hessian at theta, batched over leading axes:
+def _laplace_factor(hess: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """(I + tau^2 H)^{-1} and logdet(I + tau^2 H), batched over leading
+    axes; I + tau^2 H is positive definite for a PSD H."""
+    a = np.eye(hess.shape[-1]) + tau**2 * hess
+    return np.linalg.inv(a), np.linalg.slogdet(a)[1]
+
+
+def _laplace(value, grad, factor, tau: float):
+    """Laplace relevant marginal from the loglik and gradient at theta
+    and the ``_laplace_factor`` of the PSD Hessian there, batched over
+    leading axes:
 
         value + (tau^2/2) g' (I + tau^2 H)^{-1} g - (1/2) logdet(I + tau^2 H)
 
@@ -344,10 +437,10 @@ def _laplace(value, grad, hess, tau: float):
     """
     if tau == 0:
         return value
-    a = np.eye(hess.shape[-1]) + tau**2 * hess
-    solved = np.linalg.solve(a, grad[..., None])[..., 0]
+    inverse, logdet = factor
+    solved = (inverse @ grad[..., None])[..., 0]
     quad = 0.5 * tau**2 * np.einsum("...i,...i->...", grad, solved)
-    return value + quad - 0.5 * np.linalg.slogdet(a)[1]
+    return value + quad - 0.5 * logdet
 
 
 def relevant_marginal_loglik(
@@ -362,7 +455,9 @@ def relevant_marginal_loglik(
     """
     if not tau >= 0:
         raise InvalidConfigurationError("tau must be >= 0", key="tau")
-    out = float(_laplace(*_evaluate(model, data, theta), tau))
+    value, grad, hess = _evaluate(model, data, theta)
+    factor = _laplace_factor(hess, tau) if tau else None
+    out = float(_laplace(value, grad, factor, tau))
     if not np.isfinite(out):
         raise NonFiniteLikelihoodError("marginal log-likelihood is not finite")
     return out
@@ -378,7 +473,8 @@ def _null_scores(
 
     The mixture form averages the other sources' fitted models with
     responsibilities (1 - w_j) lagged from the previous iteration,
-    evaluated with a log-sum-exp over one row of the cross table.
+    evaluated with a max-shifted log-sum-exp over one column of
+    ``stats.mixture_table``.
     """
     if null_spec.kind == "fixed":
         try:
@@ -389,7 +485,7 @@ def _null_scores(
                 key="null_spec.table",
             ) from exc
     if null_spec.kind == "parametric_pooled":
-        return stats.expand(stats.pooled_theta)[0][ks]
+        return stats.pooled_null()[ks - 1]
     n_sources = stats.n_sources
     if n_sources < 2:
         raise InvalidConfigurationError(
@@ -398,17 +494,18 @@ def _null_scores(
     survival = 1.0 - np.asarray(weights_prev, dtype=float)
     with np.errstate(divide="ignore"):
         # rows: mixture components j = 1..K; columns: the scored sources
-        terms = np.log(survival)[:, None] + stats.crossloglik[1:, ks]
-    terms[np.arange(1, n_sources + 1)[:, None] == ks] = -np.inf
-    values = logsumexp(terms, axis=0) - np.log(n_sources - 1)
-    degenerate = ~np.isfinite(values)
+        terms = np.log(survival)[:, None] + stats.mixture_table[:, ks - 1]
+    peak = terms.max(axis=0)
+    degenerate = ~np.isfinite(peak)
     if np.any(degenerate):
         raise DegenerateNullError(
             f"mixture null for source {ks[degenerate][0]} is degenerate: no "
             "other component has positive responsibility and a finite "
             "likelihood; fall back to the parametric_pooled null"
         )
-    return values
+    # the peak term contributes exp(0) = 1, so the log is finite
+    total = np.exp(terms - peak).sum(axis=0)
+    return np.log(total) + peak - math.log(n_sources - 1)
 
 
 def null_loglik(
@@ -445,9 +542,9 @@ def tempering_schedule(
 
 
 def _name_non_finite(values: np.ndarray, what: str) -> None:
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        k = int(bad[0]) + 1
+    finite = np.isfinite(values)
+    if not finite.all():
+        k = int(np.argmin(finite)) + 1
         raise NonFiniteLikelihoodError(
             f"{what} for source {k} is not finite", source_index=k
         )
@@ -464,34 +561,31 @@ def e_step(
     the prior is returned exactly and no statistic is read.
     """
     pi = np.asarray(pi, dtype=float)
-    if pi.shape != (stats.n_sources,):
-        raise InvalidConfigurationError(
-            f"pi must have one entry per source, got shape {pi.shape}", key="pi"
-        )
-    if np.any(pi <= 0.0) or np.any(pi >= 1.0):
-        raise InvalidConfigurationError(
-            "prior probabilities must lie strictly inside (0, 1)", key="pi"
-        )
+    prior_logit = stats.prior_logit(pi)
     beta = np.asarray(state.beta, dtype=float)
     if np.all(beta == 0.0):
         return pi.copy()
-    clamped = np.clip(pi, WEIGHT_CLAMP, 1.0 - WEIGHT_CLAMP)
     prev = np.clip(
         np.asarray(state.weights, dtype=float), WEIGHT_CLAMP, 1.0 - WEIGHT_CLAMP
     )
     value, grad = stats.expand(state.theta)
-    rel = _laplace(value[1:], grad[1:], stats.hessians[1:], config.tau)
+    factor = stats.laplace_factor(config.tau) if config.tau else None
+    rel = _laplace(value[1:], grad[1:], factor, config.tau)
     _name_non_finite(rel, "relevant marginal")
     sources = np.arange(1, stats.n_sources + 1)
     ratio = rel - _null_scores(config.null_spec, stats, prev, sources)
     _name_non_finite(ratio, "log-ratio")
-    return expit(beta * ratio + logit(clamped))
+    return expit(beta * ratio + prior_logit)
 
 
 def _solve_with_jitter(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     # escalate diagonal jitter only when the plain solve fails
+    try:
+        return np.linalg.solve(lhs, rhs)
+    except np.linalg.LinAlgError:
+        pass
     scale = 1.0 + abs(np.trace(lhs)) / lhs.shape[0]
-    for jitter in (0.0, 1e-12, 1e-10, 1e-8, 1e-6):
+    for jitter in (1e-12, 1e-10, 1e-8, 1e-6):
         try:
             return np.linalg.solve(lhs + jitter * scale * np.eye(lhs.shape[0]), rhs)
         except np.linalg.LinAlgError:
@@ -508,21 +602,18 @@ def m_step_exact(
     with C_k = (I + tau^2 H_k)^{-1} H_k, which is the normal-equation
     form of the blend theta = (I + sum Lambda_k)^{-1}(theta0 +
     sum Lambda_k theta_k), Lambda_k = w_k H0^{-1} C_k, multiplied
-    through by H0. One d x d solve, no explicit inverses.
+    through by H0. The blocks and pulls come from
+    ``SufficientStats.blend_terms``, once per tau; an iteration forms
+    the two weighted sums and makes one d x d solve, no explicit
+    inverses.
     """
-    weights = np.asarray(weights, dtype=float)
-    blocks = stats.hessians[1:]
-    if tau != 0:
-        blocks = np.linalg.solve(np.eye(stats.dim) + tau**2 * blocks, blocks)
-        blocks = 0.5 * (blocks + blocks.swapaxes(1, 2))
-    h0 = stats.hessians[0]
-    pulls = (blocks @ stats.theta_hat[1:, :, None])[..., 0]
-    # target term first, then the sources in order: the sums along the
-    # stacking axis run in that order, so rounding follows the formula
-    lhs = np.concatenate([h0[None], weights[:, None, None] * blocks]).sum(axis=0)
-    rhs = np.concatenate(
-        [(h0 @ stats.theta_hat[0])[None], weights[:, None] * pulls]
-    ).sum(axis=0)
+    stack, pulls = stats.blend_terms(tau)
+    # weight 1 on the target term, then the sources in order: the sums
+    # along the stacking axis run in that order, so rounding follows
+    # the formula
+    scale = np.concatenate([[1.0], np.asarray(weights, dtype=float)])
+    lhs = (scale[:, None, None] * stack).sum(axis=0)
+    rhs = (scale[:, None] * pulls).sum(axis=0)
     return _solve_with_jitter(lhs, rhs)
 
 
@@ -545,9 +636,10 @@ def run_em(
     """Full tempered EM loop over a target and its candidate sources.
 
     ``datasets[0]`` is the target, the rest are sources aligned with
-    ``pi``. Sufficient statistics are computed once; each iteration
-    refreshes the tempering multipliers, re-scores the weights, and
-    blends a new theta. Convergence is declared when the weight vector
+    ``pi``, which is checked before any dataset is read. Sufficient
+    statistics, and the constants cached on them, are computed once;
+    each iteration refreshes the tempering multipliers, re-scores the
+    weights, and blends a new theta. Convergence is declared when the weight vector
     moves less than ``config.tol`` in the max norm for
     ``config.patience`` consecutive iterations; hitting max_iters is
     reported, not raised.
@@ -558,10 +650,7 @@ def run_em(
     if len(datasets[0]) == 0:
         raise InsufficientDataError("target dataset is empty")
     pi = np.asarray(pi, dtype=float)
-    if pi.shape != (len(datasets) - 1,):
-        raise InvalidConfigurationError(
-            "pi must have one entry per source", key="pi"
-        )
+    _check_prior(pi, len(datasets) - 1)
 
     kept = [k for k in range(1, len(datasets)) if len(datasets[k]) > 0]
     dropped = tuple(k for k in range(1, len(datasets)) if len(datasets[k]) == 0)
@@ -677,7 +766,9 @@ def _config_echo(config: EmConfig) -> str:
 
 
 def write_em_report(report: EmRunReport, path) -> None:
-    """Write the run artifact: config echo plus one iteration per row."""
+    """Write the run artifact: config echo plus one iteration per row.
+
+    The file is replaced in one step (see ``write_text_atomic``)."""
     n_iters, n_sources = report.weight_history.shape
     dim = report.theta_history.shape[1]
     lines = [
@@ -702,5 +793,4 @@ def write_em_report(report: EmRunReport, path) -> None:
         row += [f"{v:.12g}" for v in report.theta_history[t]]
         row.append(f"{report.delta_w_history[t]:.12g}")
         lines.append(" ".join(row))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text_atomic(path, "\n".join(lines) + "\n")

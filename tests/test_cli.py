@@ -6,6 +6,7 @@ configuration with the offending key named on stderr, 1 otherwise.
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +25,8 @@ from lipem.errors import (
     ParseError,
 )
 from lipem.lip import Lip, read_records
+
+REFERENCE_DIR = Path(__file__).resolve().parents[1] / "benchmarks" / "reference"
 
 
 class TestRunConfig:
@@ -69,6 +72,41 @@ class TestRunConfig:
         path.write_text("[1, 2]")
         with pytest.raises(InvalidConfigurationError):
             RunConfig.load(str(path))
+
+    @pytest.mark.parametrize(
+        "doc, key",
+        [
+            ({"experiment": {"replications": "3"}}, "experiment.replications"),
+            ({"experiment": {"dims": 1}}, "experiment.dims"),
+            ({"dichotomy": {"n_sweep": 10}}, "dichotomy.n_sweep"),
+            ({"consistency": {"nu": None}}, "consistency.nu"),
+            ({"oracle": {"taus": [0.0, "0.1"]}}, "oracle.taus"),
+            ({"generator": {"theta0": 0.5}}, "generator.theta0"),
+            ({"generator": {"shell": [3.0]}}, "generator.shell"),
+            ({"model": {"covariance": "1"}}, "model.covariance"),
+            ({"cmapss": {"engines": [1.5]}}, "cmapss.engines"),
+            ({"em": {"init_at_target_mle": "yes"}}, "em.init_at_target_mle"),
+            ({"em": {"null_table": {"one": -1.0}}}, "em.null_table"),
+            ({"lip": {"p0": True}}, "lip.p0"),
+        ],
+    )
+    def test_mistyped_value_names_section_dot_key(self, tmp_path, doc, key):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InvalidConfigurationError) as err:
+            RunConfig.load(str(path))
+        assert err.value.key == key
+
+    def test_well_typed_values_load(self, tmp_path):
+        doc = {
+            "em": {"tau": 1, "null_table": {"1": -2.5}, "tempering_mode": None},
+            "model": {"covariance": [[1.0, 0.0], [0.0, 2]]},
+            "generator": {"offset": None, "shell": [3, 6.5], "theta0": [0.0]},
+            "experiment": {"dims": [1, 2], "sigma": 2},
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert RunConfig.load(str(path)).sections == doc
 
     def test_non_object_section_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -206,6 +244,20 @@ class TestWriteReport:
         assert lines[1] == "0,3,1"
         assert paths[-1].name == "plot_curves.csv"
 
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        # a method name that cannot be encoded makes the CSV write fail
+        # after its file is opened; the previous table stays whole and no
+        # temporary file is left
+        write_report(_grid_reports(), tmp_path, "grid")
+        before = (tmp_path / "grid.csv").read_bytes()
+        bad = _grid_reports() + [
+            BenchReport.from_values("z_\udc80", "rmse", "cutoff", 0.5, [1.0])
+        ]
+        with pytest.raises(UnicodeEncodeError):
+            write_report(bad, tmp_path, "grid")
+        assert (tmp_path / "grid.csv").read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["grid.csv", "grid.json"]
+
     def test_config_echo_lands_in_sidecar(self, tmp_path):
         write_report([], tmp_path, "cfg", config_echo={"alpha": [1, 2]})
         sidecar = json.loads((tmp_path / "cfg.json").read_text())
@@ -298,6 +350,14 @@ class TestInputContract:
         cfg.write_text(json.dumps({"em": section}))
         assert self._run_em(tmp_path, "--config", str(cfg)) == 3
         assert f"[key: {key}]" in self._single_error_line(capsys)
+
+    @pytest.mark.parametrize("p0", ["0.1", True, 0.0, 1.0, 1.5])
+    def test_bad_uniform_p0_exits_three_naming_key(self, tmp_path, capsys, p0):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"lip": {"p0": p0}}))
+        assert self._run_em(tmp_path, "--config", str(cfg)) == 3
+        assert "[key: lip.p0]" in self._single_error_line(capsys)
+        assert not (tmp_path / "report.txt").exists()
 
     def test_bad_prior_entry_index_reports_line(self, tmp_path, capsys):
         prior = tmp_path / "lip.txt"
@@ -603,6 +663,55 @@ class TestBenchGaussianCommand:
         assert len(curves) == 1 + 5
         sidecar = json.loads((out / "gaussian.json").read_text())
         assert sidecar["config"]["replications"] == 3
+
+    def test_seed_42_matches_the_benchmark_reference(self, tmp_path, capsys):
+        # the benchmark's correctness gate: one replication at seed 42
+        # must reproduce the stored values of every method and dimension
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": {"replications": 1}}))
+        out = tmp_path / "reports"
+        code = dispatch(
+            ["bench", "gaussian", "--config", str(cfg), "--seed", "42",
+             "--out", str(out)]
+        )
+        assert code == 0
+        capsys.readouterr()
+        sidecar = json.loads((out / "gaussian.json").read_text())
+        values = {
+            f"{r['method']}@{r['param_name']}={r['param_value']!r}": r["values"]
+            for r in sidecar["reports"]
+        }
+        reference = json.loads(
+            (REFERENCE_DIR / "gaussian_study.json").read_text()
+        )["values"]
+        assert sorted(values) == sorted(reference)
+        for key, ref in reference.items():
+            assert len(values[key]) == len(ref)
+            for got, want in zip(values[key], ref):
+                assert abs(got - want) <= 1e-10 * max(1.0, abs(want)), key
+
+    def test_mistyped_replications_exits_three(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": {"replications": "3"}}))
+        code = dispatch(
+            ["bench", "gaussian", "--config", str(cfg), "--out", str(tmp_path / "r")]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "[key: experiment.replications]" in err
+        assert not (tmp_path / "r").exists()
+
+    def test_mistyped_dichotomy_sweep_exits_three(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dichotomy": {"n_sweep": 10}}))
+        code = dispatch(
+            ["bench", "dichotomy", "--config", str(cfg), "--out", str(tmp_path / "r")]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "[key: dichotomy.n_sweep]" in err
 
     def test_unknown_experiment_key_exits_three(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -12,13 +12,16 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from scipy.special import expit, logit
+from scipy.special import expit, logit, logsumexp
 from scipy.stats import norm
 
+from lipem import em
 from lipem.em import (
     EmConfig,
     EmState,
     NullSpec,
+    SufficientStats,
+    _null_scores,
     build_sufficient_stats,
     e_step,
     m_step_exact,
@@ -176,6 +179,59 @@ class TestNullLoglik:
                 NullSpec("empirical_bayes_mixture"), 1, stats, np.ones(2)
             )
         assert "parametric_pooled" in str(err.value)
+
+    def test_log_sum_exp_matches_scipy(self):
+        # random cross tables over a wide dynamic range, with some
+        # components fully committed (zero survival, a row of -inf):
+        # the max-shifted numpy log-sum-exp agrees with scipy's
+        rng = np.random.default_rng(42)
+        worst = 0.0
+        for _ in range(200):
+            k = int(rng.integers(2, 12))
+            d = int(rng.integers(1, 4))
+            a = rng.normal(size=(k + 1, d, d))
+            scale = 10.0 ** rng.uniform(-2.0, 2.0, size=(k + 1, 1, 1))
+            stats = SufficientStats(
+                rng.normal(0.0, 3.0, size=(k + 1, d)),
+                rng.normal(0.0, 50.0, size=k + 1),
+                rng.normal(size=(k + 1, d)),
+                scale * np.einsum("kij,klj->kil", a, a),
+                rng.integers(1, 100, size=k + 1),
+                np.zeros(d),
+            )
+            prev = rng.uniform(0.0, 1.0, size=k)
+            # at least two components keep positive survival, so no
+            # column is left without one
+            prev[rng.permutation(k)[: rng.integers(0, k - 1)]] = 1.0
+            table = stats.crossloglik[1:, 1:].copy()
+            np.fill_diagonal(table, -np.inf)
+            with np.errstate(divide="ignore"):
+                terms = np.log(1.0 - prev)[:, None] + table
+            expected = logsumexp(terms, axis=0) - np.log(k - 1)
+            got = _null_scores(NullSpec(), stats, prev, np.arange(1, k + 1))
+            worst = max(worst, np.max(np.abs(got - expected) / np.abs(expected)))
+        assert worst <= 1e-14
+
+    def test_column_without_finite_component_is_degenerate(self):
+        # source 2 has likelihood -inf under every fit, so its column of
+        # the mixture table holds -inf only, whatever the weights
+        rng = np.random.default_rng(42)
+        _, _, base = gaussian_stats(rng, [0.0, 1.0, 2.0, 3.0], [4, 10, 10, 10])
+        loglik_hat = base.loglik_hat.copy()
+        loglik_hat[2] = -np.inf
+        stats = SufficientStats(
+            base.theta_hat.copy(),
+            loglik_hat,
+            base.gradients.copy(),
+            base.hessians.copy(),
+            base.sizes.copy(),
+            base.pooled_theta.copy(),
+        )
+        prev = np.array([0.2, 0.3, 0.4])
+        with pytest.raises(DegenerateNullError) as err:
+            _null_scores(NullSpec(), stats, prev, np.arange(1, 4))
+        assert "source 2" in str(err.value)
+        assert np.isfinite(null_loglik(NullSpec(), 1, stats, prev))
 
     def test_pooled_null_on_identical_sources(self):
         pts = np.array([[0.5], [1.5], [2.5]])
@@ -675,6 +731,46 @@ class TestRunEm:
         assert report.iterations == max_iters
         assert model.calls == {"loglik": 4, "gradient": 4, "hessian": 4}
 
+    def test_run_constants_are_built_once(self, monkeypatch):
+        # the Laplace factors, the M-step blocks, the tempering scales
+        # and the prior logit depend on the run, not on the iterate
+        calls = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(em, "_laplace_factor", counting("laplace", em._laplace_factor))
+        monkeypatch.setattr(em, "logit", counting("logit", em.logit))
+        for name in ("_blend_terms", "_tempering_scale"):
+            original = getattr(SufficientStats, name)
+            monkeypatch.setattr(SufficientStats, name, counting(name, original))
+        rng = np.random.default_rng(42)
+        model = GaussianMeanModel(2)
+        datasets = [Dataset(rng.normal(m, 1.0, size=(n, 2))) for m, n in
+                    ((0.0, 4), (0.1, 50), (3.0, 50), (-2.0, 50))]
+        config = EmConfig(tau=0.1, nu=6e-5, max_iters=100, tol=1e-15)
+        _, report = run_em(datasets, model, [0.5, 0.5, 0.5], config)
+        assert report.iterations == 100
+        assert calls == {
+            "laplace": 1, "logit": 1, "_blend_terms": 1, "_tempering_scale": 1
+        }
+
+    @pytest.mark.parametrize("pi", [[0.5, np.nan], [0.5, 1.0], [0.0, 0.5], [0.5]])
+    def test_prior_checked_before_any_dataset_is_read(self, pi):
+        class RefusingModel(GaussianMeanModel):
+            def mle(self, data):
+                raise AssertionError("a dataset was read")
+
+        rng = np.random.default_rng(42)
+        datasets = [Dataset(rng.normal(size=(n, 1))) for n in (4, 20, 20)]
+        with pytest.raises(InvalidConfigurationError) as err:
+            run_em(datasets, RefusingModel(1), pi, EmConfig(tau=0.1))
+        assert err.value.key == "pi"
+
     def test_iteration_cap_is_reported_not_raised(self):
         rng = np.random.default_rng(42)
         model = GaussianMeanModel(1)
@@ -722,6 +818,26 @@ class TestRunEm:
 
 
 class TestEmReportFile:
+    def test_failed_write_keeps_previous_report(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(42)
+        model = GaussianMeanModel(1)
+        datasets = [Dataset(rng.normal(m, 1.0, size=(n, 1)))
+                    for m, n in ((0.0, 4), (0.0, 40), (2.0, 40))]
+        _, report = run_em(datasets, model, [0.5, 0.5], EmConfig(max_iters=6))
+        path = tmp_path / "em_report.txt"
+        write_em_report(report, path)
+        before = path.read_bytes()
+        _, longer = run_em(datasets, model, [0.5, 0.5], EmConfig(max_iters=9))
+
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("lipem.files.os.replace", refuse)
+        with pytest.raises(OSError, match="disk full"):
+            write_em_report(longer, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["em_report.txt"]
+
     def test_report_round_trips_history(self, tmp_path):
         rng = np.random.default_rng(42)
         model = GaussianMeanModel(1)
