@@ -53,11 +53,14 @@ __all__ = [
     "fast_decay_lip",
     "cmapss_experiment",
     "CMAPSS_ENGINES",
+    "CMAPSS_CUTOFFS",
     "FD001_INSTRUCTIONS",
 ]
 
 # the ten target machines studied in the reference benchmark
 CMAPSS_ENGINES = (4, 9, 18, 26, 27, 48, 51, 53, 55, 80)
+# remaining-life cutoffs: each target keeps its first (1 - cutoff) of cycles
+CMAPSS_CUTOFFS = (0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1)
 
 FD001_INSTRUCTIONS = (
     "C-MAPSS FD001 training data not found. Download the 'Turbofan Engine "
@@ -354,6 +357,13 @@ class BenchReport:
         )
 
 
+def _check_replications(replications: int) -> None:
+    if replications < 1:
+        raise InvalidConfigurationError(
+            f"replications must be >= 1, got {replications}", key="replications"
+        )
+
+
 @dataclass(frozen=True)
 class GaussianExperimentConfig:
     """Settings for the scarce-target Gaussian study.
@@ -382,6 +392,19 @@ class GaussianExperimentConfig:
     patience: int = 5
     variant: str = "exact_hessian_reuse"
     curve_points: int = 201
+
+    def __post_init__(self):
+        if not self.dims or any(d < 1 for d in self.dims):
+            raise InvalidConfigurationError(
+                f"dims must list at least one dimension, each >= 1, got {self.dims}",
+                key="dims",
+            )
+        _check_replications(self.replications)
+        if self.curve_points < 2:
+            raise InvalidConfigurationError(
+                f"curve_points must be >= 2, got {self.curve_points}",
+                key="curve_points",
+            )
 
 
 def _squared_error(theta: np.ndarray, theta0: np.ndarray) -> float:
@@ -635,6 +658,7 @@ def dichotomy_check(
     commit to 1 and irrelevant ones to 0 as N grows, regardless of the
     prior.
     """
+    _check_replications(replications)
     spec = spec or SEPARATED_SPEC
     theta0 = np.asarray(spec.theta0)
     model = GaussianMeanModel(spec.dim, covariance=spec.sigma**2)
@@ -689,6 +713,7 @@ def consistency_check(
     to 0.9 on the first irrelevant source and 0.01 elsewhere, the
     adversarial case: abundant target data must still wash it out.
     """
+    _check_replications(replications)
     spec = spec or SEPARATED_SPEC
     theta0 = np.asarray(spec.theta0)
     if pi is None:
@@ -780,7 +805,7 @@ def _maybe_read_lip(path: Path, n_sources: int) -> Lip:
 def cmapss_experiment(
     data_dir,
     lip_source: str = "uniform",
-    cutoffs: Sequence[float] = (0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1),
+    cutoffs: Sequence[float] = CMAPSS_CUTOFFS,
     engines: Sequence[int] = CMAPSS_ENGINES,
     *,
     knots: Sequence[float] | None = None,

@@ -8,6 +8,7 @@ a single machine-parseable ``error: <kind>: <message>`` line on stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
@@ -222,6 +223,20 @@ class RunConfig:
         return dict(self.sections.get(name, {}))
 
 
+@contextlib.contextmanager
+def _keyed(section: str):
+    """Name a faulty key as ``<section>.<key>`` when the key belongs to
+    ``section``; other configuration errors pass through unchanged."""
+    try:
+        yield
+    except InvalidConfigurationError as exc:
+        if exc.key not in SECTION_SCHEMAS[section]:
+            raise
+        raise InvalidConfigurationError(
+            str(exc.args[0]), key=f"{section}.{exc.key}"
+        ) from exc
+
+
 def load_dataset(path) -> Dataset:
     """Read a whitespace-delimited numeric matrix as a Dataset."""
     try:
@@ -379,10 +394,8 @@ def _build_em_config(section: dict, **overrides) -> EmConfig:
         null_table = {int(k): float(v) for k, v in null_table.items()}
     body["null_spec"] = NullSpec(null_kind, null_table)
     body.update(overrides)
-    try:
+    with _keyed("em"):
         return EmConfig(**body)
-    except InvalidConfigurationError as exc:
-        raise InvalidConfigurationError(str(exc.args[0]), key=f"em.{exc.key}") from exc
 
 
 def _build_model(section: dict, width: int):
@@ -416,7 +429,8 @@ def _build_generator(section: dict, seed: int | None) -> HierarchicalSpec:
     for k in ("relevant", "theta0"):
         if k in body:
             body[k] = tuple(body[k])
-    return HierarchicalSpec(null_gen=NullGen(**null_kwargs), **body)
+    with _keyed("generator"):
+        return HierarchicalSpec(null_gen=NullGen(**null_kwargs), **body)
 
 
 def _check_spec(cfg: RunConfig, seed: int | None) -> HierarchicalSpec:
@@ -440,12 +454,8 @@ def _parse_ints(text: str) -> list[int]:
 def _cmd_fit_lip(args) -> int:
     cfg = RunConfig.load(args.config).section("lip")
     records = read_records(args.records)
-    try:
+    with _keyed("lip"):
         worths, lip = fit_lip(records, args.sources, **cfg)
-    except InvalidConfigurationError as exc:
-        if exc.key is None:
-            raise
-        raise InvalidConfigurationError(str(exc.args[0]), key=f"lip.{exc.key}") from exc
     lip.write(args.out)
     print(f"wrote {args.out} ({lip.n_sources} sources)")
     return 0
@@ -510,13 +520,10 @@ def _cmd_run_em(args) -> int:
     model = _build_model(cfg.section("model"), target.width)
     em_config = _build_em_config(cfg.section("em"))
     if args.lip == "uniform":
-        # RunConfig.load has checked that p0 is a number
-        p0 = cfg.section("lip").get("p0", 0.01)
-        if not 0.0 < p0 < 1.0:
-            raise InvalidConfigurationError(
-                f"p0 must lie strictly in (0, 1), got {p0!r}", key="lip.p0"
-            )
-        pi = np.full(len(sources), float(p0))
+        # a flat prior reads only p0 from the lip section
+        p0 = {k: v for k, v in cfg.section("lip").items() if k == "p0"}
+        with _keyed("lip"):
+            pi = Lip.uniform(len(sources), **p0).pi
     else:
         lip = Lip.read(args.lip)
         if lip.n_sources != len(sources):
@@ -543,8 +550,9 @@ def _cmd_bench_gaussian(args) -> int:
             body[k] = tuple(body[k])
     if args.seed is not None:
         body["seed"] = args.seed
-    config = GaussianExperimentConfig(**body)
-    reports, curves = gaussian_experiment(config)
+    with _keyed("experiment"):
+        config = GaussianExperimentConfig(**body)
+        reports, curves = gaussian_experiment(config)
     paths = write_report(
         reports, args.out, "gaussian", config_echo=_echo(config), curves=curves
     )
@@ -555,33 +563,16 @@ def _cmd_bench_gaussian(args) -> int:
 
 def _cmd_bench_cmapss(args) -> int:
     cfg = RunConfig.load(args.config).section("cmapss")
-    cutoffs = (
-        _parse_floats(args.cutoff)
-        if args.cutoff
-        else cfg.get("cutoffs", [0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1])
-    )
-    engines = (
-        _parse_ints(args.engines)
-        if args.engines
-        else cfg.get("engines", list(bench.CMAPSS_ENGINES))
-    )
-    kwargs = {}
-    for k in ("tau", "nu", "ridge", "p0"):
-        if k in cfg:
-            kwargs[k] = cfg[k]
-    if "knots" in cfg:
-        kwargs["knots"] = cfg["knots"]
-    reports, curves = cmapss_experiment(
-        args.data, args.lip, tuple(cutoffs), tuple(engines), **kwargs
-    )
-    echo = {
-        "lip_source": args.lip,
-        "cutoffs": list(cutoffs),
-        "engines": list(engines),
-        **{k: kwargs[k] for k in sorted(kwargs) if k != "knots"},
-    }
-    if "knots" in kwargs:
-        echo["knots"] = list(kwargs["knots"])
+    # the flags take precedence over the section
+    if args.cutoff:
+        cfg["cutoffs"] = _parse_floats(args.cutoff)
+    if args.engines:
+        cfg["engines"] = _parse_ints(args.engines)
+    cfg.setdefault("cutoffs", list(bench.CMAPSS_CUTOFFS))
+    cfg.setdefault("engines", list(bench.CMAPSS_ENGINES))
+    with _keyed("cmapss"):
+        reports, curves = cmapss_experiment(args.data, args.lip, **cfg)
+    echo = {"lip_source": args.lip, **cfg}
     paths = write_report(
         reports, args.out, "cmapss", config_echo=echo, curves=curves
     )
@@ -592,19 +583,18 @@ def _cmd_bench_cmapss(args) -> int:
 
 def _cmd_bench_oracle_mse(args) -> int:
     cfg = RunConfig.load(args.config)
-    oracle_cfg = cfg.section("oracle")
+    body = cfg.section("oracle")
     gen = cfg.section("generator")
     gen.setdefault("n_sources", 3)
     gen.setdefault("relevant", [1, 2, 3])
-    taus = oracle_cfg.get("taus", [0.0, 0.1])
-    replications = int(oracle_cfg.get("replications", 10**5))
-    n_w = int(oracle_cfg.get("n_weight_vectors", 5))
+    taus = body.pop("taus", [0.0, 0.1])
+    spec = _build_generator(gen, args.seed)
     records = []
     for tau in taus:
-        spec = _build_generator({**gen, "tau": float(tau)}, args.seed)
-        records.append(
-            oracle_mse_check(spec, replications, n_weight_vectors=n_w)
-        )
+        with _keyed("oracle"):
+            records.append(
+                oracle_mse_check(dataclasses.replace(spec, tau=float(tau)), **body)
+            )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     json_path = out_dir / "oracle_mse.json"
@@ -643,12 +633,8 @@ def _cmd_bench_dichotomy(args) -> int:
     cfg = RunConfig.load(args.config)
     body = cfg.section("dichotomy")
     spec = _check_spec(cfg, args.seed)
-    reports = dichotomy_check(
-        spec,
-        tuple(body.get("n_sweep", (10, 100, 1000, 10000))),
-        priors=tuple(body.get("priors", (0.1, 0.9))),
-        replications=int(body.get("replications", 100)),
-    )
+    with _keyed("dichotomy"):
+        reports = dichotomy_check(spec, **body)
     paths = write_report(
         reports, args.out, "dichotomy", config_echo={"spec": _echo(spec), **body}
     )
@@ -661,12 +647,8 @@ def _cmd_bench_consistency(args) -> int:
     cfg = RunConfig.load(args.config)
     body = cfg.section("consistency")
     spec = _check_spec(cfg, args.seed)
-    reports = consistency_check(
-        spec,
-        tuple(body.get("n0_sweep", (100, 1000, 10000, 100000))),
-        replications=int(body.get("replications", 50)),
-        nu=float(body.get("nu", 0.05)),
-    )
+    with _keyed("consistency"):
+        reports = consistency_check(spec, **body)
     paths = write_report(
         reports, args.out, "consistency", config_echo={"spec": _echo(spec), **body}
     )

@@ -43,8 +43,6 @@ from numbers import Integral, Real
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.special import expit, logit
 
 from .errors import (
     DegenerateNullError,
@@ -55,6 +53,7 @@ from .errors import (
 )
 from .files import write_text_atomic
 from .likelihood import Dataset, LikelihoodFamily, clamp_psd
+from .lip import expit, logit
 
 __all__ = [
     "WEIGHT_CLAMP",
@@ -275,7 +274,11 @@ class SufficientStats:
         eps_sq = self.dim * self.sizes[1:] / self.sizes[0]
         if mode == "trace_exact":
             try:
-                factor = cho_factor(self.hessians[0])
+                # H0 = U'U. The upper factor decides singularity as
+                # LAPACK's potrf('U') does; on clamped rank-deficient
+                # spline Hessians the lower factor fails on a different
+                # set of matrices
+                upper = np.linalg.cholesky(self.hessians[0], upper=True)
             except np.linalg.LinAlgError:
                 warnings.warn(
                     "target Hessian is singular; tempering falls back to "
@@ -284,9 +287,12 @@ class SufficientStats:
                     stacklevel=6,  # the caller of tempering_schedule
                 )
             else:
-                # one solve against the source Hessians side by side
+                # H0^{-1} H_k through the factor, for the source Hessians
+                # side by side: an LU solve of a nearly singular H0 can
+                # meet an exactly zero pivot where the factor has none
                 d, n = self.dim, self.n_sources
-                solved = cho_solve(factor, np.hstack(self.hessians[1:]))
+                blocks = np.hstack(self.hessians[1:])
+                solved = np.linalg.solve(upper, np.linalg.solve(upper.T, blocks))
                 eps_sq = np.trace(solved.reshape(d, n, d), axis1=0, axis2=2)
         return np.maximum(np.sqrt(np.maximum(eps_sq, 0.0)), 1e-12)
 

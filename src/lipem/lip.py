@@ -46,7 +46,6 @@ from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import expit, logit
 
 from .errors import (
     InvalidChoiceError,
@@ -54,6 +53,7 @@ from .errors import (
     OptimizationFailureError,
     ParseError,
 )
+from .files import write_text_atomic
 
 __all__ = [
     "ChoiceRecord",
@@ -70,7 +70,47 @@ __all__ = [
     "drop_and_reindex",
     "read_records",
     "write_records",
+    "expit",
+    "logit",
 ]
+
+
+def expit(values) -> np.ndarray:
+    """The sigmoid 1 / (1 + exp(-v)) of each entry; 0.0 where exp(-v)
+    overflows.
+
+    Computed entry by entry with ``math``, because numpy's vectorised
+    exp and log differ from it in the last bit on some inputs, and an
+    ill-conditioned EM run (a turbofan target with few cycles) amplifies
+    that bit past 1e-10.
+    """
+    values = np.asarray(values, dtype=float)
+    return np.array([_expit(v) for v in values.ravel().tolist()]).reshape(values.shape)
+
+
+def _expit(v: float) -> float:
+    try:
+        return 1.0 / (1.0 + math.exp(-v))
+    except OverflowError:
+        return 0.0
+
+
+def logit(probs) -> np.ndarray:
+    """log(p / (1 - p)) of each entry p in (0, 1), with ``math`` as in
+    ``expit``.
+
+    On [0.3, 0.65] the ratio would cost digits, so there the value is
+    log1p(s) - log1p(-s) with s = 2 (p - 1/2).
+    """
+    probs = np.asarray(probs, dtype=float)
+    return np.array([_logit(p) for p in probs.ravel().tolist()]).reshape(probs.shape)
+
+
+def _logit(p: float) -> float:
+    if p < 0.3 or p > 0.65:
+        return math.log(p / (1.0 - p))
+    s = 2.0 * (p - 0.5)
+    return math.log1p(s) - math.log1p(-s)
 
 
 @dataclass(frozen=True)
@@ -152,9 +192,11 @@ class Lip:
         return self.pi.size
 
     @staticmethod
-    def uniform(n_sources: int, p0: float) -> "Lip":
+    def uniform(n_sources: int, p0: float = 0.01) -> "Lip":
         if not (0.0 < p0 < 1.0):
-            raise InvalidConfigurationError("p0 must lie strictly in (0, 1)")
+            raise InvalidConfigurationError(
+                f"p0 must lie strictly in (0, 1), got {p0!r}", key="p0"
+            )
         return Lip(np.full(n_sources, p0), "uniform")
 
     @staticmethod
@@ -167,7 +209,7 @@ class Lip:
             lines += [f"alpha_{k}={float(self.alpha[k])!r}" for k in range(self.alpha.size)]
         else:
             lines += [f"pi_{k + 1}={float(self.pi[k])!r}" for k in range(self.n_sources)]
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_text_atomic(path, "\n".join(lines) + "\n")
 
     @staticmethod
     def read(path) -> "Lip":
@@ -575,7 +617,7 @@ def write_records(path, records: Iterable[ChoiceRecord]) -> None:
         "subgroup=" + ",".join(str(i) for i in rec.subgroup) + f";choice={rec.choice}"
         for rec in records
     ]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    write_text_atomic(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
 def read_records(path) -> list[ChoiceRecord]:

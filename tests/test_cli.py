@@ -690,28 +690,33 @@ class TestBenchGaussianCommand:
             for got, want in zip(values[key], ref):
                 assert abs(got - want) <= 1e-10 * max(1.0, abs(want)), key
 
-    def test_mistyped_replications_exits_three(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "command, doc, key",
+        [
+            ("gaussian", {"experiment": {"replications": "3"}}, "experiment.replications"),
+            ("dichotomy", {"dichotomy": {"n_sweep": 10}}, "dichotomy.n_sweep"),
+            # out-of-range values, checked where the library owns them
+            ("gaussian", {"experiment": {"replications": 0}}, "experiment.replications"),
+            ("gaussian", {"experiment": {"curve_points": -1}}, "experiment.curve_points"),
+            ("gaussian", {"experiment": {"dims": []}}, "experiment.dims"),
+            ("gaussian", {"experiment": {"dims": [0]}}, "experiment.dims"),
+            ("dichotomy", {"dichotomy": {"replications": 0}}, "dichotomy.replications"),
+            ("consistency", {"consistency": {"replications": 0}}, "consistency.replications"),
+        ],
+    )
+    def test_bad_bench_value_exits_three_naming_key(
+        self, tmp_path, capsys, command, doc, key
+    ):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"experiment": {"replications": "3"}}))
+        cfg.write_text(json.dumps(doc))
         code = dispatch(
-            ["bench", "gaussian", "--config", str(cfg), "--out", str(tmp_path / "r")]
+            ["bench", command, "--config", str(cfg), "--out", str(tmp_path / "r")]
         )
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
-        assert "[key: experiment.replications]" in err
+        assert f"[key: {key}]" in err
         assert not (tmp_path / "r").exists()
-
-    def test_mistyped_dichotomy_sweep_exits_three(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"dichotomy": {"n_sweep": 10}}))
-        code = dispatch(
-            ["bench", "dichotomy", "--config", str(cfg), "--out", str(tmp_path / "r")]
-        )
-        assert code == 3
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and err.count("\n") == 1
-        assert "[key: dichotomy.n_sweep]" in err
 
     def test_unknown_experiment_key_exits_three(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

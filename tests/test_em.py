@@ -12,6 +12,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 from scipy.special import expit, logit, logsumexp
 from scipy.stats import norm
 
@@ -38,7 +39,7 @@ from lipem.errors import (
     InvalidConfigurationError,
     NonFiniteLikelihoodError,
 )
-from lipem.likelihood import Dataset, GaussianMeanModel, SplineGlmModel
+from lipem.likelihood import Dataset, GaussianMeanModel, SplineGlmModel, clamp_psd
 
 
 def gaussian_stats(rng, means, sizes, dim=1, sigma=1.0):
@@ -305,6 +306,44 @@ class TestTemperingSchedule:
             beta = tempering_schedule(5, stats, "trace_exact", 0.05)
         expected = tempering_schedule(5, stats, "fisher_ratio", 0.05)
         np.testing.assert_allclose(beta, expected, rtol=1e-12)
+
+    def test_trace_scale_follows_the_cholesky_oracle_on_near_singular_targets(self):
+        # one to seven target rows on a five-knot basis leave the clamped
+        # target Hessian singular or nearly so, and whether it factors is
+        # settled at rounding level. scipy's cho_factor (LAPACK's upper
+        # factor) is the reference decision, and cho_solve the reference
+        # trace where it factors
+        rng = np.random.default_rng(42)
+        knots = np.linspace(0.0, 300.0, 5)
+        dim = len(knots)
+        spread = Dataset(np.column_stack([np.linspace(0.0, 300.0, 40), np.zeros(40)]))
+        source = clamp_psd(SplineGlmModel(knots).hessian(np.zeros(dim), spread))
+        mismatched, fell_back = [], 0
+        for case in range(600):
+            n = int(rng.integers(1, 8))
+            data = Dataset(np.column_stack([rng.uniform(0.0, 300.0, n), np.zeros(n)]))
+            model = SplineGlmModel(knots, noise_variance=float(rng.uniform(0.1, 10.0)))
+            h0 = clamp_psd(model.hessian(np.zeros(dim), data))
+            stats = SufficientStats(
+                np.zeros((2, dim)), np.zeros(2), np.zeros((2, dim)),
+                np.stack([h0, source]), np.array([n, 40]), np.zeros(dim),
+            )
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                eps = stats.tempering_scale("trace_exact")[0]
+            fired = any(issubclass(w.category, RuntimeWarning) for w in caught)
+            try:
+                factor = cho_factor(h0)
+            except np.linalg.LinAlgError:
+                agrees = fired
+            else:
+                want = math.sqrt(max(np.trace(cho_solve(factor, source)), 0.0))
+                agrees = not fired and abs(eps - want) <= 1e-10 * want
+            fell_back += fired
+            if not agrees:
+                mismatched.append(case)
+        assert mismatched == []
+        assert 0 < fell_back < 600
 
     def test_beta_is_nondecreasing_in_iteration(self):
         rng = np.random.default_rng(42)

@@ -6,12 +6,19 @@ separately coded quasi-Newton solve before recovery tests use the fit.
 """
 
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.special
 from scipy.optimize import minimize as scipy_minimize
 from scipy.special import expit, logit
 
+from lipem import lip as lip_module
 from lipem.errors import (
     InvalidChoiceError,
     InvalidConfigurationError,
@@ -448,6 +455,23 @@ class TestLipIo:
         np.testing.assert_allclose(loaded.pi, [0.9, 0.01])
         assert loaded.alpha is None
 
+    def test_failed_writes_keep_previous_files(self, tmp_path, monkeypatch):
+        prior, records = tmp_path / "prior.txt", tmp_path / "records.txt"
+        Lip.uniform(2, 0.1).write(prior)
+        write_records(records, [ChoiceRecord((1, 2), 1)])
+        before = {path: path.read_bytes() for path in (prior, records)}
+
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("lipem.files.os.replace", refuse)
+        with pytest.raises(OSError, match="disk full"):
+            Lip.uniform(3, 0.2).write(prior)
+        with pytest.raises(OSError, match="disk full"):
+            write_records(records, [ChoiceRecord((2, 3), 0)] * 4)
+        assert {path: path.read_bytes() for path in before} == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["prior.txt", "records.txt"]
+
     def test_uniform_constructor(self):
         lip = Lip.uniform(4, 0.05)
         np.testing.assert_allclose(lip.pi, 0.05)
@@ -487,3 +511,46 @@ class TestDropAndReindex:
     def test_excluded_index_validated(self):
         with pytest.raises(InvalidConfigurationError):
             drop_and_reindex([], excluded=5, n_sources=3)
+
+
+class TestNumpyOnly:
+    """The package runs on numpy alone; scipy is only the tests' oracle."""
+
+    def test_import_loads_no_scipy(self):
+        package_root = Path(lip_module.__file__).resolve().parents[1]
+        path = os.pathsep.join(
+            p for p in (str(package_root), os.environ.get("PYTHONPATH")) if p
+        )
+        code = (
+            "import sys, lipem; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == "[]"
+
+    def test_expit_and_logit_are_bit_equal_to_scipy(self):
+        rng = np.random.default_rng(42)
+        # the overflow edge of exp and the ends of logit's log1p branch
+        v = np.concatenate([
+            rng.normal(0.0, 30.0, 20_000),
+            [0.0, -0.0, 709.9, -709.9, 800.0, -800.0, np.inf, -np.inf],
+        ])
+        p = np.concatenate([
+            rng.uniform(0.0, 1.0, 20_000),
+            [0.3, 0.65, np.nextafter(0.3, 0.0), np.nextafter(0.65, 1.0), 0.5],
+            [1e-300, 1.0 - 2.0**-53],
+        ])
+        want_expit, want_logit = scipy.special.expit(v), scipy.special.logit(p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got_expit, got_logit = lip_module.expit(v), lip_module.logit(p)
+            matrix = lip_module.expit(v[:6].reshape(2, 3))
+            scalar = lip_module.logit(0.01)
+        assert got_expit.tobytes() == want_expit.tobytes()
+        assert got_logit.tobytes() == want_logit.tobytes()
+        assert matrix.tobytes() == want_expit[:6].tobytes() and matrix.shape == (2, 3)
+        assert scalar.shape == () and float(scalar) == scipy.special.logit(0.01)
