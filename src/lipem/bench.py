@@ -11,18 +11,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .em import EmConfig, EmState, NullSpec, build_sufficient_stats, e_step, run_em
-from .errors import (
-    DataNotFoundError,
-    InsufficientDataError,
-    InvalidConfigurationError,
-    ParseError,
-)
+from .errors import InsufficientDataError, InvalidConfigurationError
 from .likelihood import (
     Dataset,
     GaussianMeanModel,
@@ -30,7 +24,7 @@ from .likelihood import (
     SplineGlmModel,
     pooled_noise_variance,
 )
-from .lip import Lip, fit_lip, read_records
+from .lip import P0, Lip
 
 __all__ = [
     "NullGen",
@@ -292,7 +286,7 @@ def baselines(
     *,
     em_config: EmConfig,
     lip: Lip | Sequence[float] | None = None,
-    p0: float = 0.01,
+    p0: float = P0,
 ) -> dict[str, np.ndarray]:
     """Reference estimators for one dataset collection.
 
@@ -364,6 +358,13 @@ def _check_replications(replications: int) -> None:
         )
 
 
+def _check_sweep(values: Sequence, key: str) -> None:
+    if len(values) == 0:
+        raise InvalidConfigurationError(
+            f"{key} must list at least one value", key=key
+        )
+
+
 @dataclass(frozen=True)
 class GaussianExperimentConfig:
     """Settings for the scarce-target Gaussian study.
@@ -384,7 +385,7 @@ class GaussianExperimentConfig:
     tau: float = 0.1
     replications: int = 100
     seed: int = 42
-    p0: float = 0.01
+    p0: float = P0
     strong_prior: float = 0.9
     nu: float = 6e-5
     tol: float = 1e-6
@@ -526,13 +527,15 @@ def _mc_blend_sqerr(
     rng: np.random.Generator,
     *,
     fixed_thetas: np.ndarray | None = None,
-    chunk: int = 5000,
 ) -> np.ndarray:
-    """Squared errors of the fixed-weight blend over full-data draws.
+    """Squared errors of the fixed-weight blend over sample-mean draws.
 
-    With fixed_thetas the source parameters are held constant
-    (conditional MSE); otherwise relevant parameters are redrawn each
-    replication and irrelevant sources, having zero weight, are skipped.
+    The blend reads each dataset only through its mean, so every mean
+    is drawn directly as Normal(theta, sigma^2/size): the target means,
+    then the relevant parameters, then the source means. With
+    fixed_thetas the source parameters are held constant (conditional
+    MSE); otherwise they are redrawn each replication. Irrelevant
+    sources, having zero weight, are skipped.
     """
     d = spec.dim
     theta0 = np.asarray(spec.theta0)
@@ -541,27 +544,18 @@ def _mc_blend_sqerr(
     active = np.flatnonzero(weights > 0)
     w_active = weights[active]
     total = n0 + n * float(w_active.sum())
-    out = np.empty(replications)
-    done = 0
-    while done < replications:
-        c = min(chunk, replications - done)
-        target_mean = theta0 + sigma * rng.standard_normal((c, n0, d)).mean(axis=1)
-        blend = n0 * target_mean
-        if active.size:
-            if fixed_thetas is None:
-                thetas = theta0 + spec.tau * rng.standard_normal((c, active.size, d))
-            else:
-                thetas = np.broadcast_to(
-                    fixed_thetas[active], (c, active.size, d)
-                )
-            noise = sigma * rng.standard_normal((c, active.size, n, d)).mean(axis=2)
-            source_means = thetas + noise
-            blend = blend + n * np.einsum("k,ckd->cd", w_active, source_means)
-        blend /= total
-        diff = blend - theta0
-        out[done : done + c] = np.einsum("cd,cd->c", diff, diff)
-        done += c
-    return out
+    target_mean = theta0 + sigma / np.sqrt(n0) * rng.standard_normal((replications, d))
+    blend = n0 * target_mean
+    if active.size:
+        shape = (replications, active.size, d)
+        if fixed_thetas is None:
+            thetas = theta0 + spec.tau * rng.standard_normal(shape)
+        else:
+            thetas = fixed_thetas[active]
+        source_means = thetas + sigma / np.sqrt(n) * rng.standard_normal(shape)
+        blend = blend + n * np.einsum("k,ckd->cd", w_active, source_means)
+    diff = blend / total - theta0
+    return np.einsum("cd,cd->c", diff, diff)
 
 
 def oracle_mse_check(
@@ -659,6 +653,8 @@ def dichotomy_check(
     prior.
     """
     _check_replications(replications)
+    _check_sweep(n_sweep, "n_sweep")
+    _check_sweep(priors, "priors")
     spec = spec or SEPARATED_SPEC
     theta0 = np.asarray(spec.theta0)
     model = GaussianMeanModel(spec.dim, covariance=spec.sigma**2)
@@ -710,14 +706,15 @@ def consistency_check(
 
     Per replication the sources are drawn once and held fixed while the
     target grows; a full EM runs per (N0, variant). The prior defaults
-    to 0.9 on the first irrelevant source and 0.01 elsewhere, the
+    to 0.9 on the first irrelevant source and P0 elsewhere, the
     adversarial case: abundant target data must still wash it out.
     """
     _check_replications(replications)
+    _check_sweep(n0_sweep, "n0_sweep")
     spec = spec or SEPARATED_SPEC
     theta0 = np.asarray(spec.theta0)
     if pi is None:
-        pi = np.full(spec.n_sources, 0.01)
+        pi = np.full(spec.n_sources, P0)
         wrong = next(
             (k for k in range(1, spec.n_sources + 1) if k not in spec.relevant), None
         )
@@ -763,7 +760,7 @@ def consistency_check(
 def fast_decay_lip(
     engines: Mapping[int, Dataset],
     *,
-    p0: float = 0.01,
+    p0: float = P0,
     strong: float = 0.9,
     fraction: float = 0.1,
 ) -> Lip:
@@ -786,22 +783,6 @@ def fast_decay_lip(
     return Lip(pi=pi, provenance="file")
 
 
-def _maybe_read_lip(path: Path, n_sources: int) -> Lip:
-    text = path.read_text(encoding="utf-8")
-    first = next((ln for ln in text.splitlines() if ln.strip()), "")
-    if first.startswith("K="):
-        lip = Lip.read(path)
-    else:
-        records = read_records(path)
-        _, lip = fit_lip(records, n_sources)
-    if lip.n_sources != n_sources:
-        raise InvalidConfigurationError(
-            f"prior covers {lip.n_sources} sources, expected {n_sources}",
-            key="lip_source",
-        )
-    return lip
-
-
 def cmapss_experiment(
     data_dir,
     lip_source: str = "uniform",
@@ -812,8 +793,7 @@ def cmapss_experiment(
     tau: float = 1e-3,
     nu: float = 0.05,
     ridge: float = 1e-8,
-    p0: float = 0.01,
-    include_curves: bool = True,
+    p0: float = P0,
 ) -> tuple[list[BenchReport], dict]:
     """Remaining-life style sensor prediction across engine domains.
 
@@ -821,21 +801,22 @@ def cmapss_experiment(
     target keeps its first (1 - cutoff) fraction of cycles, every other
     engine serves as a full source, and each baseline's fitted spline
     predicts sensor 9 on the held-out cycles. RMSEs are averaged across
-    the target engines.
+    the target engines. ``lip_source`` is "uniform", "fast-decay" (see
+    ``fast_decay_lip``) or the path of a prior file indexed by engine id.
+
+    A target's sources, noise variance, model and prior slice do not
+    depend on the cutoff, so they are built once per target engine.
     """
     from .cli import ingest_cmapss
 
-    path = Path(data_dir)
-    if path.is_dir():
-        path = path / "train_FD001.txt"
-    if not path.exists():
-        raise DataNotFoundError(FD001_INSTRUCTIONS)
-    all_engines = ingest_cmapss(path)
+    all_engines = ingest_cmapss(data_dir)
+    _check_sweep(engines, "engines")
     missing = [e for e in engines if e not in all_engines]
     if missing:
         raise InvalidConfigurationError(
             f"engines {missing} not present in the data", key="engines"
         )
+    _check_sweep(cutoffs, "cutoffs")
     for cut in cutoffs:
         if not 0 <= cut < 1:
             raise InvalidConfigurationError(
@@ -849,15 +830,34 @@ def cmapss_experiment(
     if lip_source == "fast-decay":
         lip = fast_decay_lip(all_engines, p0=p0)
     elif lip_source != "uniform":
-        lip = _maybe_read_lip(Path(lip_source), len(all_engines))
+        lip = Lip.read(lip_source)
+        if lip.n_sources != len(all_engines):
+            raise InvalidConfigurationError(
+                f"prior covers {lip.n_sources} sources, expected {len(all_engines)}",
+                key="lip_source",
+            )
+    em_config = EmConfig(
+        tau=tau,
+        nu=nu,
+        variant="exact_hessian_reuse",
+        null_spec=NullSpec("empirical_bayes_mixture"),
+    )
 
-    reports: list[BenchReport] = []
+    # RMSE per method of each (cutoff position, target position) cell
+    cells: dict[tuple[int, int], dict[str, float]] = {}
     curves: dict = {}
-    rmse_cells: dict[tuple[str, float], list[float]] = {}
-    for cutoff in cutoffs:
-        for target_id in engines:
-            full = all_engines[target_id]
-            n = len(full)
+    curves_cell: tuple[int, int] | None = None
+    for j, target_id in enumerate(engines):
+        full = all_engines[target_id]
+        n = len(full)
+        source_ids = [e for e in sorted(all_engines) if e != target_id]
+        sources = [all_engines[e] for e in source_ids]
+        sigma_sq = pooled_noise_variance(knots, sources, ridge=ridge)
+        model = SplineGlmModel(knots, noise_variance=sigma_sq, ridge=ridge)
+        pi = None
+        if lip is not None:
+            pi = np.array([lip.pi[e - 1] for e in source_ids])
+        for i, cutoff in enumerate(cutoffs):
             n_train = int(np.floor((1.0 - cutoff) * n))
             n_train = max(n_train, 1)
             if n_train >= n:
@@ -870,19 +870,6 @@ def cmapss_experiment(
                 continue
             target = Dataset(full.points[:n_train])
             holdout = full.points[n_train:]
-            source_ids = [e for e in sorted(all_engines) if e != target_id]
-            sources = [all_engines[e] for e in source_ids]
-            sigma_sq = pooled_noise_variance(knots, sources, ridge=ridge)
-            model = SplineGlmModel(knots, noise_variance=sigma_sq, ridge=ridge)
-            em_config = EmConfig(
-                tau=tau,
-                nu=nu,
-                variant="exact_hessian_reuse",
-                null_spec=NullSpec("empirical_bayes_mixture"),
-            )
-            pi = None
-            if lip is not None:
-                pi = np.array([lip.pi[e - 1] for e in source_ids])
             with warnings.catch_warnings():
                 # tiny targets routinely have singular Hessians here
                 warnings.simplefilter("ignore", RuntimeWarning)
@@ -890,11 +877,13 @@ def cmapss_experiment(
                     target, sources, model, em_config=em_config, lip=pi, p0=p0
                 )
             x_hold, y_hold = holdout[:, 0], holdout[:, 1]
+            cells[i, j] = {}
             for method, theta in estimates.items():
                 pred = model.predict(theta, x_hold)
-                rmse = float(np.sqrt(np.mean((pred - y_hold) ** 2)))
-                rmse_cells.setdefault((method, float(cutoff)), []).append(rmse)
-            if include_curves and not curves:
+                cells[i, j][method] = float(np.sqrt(np.mean((pred - y_hold) ** 2)))
+            # the curves show the first cell in cutoff-major order
+            if curves_cell is None or (i, j) < curves_cell:
+                curves_cell = (i, j)
                 grid = full.points[:, 0]
                 series = {"observed": full.points[:, 1].copy()}
                 for method, theta in estimates.items():
@@ -906,8 +895,12 @@ def cmapss_experiment(
                     "param_value": float(cutoff),
                     "engine": int(target_id),
                 }
-    for (method, cutoff), values in sorted(rmse_cells.items()):
-        reports.append(
-            BenchReport.from_values(method, "rmse", "cutoff", cutoff, values)
-        )
-    return reports, curves
+    # cutoff-major order: a report's values follow the targets as given
+    rmse_cells: dict[tuple[str, float], list[float]] = {}
+    for (i, _), rmse in sorted(cells.items()):
+        for method, value in rmse.items():
+            rmse_cells.setdefault((method, float(cutoffs[i])), []).append(value)
+    return [
+        BenchReport.from_values(method, "rmse", "cutoff", cutoff, values)
+        for (method, cutoff), values in sorted(rmse_cells.items())
+    ], curves

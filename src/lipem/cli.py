@@ -84,7 +84,6 @@ _is_numbers = _list_of(_is_number)
 NUMBER = ("a number", _is_number)
 INTEGER = ("an integer", _is_integer)
 STRING = ("a string", _is_string)
-BOOLEAN = ("true or false", lambda value: isinstance(value, bool))
 NUMBERS = ("a list of numbers", _is_numbers)
 INTEGERS = ("a list of integers", _list_of(_is_integer))
 NULL_TABLE = (
@@ -113,8 +112,6 @@ SECTION_SCHEMAS: Mapping[str, Mapping[str, tuple]] = {
         "max_iters": INTEGER,
         "tol": NUMBER,
         "patience": INTEGER,
-        "tempering_mode": ("a string or null", _or_null(_is_string)),
-        "init_at_target_mle": BOOLEAN,
     },
     "model": {
         "kind": STRING,
@@ -258,12 +255,15 @@ def load_dataset(path) -> Dataset:
 def ingest_cmapss(path) -> dict[int, Dataset]:
     """Parse a C-MAPSS trajectory file into per-engine datasets.
 
+    ``path`` is the file itself or a directory holding train_FD001.txt.
     Each row holds 26 whitespace-delimited values: unit id, cycle,
     three operational settings, then 21 sensor channels. The returned
     datasets carry (cycle, sensor 9) pairs ordered by cycle. A file
     with other than 100 engines only warns, so subsets work in tests.
     """
     path = Path(path)
+    if path.is_dir():
+        path = path / "train_FD001.txt"
     if not path.exists():
         raise DataNotFoundError(bench.FD001_INSTRUCTIONS)
     rows: dict[int, list[tuple[float, float]]] = {}
@@ -588,6 +588,10 @@ def _cmd_bench_oracle_mse(args) -> int:
     gen.setdefault("n_sources", 3)
     gen.setdefault("relevant", [1, 2, 3])
     taus = body.pop("taus", [0.0, 0.1])
+    if not taus:
+        raise InvalidConfigurationError(
+            "taus must list at least one value", key="oracle.taus"
+        )
     spec = _build_generator(gen, args.seed)
     records = []
     for tau in taus:
@@ -713,7 +717,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = bsub.add_parser("cmapss", help="turbofan sensor prediction study")
     p.add_argument("--data", required=True, help="directory with train_FD001.txt")
     p.add_argument(
-        "--lip", default="uniform", help="'uniform', 'fast-decay', or a file"
+        "--lip", default="uniform", help="'uniform', 'fast-decay', or a prior file"
     )
     p.add_argument("--cutoff", default=None, help="comma-separated cutoffs")
     p.add_argument("--engines", default=None, help="comma-separated engine ids")

@@ -127,9 +127,8 @@ class EmConfig:
     """Knobs for one EM run.
 
     tau is the relevant-cluster spread in parameter units; nu the
-    tempering rate per iteration. When ``tempering_mode`` is left unset
-    it follows the variant: trace_exact for the exact blend,
-    fisher_ratio for the surrogate.
+    tempering rate per iteration. The tempering scale follows the
+    variant (see ``tempering_mode``).
     """
 
     tau: float = 0.0
@@ -139,8 +138,6 @@ class EmConfig:
     max_iters: int = 1000
     tol: float = 1e-3
     patience: int = 5
-    tempering_mode: str | None = None
-    init_at_target_mle: bool = False
 
     def __post_init__(self):
         # values may come straight from JSON; check types before ranges
@@ -177,19 +174,13 @@ class EmConfig:
             raise InvalidConfigurationError(
                 "patience must be a positive integer", key="patience"
             )
-        if self.tempering_mode is None:
-            resolved = (
-                "trace_exact"
-                if self.variant == "exact_hessian_reuse"
-                else "fisher_ratio"
-            )
-            object.__setattr__(self, "tempering_mode", resolved)
-        if self.tempering_mode not in TEMPERING_MODES:
-            raise InvalidConfigurationError(
-                f"unknown tempering_mode {self.tempering_mode!r}; "
-                f"expected one of {TEMPERING_MODES}",
-                key="tempering_mode",
-            )
+
+    @property
+    def tempering_mode(self) -> str:
+        """trace_exact for the exact blend, fisher_ratio for the surrogate."""
+        if self.variant == "exact_hessian_reuse":
+            return "trace_exact"
+        return "fisher_ratio"
 
 
 @dataclass(eq=False)
@@ -698,13 +689,8 @@ def run_em(
 
     stats = build_sufficient_stats(model, datasets)
     n_sources = stats.n_sources
-    theta0 = (
-        stats.theta_hat[0].copy()
-        if config.init_at_target_mle
-        else np.zeros(stats.dim)
-    )
     state = EmState(
-        theta=theta0,
+        theta=np.zeros(stats.dim),
         weights=pi.copy(),
         t=0,
         beta=np.zeros(n_sources),
@@ -766,7 +752,6 @@ def _config_echo(config: EmConfig) -> str:
         f"max_iters={config.max_iters}",
         f"tol={config.tol:.12g}",
         f"patience={config.patience}",
-        f"init_at_target_mle={config.init_at_target_mle}",
     ]
     return " ".join(parts)
 

@@ -63,8 +63,6 @@ class TransportConfig:
     model: str = ""
     temperature: float = 0.0
     timeout: float = 60.0
-    max_retries: int = 3
-    retry_wait: float = 1.0
 
     def resolved_url(self) -> str:
         url = os.environ.get(API_URL_ENV, "") or self.base_url

@@ -56,6 +56,7 @@ from .errors import (
 from .files import write_text_atomic
 
 __all__ = [
+    "P0",
     "ChoiceRecord",
     "WorthVector",
     "Lip",
@@ -73,6 +74,10 @@ __all__ = [
     "expit",
     "logit",
 ]
+
+# the flat prior: every source's relevance probability when nothing is
+# known, and the point the fitted worths are pulled toward
+P0 = 0.01
 
 
 def expit(values) -> np.ndarray:
@@ -192,7 +197,7 @@ class Lip:
         return self.pi.size
 
     @staticmethod
-    def uniform(n_sources: int, p0: float = 0.01) -> "Lip":
+    def uniform(n_sources: int, p0: float = P0) -> "Lip":
         if not (0.0 < p0 < 1.0):
             raise InvalidConfigurationError(
                 f"p0 must lie strictly in (0, 1), got {p0!r}", key="p0"
@@ -357,7 +362,7 @@ def choice_probability(worths: WorthVector, subgroup, choice: int) -> float:
 def nll_objective(
     worths: WorthVector,
     records: Sequence[ChoiceRecord],
-    p0: float = 0.01,
+    p0: float = P0,
     eps: float = 0.1,
 ) -> tuple[float, np.ndarray]:
     """Regularized negative log-likelihood of the records, with gradient.
@@ -423,7 +428,7 @@ class NewtonResult:
 def minimize_worths(
     records: Sequence[ChoiceRecord],
     n_sources: int,
-    p0: float = 0.01,
+    p0: float = P0,
     eps: float = 0.1,
     tol: float = 1e-8,
     max_iters: int = 200,
@@ -487,7 +492,7 @@ def minimize_worths(
 def fit_lip(
     records: Sequence[ChoiceRecord],
     n_sources: int,
-    p0: float = 0.01,
+    p0: float = P0,
     eps: float = 0.1,
     tol: float = 1e-8,
     max_iters: int = 200,

@@ -6,12 +6,13 @@ configuration with the offending key named on stderr, 1 otherwise.
 """
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lipem.bench import BenchReport
+from lipem.bench import BenchReport, fast_decay_lip
 from lipem.cli import (
     RunConfig,
     dispatch,
@@ -99,7 +100,7 @@ class TestRunConfig:
 
     def test_well_typed_values_load(self, tmp_path):
         doc = {
-            "em": {"tau": 1, "null_table": {"1": -2.5}, "tempering_mode": None},
+            "em": {"tau": 1, "null_table": {"1": -2.5}},
             "model": {"covariance": [[1.0, 0.0], [0.0, 2]]},
             "generator": {"offset": None, "shell": [3, 6.5], "theta0": [0.0]},
             "experiment": {"dims": [1, 2], "sigma": 2},
@@ -351,6 +352,17 @@ class TestInputContract:
         assert self._run_em(tmp_path, "--config", str(cfg)) == 3
         assert f"[key: {key}]" in self._single_error_line(capsys)
 
+    @pytest.mark.parametrize(
+        "section",
+        [{"tempering_mode": "trace_exact"}, {"init_at_target_mle": False}],
+    )
+    def test_removed_em_key_exits_three_as_unknown(self, tmp_path, capsys, section):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"em": section}))
+        assert self._run_em(tmp_path, "--config", str(cfg)) == 3
+        err = self._single_error_line(capsys)
+        assert "unknown key" in err and f"[key: em.{next(iter(section))}]" in err
+
     @pytest.mark.parametrize("p0", ["0.1", True, 0.0, 1.0, 1.5])
     def test_bad_uniform_p0_exits_three_naming_key(self, tmp_path, capsys, p0):
         cfg = tmp_path / "cfg.json"
@@ -596,6 +608,46 @@ class TestRunEmCommand:
         assert "[key: lip]" in capsys.readouterr().err
 
 
+class TestBenchCmapssCommand:
+    def _run(self, data_dir, out, *extra):
+        return dispatch(
+            ["bench", "cmapss", "--data", str(data_dir), "--engines", "2",
+             "--cutoff", "0.4", "--out", str(out), *extra]
+        )
+
+    def _lip_em_values(self, out):
+        sidecar = json.loads((out / "cmapss.json").read_text())
+        return [r["values"] for r in sidecar["reports"] if r["method"] == "lip_em"]
+
+    def test_prior_file_matches_the_fast_decay_run(self, cmapss_dir, capsys):
+        with pytest.warns(RuntimeWarning):
+            engines = ingest_cmapss(cmapss_dir)
+        prior = cmapss_dir / "lip.txt"
+        fast_decay_lip(engines).write(prior)
+        with pytest.warns(RuntimeWarning):
+            assert self._run(cmapss_dir, cmapss_dir / "a", "--lip", str(prior)) == 0
+            assert self._run(cmapss_dir, cmapss_dir / "b", "--lip", "fast-decay") == 0
+        capsys.readouterr()
+        from_file = self._lip_em_values(cmapss_dir / "a")
+        assert from_file and from_file == self._lip_em_values(cmapss_dir / "b")
+
+    def test_records_file_is_not_a_prior(self, cmapss_dir, capsys):
+        records = cmapss_dir / "records.txt"
+        records.write_text("subgroup=1,2;choice=1\n")
+        with pytest.warns(RuntimeWarning):
+            assert self._run(cmapss_dir, cmapss_dir / "r", "--lip", str(records)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: parse") and "K=<int>" in err
+        assert not (cmapss_dir / "r").exists()
+
+    def test_prior_source_count_mismatch_exits_three(self, cmapss_dir, capsys):
+        prior = cmapss_dir / "lip.txt"
+        Lip(pi=np.full(5, 0.5), provenance="file").write(prior)
+        with pytest.warns(RuntimeWarning):
+            assert self._run(cmapss_dir, cmapss_dir / "r", "--lip", str(prior)) == 3
+        assert "[key: lip_source]" in capsys.readouterr().err
+
+
 class TestBenchOracleMseCommand:
     def _run(self, tmp_path, capsys, out_name):
         cfg = tmp_path / "cfg.json"
@@ -717,6 +769,35 @@ class TestBenchGaussianCommand:
         assert err.startswith("error:") and err.count("\n") == 1
         assert f"[key: {key}]" in err
         assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize(
+        "command, doc, key",
+        [
+            ("dichotomy", {"dichotomy": {"n_sweep": []}}, "dichotomy.n_sweep"),
+            ("dichotomy", {"dichotomy": {"priors": []}}, "dichotomy.priors"),
+            ("consistency", {"consistency": {"n0_sweep": []}}, "consistency.n0_sweep"),
+            ("oracle-mse", {"oracle": {"taus": []}}, "oracle.taus"),
+            ("cmapss", {"cmapss": {"cutoffs": [], "engines": [1]}}, "cmapss.cutoffs"),
+            ("cmapss", {"cmapss": {"engines": []}}, "cmapss.engines"),
+        ],
+    )
+    def test_empty_sweep_exits_three_naming_key(
+        self, cmapss_dir, capsys, command, doc, key
+    ):
+        cfg = cmapss_dir / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        argv = ["bench", command, "--config", str(cfg), "--out", str(cmapss_dir / "r")]
+        if command == "cmapss":
+            argv += ["--data", str(cmapss_dir)]
+        with warnings.catch_warnings():
+            # the six-engine fixture file is smaller than FD001
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code = dispatch(argv)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"[key: {key}]" in err
+        assert not (cmapss_dir / "r").exists()
 
     def test_unknown_experiment_key_exits_three(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

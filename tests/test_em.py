@@ -612,7 +612,6 @@ class TestEmConfigValidation:
             (dict(max_iters=0), "max_iters"),
             (dict(tol=0.0), "tol"),
             (dict(patience=0), "patience"),
-            (dict(tempering_mode="auto"), "tempering_mode"),
         ],
     )
     def test_bad_field_rejected_with_key(self, kwargs, key):
