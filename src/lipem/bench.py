@@ -30,6 +30,7 @@ __all__ = [
     "NullGen",
     "HierarchicalSpec",
     "SEPARATED_SPEC",
+    "ORACLE_RELEVANT",
     "Truth",
     "OracleSpec",
     "BenchReport",
@@ -89,6 +90,7 @@ class NullGen:
             object.__setattr__(
                 self, "offset", tuple(float(v) for v in np.atleast_1d(self.offset))
             )
+        object.__setattr__(self, "shell", tuple(self.shell))
         lo, hi = self.shell
         if not 0 < lo <= hi:
             raise InvalidConfigurationError(
@@ -168,6 +170,9 @@ SEPARATED_SPEC = HierarchicalSpec(
     null_gen=NullGen(offset=(5.0,), spread=1.0),
     seed=42,
 )
+
+# default relevant set of the oracle-MSE check: all three sources
+ORACLE_RELEVANT = (1, 2, 3)
 
 
 @dataclass(frozen=True)
@@ -395,6 +400,7 @@ class GaussianExperimentConfig:
     curve_points: int = 201
 
     def __post_init__(self):
+        object.__setattr__(self, "dims", tuple(self.dims))
         if not self.dims or any(d < 1 for d in self.dims):
             raise InvalidConfigurationError(
                 f"dims must list at least one dimension, each >= 1, got {self.dims}",
@@ -573,9 +579,7 @@ def oracle_mse_check(
     parameter offsets) for the supplied or randomly drawn weight
     vectors. Reports z-scores of MC mean minus prediction.
     """
-    spec = spec or HierarchicalSpec(
-        n_sources=3, relevant=(1, 2, 3), theta0=(0.0,), tau=0.0, seed=42
-    )
+    spec = spec or HierarchicalSpec(relevant=ORACLE_RELEVANT)
     if replications < 10**3:
         raise InvalidConfigurationError(
             "need at least 1000 replications", key="replications"
@@ -642,7 +646,6 @@ def dichotomy_check(
     *,
     priors: Sequence[float] = (0.1, 0.9),
     replications: int = 100,
-    tau_em: float = 0.0,
 ) -> list[BenchReport]:
     """Untempered E-step weights across a source-size sweep.
 
@@ -658,7 +661,7 @@ def dichotomy_check(
     spec = spec or SEPARATED_SPEC
     theta0 = np.asarray(spec.theta0)
     model = GaussianMeanModel(spec.dim, covariance=spec.sigma**2)
-    config = EmConfig(tau=tau_em, null_spec=NullSpec("empirical_bayes_mixture"))
+    config = EmConfig()
     reports = []
     rep_seeds = np.random.SeedSequence(spec.seed).spawn(replications)
     for prior in priors:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import sys
 import warnings
@@ -91,7 +92,7 @@ NULL_TABLE = (
     lambda value: _is_numbers(value)
     or (
         isinstance(value, dict)
-        and all(k.isdigit() and _is_number(v) for k, v in value.items())
+        and all(k.isdecimal() and _is_number(v) for k, v in value.items())
     ),
 )
 # the experiment section follows GaussianExperimentConfig's annotations
@@ -185,7 +186,7 @@ class RunConfig:
             raise InvalidConfigurationError(
                 f"cannot read config file {path}: {exc}", key="config"
             ) from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not UTF-8, or not JSON
             raise InvalidConfigurationError(
                 f"config file {path} is not valid JSON: {exc}", key="config"
             ) from exc
@@ -386,14 +387,10 @@ def _echo(obj) -> dict:
     return clean(out)
 
 
-def _build_em_config(section: dict, **overrides) -> EmConfig:
+def _build_em_config(section: dict) -> EmConfig:
     body = dict(section)
     null_kind = body.pop("null_kind", "empirical_bayes_mixture")
-    null_table = body.pop("null_table", None)
-    if null_table is not None and isinstance(null_table, dict):
-        null_table = {int(k): float(v) for k, v in null_table.items()}
-    body["null_spec"] = NullSpec(null_kind, null_table)
-    body.update(overrides)
+    body["null_spec"] = NullSpec(null_kind, body.pop("null_table", None))
     with _keyed("em"):
         return EmConfig(**body)
 
@@ -419,63 +416,55 @@ def _build_model(section: dict, width: int):
 
 def _build_generator(section: dict, seed: int | None) -> HierarchicalSpec:
     body = dict(section)
-    null_kwargs = {}
-    for k in ("offset", "shell", "spread"):
-        if k in body:
-            val = body.pop(k)
-            null_kwargs[k] = tuple(val) if isinstance(val, list) else val
+    null_kwargs = {k: body.pop(k) for k in ("offset", "shell", "spread") if k in body}
     if seed is not None:
         body["seed"] = seed
-    for k in ("relevant", "theta0"):
-        if k in body:
-            body[k] = tuple(body[k])
     with _keyed("generator"):
         return HierarchicalSpec(null_gen=NullGen(**null_kwargs), **body)
 
 
-def _check_spec(cfg: RunConfig, seed: int | None) -> HierarchicalSpec:
-    # the generator section when given, else the checks' shared default
-    gen = cfg.section("generator")
-    if gen:
-        return _build_generator(gen, seed)
-    if seed is None:
-        return bench.SEPARATED_SPEC
-    return dataclasses.replace(bench.SEPARATED_SPEC, seed=seed)
-
-
-def _parse_floats(text: str) -> list[float]:
+# argparse types; argparse names them in its usage error on a bad value
+def number_list(text: str) -> list[float]:
     return [float(v) for v in text.split(",") if v.strip()]
 
 
-def _parse_ints(text: str) -> list[int]:
+def integer_list(text: str) -> list[int]:
     return [int(v) for v in text.split(",") if v.strip()]
 
 
-def _cmd_fit_lip(args) -> int:
-    cfg = RunConfig.load(args.config).section("lip")
+def _read_summaries(path) -> dict[int, str]:
+    """The elicitation's JSON object mapping source indices to text."""
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(raw, dict) or not raw:
+            raise ValueError("expected a non-empty object")
+        return {int(k): str(v) for k, v in raw.items()}
+    except ValueError as exc:  # not UTF-8, not JSON, or a non-integer key
+        raise ParseError(
+            f"summaries file {path} is not a JSON object mapping source "
+            f"indices to text: {exc}"
+        ) from exc
+
+
+def _cmd_fit_lip(args, cfg: RunConfig) -> int:
     records = read_records(args.records)
     with _keyed("lip"):
-        worths, lip = fit_lip(records, args.sources, **cfg)
+        worths, lip = fit_lip(records, args.sources, **cfg.section("lip"))
     lip.write(args.out)
     print(f"wrote {args.out} ({lip.n_sources} sources)")
     return 0
 
 
-def _cmd_simulate_oracle(args) -> int:
-    alpha = np.asarray(_parse_floats(args.alpha), dtype=float)
-    worths = WorthVector(alpha)
-    sizes = _parse_ints(args.sizes)
-    seed = args.seed if args.seed is not None else 42
-    rng = np.random.default_rng(seed)
-    records = simulate_elicitation(worths, sizes, args.count, rng)
+def _cmd_simulate_oracle(args, cfg: RunConfig) -> int:
+    rng = np.random.default_rng(args.seed)
+    records = simulate_elicitation(WorthVector(args.alpha), args.sizes, args.count, rng)
     write_records(args.out, records)
     print(f"wrote {args.out} ({len(records)} records)")
     return 0
 
 
-def _cmd_elicit(args) -> int:
-    raw = json.loads(Path(args.summaries).read_text(encoding="utf-8"))
-    summaries = {int(k): str(v) for k, v in raw.items()}
+def _cmd_elicit(args, cfg: RunConfig) -> int:
+    summaries = _read_summaries(args.summaries)
     n_sources = args.sources or max(summaries)
     if args.context_file:
         context = Path(args.context_file).read_text(encoding="utf-8")
@@ -491,14 +480,13 @@ def _cmd_elicit(args) -> int:
         TransportConfig(model=args.model, temperature=args.temperature)
     )
     replay = ReplayLog(args.replay) if args.replay else None
-    seed = args.seed if args.seed is not None else 42
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(args.seed)
     records, telemetry = elicit_records(
         transport,
         context,
         summaries,
         n_sources,
-        _parse_ints(args.sizes),
+        args.sizes,
         args.count,
         rng,
         replay=replay,
@@ -513,8 +501,7 @@ def _cmd_elicit(args) -> int:
     return 0
 
 
-def _cmd_run_em(args) -> int:
-    cfg = RunConfig.load(args.config)
+def _cmd_run_em(args, cfg: RunConfig) -> int:
     target = load_dataset(args.target)
     sources = [load_dataset(p) for p in args.sources]
     model = _build_model(cfg.section("model"), target.width)
@@ -543,11 +530,8 @@ def _cmd_run_em(args) -> int:
     return 0
 
 
-def _cmd_bench_gaussian(args) -> int:
-    body = RunConfig.load(args.config).section("experiment")
-    for k in ("dims",):
-        if k in body:
-            body[k] = tuple(body[k])
+def _cmd_bench_gaussian(args, cfg: RunConfig) -> int:
+    body = cfg.section("experiment")
     if args.seed is not None:
         body["seed"] = args.seed
     with _keyed("experiment"):
@@ -561,18 +545,18 @@ def _cmd_bench_gaussian(args) -> int:
     return 0
 
 
-def _cmd_bench_cmapss(args) -> int:
-    cfg = RunConfig.load(args.config).section("cmapss")
+def _cmd_bench_cmapss(args, cfg: RunConfig) -> int:
+    body = cfg.section("cmapss")
     # the flags take precedence over the section
     if args.cutoff:
-        cfg["cutoffs"] = _parse_floats(args.cutoff)
+        body["cutoffs"] = args.cutoff
     if args.engines:
-        cfg["engines"] = _parse_ints(args.engines)
-    cfg.setdefault("cutoffs", list(bench.CMAPSS_CUTOFFS))
-    cfg.setdefault("engines", list(bench.CMAPSS_ENGINES))
+        body["engines"] = args.engines
+    body.setdefault("cutoffs", list(bench.CMAPSS_CUTOFFS))
+    body.setdefault("engines", list(bench.CMAPSS_ENGINES))
     with _keyed("cmapss"):
-        reports, curves = cmapss_experiment(args.data, args.lip, **cfg)
-    echo = {"lip_source": args.lip, **cfg}
+        reports, curves = cmapss_experiment(args.data, args.lip, **body)
+    echo = {"lip_source": args.lip, **body}
     paths = write_report(
         reports, args.out, "cmapss", config_echo=echo, curves=curves
     )
@@ -581,17 +565,12 @@ def _cmd_bench_cmapss(args) -> int:
     return 0
 
 
-def _cmd_bench_oracle_mse(args) -> int:
-    cfg = RunConfig.load(args.config)
+def _cmd_bench_oracle_mse(args, cfg: RunConfig) -> int:
     body = cfg.section("oracle")
-    gen = cfg.section("generator")
-    gen.setdefault("n_sources", 3)
-    gen.setdefault("relevant", [1, 2, 3])
     taus = body.pop("taus", [0.0, 0.1])
-    if not taus:
-        raise InvalidConfigurationError(
-            "taus must list at least one value", key="oracle.taus"
-        )
+    with _keyed("oracle"):
+        bench._check_sweep(taus, "taus")
+    gen = {"relevant": bench.ORACLE_RELEVANT, **cfg.section("generator")}
     spec = _build_generator(gen, args.seed)
     records = []
     for tau in taus:
@@ -633,108 +612,116 @@ def _cmd_bench_oracle_mse(args) -> int:
     return 0
 
 
-def _cmd_bench_dichotomy(args) -> int:
-    cfg = RunConfig.load(args.config)
-    body = cfg.section("dichotomy")
-    spec = _check_spec(cfg, args.seed)
-    with _keyed("dichotomy"):
-        reports = dichotomy_check(spec, **body)
+def _cmd_bench_check(check, args, cfg: RunConfig) -> int:
+    """``bench dichotomy`` and ``bench consistency``: one sweep, one report."""
+    name = args.bench_command
+    body = cfg.section(name)
+    gen = cfg.section("generator")
+    # the generator section when given, else the checks' shared default
+    if gen:
+        spec = _build_generator(gen, args.seed)
+    elif args.seed is None:
+        spec = bench.SEPARATED_SPEC
+    else:
+        spec = dataclasses.replace(bench.SEPARATED_SPEC, seed=args.seed)
+    with _keyed(name):
+        reports = check(spec, **body)
     paths = write_report(
-        reports, args.out, "dichotomy", config_echo={"spec": _echo(spec), **body}
+        reports, args.out, name, config_echo={"spec": _echo(spec), **body}
     )
     for p in paths:
         print(p)
     return 0
 
 
-def _cmd_bench_consistency(args) -> int:
-    cfg = RunConfig.load(args.config)
-    body = cfg.section("consistency")
-    spec = _check_spec(cfg, args.seed)
-    with _keyed("consistency"):
-        reports = consistency_check(spec, **body)
-    paths = write_report(
-        reports, args.out, "consistency", config_echo={"spec": _echo(spec), **body}
-    )
-    for p in paths:
-        print(p)
-    return 0
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one ``error: usage: ...`` line, the form
+    every other failure takes; ``-h`` still prints the full usage."""
+
+    def error(self, message):
+        self.exit(2, f"error: usage: {self.prog}: {message}\n")
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lipem",
         description="Prior-aided EM for multi-source parameter estimation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out_default):
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--config", default=None, help="JSON config file")
-        p.add_argument("--out", default=out_default)
+    def command(parent, name, help, handler, out, sections=()):
+        # ``sections`` lists the config sections the handler reads; a
+        # command without any takes no --config
+        p = parent.add_parser(name, help=help)
+        if sections:
+            p.add_argument(
+                "--config", default=None,
+                help=f"JSON config file with sections: {', '.join(sections)}",
+            )
+        p.add_argument("--out", default=out)
+        p.set_defaults(handler=handler, sections=sections)
+        return p
 
-    p = sub.add_parser("fit-lip", help="fit a prior from choice records")
+    p = command(sub, "fit-lip", "fit a prior from choice records", _cmd_fit_lip,
+                "lip.txt", ("lip",))
     p.add_argument("--records", required=True)
     p.add_argument("--sources", type=int, required=True)
-    common(p, "lip.txt")
-    p.set_defaults(handler=_cmd_fit_lip)
 
-    p = sub.add_parser("simulate-oracle", help="simulate judge records")
-    p.add_argument("--alpha", required=True, help="comma-separated worths, null first")
+    p = command(sub, "simulate-oracle", "simulate judge records",
+                _cmd_simulate_oracle, "records.txt")
+    p.add_argument("--alpha", type=number_list, required=True,
+                   help="comma-separated worths, null first")
     p.add_argument("--count", type=int, default=200)
-    p.add_argument("--sizes", default="3,4,5")
-    common(p, "records.txt")
-    p.set_defaults(handler=_cmd_simulate_oracle)
+    p.add_argument("--sizes", type=integer_list, default="3,4,5")
+    p.add_argument("--seed", type=int, default=42)
 
-    p = sub.add_parser("elicit", help="query the live judge for records")
+    p = command(sub, "elicit", "query the live judge for records", _cmd_elicit,
+                "records.txt")
     p.add_argument("--summaries", required=True, help="JSON map index -> text")
     p.add_argument("--context", default=None)
     p.add_argument("--context-file", default=None)
     p.add_argument("--sources", type=int, default=None)
     p.add_argument("--count", type=int, default=200)
-    p.add_argument("--sizes", default="3,4,5")
+    p.add_argument("--sizes", type=integer_list, default="3,4,5")
     p.add_argument("--replay", default=None, help="JSONL replay cache path")
     p.add_argument("--model", default="")
     p.add_argument("--temperature", type=float, default=0.0)
     p.add_argument("--jobs", type=int, default=1, help="concurrent judge queries")
-    common(p, "records.txt")
-    p.set_defaults(handler=_cmd_elicit)
+    p.add_argument("--seed", type=int, default=42)
 
-    p = sub.add_parser("run-em", help="run EM on dataset files")
+    p = command(sub, "run-em", "run EM on dataset files", _cmd_run_em,
+                "em_report.txt", ("em", "model", "lip"))
     p.add_argument("--target", required=True)
     p.add_argument("--sources", nargs="+", required=True)
     p.add_argument("--lip", default="uniform", help="'uniform' or a prior file")
-    common(p, "em_report.txt")
-    p.set_defaults(handler=_cmd_run_em)
 
     b = sub.add_parser("bench", help="benchmark drivers")
     bsub = b.add_subparsers(dest="bench_command", required=True)
 
-    p = bsub.add_parser("gaussian", help="scarce-target Gaussian study")
-    common(p, "reports")
-    p.set_defaults(handler=_cmd_bench_gaussian)
+    p = command(bsub, "gaussian", "scarce-target Gaussian study",
+                _cmd_bench_gaussian, "reports", ("experiment",))
+    p.add_argument("--seed", type=int, default=None)
 
-    p = bsub.add_parser("cmapss", help="turbofan sensor prediction study")
+    p = command(bsub, "cmapss", "turbofan sensor prediction study",
+                _cmd_bench_cmapss, "reports", ("cmapss",))
     p.add_argument("--data", required=True, help="directory with train_FD001.txt")
     p.add_argument(
         "--lip", default="uniform", help="'uniform', 'fast-decay', or a prior file"
     )
-    p.add_argument("--cutoff", default=None, help="comma-separated cutoffs")
-    p.add_argument("--engines", default=None, help="comma-separated engine ids")
-    common(p, "reports")
-    p.set_defaults(handler=_cmd_bench_cmapss)
+    p.add_argument("--cutoff", type=number_list, help="comma-separated cutoffs")
+    p.add_argument("--engines", type=integer_list, help="comma-separated engine ids")
 
-    p = bsub.add_parser("oracle-mse", help="closed-form MSE identity check")
-    common(p, "reports")
-    p.set_defaults(handler=_cmd_bench_oracle_mse)
+    p = command(bsub, "oracle-mse", "closed-form MSE identity check",
+                _cmd_bench_oracle_mse, "reports", ("oracle", "generator"))
+    p.add_argument("--seed", type=int, default=None)
 
-    p = bsub.add_parser("dichotomy", help="weight commitment sweep")
-    common(p, "reports")
-    p.set_defaults(handler=_cmd_bench_dichotomy)
-
-    p = bsub.add_parser("consistency", help="target-size consistency sweep")
-    common(p, "reports")
-    p.set_defaults(handler=_cmd_bench_consistency)
+    for name, help, check in (
+        ("dichotomy", "weight commitment sweep", dichotomy_check),
+        ("consistency", "target-size consistency sweep", consistency_check),
+    ):
+        p = command(bsub, name, help, functools.partial(_cmd_bench_check, check),
+                    "reports", (name, "generator"))
+        p.add_argument("--seed", type=int, default=None)
 
     return parser
 
@@ -747,7 +734,15 @@ def dispatch(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        cfg = RunConfig.load(getattr(args, "config", None))
+        for section in cfg.sections:
+            if section not in args.sections:
+                raise InvalidConfigurationError(
+                    f"this command reads no {section!r} section; it reads "
+                    f"{', '.join(args.sections)}",
+                    key=section,
+                )
+        return args.handler(args, cfg)
     except InvalidConfigurationError as exc:
         line = f"error: {exc}"
         if exc.key:

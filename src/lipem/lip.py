@@ -68,7 +68,6 @@ __all__ = [
     "sample_subgroups",
     "simulated_judge",
     "simulate_elicitation",
-    "drop_and_reindex",
     "read_records",
     "write_records",
     "expit",
@@ -441,6 +440,9 @@ def minimize_worths(
     objective is convex, so the trace is monotone nonincreasing.
     """
     _check_settings(p0=p0, eps=eps, tol=tol, max_iters=max_iters)
+    # a gradient norm is never negative, so a negative tol is never met
+    if not tol >= 0.0:
+        raise InvalidConfigurationError("tol must be nonnegative", key="tol")
     queries = _compile(records, n_sources)
     alpha = np.concatenate(([0.0], np.full(n_sources, float(logit(p0)))))
     worths = WorthVector(alpha)
@@ -450,6 +452,10 @@ def minimize_worths(
         gnorm = float(np.max(np.abs(grad)))
         if gnorm <= tol:
             return NewtonResult(worths, value, gnorm, iteration, tuple(trace))
+        if not math.isfinite(gnorm):  # no Newton step can recover from here
+            raise OptimizationFailureError(
+                f"non-finite gradient at iteration {iteration}", last_iterate=worths
+            )
         hess = _nll_hessian(worths, queries, eps)
         # tiny ridge keeps the flat null direction solvable
         jitter = 1e-10 * (1.0 + float(np.trace(hess)) / hess.shape[0])
@@ -581,35 +587,6 @@ def simulate_elicitation(
     blocks = _option_blocks(subgroups, true_worths.n_sources)
     chosen = _judge(true_worths.alpha, blocks, len(subgroups), gen)
     return [ChoiceRecord(s, c) for s, c in zip(subgroups, chosen.tolist())]
-
-
-def drop_and_reindex(
-    records: Iterable[ChoiceRecord], excluded: int, n_sources: int
-) -> list[ChoiceRecord]:
-    """Remove queries mentioning one source and compact the index space.
-
-    Drops every record whose subgroup contains ``excluded`` and renames
-    the surviving indices onto 1..K-1 by ascending original index.  Used
-    when one candidate is promoted to target and the remaining responses
-    are reused for the source pool.
-    """
-    if not (1 <= excluded <= n_sources):
-        raise InvalidConfigurationError(f"excluded index {excluded} outside 1..{n_sources}")
-    remap = {}
-    new = 1
-    for orig in range(1, n_sources + 1):
-        if orig == excluded:
-            continue
-        remap[orig] = new
-        new += 1
-    out = []
-    for rec in records:
-        if excluded in rec.subgroup:
-            continue
-        sub = tuple(remap[i] for i in rec.subgroup)
-        choice = 0 if rec.choice == 0 else remap[rec.choice]
-        out.append(ChoiceRecord(sub, choice))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ contract is what real shells observe: 0 success, 2 usage, 3 bad
 configuration with the offending key named on stderr, 1 otherwise.
 """
 
+import dataclasses
 import json
 import warnings
 from pathlib import Path
@@ -12,7 +13,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lipem.bench import BenchReport, fast_decay_lip
+from lipem.bench import (
+    SEPARATED_SPEC,
+    BenchReport,
+    consistency_check,
+    dichotomy_check,
+    fast_decay_lip,
+)
 from lipem.cli import (
     RunConfig,
     dispatch,
@@ -108,6 +115,22 @@ class TestRunConfig:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(doc))
         assert RunConfig.load(str(path)).sections == doc
+
+    def test_non_utf8_file_rejected(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(b'{"lip": {"p0": 0.1}}\xff')
+        with pytest.raises(InvalidConfigurationError) as err:
+            RunConfig.load(str(path))
+        assert err.value.key == "config"
+
+    def test_null_table_key_must_be_decimal(self, tmp_path):
+        # "\u00b2" (superscript two) is a digit to str.isdigit but not to int()
+        path = tmp_path / "cfg.json"
+        table = {"\u00b2": 1.0}
+        path.write_text(json.dumps({"em": {"null_kind": "fixed", "null_table": table}}))
+        with pytest.raises(InvalidConfigurationError) as err:
+            RunConfig.load(str(path))
+        assert err.value.key == "em.null_table"
 
     def test_non_object_section_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -837,3 +860,110 @@ class TestElicitCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: parse:") and "line 1" in err
+
+
+class TestCommandInputs:
+    """Each command takes only the flags and config sections it reads."""
+
+    # argv of each command up to its own flags; the section is one the
+    # command does not read
+    COMMANDS = [
+        (["fit-lip", "--records", "r.txt", "--sources", "2"], "em"),
+        (["run-em", "--target", "t.txt", "--sources", "s.txt"], "experiment"),
+        (["bench", "gaussian"], "em"),
+        (["bench", "cmapss", "--data", "absent"], "generator"),
+        (["bench", "oracle-mse"], "dichotomy"),
+        (["bench", "dichotomy"], "oracle"),
+        (["bench", "consistency"], "dichotomy"),
+    ]
+
+    @pytest.mark.parametrize("argv, section", COMMANDS)
+    def test_unread_section_exits_three_naming_it(
+        self, tmp_path, capsys, argv, section
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({section: {}}))
+        out = tmp_path / "out"
+        assert dispatch([*argv, "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"[key: {section}]" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fit-lip", "--records", "r.txt", "--sources", "2", "--seed", "1"],
+            ["run-em", "--target", "t.txt", "--sources", "s.txt", "--seed", "1"],
+            ["bench", "cmapss", "--data", "absent", "--seed", "1"],
+            ["simulate-oracle", "--alpha", "0,1", "--config", "cfg.json"],
+            ["elicit", "--summaries", "s.json", "--config", "cfg.json"],
+        ],
+    )
+    def test_dropped_flag_is_usage_error(self, argv, capsys):
+        assert dispatch(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: usage:") and err.count("\n") == 1
+        assert "unrecognized arguments" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate-oracle", "--alpha", "0,x"],
+            ["simulate-oracle", "--alpha", "0,1", "--sizes", "1,y"],
+            ["bench", "cmapss", "--data", "absent", "--cutoff", "0.5,abc"],
+            ["bench", "cmapss", "--data", "absent", "--engines", "1,x"],
+        ],
+    )
+    def test_malformed_list_flag_is_usage_error(self, tmp_path, capsys, argv):
+        assert dispatch([*argv, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: usage:") and err.count("\n") == 1
+        assert "_list value" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, check, body",
+        [
+            ("dichotomy", dichotomy_check, {"n_sweep": [10, 100], "replications": 3}),
+            ("consistency", consistency_check, {"n0_sweep": [100], "replications": 3}),
+        ],
+    )
+    def test_check_commands_write_their_library_reports(
+        self, tmp_path, capsys, command, check, body
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({command: body}))
+        out = tmp_path / "reports"
+        argv = ["bench", command, "--config", str(cfg), "--seed", "7",
+                "--out", str(out)]
+        assert dispatch(argv) == 0
+        capsys.readouterr()
+        names = sorted(p.name for p in out.iterdir())
+        assert names == [f"{command}.csv", f"{command}.json"]
+        sidecar = json.loads((out / f"{command}.json").read_text())
+        assert sidecar["config"]["spec"]["seed"] == 7
+        assert {k: v for k, v in sidecar["config"].items() if k != "spec"} == body
+        spec = dataclasses.replace(SEPARATED_SPEC, seed=7)
+        expected = sorted(check(spec, **body), key=lambda r: (r.method, r.param_value))
+        got = [(r["method"], r["param_value"], r["values"]) for r in sidecar["reports"]]
+        assert got == [(r.method, r.param_value, list(r.values)) for r in expected]
+
+
+class TestElicitSummaries:
+    @pytest.mark.parametrize(
+        "text",
+        ["not json", '["first", "second"]', '{"one": "first"}', "{}", "\udcff"],
+    )
+    def test_bad_summaries_file_is_a_parse_error(self, tmp_path, capsys, text):
+        summaries = tmp_path / "summaries.json"
+        summaries.write_bytes(text.encode("utf-8", "surrogateescape"))
+        code = dispatch(
+            ["elicit", "--summaries", str(summaries), "--context", "pick one",
+             "--out", str(tmp_path / "records.txt")]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: parse:") and err.count("\n") == 1
+        assert str(summaries) in err
+        assert not (tmp_path / "records.txt").exists()

@@ -22,6 +22,7 @@ from lipem import lip as lip_module
 from lipem.errors import (
     InvalidChoiceError,
     InvalidConfigurationError,
+    OptimizationFailureError,
     ParseError,
 )
 from lipem.lip import (
@@ -30,7 +31,6 @@ from lipem.lip import (
     WorthVector,
     _nll_hessian,
     choice_probability,
-    drop_and_reindex,
     fit_lip,
     minimize_worths,
     nll_objective,
@@ -285,6 +285,18 @@ class TestFitLip:
         np.testing.assert_allclose(lip.pi, 0.01, atol=1e-8)
         assert lip.provenance == "fitted"
 
+    def test_unreachable_tolerance_rejected(self):
+        with pytest.raises(InvalidConfigurationError) as err:
+            fit_lip([], 3, tol=-1.0)
+        assert err.value.key == "tol"
+
+    def test_non_finite_gradient_stops_at_once(self):
+        # 2 * eps overflows, so the objective is NaN from the start; the
+        # fit must not spend its (huge) iteration budget on it
+        with pytest.warns(RuntimeWarning, match="invalid value"):
+            with pytest.raises(OptimizationFailureError, match="iteration 0"):
+                fit_lip([], 3, eps=1e308, max_iters=10**12)
+
     def test_always_chosen_source_beats_null(self):
         records = [ChoiceRecord((1,), 1)] * 30
         worths, lip = fit_lip(records, 1, p0=0.01, eps=0.1)
@@ -489,28 +501,6 @@ class TestLipIo:
         path.write_text("K=1\npi_1=1.0\n", encoding="utf-8")
         with pytest.raises(InvalidConfigurationError):
             Lip.read(path)
-
-
-class TestDropAndReindex:
-    def test_queries_containing_excluded_source_are_dropped(self):
-        records = [
-            ChoiceRecord((1, 2, 3), 2),
-            ChoiceRecord((2, 4), 4),
-            ChoiceRecord((1, 4), 0),
-        ]
-        kept = drop_and_reindex(records, excluded=3, n_sources=4)
-        # the first record mentioned source 3 and disappears; indices
-        # above the excluded one shift down by one
-        assert kept == [ChoiceRecord((2, 3), 3), ChoiceRecord((1, 3), 0)]
-
-    def test_null_choices_survive_reindexing(self):
-        records = [ChoiceRecord((2,), 0)]
-        kept = drop_and_reindex(records, excluded=1, n_sources=2)
-        assert kept == [ChoiceRecord((1,), 0)]
-
-    def test_excluded_index_validated(self):
-        with pytest.raises(InvalidConfigurationError):
-            drop_and_reindex([], excluded=5, n_sources=3)
 
 
 class TestNumpyOnly:
