@@ -38,7 +38,7 @@ from .errors import (
     LipemError,
     ParseError,
 )
-from .files import write_text_atomic
+from .files import read_text, write_text_atomic
 from .judge import HttpTransport, ReplayLog, TransportConfig, elicit_records
 from .likelihood import Dataset, GaussianMeanModel, SplineGlmModel
 from .lip import (
@@ -268,25 +268,25 @@ def ingest_cmapss(path) -> dict[int, Dataset]:
     if not path.exists():
         raise DataNotFoundError(bench.FD001_INSTRUCTIONS)
     rows: dict[int, list[tuple[float, float]]] = {}
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            fields = line.split()
-            if not fields:
-                continue
-            if len(fields) != 26:
-                raise ParseError(
-                    f"expected 26 columns, found {len(fields)}",
-                    line_number=lineno,
-                )
-            try:
-                unit = int(float(fields[0]))
-                cycle = float(fields[1])
-                sensor9 = float(fields[13])
-            except ValueError as exc:
-                raise ParseError(
-                    f"non-numeric field: {exc}", line_number=lineno
-                ) from exc
-            rows.setdefault(unit, []).append((cycle, sensor9))
+    # split on newlines only, as iterating over the open file would
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        fields = line.split()
+        if not fields:
+            continue
+        if len(fields) != 26:
+            raise ParseError(
+                f"expected 26 columns, found {len(fields)}",
+                line_number=lineno,
+            )
+        try:
+            unit = int(float(fields[0]))
+            cycle = float(fields[1])
+            sensor9 = float(fields[13])
+        except (ValueError, OverflowError) as exc:  # not a number, or inf
+            raise ParseError(
+                f"non-numeric field: {exc}", line_number=lineno
+            ) from exc
+        rows.setdefault(unit, []).append((cycle, sensor9))
     engines: dict[int, Dataset] = {}
     for unit in sorted(rows):
         pts = np.asarray(rows[unit], dtype=float)
@@ -467,7 +467,7 @@ def _cmd_elicit(args, cfg: RunConfig) -> int:
     summaries = _read_summaries(args.summaries)
     n_sources = args.sources or max(summaries)
     if args.context_file:
-        context = Path(args.context_file).read_text(encoding="utf-8")
+        context = read_text(args.context_file)
     else:
         context = args.context or ""
     if not context.strip():

@@ -9,11 +9,11 @@ at the MLEs, and a small-spread surrogate that reduces to a sample-size
 weighted average. Convergence is judged on the weight vector.
 
 Every dataset is read once. The likelihood families are exactly
-quadratic in theta, so :func:`build_sufficient_stats` evaluates each
-dataset at its MLE theta_k and keeps the log-likelihood l_k, gradient
-g_k and PSD Hessian H_k there; every later likelihood value (the cross
-table, the relevant marginal at the current theta, the pooled null)
-is the expansion
+quadratic in theta, so :func:`build_sufficient_stats` makes one
+``model.summarize`` call per dataset, which returns its MLE theta_k and
+the log-likelihood l_k, gradient g_k and PSD Hessian H_k there; every
+later likelihood value (the cross table, the relevant marginal at the
+current theta, the pooled null) is the expansion
 
     loglik(theta; D_k) = l_k + g_k'(theta - theta_k)
                          - (1/2) (theta - theta_k)' H_k (theta - theta_k).
@@ -345,19 +345,10 @@ def _check_prior(pi: np.ndarray, n_sources: int) -> None:
         )
 
 
-def _evaluate(model: LikelihoodFamily, data: Dataset, theta: np.ndarray):
-    # the one place the estimator reads a dataset through the likelihood
-    return (
-        float(model.loglik(theta, data)),
-        np.asarray(model.gradient(theta, data), dtype=float),
-        clamp_psd(model.hessian(theta, data)),
-    )
-
-
 def build_sufficient_stats(
     model: LikelihoodFamily, datasets: Sequence[Dataset]
 ) -> SufficientStats:
-    """Read every dataset once: fit it and evaluate it at its MLE."""
+    """Read every dataset once, through ``model.summarize``."""
     datasets = [d if isinstance(d, Dataset) else Dataset(d) for d in datasets]
     if len(datasets) < 2:
         raise InsufficientDataError("need a target dataset and at least one source")
@@ -371,13 +362,10 @@ def build_sufficient_stats(
                 f"in row {bad[0] + 1}",
                 source_index=k,
             )
-    theta_hat = np.array([model.mle(data) for data in datasets], dtype=float)
-    values, gradients, hessians = zip(
-        *(_evaluate(model, data, th) for data, th in zip(datasets, theta_hat))
-    )
+    theta_hat, values, gradients, hessians = zip(*map(model.summarize, datasets))
     pooled = np.asarray(model.mle(Dataset.concat(datasets[1:])), dtype=float)
     return SufficientStats(
-        theta_hat,
+        np.array(theta_hat, dtype=float),
         np.array(values),
         np.array(gradients),
         np.array(hessians),
@@ -452,7 +440,9 @@ def relevant_marginal_loglik(
     """
     if not tau >= 0:
         raise InvalidConfigurationError("tau must be >= 0", key="tau")
-    value, grad, hess = _evaluate(model, data, theta)
+    value = float(model.loglik(theta, data))
+    grad = np.asarray(model.gradient(theta, data), dtype=float)
+    hess = clamp_psd(model.hessian(theta, data))
     factor = _laplace_factor(hess, tau) if tau else None
     out = float(_laplace(value, grad, factor, tau))
     if not np.isfinite(out):

@@ -1,4 +1,5 @@
-"""Report files written whole or not at all."""
+"""Text files read as UTF-8 or refused, and report files written whole or
+not at all."""
 
 from __future__ import annotations
 
@@ -7,7 +8,23 @@ import os
 import secrets
 from pathlib import Path
 
-__all__ = ["write_text_atomic"]
+from .errors import ParseError
+
+__all__ = ["read_text", "write_text_atomic"]
+
+
+def read_text(path) -> str:
+    """Read ``path`` as UTF-8 text.
+
+    A file that is not UTF-8 raises ``ParseError`` naming the file and
+    the first undecodable byte; I/O errors propagate unchanged.
+    """
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from exc
 
 
 def write_text_atomic(path, text: str) -> None:

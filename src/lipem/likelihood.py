@@ -11,14 +11,12 @@ Two concrete families are provided:
   (cycle, sensor) trajectory is one dataset.
 
 Both expose the same small surface: ``loglik``, ``gradient``, ``hessian``
-(defined as the negative second derivative of the log-likelihood, so it is
-positive semidefinite for these families) and ``mle``.  Both log-likelihoods
-are exact quadratics in the parameter, so the second-order expansion around
-any point reproduces them everywhere; the estimator in :mod:`lipem.em`
-relies on this to evaluate each dataset once, at its MLE, and to read every
-later likelihood value off that expansion.  All operations are pure
-functions of their inputs; models hold only fixed structural constants
-(dimension, covariance, knots, noise variance, ridge).
+(the negative second derivative of the log-likelihood, so it is positive
+semidefinite for these families), ``mle`` and ``summarize``.  Both
+log-likelihoods are exact quadratics in the parameter, so the expansion
+``summarize`` returns at the MLE reproduces them everywhere; the estimator in
+:mod:`lipem.em` reads each dataset once, through it.  Models hold only fixed
+structural constants (dimension, covariance, knots, noise variance, ridge).
 """
 
 from __future__ import annotations
@@ -90,8 +88,8 @@ class LikelihoodFamily(ABC):
     Contract: ``loglik`` is exactly quadratic in ``theta``, so
     ``gradient`` is affine and ``hessian`` (the negative Hessian of the
     log-likelihood, positive semidefinite) does not depend on ``theta``.
-    The EM evaluates each dataset once, at its MLE, and expands around
-    it.  ``theta`` is always a length-``dim`` vector.
+    The EM reads each dataset once, through ``summarize``, and expands
+    around its MLE.  ``theta`` is always a length-``dim`` vector.
     """
 
     @property
@@ -114,6 +112,17 @@ class LikelihoodFamily(ABC):
     @abstractmethod
     def mle(self, data: Dataset) -> np.ndarray:
         """Maximum likelihood (or ridge penalized) parameter estimate."""
+
+    def summarize(self, data: Dataset):
+        """(theta_hat, loglik, gradient, clamped Hessian) of ``data`` at
+        its MLE: all the EM reads from a dataset."""
+        theta = np.asarray(self.mle(data), dtype=float)
+        return (
+            theta,
+            float(self.loglik(theta, data)),
+            np.asarray(self.gradient(theta, data), dtype=float),
+            clamp_psd(self.hessian(theta, data)),
+        )
 
     def _check_theta(self, theta: np.ndarray) -> np.ndarray:
         th = np.asarray(theta, dtype=float).reshape(-1)
@@ -228,16 +237,10 @@ def spline_design(inputs, knots) -> np.ndarray:
     if np.any(np.diff(xi) <= 0):
         raise InvalidConfigurationError("knots must be strictly increasing")
 
-    def cube_plus(v):
-        return np.where(v > 0.0, v, 0.0) ** 3
-
-    last = cube_plus(x - xi[m - 1])
-    d_pen = (cube_plus(x - xi[m - 2]) - last) / (xi[m - 1] - xi[m - 2])
-    cols = [np.ones_like(x), x]
-    for j in range(m - 2):
-        d_j = (cube_plus(x - xi[j]) - last) / (xi[m - 1] - xi[j])
-        cols.append(d_j - d_pen)
-    return np.column_stack(cols)
+    diff = x[:, None] - xi  # (n, M): x - xi_j for every knot j
+    cubes = np.where(diff > 0.0, diff, 0.0) ** 3
+    d = (cubes[:, :-1] - cubes[:, -1:]) / (xi[-1] - xi[:-1])
+    return np.hstack([np.ones((x.size, 1)), x[:, None], d[:, :-1] - d[:, -1:]])
 
 
 class SplineGlmModel(LikelihoodFamily):
@@ -267,48 +270,45 @@ class SplineGlmModel(LikelihoodFamily):
     def dim(self) -> int:
         return self.knots.size
 
-    def design(self, inputs) -> np.ndarray:
-        return spline_design(inputs, self.knots)
-
-    def _split(self, data: Dataset):
+    def _design(self, data: Dataset):
         if data.width != 2:
             raise InvalidConfigurationError(
                 f"spline data must have (input, response) rows, got width {data.width}"
             )
-        return data.points[:, 0], data.points[:, 1]
+        return spline_design(data.points[:, 0], self.knots), data.points[:, 1]
+
+    def _loglik(self, resid: np.ndarray) -> float:
+        return float(
+            -0.5 * resid @ resid / self.noise_variance
+            - 0.5 * resid.size * np.log(2.0 * np.pi * self.noise_variance)
+        )
 
     def loglik(self, theta, data: Dataset) -> float:
         th = self._check_theta(theta)
-        x, y = self._split(data)
-        resid = y - self.design(x) @ th
-        n = data.size
-        return float(
-            -0.5 * resid @ resid / self.noise_variance
-            - 0.5 * n * np.log(2.0 * np.pi * self.noise_variance)
-        )
+        design, y = self._design(data)
+        return self._loglik(y - design @ th)
 
     def gradient(self, theta, data: Dataset) -> np.ndarray:
         th = self._check_theta(theta)
-        x, y = self._split(data)
-        design = self.design(x)
+        design, y = self._design(data)
         return design.T @ (y - design @ th) / self.noise_variance
 
     def hessian(self, theta, data: Dataset) -> np.ndarray:
         self._check_theta(theta)
-        x, _ = self._split(data)
-        design = self.design(x)
+        design, _ = self._design(data)
         return design.T @ design / self.noise_variance
 
-    def mle(self, data: Dataset) -> np.ndarray:
+    def _fit(self, data: Dataset):
+        """Design, Gram matrix X'X, (ridge penalized) least squares
+        coefficients and residual of ``data``, from one design build."""
         if data.size == 0:
             raise InsufficientDataError("cannot fit a spline to zero observations")
-        x, y = self._split(data)
-        design = self.design(x)
-        normal = design.T @ design
+        design, y = self._design(data)
+        normal = gram = design.T @ design
         if self.ridge > 0.0:
             penalty = np.eye(self.dim)
             penalty[0, 0] = 0.0  # intercept is never shrunk
-            normal = normal + self.ridge * penalty
+            normal = gram + self.ridge * penalty
         rhs = design.T @ y
         try:
             chol = np.linalg.cholesky(normal)
@@ -316,12 +316,20 @@ class SplineGlmModel(LikelihoodFamily):
             raise SingularFitError(
                 "normal equations are rank deficient; add observations or a ridge"
             ) from exc
-        z = np.linalg.solve(chol, rhs)
-        return np.linalg.solve(chol.T, z)
+        theta = np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
+        return design, gram, theta, y - design @ theta
+
+    def mle(self, data: Dataset) -> np.ndarray:
+        return self._fit(data)[2]
+
+    def summarize(self, data: Dataset):
+        design, gram, theta, resid = self._fit(data)
+        grad = design.T @ resid / self.noise_variance
+        return theta, self._loglik(resid), grad, clamp_psd(gram / self.noise_variance)
 
     def predict(self, theta, inputs) -> np.ndarray:
         th = self._check_theta(theta)
-        return self.design(inputs) @ th
+        return spline_design(inputs, self.knots) @ th
 
 
 def pooled_noise_variance(
@@ -345,9 +353,7 @@ def pooled_noise_variance(
     for data in datasets:
         if data.size == 0:
             continue
-        theta = probe.mle(data)
-        x, y = data.points[:, 0], data.points[:, 1]
-        resid = y - probe.design(x) @ theta
+        resid = probe._fit(data)[3]
         total_ss += float(resid @ resid)
         total_n += data.size
     if total_n == 0:

@@ -42,7 +42,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from numbers import Integral, Real
-from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -53,7 +52,7 @@ from .errors import (
     OptimizationFailureError,
     ParseError,
 )
-from .files import write_text_atomic
+from .files import read_text, write_text_atomic
 
 __all__ = [
     "P0",
@@ -217,7 +216,7 @@ class Lip:
 
     @staticmethod
     def read(path) -> "Lip":
-        text = Path(path).read_text(encoding="utf-8")
+        text = read_text(path)
         # blank lines are skipped but still counted in line numbers
         lines = [
             (lineno, ln.strip())
@@ -530,6 +529,10 @@ def sample_subgroups(
 ) -> list[tuple[int, ...]]:
     """Draw ``count`` subgroups: size uniform over ``sizes``, members
     distinct and uniform over {1..K}."""
+    if count < 0:
+        raise InvalidConfigurationError(
+            f"count must be nonnegative, got {count}", key="count"
+        )
     sizes = sorted(set(int(s) for s in sizes))
     if not sizes or sizes[0] < 1:
         raise InvalidConfigurationError("subgroup sizes must be positive")
@@ -604,7 +607,7 @@ def write_records(path, records: Iterable[ChoiceRecord]) -> None:
 
 def read_records(path) -> list[ChoiceRecord]:
     out = []
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_text(path)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:

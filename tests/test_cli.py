@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lipem import cli
 from lipem.bench import (
     SEPARATED_SPEC,
     BenchReport,
@@ -967,3 +968,96 @@ class TestElicitSummaries:
         assert err.startswith("error: parse:") and err.count("\n") == 1
         assert str(summaries) in err
         assert not (tmp_path / "records.txt").exists()
+
+
+NOT_UTF8 = b"\xff\xfeK=2\n"
+
+
+class TestNonUtf8Input:
+    """A text input that is not UTF-8 is one parse error naming the file."""
+
+    def _parse_error_naming(self, path, capsys):
+        err = capsys.readouterr().err
+        assert err.startswith("error: parse:") and err.count("\n") == 1
+        assert str(path) in err and "not UTF-8" in err
+
+    def test_records_file(self, tmp_path, capsys):
+        records = tmp_path / "records.txt"
+        records.write_bytes(NOT_UTF8)
+        out = tmp_path / "lip.txt"
+        argv = ["fit-lip", "--records", str(records), "--sources", "2", "--out", str(out)]
+        assert dispatch(argv) == 1
+        self._parse_error_naming(records, capsys)
+        assert not out.exists()
+
+    def test_prior_file(self, tmp_path, capsys):
+        prior = tmp_path / "lip.txt"
+        prior.write_bytes(NOT_UTF8)
+        target, source = tmp_path / "t.txt", tmp_path / "s.txt"
+        target.write_text("0.1\n0.2\n")
+        source.write_text("0.3\n0.4\n")
+        out = tmp_path / "report.txt"
+        argv = ["run-em", "--target", str(target), "--sources", str(source),
+                "--lip", str(prior), "--out", str(out)]
+        assert dispatch(argv) == 1
+        self._parse_error_naming(prior, capsys)
+        assert not out.exists()
+
+    def test_turbofan_file(self, tmp_path, capsys):
+        data = tmp_path / "train_FD001.txt"
+        data.write_bytes(NOT_UTF8)
+        out = tmp_path / "reports"
+        argv = ["bench", "cmapss", "--data", str(tmp_path), "--out", str(out)]
+        assert dispatch(argv) == 1
+        self._parse_error_naming(data, capsys)
+        assert not out.exists()
+
+    def test_context_file(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "HttpTransport", _no_transport)
+        summaries = tmp_path / "summaries.json"
+        summaries.write_text(json.dumps({"1": "first", "2": "second"}))
+        context = tmp_path / "context.txt"
+        context.write_bytes(NOT_UTF8)
+        out = tmp_path / "records.txt"
+        argv = ["elicit", "--summaries", str(summaries), "--context-file",
+                str(context), "--out", str(out)]
+        assert dispatch(argv) == 1
+        self._parse_error_naming(context, capsys)
+        assert not out.exists()
+
+
+def _no_transport(config):
+    def send(prompt):
+        raise AssertionError("no query may be sent")
+
+    return send
+
+
+class TestNegativeCount:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate-oracle", "--alpha", "0,1,-1", "--sizes", "2", "--count", "-5"],
+            ["elicit", "--summaries", "SUMMARIES", "--context", "pick one",
+             "--sizes", "2", "--count", "-3"],
+        ],
+    )
+    def test_exits_three_and_writes_nothing(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.setattr(cli, "HttpTransport", _no_transport)
+        summaries = tmp_path / "summaries.json"
+        summaries.write_text(json.dumps({"1": "first", "2": "second"}))
+        argv = [str(summaries) if a == "SUMMARIES" else a for a in argv]
+        out = tmp_path / "records.txt"
+        assert dispatch([*argv, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "[key: count]" in err
+        assert not out.exists()
+
+    def test_zero_count_still_writes_an_empty_file(self, tmp_path, capsys):
+        out = tmp_path / "records.txt"
+        argv = ["simulate-oracle", "--alpha", "0,1,-1", "--sizes", "2",
+                "--count", "0", "--out", str(out)]
+        assert dispatch(argv) == 0
+        capsys.readouterr()
+        assert out.read_bytes() == b""

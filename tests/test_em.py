@@ -595,6 +595,26 @@ class TestSufficientStats:
                     rtol=1e-12,
                 )
 
+    def test_spline_build_reads_each_dataset_once(self, monkeypatch):
+        # K + 1 datasets and the pooled concat, one design build each
+        from lipem import likelihood
+
+        calls = []
+        design = likelihood.spline_design
+        monkeypatch.setattr(
+            likelihood, "spline_design", lambda *a: calls.append(1) or design(*a)
+        )
+        rng = np.random.default_rng(42)
+        knots = np.linspace(0.0, 300.0, 5)
+        model = SplineGlmModel(knots, noise_variance=4.0, ridge=1e-8)
+        n_sources = 4
+        datasets = []
+        for n in (12, *(40,) * n_sources):
+            x = np.sort(rng.uniform(0.0, 300.0, n))
+            datasets.append(Dataset(np.column_stack([x, 480.0 - 1.2 * x])))
+        build_sufficient_stats(model, datasets)
+        assert len(calls) == n_sources + 2
+
     def test_arrays_are_frozen(self):
         rng = np.random.default_rng(42)
         _, _, stats = gaussian_stats(rng, [0.0, 1.0], [4, 8])

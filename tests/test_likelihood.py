@@ -206,6 +206,50 @@ class TestSplineDesign:
         with pytest.raises(InvalidConfigurationError):
             spline_design([0.0], [0.0, 1.0, 1.0, 2.0])
 
+    def test_equals_per_knot_loop_bit_for_bit(self):
+        # random knot grids, inputs on the knots, below the first knot,
+        # beyond the last, at +-0.0, and no inputs at all
+        rng = np.random.default_rng(42)
+        for trial in range(300):
+            m = int(rng.integers(3, 12))
+            knots = np.sort(rng.choice(rng.uniform(-50.0, 400.0, 100), m, replace=False))
+            n = int(rng.integers(0, 40)) if trial else 0
+            x = np.concatenate(
+                [rng.uniform(knots[0] - 20.0, knots[-1] + 20.0, n), knots,
+                 [0.0, -0.0, knots[0] - 1.0]]
+            )
+            for inputs in (x, x[:n]):
+                got = spline_design(inputs, knots)
+                want = reference_spline_design(inputs, knots)
+                assert got.shape == want.shape == (inputs.size, m)
+                assert got.tobytes() == want.tobytes()
+
+    def test_truncated_powers_are_one_array_expression(self, monkeypatch):
+        # one (n, M) pass for every knot, not one pass per knot
+        calls = []
+        where = np.where
+        monkeypatch.setattr(np, "where", lambda *a: calls.append(1) or where(*a))
+        spline_design(np.linspace(0.0, 300.0, 20), np.linspace(0.0, 300.0, 8))
+        assert len(calls) == 1
+
+
+def reference_spline_design(inputs, knots):
+    """The per-knot loop ``spline_design`` replaced, kept as its reference."""
+    x = np.asarray(inputs, dtype=float).reshape(-1)
+    xi = np.asarray(knots, dtype=float).reshape(-1)
+    m = xi.size
+
+    def cube_plus(v):
+        return np.where(v > 0.0, v, 0.0) ** 3
+
+    last = cube_plus(x - xi[m - 1])
+    d_pen = (cube_plus(x - xi[m - 2]) - last) / (xi[m - 1] - xi[m - 2])
+    cols = [np.ones_like(x), x]
+    for j in range(m - 2):
+        d_j = (cube_plus(x - xi[j]) - last) / (xi[m - 1] - xi[j])
+        cols.append(d_j - d_pen)
+    return np.column_stack(cols)
+
 
 def _spline_data(rng, n=120, knots=None, sigma=2.0):
     knots = np.linspace(0.0, 300.0, 5) if knots is None else knots
@@ -316,6 +360,60 @@ class TestSplineGlmModel:
             SplineGlmModel([0.0, 1.0, 2.0], noise_variance=0.0)
         with pytest.raises(InvalidConfigurationError):
             SplineGlmModel([0.0, 1.0, 2.0], ridge=-1.0)
+
+
+class TestSummarize:
+    """``summarize`` is the four public methods at the MLE, bit for bit."""
+
+    @staticmethod
+    def assert_matches_the_methods(model, data):
+        theta = model.mle(data)
+        want = (
+            theta,
+            model.loglik(theta, data),
+            model.gradient(theta, data),
+            clamp_psd(model.hessian(theta, data)),
+        )
+        got = model.summarize(data)
+        assert len(got) == 4
+        assert type(got[1]) is float and got[1] == want[1]
+        for k in (0, 2, 3):  # the arrays
+            assert got[k].dtype == want[k].dtype and got[k].shape == want[k].shape
+            assert got[k].tobytes() == want[k].tobytes()
+
+    def test_gaussian(self):
+        rng = np.random.default_rng(42)
+        for dim in (1, 3):
+            cov = np.eye(dim) + 0.3 * np.ones((dim, dim))
+            data = Dataset(rng.normal(1.0, 2.0, size=(25, dim)))
+            self.assert_matches_the_methods(GaussianMeanModel(dim, cov), data)
+
+    @pytest.mark.parametrize("ridge", [0.0, 1e-8, 50.0])
+    def test_spline(self, ridge):
+        rng = np.random.default_rng(42)
+        data, knots = _spline_data(rng, n=60)
+        model = SplineGlmModel(knots, noise_variance=3.0, ridge=ridge)
+        self.assert_matches_the_methods(model, data)
+        if ridge == 50.0:
+            # the penalized MLE leaves a gradient to carry
+            assert np.max(np.abs(model.summarize(data)[2])) > 1e-6
+
+    def test_two_point_spline_target_has_its_hessian_clamped(self):
+        knots = np.linspace(0.0, 300.0, 5)
+        model = SplineGlmModel(knots, noise_variance=4.0, ridge=1e-8)
+        data = Dataset(np.array([[10.0, 478.0], [20.0, 476.5]]))
+        raw = model.hessian(model.mle(data), data)
+        assert np.linalg.eigvalsh(raw)[0] < 0.0  # rank 2 of 5, rounded below 0
+        self.assert_matches_the_methods(model, data)
+
+    def test_spline_errors_match_mle(self):
+        model = SplineGlmModel(np.linspace(0.0, 300.0, 5))
+        with pytest.raises(InsufficientDataError):
+            model.summarize(Dataset(np.zeros((0, 2))))
+        with pytest.raises(SingularFitError):
+            model.summarize(Dataset(np.array([[10.0, 1.0], [20.0, 2.0]])))
+        with pytest.raises(InvalidConfigurationError):
+            model.summarize(Dataset(np.zeros((3, 3))))
 
 
 class TestPooledNoiseVariance:

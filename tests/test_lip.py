@@ -402,6 +402,15 @@ class TestSampling:
         with pytest.raises(InvalidConfigurationError):
             sample_subgroups(3, [4], 5, np.random.default_rng(42))
 
+    def test_negative_count_rejected_and_zero_draws_nothing(self):
+        rng = np.random.default_rng(42)
+        with pytest.raises(InvalidConfigurationError) as err:
+            sample_subgroups(3, [2], -1, rng)
+        assert err.value.key == "count"
+        assert sample_subgroups(3, [2], 0, rng) == []
+        # neither call consumed the stream
+        assert rng.bit_generator.state == np.random.default_rng(42).bit_generator.state
+
 
 class TestSimulatedJudge:
     def test_dominant_worth_always_wins(self):
