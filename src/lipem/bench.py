@@ -15,7 +15,16 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .em import EmConfig, EmState, NullSpec, build_sufficient_stats, e_step, run_em
+from .em import (
+    EmConfig,
+    EmState,
+    NullSpec,
+    RowStats,
+    build_sufficient_stats,
+    e_step,
+    run_em,
+    run_em_rows,
+)
 from .errors import InsufficientDataError, InvalidConfigurationError
 from .likelihood import (
     Dataset,
@@ -297,27 +306,52 @@ def baselines(
 
     Returns target_only (MLE on the target alone), pooled (MLE on the
     union), uniform_em (EM from the flat prior p0), and, when a prior
-    is supplied, lip_em (EM from that prior).
+    is supplied, lip_em (EM from that prior). The EM arms run as rows
+    of one ``run_em_rows`` call.
     """
     if len(target) == 0:
         raise InsufficientDataError("target dataset is empty")
-    out: dict[str, np.ndarray] = {}
-    out["target_only"] = np.asarray(model.mle(target), dtype=float)
-    out["pooled"] = np.asarray(
-        model.mle(Dataset.concat([target, *sources])), dtype=float
-    )
-    datasets = [target, *sources]
-    flat = np.full(len(sources), p0)
-    state, _ = run_em(datasets, model, flat, em_config)
-    out["uniform_em"] = state.theta
+    priors = {"uniform_em": np.full(len(sources), p0)}
     if lip is not None:
         pi = np.asarray(lip.pi if isinstance(lip, Lip) else lip, dtype=float)
         if pi.shape != (len(sources),):
             raise InvalidConfigurationError(
                 "prior must have one entry per source", key="lip"
             )
-        state, _ = run_em(datasets, model, pi, em_config)
-        out["lip_em"] = state.theta
+        priors["lip_em"] = pi
+    [out] = _baseline_rows([(target, sources)], model, em_config, priors)
+    return out
+
+
+def _baseline_rows(
+    collections: Sequence[tuple[Dataset, Sequence[Dataset]]],
+    model: LikelihoodFamily,
+    em_config: EmConfig,
+    priors: Mapping[str, np.ndarray],
+) -> list[dict[str, np.ndarray]]:
+    """``baselines`` of each (target, sources) collection, with one EM
+    arm per named prior; every collection's arms are rows of one
+    ``run_em_rows`` call."""
+    rows = [(i, pi) for i in range(len(collections)) for pi in priors.values()]
+    fits = iter(
+        run_em_rows(
+            [[target, *sources] for target, sources in collections],
+            model,
+            rows,
+            em_config,
+        )
+    )
+    out = []
+    for target, sources in collections:
+        estimates = {
+            "target_only": np.asarray(model.mle(target), dtype=float),
+            "pooled": np.asarray(
+                model.mle(Dataset.concat([target, *sources])), dtype=float
+            ),
+        }
+        for name in priors:
+            estimates[name] = next(fits)[0].theta
+        out.append(estimates)
     return out
 
 
@@ -412,6 +446,23 @@ class GaussianExperimentConfig:
                 f"curve_points must be >= 2, got {self.curve_points}",
                 key="curve_points",
             )
+        if self.n_sources < 1:
+            raise InvalidConfigurationError(
+                f"n_sources must be >= 1, got {self.n_sources}", key="n_sources"
+            )
+        if not 0 <= self.n_relevant <= self.n_sources:
+            raise InvalidConfigurationError(
+                f"n_relevant must lie in 0..n_sources ({self.n_sources}), "
+                f"got {self.n_relevant}",
+                key="n_relevant",
+            )
+        for name in ("p0", "strong_prior"):
+            if not 0 < getattr(self, name) < 1:
+                raise InvalidConfigurationError(
+                    f"{name} must lie strictly inside (0, 1), "
+                    f"got {getattr(self, name)}",
+                    key=name,
+                )
 
 
 def _squared_error(theta: np.ndarray, theta0: np.ndarray) -> float:
@@ -426,7 +477,9 @@ def gaussian_experiment(
 
     Reports the MSE against theta0 of every baseline plus the oracle
     blend that knows the relevant set, and density-curve samples from
-    the first 1-d replication for plotting.
+    the first 1-d replication for plotting. Every replication and EM
+    arm of one dimension is a row of one ``run_em_rows`` call, so a
+    dimension's replications are held in memory together.
     """
     config = config or GaussianExperimentConfig()
     reports: list[BenchReport] = []
@@ -444,6 +497,14 @@ def gaussian_experiment(
     pi_informative = np.full(config.n_sources, config.p0)
     pi_informative[[k - 1 for k in relevant]] = config.strong_prior
 
+    priors = {
+        "uniform_em": np.full(config.n_sources, config.p0),
+        "lip_em": pi_informative,
+    }
+    indicator = np.array(
+        [1.0 if k in relevant else 0.0 for k in range(1, config.n_sources + 1)]
+    )
+
     dim_seeds = np.random.SeedSequence(config.seed).spawn(len(config.dims))
     for d, dim_seed in zip(config.dims, dim_seeds):
         spec = HierarchicalSpec(
@@ -458,21 +519,14 @@ def gaussian_experiment(
         )
         theta0 = np.asarray(spec.theta0)
         model = GaussianMeanModel(d, covariance=config.sigma**2)
+        draws = [
+            generate_hierarchical(spec, np.random.default_rng(s))[:2]
+            for s in dim_seed.spawn(config.replications)
+        ]
+        # every replication x arm of this dimension is one row
+        fits = _baseline_rows(draws, model, em_config, priors)
         errors: dict[str, list[float]] = {}
-        rep_rngs = [np.random.default_rng(s) for s in dim_seed.spawn(config.replications)]
-        for rep, rng in enumerate(rep_rngs):
-            target, sources, truth = generate_hierarchical(spec, rng)
-            estimates = baselines(
-                target,
-                sources,
-                model,
-                em_config=em_config,
-                lip=pi_informative,
-                p0=config.p0,
-            )
-            indicator = np.array(
-                [1.0 if k in relevant else 0.0 for k in range(1, config.n_sources + 1)]
-            )
+        for rep, ((target, sources), estimates) in enumerate(zip(draws, fits)):
             estimates["oracle"] = fixed_weight_blend(target, sources, indicator)
             for method, theta in estimates.items():
                 errors.setdefault(method, []).append(_squared_error(theta, theta0))
@@ -653,7 +707,8 @@ def dichotomy_check(
     and evaluates the weights at each N in the sweep on a separated
     configuration, for each flat prior level. Relevant weights should
     commit to 1 and irrelevant ones to 0 as N grows, regardless of the
-    prior.
+    prior. The statistics are built once per (replication, N), and the
+    prior levels score them as rows of one E-step.
     """
     _check_replications(replications)
     _check_sweep(n_sweep, "n_sweep")
@@ -662,26 +717,30 @@ def dichotomy_check(
     theta0 = np.asarray(spec.theta0)
     model = GaussianMeanModel(spec.dim, covariance=spec.sigma**2)
     config = EmConfig()
-    reports = []
     rep_seeds = np.random.SeedSequence(spec.seed).spawn(replications)
-    for prior in priors:
-        pi = np.full(spec.n_sources, prior)
-        for n in n_sweep:
-            sized = replace(spec, n_source=int(n))
-            per_source: list[list[float]] = [[] for _ in range(spec.n_sources)]
-            for seed in rep_seeds:
-                rng = np.random.default_rng(seed)
-                target, sources, _ = generate_hierarchical(sized, rng)
-                stats = build_sufficient_stats(model, [target, *sources])
-                state = EmState(
-                    theta=theta0.copy(),
-                    weights=pi.copy(),
-                    t=1,
-                    beta=np.ones(spec.n_sources),
-                )
-                w = e_step(state, stats, pi, config)
-                for k in range(spec.n_sources):
-                    per_source[k].append(float(w[k]))
+    # one row per prior, all reading the same statistics
+    pis = np.repeat(np.asarray(priors, dtype=float)[:, None], spec.n_sources, axis=1)
+    weights = []  # per N: (replication, prior, source)
+    for n in n_sweep:
+        sized = replace(spec, n_source=int(n))
+        per_rep = []
+        for seed in rep_seeds:
+            rng = np.random.default_rng(seed)
+            target, sources, _ = generate_hierarchical(sized, rng)
+            stats = RowStats(
+                [build_sufficient_stats(model, [target, *sources])], [0] * len(pis)
+            )
+            state = EmState(
+                theta=np.tile(theta0, (len(pis), 1)),
+                weights=pis.copy(),
+                t=1,
+                beta=np.ones(pis.shape),
+            )
+            per_rep.append(e_step(state, stats, pis, config))
+        weights.append(np.array(per_rep))
+    reports = []
+    for p, prior in enumerate(priors):
+        for n, table in zip(n_sweep, weights):
             for k in range(1, spec.n_sources + 1):
                 kind = "relevant" if k in spec.relevant else "irrelevant"
                 reports.append(
@@ -690,7 +749,7 @@ def dichotomy_check(
                         "weight",
                         "n_source",
                         float(n),
-                        per_source[k - 1],
+                        table[:, p, k - 1],
                     )
                 )
     return reports

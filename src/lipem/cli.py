@@ -12,6 +12,7 @@ import contextlib
 import dataclasses
 import functools
 import json
+import math
 import sys
 import warnings
 from pathlib import Path
@@ -273,9 +274,10 @@ def ingest_cmapss(path) -> dict[int, Dataset]:
         fields = line.split()
         if not fields:
             continue
+        where = f"{path}: line {lineno}"
         if len(fields) != 26:
             raise ParseError(
-                f"expected 26 columns, found {len(fields)}",
+                f"{where}: expected 26 columns, found {len(fields)}",
                 line_number=lineno,
             )
         try:
@@ -284,8 +286,13 @@ def ingest_cmapss(path) -> dict[int, Dataset]:
             sensor9 = float(fields[13])
         except (ValueError, OverflowError) as exc:  # not a number, or inf
             raise ParseError(
-                f"non-numeric field: {exc}", line_number=lineno
+                f"{where}: non-numeric field: {exc}", line_number=lineno
             ) from exc
+        # float() also parses nan and inf
+        if not (math.isfinite(cycle) and math.isfinite(sensor9)):
+            raise ParseError(
+                f"{where}: non-finite cycle or sensor 9 value", line_number=lineno
+            )
         rows.setdefault(unit, []).append((cycle, sensor9))
     engines: dict[int, Dataset] = {}
     for unit in sorted(rows):
@@ -404,11 +411,12 @@ def _build_model(section: dict, width: int):
             raise InvalidConfigurationError(
                 "spline_glm model needs knots", key="model.knots"
             )
-        return SplineGlmModel(
-            np.asarray(section["knots"], dtype=float),
-            noise_variance=section.get("noise_variance", 1.0),
-            ridge=section.get("ridge", 0.0),
-        )
+        with _keyed("model"):
+            return SplineGlmModel(
+                np.asarray(section["knots"], dtype=float),
+                noise_variance=section.get("noise_variance", 1.0),
+                ridge=section.get("ridge", 0.0),
+            )
     raise InvalidConfigurationError(
         f"unknown model kind {kind!r}", key="model.kind"
     )

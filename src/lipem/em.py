@@ -25,17 +25,32 @@ are array expressions over the K sources.
 What does not change between iterations is computed once per run and
 cached on the :class:`SufficientStats`: the cross table and the mixture
 null's copy of it (diagonal masked), the pooled-null scores, the
-tempering scales eps_k per mode, the logit of the clamped prior, and,
-per tau, the Laplace factors (I + tau^2 H_k)^{-1} with their
-log-determinants and the M-step blocks C_k with their pulls C_k theta_k.
+tempering scales eps_k per mode, the logit of the clamped prior, the
+surrogate M-step's N0 theta_0, and, per tau, the Laplace factors
+(I + tau^2 H_k)^{-1} with their log-determinants and the M-step blocks
+C_k with their pulls C_k theta_k.
 An iteration then computes only what depends on the iterate: the
 tempering ramp, the expansion at theta, the Laplace quadratic term, the
 mixture null's log-sum-exp over the lagged weights, the sigmoid, and one
 d x d solve for the blend.
+
+One loop, :func:`run_em_rows`, advances R problems of one shape (K
+sources, dimension d) together. A row is a (dataset collection, prior)
+pair; the iterate carries a leading row axis, and :class:`RowStats`
+stacks the rows' statistics, each collection's built once and its
+per-run constants cached on its own ``SufficientStats``, even when
+several rows share it. The E-step, the null scores, the tempering
+schedule, both M-steps and the jittered solve broadcast over that axis;
+jitter reaches only a row whose blend is singular. A row freezes once it
+converges: it leaves the stack, which is re-indexed only then, so its
+iteration count, histories and report equal a solo run's.
+:func:`run_em` is the R = 1 call of that loop. Histories grow with the
+iterations run, not with ``max_iters``.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -60,6 +75,7 @@ __all__ = [
     "NullSpec",
     "EmConfig",
     "SufficientStats",
+    "RowStats",
     "EmState",
     "EmRunReport",
     "build_sufficient_stats",
@@ -70,6 +86,7 @@ __all__ = [
     "m_step_exact",
     "m_step_surrogate",
     "run_em",
+    "run_em_rows",
     "write_em_report",
 ]
 
@@ -216,7 +233,7 @@ class SufficientStats:
         for arr in vars(self).values():
             arr.setflags(write=False)
         self._cache: dict[tuple, object] = {}
-        self._prior: tuple[tuple, np.ndarray] | None = None
+        self._prior: tuple | None = None  # (key, logit, prior)
 
     def _cached(self, key: tuple, build):
         if key not in self._cache:
@@ -244,12 +261,7 @@ class SufficientStats:
         exact for the shipped families. ``theta`` of shape (..., d)
         gives values of shape (..., K+1) and gradients (..., K+1, d).
         """
-        dev = np.asarray(theta, dtype=float)[..., None, :] - self.theta_hat
-        curv = np.einsum("kij,...kj->...ki", self.hessians, dev)
-        value = self.loglik_hat + np.einsum(
-            "...ki,...ki->...k", self.gradients - 0.5 * curv, dev
-        )
-        return value, self.gradients - curv
+        return _expand(self, theta)
 
     def tempering_scale(self, mode: str) -> np.ndarray:
         """Per-source scales eps_k, computed once per mode.
@@ -275,7 +287,6 @@ class SufficientStats:
                     "target Hessian is singular; tempering falls back to "
                     "the fisher_ratio scale",
                     RuntimeWarning,
-                    stacklevel=6,  # the caller of tempering_schedule
                 )
             else:
                 # H0^{-1} H_k through the factor, for the source Hessians
@@ -318,24 +329,59 @@ class SufficientStats:
             np.concatenate([(h0 @ self.theta_hat[0])[None], pulls]),
         )
 
+    def surrogate_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The surrogate M-step's N0, N0 theta_0 and source sizes N_k,
+        computed once; see ``m_step_surrogate``."""
+        return self._cached(("surrogate",), self._surrogate_terms)
+
+    def _surrogate_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        n0 = self.sizes[:1]
+        if n0[0] < 1:
+            raise InsufficientDataError("target dataset is empty")
+        return n0, n0[0] * self.theta_hat[0], self.sizes[1:]
+
+    def fixed_null(self, null_spec: NullSpec) -> np.ndarray:
+        """The fixed null's table value for every source, looked up once
+        per table; a source missing from the table is an error."""
+        table = null_spec.table
+        return self._cached(
+            ("fixed", tuple(sorted(table.items()))),
+            lambda: _table_lookup(table, range(1, self.n_sources + 1)),
+        )
+
     def prior_logit(self, pi: np.ndarray) -> np.ndarray:
         """logit of the prior clamped to [WEIGHT_CLAMP, 1 - WEIGHT_CLAMP].
 
         The prior is checked, and its logit computed, only when it
         differs from the last one seen, so a run pays for both once.
         """
-        pi = np.asarray(pi, dtype=float)
-        key = (pi.shape, pi.tobytes())
-        if self._prior is None or self._prior[0] != key:
-            _check_prior(pi, self.n_sources)
-            value = logit(np.clip(pi, WEIGHT_CLAMP, 1.0 - WEIGHT_CLAMP))
-            value.setflags(write=False)
-            self._prior = (key, value)
-        return self._prior[1]
+        return _prior_logit(self, pi, (self.n_sources,))
 
 
-def _check_prior(pi: np.ndarray, n_sources: int) -> None:
-    if pi.shape != (n_sources,):
+def _expand(stats, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # see SufficientStats.expand; stats may carry a leading row axis
+    dev = np.asarray(theta, dtype=float)[..., None, :] - stats.theta_hat
+    curv = np.einsum("...kij,...kj->...ki", stats.hessians, dev)
+    value = stats.loglik_hat + np.einsum(
+        "...ki,...ki->...k", stats.gradients - 0.5 * curv, dev
+    )
+    return value, stats.gradients - curv
+
+
+def _prior_logit(holder, pi, shape: tuple[int, ...]) -> np.ndarray:
+    # the cache keeps the last prior seen, with its logit
+    pi = np.asarray(pi, dtype=float)
+    key = (pi.shape, pi.tobytes())
+    if holder._prior is None or holder._prior[0] != key:
+        _check_prior(pi, shape)
+        value = logit(np.clip(pi, WEIGHT_CLAMP, 1.0 - WEIGHT_CLAMP))
+        value.setflags(write=False)
+        holder._prior = (key, value, pi)
+    return holder._prior[1]
+
+
+def _check_prior(pi: np.ndarray, shape: tuple[int, ...]) -> None:
+    if pi.shape != shape:
         raise InvalidConfigurationError(
             f"pi must have one entry per source, got shape {pi.shape}", key="pi"
         )
@@ -343,6 +389,130 @@ def _check_prior(pi: np.ndarray, n_sources: int) -> None:
         raise InvalidConfigurationError(
             "prior probabilities must lie strictly inside (0, 1)", key="pi"
         )
+
+
+def _table_lookup(table: Mapping[int, float], ks) -> np.ndarray:
+    try:
+        return np.array([table[k] for k in ks], dtype=float)
+    except KeyError as exc:
+        raise InvalidConfigurationError(
+            f"fixed null table has no entry for source {exc.args[0]}",
+            key="null_spec.table",
+        ) from exc
+
+
+class RowStats:
+    """R problems of one shape stacked on a leading row axis.
+
+    Row r reads ``collections[index[r]]``, a :class:`SufficientStats`;
+    every collection has the same source count K and dimension d. The
+    statistics arrays (``theta_hat``, ``loglik_hat``, ``gradients``,
+    ``hessians``, ``sizes``, ``mixture_table``) are stacked per row.
+    Each per-run constant is built once per collection, through that
+    collection's own cache, and stacked on first use, so rows that
+    share a collection share its work. ``source_ids[c]`` are the
+    original indices of collection c's sources (1..K by default), by
+    which a fixed null's table is keyed. The methods mirror
+    ``SufficientStats``, with the row axis leading every result.
+    """
+
+    _ARRAYS = (
+        "theta_hat", "loglik_hat", "gradients", "hessians", "sizes", "mixture_table"
+    )
+
+    def __init__(
+        self,
+        collections: Sequence[SufficientStats],
+        index: Sequence[int],
+        source_ids: Sequence[Sequence[int]] | None = None,
+    ):
+        self.collections = tuple(collections)
+        shapes = sorted({(c.n_sources, c.dim) for c in self.collections})
+        if len(shapes) != 1:
+            raise InvalidConfigurationError(
+                "rows must share one shape after empty sources are dropped; "
+                f"got (sources, dimension) pairs {shapes}",
+                key="rows",
+            )
+        n_sources = shapes[0][0]
+        if source_ids is None:
+            source_ids = [range(1, n_sources + 1)] * len(self.collections)
+        self.source_ids = tuple(tuple(ids) for ids in source_ids)
+        self.index = np.asarray(index, dtype=int)
+        for name in self._ARRAYS:
+            stacked = np.stack([getattr(c, name) for c in self.collections])
+            setattr(self, name, stacked[self.index])
+        self._cache: dict[tuple, object] = {}
+        self._prior: tuple | None = None  # (key, logit, prior)
+
+    @property
+    def n_sources(self) -> int:
+        return self.theta_hat.shape[-2] - 1
+
+    @property
+    def dim(self) -> int:
+        return self.theta_hat.shape[-1]
+
+    def take(self, rows) -> "RowStats":
+        """The stack of the selected rows (an index array or a mask),
+        with every constant built so far."""
+        out = copy.copy(self)
+        out.index = self.index[rows]
+        for name in self._ARRAYS:
+            setattr(out, name, getattr(self, name)[rows])
+        out._cache = {
+            key: tuple(a[rows] for a in value) if isinstance(value, tuple) else value[rows]
+            for key, value in self._cache.items()
+        }
+        if self._prior is not None:
+            pi = self._prior[2][rows]
+            out._prior = ((pi.shape, pi.tobytes()), self._prior[1][rows], pi)
+        return out
+
+    def _stacked(self, key: tuple, build):
+        # build(collection, source ids) once per collection, then per row
+        if key not in self._cache:
+            parts = [build(c, ids) for c, ids in zip(self.collections, self.source_ids)]
+            if isinstance(parts[0], tuple):
+                value = tuple(np.stack(p)[self.index] for p in zip(*parts))
+            else:
+                value = np.stack(parts)[self.index]
+            self._cache[key] = value
+        return self._cache[key]
+
+    def expand(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``SufficientStats.expand`` per row: theta (R, d) gives values
+        (R, K+1) and gradients (R, K+1, d)."""
+        return _expand(self, theta)
+
+    def tempering_scale(self, mode: str) -> np.ndarray:
+        return self._stacked(("eps", mode), lambda c, _: c.tempering_scale(mode))
+
+    def pooled_null(self) -> np.ndarray:
+        return self._stacked(("pooled",), lambda c, _: c.pooled_null())
+
+    def laplace_factor(self, tau: float) -> tuple[np.ndarray, np.ndarray]:
+        return self._stacked(("laplace", tau), lambda c, _: c.laplace_factor(tau))
+
+    def blend_terms(self, tau: float) -> tuple[np.ndarray, np.ndarray]:
+        return self._stacked(("blend", tau), lambda c, _: c.blend_terms(tau))
+
+    def surrogate_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self._stacked(("surrogate",), lambda c, _: c.surrogate_terms())
+
+    def fixed_null(self, null_spec: NullSpec) -> np.ndarray:
+        """Each row's table values, its sources looked up by original index."""
+        table = null_spec.table
+
+        def build(collection, ids):
+            own = {new: table[k] for new, k in enumerate(ids, start=1) if k in table}
+            return collection.fixed_null(NullSpec("fixed", own))
+
+        return self._stacked(("fixed", tuple(sorted(table.items()))), build)
+
+    def prior_logit(self, pi: np.ndarray) -> np.ndarray:
+        """Per-row ``SufficientStats.prior_logit`` of a prior of shape (R, K)."""
+        return _prior_logit(self, pi, (len(self.index), self.n_sources))
 
 
 def build_sufficient_stats(
@@ -452,11 +622,12 @@ def relevant_marginal_loglik(
 
 def _null_scores(
     null_spec: NullSpec,
-    stats: SufficientStats,
+    stats: SufficientStats | RowStats,
     weights_prev: np.ndarray,
     ks: np.ndarray,
 ) -> np.ndarray:
-    """Null log-densities of the sources ``ks`` (indexed from 1).
+    """Null log-densities of the sources ``ks`` (indexed from 1), per
+    row when ``stats`` stacks rows.
 
     The mixture form averages the other sources' fitted models with
     responsibilities (1 - w_j) lagged from the previous iteration,
@@ -464,15 +635,9 @@ def _null_scores(
     ``stats.mixture_table``.
     """
     if null_spec.kind == "fixed":
-        try:
-            return np.array([null_spec.table[k] for k in ks], dtype=float)
-        except KeyError as exc:
-            raise InvalidConfigurationError(
-                f"fixed null table has no entry for source {exc.args[0]}",
-                key="null_spec.table",
-            ) from exc
+        return stats.fixed_null(null_spec)[..., ks - 1]
     if null_spec.kind == "parametric_pooled":
-        return stats.pooled_null()[ks - 1]
+        return stats.pooled_null()[..., ks - 1]
     n_sources = stats.n_sources
     if n_sources < 2:
         raise InvalidConfigurationError(
@@ -480,18 +645,22 @@ def _null_scores(
         )
     survival = 1.0 - np.asarray(weights_prev, dtype=float)
     with np.errstate(divide="ignore"):
-        # rows: mixture components j = 1..K; columns: the scored sources
-        terms = np.log(survival)[:, None] + stats.mixture_table[:, ks - 1]
-    peak = terms.max(axis=0)
-    degenerate = ~np.isfinite(peak)
-    if np.any(degenerate):
+        # rows: mixture components j = 1..K; columns: the scored sources.
+        # The fancy index lays the copy out column by column, so the sum
+        # over components below runs along contiguous memory (pairwise)
+        terms = np.log(survival)[..., :, None] + stats.mixture_table[..., :, ks - 1]
+    peak = terms.max(axis=-2)
+    finite = np.isfinite(peak)
+    if not finite.all():
+        # the first bad source of the first bad row
+        k = ks[np.argwhere(~finite)[0][-1]]
         raise DegenerateNullError(
-            f"mixture null for source {ks[degenerate][0]} is degenerate: no "
-            "other component has positive responsibility and a finite "
-            "likelihood; fall back to the parametric_pooled null"
+            f"mixture null for source {k} is degenerate: no other component "
+            "has positive responsibility and a finite likelihood; fall back "
+            "to the parametric_pooled null"
         )
     # the peak term contributes exp(0) = 1, so the log is finite
-    total = np.exp(terms - peak).sum(axis=0)
+    total = np.exp(terms - peak[..., None, :]).sum(axis=-2)
     return np.log(total) + peak - math.log(n_sources - 1)
 
 
@@ -509,9 +678,10 @@ def null_loglik(
 
 
 def tempering_schedule(
-    t: int, stats: SufficientStats, mode: str, nu: float
+    t: int, stats: SufficientStats | RowStats, mode: str, nu: float
 ) -> np.ndarray:
-    """Per-source tempering multipliers beta_k at iteration t.
+    """Per-source tempering multipliers beta_k at iteration t, per row
+    when ``stats`` stacks rows.
 
     beta_k = (1 - exp(-nu t)) / eps_k, with eps_k from
     ``SufficientStats.tempering_scale``.
@@ -524,40 +694,47 @@ def tempering_schedule(
         )
     ramp = -np.expm1(-nu * t)
     if ramp == 0.0:
-        return np.zeros(stats.n_sources)
+        return np.zeros(stats.sizes[..., 1:].shape)
     return ramp / stats.tempering_scale(mode)
 
 
 def _name_non_finite(values: np.ndarray, what: str) -> None:
     finite = np.isfinite(values)
     if not finite.all():
-        k = int(np.argmin(finite)) + 1
+        # the first bad source of the first bad row
+        k = int(np.argwhere(~finite)[0][-1]) + 1
         raise NonFiniteLikelihoodError(
             f"{what} for source {k} is not finite", source_index=k
         )
 
 
 def e_step(
-    state: EmState, stats: SufficientStats, pi: np.ndarray, config: EmConfig
+    state: EmState,
+    stats: SufficientStats | RowStats,
+    pi: np.ndarray,
+    config: EmConfig,
 ) -> np.ndarray:
     """Tempered relevance weights for the current iterate.
 
     w_k = sigmoid(beta_k [rel_k - null_k] + logit(pi_k)), where rel_k
     is the relevant marginal of dataset k at the current theta and
     null_k the irrelevance score. With beta identically zero (t = 0)
-    the prior is returned exactly and no statistic is read.
+    the prior is returned exactly and no statistic is read. With
+    :class:`RowStats`, theta, the weights, beta and pi carry the row
+    axis first.
     """
     pi = np.asarray(pi, dtype=float)
     prior_logit = stats.prior_logit(pi)
     beta = np.asarray(state.beta, dtype=float)
-    if np.all(beta == 0.0):
+    if not beta.any():
         return pi.copy()
-    prev = np.clip(
-        np.asarray(state.weights, dtype=float), WEIGHT_CLAMP, 1.0 - WEIGHT_CLAMP
+    prev = np.minimum(
+        np.maximum(np.asarray(state.weights, dtype=float), WEIGHT_CLAMP),
+        1.0 - WEIGHT_CLAMP,
     )
     value, grad = stats.expand(state.theta)
     factor = stats.laplace_factor(config.tau) if config.tau else None
-    rel = _laplace(value[1:], grad[1:], factor, config.tau)
+    rel = _laplace(value[..., 1:], grad[..., 1:, :], factor, config.tau)
     _name_non_finite(rel, "relevant marginal")
     sources = np.arange(1, stats.n_sources + 1)
     ratio = rel - _null_scores(config.null_spec, stats, prev, sources)
@@ -566,11 +743,13 @@ def e_step(
 
 
 def _solve_with_jitter(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    # escalate diagonal jitter only when the plain solve fails
+    """Solve lhs x = rhs, batched over leading axes; diagonal jitter
+    escalates only for a system whose plain solve fails."""
     try:
-        return np.linalg.solve(lhs, rhs)
+        return np.linalg.solve(lhs, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError:
-        pass
+        if lhs.ndim > 2:
+            return np.stack([_solve_with_jitter(a, b) for a, b in zip(lhs, rhs)])
     scale = 1.0 + abs(np.trace(lhs)) / lhs.shape[0]
     for jitter in (1e-12, 1e-10, 1e-8, 1e-6):
         try:
@@ -581,7 +760,7 @@ def _solve_with_jitter(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def m_step_exact(
-    stats: SufficientStats, weights: np.ndarray, tau: float
+    stats: SufficientStats | RowStats, weights: np.ndarray, tau: float
 ) -> np.ndarray:
     """Precision-weighted blend of the target and source MLEs.
 
@@ -591,27 +770,33 @@ def m_step_exact(
     sum Lambda_k theta_k), Lambda_k = w_k H0^{-1} C_k, multiplied
     through by H0. The blocks and pulls come from
     ``SufficientStats.blend_terms``, once per tau; an iteration forms
-    the two weighted sums and makes one d x d solve, no explicit
-    inverses.
+    the two weighted sums and makes one d x d solve per row, no
+    explicit inverses.
     """
     stack, pulls = stats.blend_terms(tau)
     # weight 1 on the target term, then the sources in order: the sums
     # along the stacking axis run in that order, so rounding follows
     # the formula
-    scale = np.concatenate([[1.0], np.asarray(weights, dtype=float)])
-    lhs = (scale[:, None, None] * stack).sum(axis=0)
-    rhs = (scale[:, None] * pulls).sum(axis=0)
+    weights = np.asarray(weights, dtype=float)
+    scale = np.empty(weights.shape[:-1] + (weights.shape[-1] + 1,))
+    scale[..., 0] = 1.0
+    scale[..., 1:] = weights
+    lhs = (scale[..., None, None] * stack).sum(axis=-3)
+    rhs = (scale[..., None] * pulls).sum(axis=-2)
     return _solve_with_jitter(lhs, rhs)
 
 
-def m_step_surrogate(stats: SufficientStats, weights: np.ndarray) -> np.ndarray:
-    """Sample-size weighted average of the target and source MLEs."""
-    n0 = stats.sizes[0]
-    if n0 < 1:
-        raise InsufficientDataError("target dataset is empty")
-    mass = np.asarray(weights, dtype=float) * stats.sizes[1:]
-    numer = n0 * stats.theta_hat[0] + mass @ stats.theta_hat[1:]
-    return numer / (n0 + mass.sum())
+def m_step_surrogate(
+    stats: SufficientStats | RowStats, weights: np.ndarray
+) -> np.ndarray:
+    """Sample-size weighted average of the target and source MLEs:
+    (N0 theta_0 + sum_k w_k N_k theta_k) / (N0 + sum_k w_k N_k), with
+    the terms that do not depend on the weights from
+    ``SufficientStats.surrogate_terms``."""
+    n0, pull0, sizes = stats.surrogate_terms()
+    mass = np.asarray(weights, dtype=float) * sizes
+    numer = pull0 + (mass[..., None, :] @ stats.theta_hat[..., 1:, :])[..., 0, :]
+    return numer / (n0 + mass.sum(axis=-1, keepdims=True))
 
 
 def run_em(
@@ -623,29 +808,36 @@ def run_em(
     """Full tempered EM loop over a target and its candidate sources.
 
     ``datasets[0]`` is the target, the rest are sources aligned with
-    ``pi``, which is checked before any dataset is read. Sufficient
-    statistics, and the constants cached on them, are computed once;
-    each iteration refreshes the tempering multipliers, re-scores the
-    weights, and blends a new theta. Convergence is declared when the weight vector
-    moves less than ``config.tol`` in the max norm for
-    ``config.patience`` consecutive iterations; hitting max_iters is
-    reported, not raised.
+    ``pi``, which is checked before any dataset is read. This is the
+    one-row call of :func:`run_em_rows`, which describes the loop.
     """
-    datasets = list(datasets)
+    [result] = run_em_rows([datasets], model, [(0, pi)], config)
+    return result
+
+
+def _check_collection(datasets: list) -> None:
     if len(datasets) < 2:
         raise InsufficientDataError("need a target dataset and at least one source")
     if len(datasets[0]) == 0:
         raise InsufficientDataError("target dataset is empty")
-    pi = np.asarray(pi, dtype=float)
-    _check_prior(pi, len(datasets) - 1)
 
+
+def _prepare(
+    datasets: list, model: LikelihoodFamily, config: EmConfig
+) -> tuple[SufficientStats, list[int], tuple[int, ...], EmConfig]:
+    """Drop a collection's empty sources and build its statistics.
+
+    Returns the statistics, the kept and dropped source indices, and
+    the config its report echoes, whose fixed-null table, if any,
+    follows the kept sources.
+    """
     kept = [k for k in range(1, len(datasets)) if len(datasets[k]) > 0]
     dropped = tuple(k for k in range(1, len(datasets)) if len(datasets[k]) == 0)
     if dropped:
         warnings.warn(
             f"dropping empty source datasets {list(dropped)}",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     if not kept:
         raise InsufficientDataError("every source dataset is empty")
@@ -667,65 +859,148 @@ def run_em(
             }
             config = replace(config, null_spec=NullSpec("fixed", remapped))
 
-    datasets = [datasets[0]] + [datasets[k] for k in kept]
-    pi = pi[[k - 1 for k in kept]]
-
     if config.null_spec.kind == "empirical_bayes_mixture" and len(kept) < 2:
         raise InvalidConfigurationError(
             "the mixture null needs at least two sources; "
             "use parametric_pooled or fixed",
             key="null_spec.kind",
         )
+    stats = build_sufficient_stats(model, [datasets[0]] + [datasets[k] for k in kept])
+    return stats, kept, dropped, config
 
-    stats = build_sufficient_stats(model, datasets)
-    n_sources = stats.n_sources
+
+class _History:
+    """Per-row weight, theta, beta and delta_w trajectories, one slot
+    per iteration counter value; capacity doubles as iterations run."""
+
+    def __init__(self, n_rows: int, n_sources: int, dim: int):
+        width = (n_sources, dim, n_sources)
+        self.slots = [np.empty((n_rows, 8, w)) for w in width]
+        self.slots.append(np.empty((n_rows, 8)))
+
+    def record(self, rows, t: int, *values: np.ndarray) -> None:
+        if t == self.slots[0].shape[1]:
+            self.slots = [
+                np.concatenate([slot, np.empty_like(slot)], axis=1)
+                for slot in self.slots
+            ]
+        for slot, value in zip(self.slots, values):
+            slot[rows, t] = value
+
+    def row(self, r: int, iterations: int) -> list[np.ndarray]:
+        return [slot[r, : iterations + 1].copy() for slot in self.slots]
+
+
+def run_em_rows(
+    collections: Sequence[Sequence[Dataset]],
+    model: LikelihoodFamily,
+    rows: Sequence[tuple[int, Sequence[float]]],
+    config: EmConfig,
+) -> list[tuple[EmState, EmRunReport]]:
+    """Tempered EM over R problems of one shape, advanced together.
+
+    Each collection is a target followed by its candidate sources, as
+    in :func:`run_em`. Row r = (c, pi) runs EM on ``collections[c]``
+    from the prior ``pi``, so rows may share a collection; its
+    statistics, and the per-run constants cached on them, are built
+    once. Every row's prior is checked before any dataset is read.
+    Empty sources are dropped per collection; the rows must then share
+    one shape (K, d), or ``InvalidConfigurationError`` is raised.
+
+    Each iteration refreshes the tempering multipliers, re-scores the
+    weights and blends a new theta for every active row. A row has
+    converged when its weight vector moves less than ``config.tol`` in
+    the max norm for ``config.patience`` consecutive iterations; it
+    then freezes and leaves the stack. Hitting max_iters is reported,
+    not raised. An error in any row is raised as its solo run raises
+    it. Returns one (state, report) pair per row, in row order, each
+    equal to that row's solo :func:`run_em`.
+    """
+    collections = [list(datasets) for datasets in collections]
+    rows = [(c, np.asarray(pi, dtype=float)) for c, pi in rows]
+    if not rows:
+        raise InvalidConfigurationError("need at least one row", key="rows")
+    for c, pi in rows:
+        if not (isinstance(c, Integral) and 0 <= c < len(collections)):
+            raise InvalidConfigurationError(
+                f"row collection {c!r} is not one of the "
+                f"{len(collections)} collections",
+                key="rows",
+            )
+        _check_collection(collections[c])
+        _check_prior(pi, (len(collections[c]) - 1,))
+    prepared = [_prepare(datasets, model, config) for datasets in collections]
+    stats = RowStats(
+        [p[0] for p in prepared], [c for c, _ in rows], [p[1] for p in prepared]
+    )
+    pi = np.array([pi[[k - 1 for k in prepared[c][1]]] for c, pi in rows])
+
+    n_rows = len(rows)
     state = EmState(
-        theta=np.zeros(stats.dim),
+        theta=np.zeros((n_rows, stats.dim)),
         weights=pi.copy(),
         t=0,
-        beta=np.zeros(n_sources),
+        beta=np.zeros(pi.shape),
     )
     state.weights = e_step(state, stats, pi, config)
+    history = _History(n_rows, stats.n_sources, stats.dim)
+    history.record(
+        slice(None), 0, state.weights, state.theta, state.beta, np.full(n_rows, np.inf)
+    )
 
-    weight_rows = [state.weights.copy()]
-    theta_rows = [state.theta.copy()]
-    beta_rows = [state.beta.copy()]
-    delta_rows = [np.inf]
-
-    converged = False
-    streak = 0
-    iterations = 0
+    # the live rows' history slots: all rows until the first one freezes
+    active, live = np.arange(n_rows), slice(None)
+    streak = np.zeros(n_rows, dtype=int)
+    converged = np.zeros(n_rows, dtype=bool)
+    iterations = np.full(n_rows, config.max_iters)
     for t in range(1, config.max_iters + 1):
         state.t = t
         state.beta = tempering_schedule(t, stats, config.tempering_mode, config.nu)
         new_weights = e_step(state, stats, pi, config)
-        delta = float(np.max(np.abs(new_weights - state.weights)))
+        delta = np.abs(new_weights - state.weights).max(axis=-1)
         state.weights = new_weights
         if config.variant == "exact_hessian_reuse":
             state.theta = m_step_exact(stats, state.weights, config.tau)
         else:
             state.theta = m_step_surrogate(stats, state.weights)
-        iterations = t
-        weight_rows.append(state.weights.copy())
-        theta_rows.append(state.theta.copy())
-        beta_rows.append(state.beta.copy())
-        delta_rows.append(delta)
-        streak = streak + 1 if delta <= config.tol else 0
-        if streak >= config.patience:
-            converged = True
-            break
+        history.record(live, t, state.weights, state.theta, state.beta, delta)
+        streak = (streak + 1) * (delta <= config.tol)
+        if streak.max() >= config.patience:
+            done = streak >= config.patience
+            converged[active[done]] = True
+            iterations[active[done]] = t
+            keep = ~done
+            if not keep.any():
+                break
+            # converged rows freeze: re-index the stack without them
+            active, streak, pi = active[keep], streak[keep], pi[keep]
+            live = active
+            stats = stats.take(keep)
+            state = EmState(state.theta[keep], state.weights[keep], t, state.beta[keep])
 
-    report = EmRunReport(
-        converged=converged,
-        iterations=iterations,
-        config=config,
-        weight_history=np.array(weight_rows),
-        theta_history=np.array(theta_rows),
-        beta_history=np.array(beta_rows),
-        delta_w_history=np.array(delta_rows),
-        dropped_sources=dropped,
-    )
-    return state, report
+    results = []
+    for r, (c, _) in enumerate(rows):
+        weights, theta, beta, delta = history.row(r, iterations[r])
+        final = EmState(
+            theta=theta[-1].copy(),
+            weights=weights[-1].copy(),
+            t=int(iterations[r]),
+            beta=beta[-1].copy(),
+        )
+        results.append((
+            final,
+            EmRunReport(
+                converged=bool(converged[r]),
+                iterations=int(iterations[r]),
+                config=prepared[c][3],
+                weight_history=weights,
+                theta_history=theta,
+                beta_history=beta,
+                delta_w_history=delta,
+                dropped_sources=prepared[c][2],
+            ),
+        ))
+    return results
 
 
 def _config_echo(config: EmConfig) -> str:

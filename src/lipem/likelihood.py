@@ -259,10 +259,16 @@ class SplineGlmModel(LikelihoodFamily):
             raise InvalidConfigurationError("need at least 3 knots")
         if np.any(np.diff(self.knots) <= 0):
             raise InvalidConfigurationError("knots must be strictly increasing")
-        if noise_variance <= 0:
-            raise InvalidConfigurationError("noise_variance must be positive")
-        if ridge < 0:
-            raise InvalidConfigurationError("ridge must be nonnegative")
+        # written so that NaN fails too
+        if not noise_variance > 0:
+            raise InvalidConfigurationError(
+                f"noise_variance must be positive, got {noise_variance}",
+                key="noise_variance",
+            )
+        if not ridge >= 0:
+            raise InvalidConfigurationError(
+                f"ridge must be nonnegative, got {ridge}", key="ridge"
+            )
         self.noise_variance = float(noise_variance)
         self.ridge = float(ridge)
 

@@ -778,6 +778,11 @@ class TestBenchGaussianCommand:
             ("gaussian", {"experiment": {"dims": [0]}}, "experiment.dims"),
             ("dichotomy", {"dichotomy": {"replications": 0}}, "dichotomy.replications"),
             ("consistency", {"consistency": {"replications": 0}}, "consistency.replications"),
+            ("gaussian", {"experiment": {"n_relevant": 5}}, "experiment.n_relevant"),
+            ("gaussian", {"experiment": {"n_relevant": -1}}, "experiment.n_relevant"),
+            ("gaussian", {"experiment": {"n_sources": 0}}, "experiment.n_sources"),
+            ("gaussian", {"experiment": {"p0": 0}}, "experiment.p0"),
+            ("gaussian", {"experiment": {"strong_prior": 1.5}}, "experiment.strong_prior"),
         ],
     )
     def test_bad_bench_value_exits_three_naming_key(
@@ -1061,3 +1066,64 @@ class TestNegativeCount:
         assert dispatch(argv) == 0
         capsys.readouterr()
         assert out.read_bytes() == b""
+
+
+class TestNonFiniteTurbofanValues:
+    """A nan or inf cycle or sensor 9 value is one parse error naming
+    the file line, not a NaN noise variance found later."""
+
+    @pytest.mark.parametrize(
+        "column, value", [(1, "nan"), (1, "inf"), (13, "nan"), (13, "-inf")]
+    )
+    def test_exits_one_naming_the_line(self, cmapss_dir, capsys, column, value):
+        data = cmapss_dir / "train_FD001.txt"
+        lines = data.read_text().splitlines()
+        fields = lines[4].split()
+        fields[column] = value
+        lines[4] = " ".join(fields)
+        data.write_text("\n".join(lines) + "\n")
+        out = cmapss_dir / "r"
+        argv = ["bench", "cmapss", "--data", str(cmapss_dir), "--engines", "2",
+                "--cutoff", "0.5", "--lip", "uniform", "--out", str(out)]
+        assert dispatch(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: parse:") and err.count("\n") == 1
+        assert f"{data}: line 5: non-finite" in err
+        assert not out.exists()
+
+
+class TestSplineModelSection:
+    """A NaN spline noise variance or ridge is a configuration fault."""
+
+    @pytest.mark.parametrize("key", ["noise_variance", "ridge"])
+    def test_nan_exits_three_naming_key(self, tmp_path, capsys, key):
+        target, source = tmp_path / "t.txt", tmp_path / "s.txt"
+        np.savetxt(target, [[1.0, 2.0], [2.0, 2.5], [3.0, 2.9]])
+        np.savetxt(source, [[1.0, 2.1], [2.0, 2.4], [3.0, 3.0], [4.0, 3.4]])
+        cfg = tmp_path / "cfg.json"
+        model = {"kind": "spline_glm", "knots": [0.0, 2.0, 4.0], key: float("nan")}
+        cfg.write_text(json.dumps({"model": model}))
+        out = tmp_path / "report.txt"
+        argv = ["run-em", "--target", str(target), "--sources", str(source),
+                "--config", str(cfg), "--out", str(out)]
+        assert dispatch(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"[key: model.{key}]" in err
+        assert not out.exists()
+
+
+def test_python_dash_m_lipem_runs_the_cli():
+    import os
+    import subprocess
+    import sys
+
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-m", "lipem", "bench", "gaussian", "--help"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0
+    assert done.stdout.startswith("usage: lipem bench gaussian")
+    assert done.stderr == ""

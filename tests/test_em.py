@@ -9,9 +9,12 @@ tests for the E-step, both M-steps, and the full loop follow.
 import math
 import warnings
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 from scipy.special import expit, logit, logsumexp
 from scipy.stats import norm
@@ -21,6 +24,7 @@ from lipem.em import (
     EmConfig,
     EmState,
     NullSpec,
+    RowStats,
     SufficientStats,
     _null_scores,
     build_sufficient_stats,
@@ -30,6 +34,7 @@ from lipem.em import (
     null_loglik,
     relevant_marginal_loglik,
     run_em,
+    run_em_rows,
     tempering_schedule,
     write_em_report,
 )
@@ -37,6 +42,7 @@ from lipem.errors import (
     DegenerateNullError,
     InsufficientDataError,
     InvalidConfigurationError,
+    LipemError,
     NonFiniteLikelihoodError,
 )
 from lipem.likelihood import Dataset, GaussianMeanModel, SplineGlmModel, clamp_psd
@@ -922,3 +928,216 @@ class TestEmReportFile:
             report.weight_history[1],
             rtol=1e-10,
         )
+
+
+def _assert_same_run(got, want):
+    """A row's (state, report) equals its solo run's, bit for bit."""
+    (state, report), (solo_state, solo) = got, want
+    assert report.iterations == solo.iterations
+    assert report.converged == solo.converged
+    assert report.dropped_sources == solo.dropped_sources
+    assert report.config == solo.config
+    for name in ("weight_history", "theta_history", "beta_history", "delta_w_history"):
+        np.testing.assert_array_equal(getattr(report, name), getattr(solo, name))
+    np.testing.assert_array_equal(state.theta, solo_state.theta)
+    np.testing.assert_array_equal(state.weights, solo_state.weights)
+    np.testing.assert_array_equal(state.beta, solo_state.beta)
+    assert state.t == solo_state.t
+
+
+def _reference_run(datasets, model, pi, config):
+    """The per-run loop that run_em_rows replaced, kept as the reference:
+    one problem, unstacked statistics, no empty sources."""
+    stats = build_sufficient_stats(model, datasets)
+    pi = np.asarray(pi, dtype=float)
+    state = EmState(np.zeros(stats.dim), pi.copy(), 0, np.zeros(stats.n_sources))
+    state.weights = e_step(state, stats, pi, config)
+    rows = [(state.weights.copy(), state.theta.copy(), state.beta.copy(), np.inf)]
+    converged, streak, iterations = False, 0, 0
+    for t in range(1, config.max_iters + 1):
+        state.t = t
+        state.beta = tempering_schedule(t, stats, config.tempering_mode, config.nu)
+        new_weights = e_step(state, stats, pi, config)
+        delta = float(np.max(np.abs(new_weights - state.weights)))
+        state.weights = new_weights
+        if config.variant == "exact_hessian_reuse":
+            state.theta = m_step_exact(stats, state.weights, config.tau)
+        else:
+            state.theta = m_step_surrogate(stats, state.weights)
+        iterations = t
+        rows.append((state.weights.copy(), state.theta.copy(), state.beta.copy(), delta))
+        streak = streak + 1 if delta <= config.tol else 0
+        if streak >= config.patience:
+            converged = True
+            break
+    weights, theta, beta, deltas = (np.array(column) for column in zip(*rows))
+    report = em.EmRunReport(converged, iterations, config, weights, theta, beta, deltas)
+    return state, report
+
+
+def _collection(rng, k, d, n_target=5):
+    means = rng.normal(0.0, 2.0, size=(k, d))
+    return [Dataset(rng.normal(0.0, 1.0, size=(n_target, d)))] + [
+        Dataset(rng.normal(m, 1.0, size=(int(rng.integers(20, 120)), d))) for m in means
+    ]
+
+
+class TestRowAxis:
+    """run_em_rows advances many problems at once; each row must equal
+    the solo run_em of its (collection, prior) pair."""
+
+    @settings(max_examples=25, deadline=None, database=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_rows=st.integers(1, 6),
+        k=st.integers(2, 5),
+        d=st.integers(1, 3),
+        variant=st.sampled_from(em.VARIANTS),
+        null_kind=st.sampled_from(em.NULL_KINDS),
+        tau=st.sampled_from([0.0, 0.1, 1.0]),
+    )
+    def test_every_row_equals_its_solo_run(
+        self, seed, n_rows, k, d, variant, null_kind, tau
+    ):
+        rng = np.random.default_rng(seed)
+        collections = [_collection(rng, k, d) for _ in range(int(rng.integers(1, n_rows + 1)))]
+        table = {j: float(rng.normal(-60.0, 10.0)) for j in range(1, k + 1)}
+        config = EmConfig(
+            tau=tau,
+            nu=float(10 ** rng.uniform(-3.0, -0.5)),
+            variant=variant,
+            null_spec=NullSpec(null_kind, table if null_kind == "fixed" else None),
+            max_iters=int(rng.integers(1, 120)),
+            tol=float(10 ** rng.uniform(-5.0, -2.0)),
+        )
+        rows = [
+            (int(rng.integers(len(collections))), rng.uniform(0.01, 0.99, size=k))
+            for _ in range(n_rows)
+        ]
+        model = GaussianMeanModel(d)
+        got = run_em_rows(collections, model, rows, config)
+        assert len(got) == n_rows
+        for (c, pi), result in zip(rows, got):
+            _assert_same_run(result, run_em(collections[c], model, pi, config))
+            _assert_same_run(result, _reference_run(collections[c], model, pi, config))
+
+    def test_a_converged_row_freezes_while_others_run(self):
+        rng = np.random.default_rng(42)
+        data = _collection(rng, 3, 1)
+        config = EmConfig(tau=0.1, nu=0.05, max_iters=400, tol=1e-4)
+        pis = [np.array([0.5, 0.5, 0.5]), np.array([1e-6, 0.999, 1e-6])]
+        rows = [(0, pis[0]), (0, pis[1])]
+        got = run_em_rows([data], GaussianMeanModel(1), rows, config)
+        iterations = [report.iterations for _, report in got]
+        assert iterations[0] != iterations[1]
+        assert all(report.converged for _, report in got)
+        for (_, pi), result in zip(rows, got):
+            _assert_same_run(result, run_em(data, GaussianMeanModel(1), pi, config))
+            # one history row per iteration run, not per max_iters
+            assert result[1].weight_history.shape == (result[1].iterations + 1, 3)
+
+    def test_jitter_reaches_only_the_singular_row(self):
+        # every Hessian of the first collection is zero in its second
+        # coordinate, so that row's blend is exactly singular and needs
+        # jitter; the second row's blend solves as it is
+        rng = np.random.default_rng(42)
+
+        def stats(hessians):
+            n = len(hessians)
+            return SufficientStats(
+                rng.normal(size=(n, 2)), rng.normal(size=n), np.zeros((n, 2)),
+                np.asarray(hessians, dtype=float), np.full(n, 10), np.zeros(2),
+            )
+
+        singular = stats([np.diag([2.0, 0.0]), np.diag([3.0, 0.0]), np.diag([1.0, 0.0])])
+        regular = stats([np.eye(2) * 2.0, np.diag([3.0, 1.0]), np.diag([1.0, 4.0])])
+        weights = np.array([[0.3, 0.6], [0.2, 0.9]])
+        stack, pulls = singular.blend_terms(0.1)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(stack[0] + 0.3 * stack[1] + 0.6 * stack[2], pulls[0])
+        got = m_step_exact(RowStats([singular, regular], [0, 1]), weights, 0.1)
+        np.testing.assert_array_equal(got[0], m_step_exact(singular, weights[0], 0.1))
+        np.testing.assert_array_equal(got[1], m_step_exact(regular, weights[1], 0.1))
+        assert np.all(np.isfinite(got))
+
+    @pytest.mark.parametrize(
+        "break_row",
+        [
+            lambda data, pi: ([Dataset(np.zeros((0, 1)))] + data[1:], pi),
+            lambda data, pi: (data, np.array([0.5, 1.0, 0.5])),
+            lambda data, pi: (
+                [Dataset(np.array([[0.1], [np.nan]]))] + data[1:], pi
+            ),
+            lambda data, pi: ([data[0], *[Dataset(np.zeros((0, 1)))] * 3], pi),
+        ],
+        ids=["empty-target", "prior-of-one", "non-finite-value", "every-source-empty"],
+    )
+    def test_a_failing_row_raises_as_its_solo_run(self, break_row):
+        rng = np.random.default_rng(42)
+        good = _collection(rng, 3, 1)
+        bad, bad_pi = break_row(_collection(rng, 3, 1), np.full(3, 0.5))
+        config = EmConfig(tau=0.1, max_iters=20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(LipemError) as solo:
+                run_em(bad, GaussianMeanModel(1), bad_pi, config)
+            with pytest.raises(LipemError) as batched:
+                run_em_rows(
+                    [good, bad], GaussianMeanModel(1),
+                    [(0, np.full(3, 0.5)), (1, bad_pi)], config,
+                )
+        assert type(batched.value) is type(solo.value)
+        assert str(batched.value) == str(solo.value)
+
+    def test_rows_of_different_shapes_after_dropping_are_rejected(self):
+        rng = np.random.default_rng(42)
+        full = _collection(rng, 3, 1)
+        short = [*_collection(rng, 3, 1)[:2], Dataset(np.zeros((0, 1))), full[3]]
+        with pytest.warns(RuntimeWarning, match="dropping empty source"):
+            with pytest.raises(InvalidConfigurationError) as err:
+                run_em_rows(
+                    [full, short], GaussianMeanModel(1),
+                    [(0, np.full(3, 0.5)), (1, np.full(3, 0.5))], EmConfig(max_iters=5),
+                )
+        assert err.value.key == "rows"
+
+    def test_rows_dropping_different_sources_keep_their_own_null_table(self):
+        rng = np.random.default_rng(42)
+        empty = Dataset(np.zeros((0, 1)))
+        a, b = _collection(rng, 3, 1), _collection(rng, 3, 1)
+        a[1], b[3] = empty, empty
+        config = EmConfig(
+            null_spec=NullSpec("fixed", {1: -40.0, 2: -55.0, 3: -48.0}), max_iters=30
+        )
+        rows = [(0, np.full(3, 0.4)), (1, np.array([0.2, 0.7, 0.4]))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            got = run_em_rows([a, b], GaussianMeanModel(1), rows, config)
+            for (c, pi), result in zip(rows, got):
+                _assert_same_run(
+                    result, run_em([a, b][c], GaussianMeanModel(1), pi, config)
+                )
+        assert [r.dropped_sources for _, r in got] == [(1,), (3,)]
+        tables = [{1: -55.0, 2: -48.0}, {1: -40.0, 2: -55.0}]
+        assert [r.config.null_spec.table for _, r in got] == tables
+        # the same runs without the empty sources, tables given compacted
+        for (state, _), kept, pi, table in zip(
+            got, (a[:1] + a[2:], b[:3]), (rows[0][1][1:], rows[1][1][:2]), tables
+        ):
+            direct = replace(config, null_spec=NullSpec("fixed", table))
+            want, _ = run_em(kept, GaussianMeanModel(1), pi, direct)
+            np.testing.assert_array_equal(state.weights, want.weights)
+            np.testing.assert_array_equal(state.theta, want.theta)
+
+    def test_run_em_is_the_one_row_call(self, monkeypatch):
+        calls = []
+        original = em.run_em_rows
+
+        def spy(*args, **kwargs):
+            calls.append(args[2])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(em, "run_em_rows", spy)
+        rng = np.random.default_rng(42)
+        run_em(_collection(rng, 2, 1), GaussianMeanModel(1), [0.5, 0.5], EmConfig(max_iters=3))
+        assert len(calls) == 1 and len(calls[0]) == 1
