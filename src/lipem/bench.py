@@ -27,6 +27,7 @@ from .em import (
     run_em_rows,
 )
 from .errors import InsufficientDataError, InvalidConfigurationError
+from .files import FD001_INSTRUCTIONS, ingest_cmapss
 from .likelihood import (
     Dataset,
     GaussianMeanModel,
@@ -66,14 +67,6 @@ __all__ = [
 CMAPSS_ENGINES = (4, 9, 18, 26, 27, 48, 51, 53, 55, 80)
 # remaining-life cutoffs: each target keeps its first (1 - cutoff) of cycles
 CMAPSS_CUTOFFS = (0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1)
-
-FD001_INSTRUCTIONS = (
-    "C-MAPSS FD001 training data not found. Download the 'Turbofan Engine "
-    "Degradation Simulation Data Set' from the NASA Prognostics Center of "
-    "Excellence data repository (https://data.nasa.gov/ or the mirror at "
-    "https://www.kaggle.com/datasets/behrad3d/nasa-cmaps), unzip it, and "
-    "point --data at the directory containing train_FD001.txt."
-)
 
 
 def spawn_rngs(seed: int, count: int) -> list[np.random.Generator]:
@@ -352,9 +345,7 @@ def _baseline_rows(
     for target, sources in collections:
         estimates = {
             "target_only": np.asarray(model.mle(target), dtype=float),
-            "pooled": np.asarray(
-                model.mle(Dataset.concat([target, *sources])), dtype=float
-            ),
+            "pooled": np.asarray(model.pooled_mle([target, *sources]), dtype=float),
         }
         for name in priors:
             estimates[name] = next(fits)[0].theta
@@ -876,8 +867,6 @@ def cmapss_experiment(
     A target's sources, noise variance, model and prior slice do not
     depend on the cutoff, so they are built once per target engine.
     """
-    from .cli import ingest_cmapss
-
     all_engines = ingest_cmapss(data_dir)
     _check_sweep(engines, "engines")
     missing = [e for e in engines if e not in all_engines]
@@ -893,7 +882,6 @@ def cmapss_experiment(
             )
     if knots is None:
         knots = np.linspace(0.0, 300.0, 5)
-    knots = np.asarray(knots, dtype=float)
 
     lip: Lip | None = None
     if lip_source == "fast-decay":

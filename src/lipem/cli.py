@@ -1,4 +1,4 @@
-"""Command-line front end: config loading, ingestion, dispatch, reports.
+"""Command-line front end: config loading, dispatch, reports.
 
 Exit codes: 0 success, 2 usage errors (argparse), 3 configuration
 validation failures (the offending key is named), 1 anything else, with
@@ -12,9 +12,7 @@ import contextlib
 import dataclasses
 import functools
 import json
-import math
 import sys
-import warnings
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -33,15 +31,10 @@ from .bench import (
     oracle_mse_check,
 )
 from .em import EmConfig, NullSpec, run_em, write_em_report
-from .errors import (
-    DataNotFoundError,
-    InvalidConfigurationError,
-    LipemError,
-    ParseError,
-)
-from .files import read_text, write_text_atomic
+from .errors import InvalidConfigurationError, LipemError, ParseError
+from .files import ingest_cmapss, load_dataset, read_text, write_text_atomic
 from .judge import HttpTransport, ReplayLog, TransportConfig, elicit_records
-from .likelihood import Dataset, GaussianMeanModel, SplineGlmModel
+from .likelihood import GaussianMeanModel, SplineGlmModel
 from .lip import (
     Lip,
     WorthVector,
@@ -223,89 +216,18 @@ class RunConfig:
 
 
 @contextlib.contextmanager
-def _keyed(section: str):
-    """Name a faulty key as ``<section>.<key>`` when the key belongs to
-    ``section``; other configuration errors pass through unchanged."""
+def _keyed(section: str, **aliases: str):
+    """Name a faulty key, renamed by ``aliases``, as ``<section>.<key>``
+    when it belongs to ``section``; other errors pass through unchanged."""
     try:
         yield
     except InvalidConfigurationError as exc:
-        if exc.key not in SECTION_SCHEMAS[section]:
+        key = aliases.get(exc.key, exc.key)
+        if key not in SECTION_SCHEMAS[section]:
             raise
         raise InvalidConfigurationError(
-            str(exc.args[0]), key=f"{section}.{exc.key}"
+            str(exc.args[0]), key=f"{section}.{key}"
         ) from exc
-
-
-def load_dataset(path) -> Dataset:
-    """Read a whitespace-delimited numeric matrix as a Dataset."""
-    try:
-        arr = np.loadtxt(path, ndmin=2)
-    except OSError as exc:
-        raise ParseError(f"cannot read dataset file {path}: {exc}") from exc
-    except ValueError as exc:
-        raise ParseError(f"dataset file {path} is not numeric: {exc}") from exc
-    if arr.size == 0:
-        arr = arr.reshape(0, max(arr.shape[1], 1) if arr.ndim == 2 else 1)
-    bad = np.flatnonzero(~np.all(np.isfinite(arr), axis=1))
-    if bad.size:
-        raise ParseError(
-            f"dataset file {path} has a non-finite value in data row {bad[0] + 1}"
-        )
-    return Dataset(arr)
-
-
-def ingest_cmapss(path) -> dict[int, Dataset]:
-    """Parse a C-MAPSS trajectory file into per-engine datasets.
-
-    ``path`` is the file itself or a directory holding train_FD001.txt.
-    Each row holds 26 whitespace-delimited values: unit id, cycle,
-    three operational settings, then 21 sensor channels. The returned
-    datasets carry (cycle, sensor 9) pairs ordered by cycle. A file
-    with other than 100 engines only warns, so subsets work in tests.
-    """
-    path = Path(path)
-    if path.is_dir():
-        path = path / "train_FD001.txt"
-    if not path.exists():
-        raise DataNotFoundError(bench.FD001_INSTRUCTIONS)
-    rows: dict[int, list[tuple[float, float]]] = {}
-    # split on newlines only, as iterating over the open file would
-    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
-        fields = line.split()
-        if not fields:
-            continue
-        where = f"{path}: line {lineno}"
-        if len(fields) != 26:
-            raise ParseError(
-                f"{where}: expected 26 columns, found {len(fields)}",
-                line_number=lineno,
-            )
-        try:
-            unit = int(float(fields[0]))
-            cycle = float(fields[1])
-            sensor9 = float(fields[13])
-        except (ValueError, OverflowError) as exc:  # not a number, or inf
-            raise ParseError(
-                f"{where}: non-numeric field: {exc}", line_number=lineno
-            ) from exc
-        # float() also parses nan and inf
-        if not (math.isfinite(cycle) and math.isfinite(sensor9)):
-            raise ParseError(
-                f"{where}: non-finite cycle or sensor 9 value", line_number=lineno
-            )
-        rows.setdefault(unit, []).append((cycle, sensor9))
-    engines: dict[int, Dataset] = {}
-    for unit in sorted(rows):
-        pts = np.asarray(rows[unit], dtype=float)
-        pts = pts[np.argsort(pts[:, 0], kind="stable")]
-        engines[unit] = Dataset(pts)
-    if len(engines) != 100:
-        warnings.warn(
-            f"expected 100 engines, found {len(engines)}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return engines
 
 
 def _fmt(value: float) -> str:
@@ -580,12 +502,12 @@ def _cmd_bench_oracle_mse(args, cfg: RunConfig) -> int:
         bench._check_sweep(taus, "taus")
     gen = {"relevant": bench.ORACLE_RELEVANT, **cfg.section("generator")}
     spec = _build_generator(gen, args.seed)
+    with _keyed("oracle", tau="taus"):
+        specs = [dataclasses.replace(spec, tau=float(tau)) for tau in taus]
     records = []
-    for tau in taus:
+    for tau_spec in specs:
         with _keyed("oracle"):
-            records.append(
-                oracle_mse_check(dataclasses.replace(spec, tau=float(tau)), **body)
-            )
+            records.append(oracle_mse_check(tau_spec, **body))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     json_path = out_dir / "oracle_mse.json"

@@ -19,8 +19,10 @@ current theta, the pooled null) is the expansion
                          - (1/2) (theta - theta_k)' H_k (theta - theta_k).
 
 Anchoring at each MLE rather than at theta = 0 keeps large responses
-from cancelling digits. The E-step, the null scores and both M-steps
-are array expressions over the K sources.
+from cancelling digits. The pooled null's theta is ``model.pooled_mle``
+of the sources: for splines, one solve of the summed normal equations of
+fits kept on each dataset and shared by every collection. The E-step,
+the null scores and both M-steps are array expressions over the K sources.
 
 What does not change between iterations is computed once per run and
 cached on the :class:`SufficientStats`: the cross table and the mixture
@@ -487,7 +489,7 @@ def build_sufficient_stats(
                 source_index=k,
             )
     theta_hat, values, gradients, hessians = zip(*map(model.summarize, datasets))
-    pooled = np.asarray(model.mle(Dataset.concat(datasets[1:])), dtype=float)
+    pooled = np.asarray(model.pooled_mle(datasets[1:]), dtype=float)
     return SufficientStats(
         np.array(theta_hat, dtype=float),
         np.array(values),

@@ -12,17 +12,21 @@ Two concrete families are provided:
 
 Both expose the same small surface: ``loglik``, ``gradient``, ``hessian``
 (the negative second derivative of the log-likelihood, so it is positive
-semidefinite for these families), ``mle`` and ``summarize``.  Both
-log-likelihoods are exact quadratics in the parameter, so the expansion
-``summarize`` returns at the MLE reproduces them everywhere; the estimator in
-:mod:`lipem.em` reads each dataset once, through it.  Models hold only fixed
-structural constants (dimension, covariance, knots, noise variance, ridge).
+semidefinite for these families), ``mle``, ``pooled_mle`` and
+``summarize``.  Both log-likelihoods are exact quadratics in the
+parameter, so the expansion ``summarize`` returns at the MLE reproduces
+them everywhere; the estimator in :mod:`lipem.em` reads each dataset
+once, through it.  A spline dataset is fit once per knots and ridge, at
+any noise variance, and the fit is kept on the dataset for every reader;
+a pooled spline fit solves the summed normal equations.  Models hold
+only fixed structural constants (dimension, covariance, knots, noise
+variance, ridge).
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -40,27 +44,30 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """An ordered collection of equally shaped observations.
 
     ``points`` is an (N, width) float array; one row per observation.  For
     Gaussian mean data the width is the parameter dimension; for spline
     regression it is 2, holding (input, response) pairs.  A 1-d array is
-    promoted to a single column.
+    promoted to a single column.  ``points`` is a read-only copy of the
+    array given, so the fits a model keeps in ``fits`` cannot go stale.
     """
 
-    points: np.ndarray = field()
+    points: np.ndarray
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
+        pts = np.array(self.points, dtype=float)
         if pts.ndim == 1:
             pts = pts[:, None]
         if pts.ndim != 2:
             raise InvalidConfigurationError(
                 f"dataset points must be 1-d or 2-d, got ndim={pts.ndim}"
             )
+        pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "fits", {})
 
     @property
     def size(self) -> int:
@@ -112,6 +119,10 @@ class LikelihoodFamily(ABC):
     @abstractmethod
     def mle(self, data: Dataset) -> np.ndarray:
         """Maximum likelihood (or ridge penalized) parameter estimate."""
+
+    def pooled_mle(self, datasets: Sequence[Dataset]) -> np.ndarray:
+        """MLE on the union of ``datasets``."""
+        return self.mle(Dataset.concat(datasets))
 
     def summarize(self, data: Dataset):
         """(theta_hat, loglik, gradient, clamped Hessian) of ``data`` at
@@ -208,6 +219,17 @@ class GaussianMeanModel(LikelihoodFamily):
         return data.points.mean(axis=0)
 
 
+def _checked_knots(knots) -> np.ndarray:
+    """At least 3 finite, strictly increasing knots, as a float vector."""
+    xi = np.asarray(knots, dtype=float).reshape(-1)
+    if xi.size < 3 or not (np.all(np.isfinite(xi)) and np.all(np.diff(xi) > 0)):
+        raise InvalidConfigurationError(
+            f"need at least 3 finite, strictly increasing knots, got {xi.tolist()}",
+            key="knots",
+        )
+    return xi
+
+
 def spline_design(inputs, knots) -> np.ndarray:
     """Natural cubic spline design matrix on a fixed knot grid.
 
@@ -223,24 +245,21 @@ def spline_design(inputs, knots) -> np.ndarray:
     Parameters
     ----------
     inputs : array_like, shape (n,)
-    knots : array_like, shape (M,), strictly increasing, M >= 3
+    knots : array_like, shape (M,), finite, strictly increasing, M >= 3
 
     Returns
     -------
     (n, M) design matrix.
     """
     x = np.asarray(inputs, dtype=float).reshape(-1)
-    xi = np.asarray(knots, dtype=float).reshape(-1)
-    m = xi.size
-    if m < 3:
-        raise InvalidConfigurationError(f"need at least 3 knots, got {m}")
-    if np.any(np.diff(xi) <= 0):
-        raise InvalidConfigurationError("knots must be strictly increasing")
-
+    xi = _checked_knots(knots)
     diff = x[:, None] - xi  # (n, M): x - xi_j for every knot j
     cubes = np.where(diff > 0.0, diff, 0.0) ** 3
     d = (cubes[:, :-1] - cubes[:, -1:]) / (xi[-1] - xi[:-1])
     return np.hstack([np.ones((x.size, 1)), x[:, None], d[:, :-1] - d[:, -1:]])
+
+
+_SINGULAR = "normal equations are rank deficient; add observations or a ridge"
 
 
 class SplineGlmModel(LikelihoodFamily):
@@ -249,16 +268,12 @@ class SplineGlmModel(LikelihoodFamily):
     Observations are (input, response) rows.  The mean response is
     ``spline_design(input, knots) @ theta`` and the noise variance is a
     known constant shared by all observations.  ``ridge`` penalizes every
-    coefficient except the intercept during ``mle`` and plays no role in
-    ``loglik`` / ``gradient`` / ``hessian``.
+    coefficient except the intercept during ``mle`` and ``pooled_mle``
+    and plays no role in ``loglik`` / ``gradient`` / ``hessian``.
     """
 
     def __init__(self, knots, noise_variance: float = 1.0, ridge: float = 0.0):
-        self.knots = np.asarray(knots, dtype=float).reshape(-1)
-        if self.knots.size < 3:
-            raise InvalidConfigurationError("need at least 3 knots")
-        if np.any(np.diff(self.knots) <= 0):
-            raise InvalidConfigurationError("knots must be strictly increasing")
+        self.knots = _checked_knots(knots)
         # written so that NaN fails too
         if not noise_variance > 0:
             raise InvalidConfigurationError(
@@ -283,16 +298,17 @@ class SplineGlmModel(LikelihoodFamily):
             )
         return spline_design(data.points[:, 0], self.knots), data.points[:, 1]
 
-    def _loglik(self, resid: np.ndarray) -> float:
+    def _loglik(self, rss: float, n: int) -> float:
         return float(
-            -0.5 * resid @ resid / self.noise_variance
-            - 0.5 * resid.size * np.log(2.0 * np.pi * self.noise_variance)
+            -0.5 * rss / self.noise_variance
+            - 0.5 * n * np.log(2.0 * np.pi * self.noise_variance)
         )
 
     def loglik(self, theta, data: Dataset) -> float:
         th = self._check_theta(theta)
         design, y = self._design(data)
-        return self._loglik(y - design @ th)
+        resid = y - design @ th
+        return self._loglik(resid @ resid, resid.size)
 
     def gradient(self, theta, data: Dataset) -> np.ndarray:
         th = self._check_theta(theta)
@@ -304,34 +320,56 @@ class SplineGlmModel(LikelihoodFamily):
         design, _ = self._design(data)
         return design.T @ design / self.noise_variance
 
-    def _fit(self, data: Dataset):
-        """Design, Gram matrix X'X, (ridge penalized) least squares
-        coefficients and residual of ``data``, from one design build."""
-        if data.size == 0:
-            raise InsufficientDataError("cannot fit a spline to zero observations")
-        design, y = self._design(data)
-        normal = gram = design.T @ design
+    def _solve(self, gram: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
+        """Ridge penalized least squares from X'X and X'y; None if singular."""
+        normal = gram
         if self.ridge > 0.0:
             penalty = np.eye(self.dim)
             penalty[0, 0] = 0.0  # intercept is never shrunk
             normal = gram + self.ridge * penalty
-        rhs = design.T @ y
         try:
             chol = np.linalg.cholesky(normal)
-        except np.linalg.LinAlgError as exc:
-            raise SingularFitError(
-                "normal equations are rank deficient; add observations or a ridge"
-            ) from exc
-        theta = np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
-        return design, gram, theta, y - design @ theta
+        except np.linalg.LinAlgError:
+            return None
+        return np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
+
+    def _fit(self, data: Dataset, solved: bool = True):
+        """(theta, X'X, X'y, X'r, rss), r the residual: the noise-free fit of
+        ``data``, built once per knots and ridge and kept in ``data.fits``.
+        Where ``data`` alone is singular theta, X'r and rss are None, which
+        only a pooled fit (``solved=False``) accepts."""
+        key = (self.knots.tobytes(), self.ridge)
+        if key not in data.fits:
+            if data.size == 0:
+                raise InsufficientDataError("cannot fit a spline to zero observations")
+            design, y = self._design(data)
+            gram, rhs = design.T @ design, design.T @ y
+            fit = data.fits[key] = [self._solve(gram, rhs), gram, rhs, None, None]
+            if fit[0] is not None:
+                fit[0].setflags(write=False)
+                resid = y - design @ fit[0]
+                fit[3:] = design.T @ resid, float(resid @ resid)
+        if solved and data.fits[key][0] is None:
+            raise SingularFitError(_SINGULAR)
+        return data.fits[key]
 
     def mle(self, data: Dataset) -> np.ndarray:
-        return self._fit(data)[2]
+        return self._fit(data)[0]
+
+    def pooled_mle(self, datasets: Sequence[Dataset]) -> np.ndarray:
+        """Solves the nonempty datasets' summed normal equations, ridge added once."""
+        fits = [self._fit(data, solved=False) for data in datasets if data.size]
+        if not fits:
+            raise InsufficientDataError("cannot fit a spline to zero observations")
+        theta = self._solve(sum(f[1] for f in fits), sum(f[2] for f in fits))
+        if theta is None:
+            raise SingularFitError(_SINGULAR)
+        return theta
 
     def summarize(self, data: Dataset):
-        design, gram, theta, resid = self._fit(data)
-        grad = design.T @ resid / self.noise_variance
-        return theta, self._loglik(resid), grad, clamp_psd(gram / self.noise_variance)
+        theta, gram, _, moment, rss = self._fit(data)
+        var = self.noise_variance
+        return theta, self._loglik(rss, data.size), moment / var, clamp_psd(gram / var)
 
     def predict(self, theta, inputs) -> np.ndarray:
         th = self._check_theta(theta)
@@ -351,17 +389,11 @@ def pooled_noise_variance(
     total observation count, then floored away from zero.  Used to fix the
     shared noise variance of :class:`SplineGlmModel` before any
     cross-dataset comparison, so that likelihoods from different sources
-    live on one scale.
+    live on one scale.  Each fit is the one kept on its dataset.
     """
     probe = SplineGlmModel(knots, noise_variance=1.0, ridge=ridge)
-    total_ss = 0.0
-    total_n = 0
-    for data in datasets:
-        if data.size == 0:
-            continue
-        resid = probe._fit(data)[3]
-        total_ss += float(resid @ resid)
-        total_n += data.size
-    if total_n == 0:
+    sized = [data for data in datasets if data.size]
+    if not sized:
         raise InsufficientDataError("no observations available to estimate noise variance")
-    return max(total_ss / total_n, floor)
+    total_ss = sum(probe._fit(data)[4] for data in sized)
+    return max(total_ss / sum(map(len, sized)), floor)

@@ -40,7 +40,7 @@ k = 1..K.  Both are UTF-8 text.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from numbers import Integral, Real
 from typing import Iterable, NamedTuple, Sequence
 

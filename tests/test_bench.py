@@ -497,6 +497,25 @@ class TestCmapssExperiment:
         )
         assert any(abs(v - rmse) <= 1e-12 * max(1.0, rmse) for v in stored.values)
 
+    def test_fits_each_engine_and_target_prefix_once(self, cmapss_dir, monkeypatch):
+        from lipem import likelihood
+
+        design = likelihood.spline_design
+        calls = []
+        monkeypatch.setattr(
+            likelihood, "spline_design", lambda *a: calls.append(1) or design(*a)
+        )
+        # prediction designs are not fits; give them the uncounted builder
+        monkeypatch.setattr(
+            likelihood.SplineGlmModel,
+            "predict",
+            lambda self, theta, inputs: design(inputs, self.knots) @ theta,
+        )
+        with quiet_runtime_warnings():
+            cmapss_experiment(cmapss_dir, engines=(1, 2), cutoffs=(0.5, 0.3))
+        # six engines, then two targets at two cutoffs
+        assert len(calls) == 6 + 4
+
     def test_fast_decay_prior_adds_lip_method(self, cmapss_dir):
         with quiet_runtime_warnings():
             reports, _ = cmapss_experiment(

@@ -797,6 +797,9 @@ class TestBenchGaussianCommand:
             ("gaussian", {"experiment": {"tau": 1e400}}, "experiment.tau"),
             ("oracle-mse", {"generator": {"sigma": 1e400}}, "generator.sigma"),
             ("oracle-mse", {"generator": {"tau": 1e400}}, "generator.tau"),
+            # each swept tau is checked as the generator's tau
+            ("oracle-mse", {"oracle": {"taus": [1e400]}}, "oracle.taus"),
+            ("oracle-mse", {"oracle": {"taus": [-1]}}, "oracle.taus"),
         ],
     )
     def test_bad_bench_value_exits_three_naming_key(
@@ -841,6 +844,25 @@ class TestBenchGaussianCommand:
         assert err.startswith("error:") and err.count("\n") == 1
         assert f"[key: {key}]" in err
         assert not (cmapss_dir / "r").exists()
+
+    @pytest.mark.parametrize(
+        "knots", [[0, 300, 100], [0, 150, 1e400], [-1e400, 150, 300], [0, 300]]
+    )
+    def test_bad_cmapss_knots_exit_three_naming_key(self, cmapss_dir, capsys, knots):
+        cfg = cmapss_dir / "cfg.json"
+        cfg.write_text(json.dumps({"cmapss": {"knots": knots}}))
+        out = cmapss_dir / "r"
+        argv = ["bench", "cmapss", "--data", str(cmapss_dir), "--engines", "4",
+                "--cutoff", "0.5", "--config", str(cfg), "--out", str(out)]
+        with warnings.catch_warnings():
+            # the six-engine fixture file is smaller than FD001
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code = dispatch(argv)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "[key: cmapss.knots]" in err
+        assert not out.exists()
 
     def test_unknown_experiment_key_exits_three(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -1124,6 +1146,24 @@ class TestSplineModelSection:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert f"[key: model.{key}]" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "knots", [[0.0, 4.0, 2.0], [0.0, 2.0, 1e400], [-1e400, 2.0, 4.0], [0.0, 4.0]]
+    )
+    def test_bad_knots_exit_three_naming_key(self, tmp_path, capsys, knots):
+        target, source = tmp_path / "t.txt", tmp_path / "s.txt"
+        np.savetxt(target, [[1.0, 2.0], [2.0, 2.5], [3.0, 2.9]])
+        np.savetxt(source, [[1.0, 2.1], [2.0, 2.4], [3.0, 3.0], [4.0, 3.4]])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": {"kind": "spline_glm", "knots": knots}}))
+        out = tmp_path / "report.txt"
+        argv = ["run-em", "--target", str(target), "--sources", str(source),
+                "--config", str(cfg), "--out", str(out)]
+        assert dispatch(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "[key: model.knots]" in err
         assert not out.exists()
 
 

@@ -601,7 +601,7 @@ class TestSufficientStats:
                 )
 
     def test_spline_build_reads_each_dataset_once(self, monkeypatch):
-        # K + 1 datasets and the pooled concat, one design build each
+        # K + 1 datasets, one design build each; the pooled fit sums theirs
         from lipem import likelihood
 
         calls = []
@@ -618,7 +618,7 @@ class TestSufficientStats:
             x = np.sort(rng.uniform(0.0, 300.0, n))
             datasets.append(Dataset(np.column_stack([x, 480.0 - 1.2 * x])))
         build_sufficient_stats(model, datasets)
-        assert len(calls) == n_sources + 2
+        assert len(calls) == n_sources + 1
 
     def test_arrays_are_frozen(self):
         rng = np.random.default_rng(42)

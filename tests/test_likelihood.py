@@ -81,6 +81,18 @@ class TestDataset:
         with pytest.raises(InsufficientDataError):
             Dataset.concat([])
 
+    def test_owns_a_read_only_copy_of_its_points(self):
+        arr = np.column_stack([np.linspace(0.0, 300.0, 12), np.linspace(480.0, 460.0, 12)])
+        data = Dataset(arr)
+        model = SplineGlmModel(np.linspace(0.0, 300.0, 5), ridge=1e-8)
+        points, theta = data.points.copy(), model.mle(data).copy()
+        arr[:] = 0.0  # the caller's array, after the dataset was made and fit
+        np.testing.assert_array_equal(data.points, points)
+        assert model.mle(data).tobytes() == theta.tobytes()
+        assert model.mle(Dataset(points)).tobytes() == theta.tobytes()
+        with pytest.raises(ValueError):
+            data.points[0, 0] = 1.0
+
 
 class TestClampPsd:
     def test_psd_input_passes_through_symmetrized(self):
@@ -353,6 +365,27 @@ class TestSplineGlmModel:
         with pytest.raises(InsufficientDataError):
             model.mle(Dataset(np.zeros((0, 2))))
 
+    def test_fits_kept_on_a_dataset_are_keyed_by_knots_and_ridge(self):
+        rng = np.random.default_rng(42)
+        data, knots = _spline_data(rng, n=60)
+        models = [
+            SplineGlmModel(knots, ridge=1e-8),
+            SplineGlmModel(knots, ridge=50.0),
+            SplineGlmModel(1.1 * knots, ridge=1e-8),
+            SplineGlmModel(knots, noise_variance=9.0, ridge=1e-8),
+        ]
+        # each model reads the shared dataset after the others have
+        for _ in range(2):
+            for model in models:
+                fresh = Dataset(data.points)
+                assert model.mle(data).tobytes() == model.mle(fresh).tobytes()
+                assert model.summarize(data)[1] == model.summarize(fresh)[1]
+        thetas = [model.mle(data) for model in models]
+        assert not np.array_equal(thetas[0], thetas[1])
+        assert not np.array_equal(thetas[0], thetas[2])
+        # the noise variance leaves the fit alone
+        assert thetas[0] is thetas[3]
+
     def test_invalid_construction_rejected(self):
         with pytest.raises(InvalidConfigurationError):
             SplineGlmModel([0.0, 1.0])
@@ -414,6 +447,68 @@ class TestSummarize:
             model.summarize(Dataset(np.array([[10.0, 1.0], [20.0, 2.0]])))
         with pytest.raises(InvalidConfigurationError):
             model.summarize(Dataset(np.zeros((3, 3))))
+
+
+class TestPooledMle:
+    """A spline pooled fit solves the summed normal equations of the
+    datasets' own fits; it is the fit of their concatenation."""
+
+    @staticmethod
+    def concat_fit(model, datasets):
+        return model.mle(Dataset.concat(datasets))
+
+    @staticmethod
+    def assert_same_fit(model, got, want):
+        # cond(X'X) is ~1e10 on this basis, so two summation orders move
+        # the coefficients by a few 1e-12; the fitted curve barely moves
+        grid = np.linspace(0.0, 300.0, 301)
+        curve = model.predict(want, grid)
+        assert np.max(np.abs(model.predict(got, grid) - curve)) <= 1e-12 * np.max(
+            np.abs(curve)
+        )
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("ridge", [0.0, 1e-8, 50.0])
+    def test_spline_equals_the_concat_fit(self, ridge):
+        rng = np.random.default_rng(42)
+        knots = np.linspace(0.0, 300.0, 5)
+        datasets = [_spline_data(rng, n=n, knots=knots)[0] for n in (3, 40, 80)]
+        datasets.insert(1, Dataset(np.zeros((0, 2))))
+        model = SplineGlmModel(knots, noise_variance=4.0, ridge=ridge)
+        self.assert_same_fit(
+            model, model.pooled_mle(datasets), self.concat_fit(model, datasets)
+        )
+
+    def test_spline_fails_where_the_concat_fit_fails(self):
+        model = SplineGlmModel(np.linspace(0.0, 300.0, 5))
+        # every cycle below the second knot: rank deficient together
+        low = [
+            Dataset(np.array([[10.0, 1.0], [20.0, 2.0]])),
+            Dataset(np.array([[30.0, 1.5], [40.0, 2.5]])),
+        ]
+        for fit in (model.pooled_mle, lambda ds: self.concat_fit(model, ds)):
+            with pytest.raises(SingularFitError):
+                fit(low)
+            with pytest.raises(InsufficientDataError):
+                fit([Dataset(np.zeros((0, 2)))])
+        # rank deficient one by one, full rank together
+        spread = [
+            Dataset(np.array([[x, 0.1 * x], [x + 150.0, 0.2 * x]]))
+            for x in (10.0, 60.0, 110.0)
+        ]
+        for data in spread:
+            with pytest.raises(SingularFitError):
+                model.mle(data)
+        self.assert_same_fit(
+            model, model.pooled_mle(spread), self.concat_fit(model, spread)
+        )
+
+    def test_gaussian_is_the_concat_fit(self):
+        rng = np.random.default_rng(42)
+        model = GaussianMeanModel(2)
+        datasets = [Dataset(rng.normal(size=(n, 2))) for n in (3, 0, 40)]
+        want = self.concat_fit(model, datasets)
+        assert model.pooled_mle(datasets).tobytes() == want.tobytes()
 
 
 class TestPooledNoiseVariance:
