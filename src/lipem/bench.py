@@ -23,7 +23,7 @@ from .em import (
     SufficientStats,
     build_sufficient_stats,
     e_step,
-    run_em,
+    run_em,  # noqa: F401  (benchmarks/perf.py times lipem.bench.run_em)
     run_em_rows,
 )
 from .errors import InsufficientDataError, InvalidConfigurationError
@@ -765,8 +765,9 @@ def consistency_check(
     """Estimation error across a target-size sweep under a wrong prior.
 
     Per replication the sources are drawn once and held fixed while the
-    target grows; a full EM runs per (N0, variant). The prior defaults
-    to 0.9 on the first irrelevant source and P0 elsewhere, the
+    target grows; a full EM runs per (N0, variant), and the replications
+    of one (N0, variant) are rows of one ``run_em_rows`` call. The prior
+    defaults to 0.9 on the first irrelevant source and P0 elsewhere, the
     adversarial case: abundant target data must still wash it out.
     """
     _check_replications(replications)
@@ -783,32 +784,40 @@ def consistency_check(
     pi = np.asarray(pi, dtype=float)
     model = GaussianMeanModel(spec.dim, covariance=spec.sigma**2)
     sigma = spec.sigma
-    errors: dict[tuple[str, int], list[float]] = {}
-    rep_seeds = np.random.SeedSequence(spec.seed).spawn(replications)
-    for seed in rep_seeds:
-        rng = np.random.default_rng(seed)
+    rngs = spawn_rngs(spec.seed, replications)
+    all_sources = []
+    for rng in rngs:
         _, thetas = _draw_source_thetas(spec, rng)
-        sources = [
-            Dataset(
-                thetas[k - 1]
-                + sigma * rng.standard_normal((spec.n_source, spec.dim))
-            )
-            for k in range(1, spec.n_sources + 1)
+        all_sources.append([
+            Dataset(thetas[k] + sigma * rng.standard_normal((spec.n_source, spec.dim)))
+            for k in range(spec.n_sources)
+        ])
+    configs = [
+        EmConfig(
+            tau=spec.tau if spec.tau > 0 else 0.0,
+            nu=nu,
+            variant=variant,
+            null_spec=NullSpec("empirical_bayes_mixture"),
+        )
+        for variant in variants
+    ]
+    rows = [(r, pi) for r in range(replications)]
+    errs = {}  # (sweep position, variant position) -> one error per replication
+    for j, n0 in enumerate(n0_sweep):
+        # each replication's stream draws its targets in sweep order
+        collections = [
+            [Dataset(theta0 + sigma * rng.standard_normal((int(n0), spec.dim))), *sources]
+            for rng, sources in zip(rngs, all_sources)
         ]
-        for n0 in n0_sweep:
-            target = Dataset(
-                theta0 + sigma * rng.standard_normal((int(n0), spec.dim))
-            )
-            for variant in variants:
-                config = EmConfig(
-                    tau=spec.tau if spec.tau > 0 else 0.0,
-                    nu=nu,
-                    variant=variant,
-                    null_spec=NullSpec("empirical_bayes_mixture"),
-                )
-                state, _ = run_em([target, *sources], model, pi, config)
-                err = float(np.linalg.norm(state.theta - theta0))
-                errors.setdefault((variant, int(n0)), []).append(err)
+        for v, config in enumerate(configs):
+            fits = run_em_rows(collections, model, rows, config)
+            errs[j, v] = [float(np.linalg.norm(s.theta - theta0)) for s, _ in fits]
+    # in the order one replication at a time would append them
+    errors: dict[tuple[str, int], list[float]] = {}
+    for r in range(replications):
+        for j, n0 in enumerate(n0_sweep):
+            for v, variant in enumerate(variants):
+                errors.setdefault((variant, int(n0)), []).append(errs[j, v][r])
     reports = []
     for (variant, n0), values in sorted(errors.items()):
         reports.append(

@@ -12,6 +12,7 @@ import contextlib
 import dataclasses
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -35,14 +36,7 @@ from .errors import InvalidConfigurationError, LipemError, ParseError
 from .files import ingest_cmapss, load_dataset, read_text, write_text_atomic
 from .judge import HttpTransport, ReplayLog, TransportConfig, elicit_records
 from .likelihood import GaussianMeanModel, SplineGlmModel
-from .lip import (
-    Lip,
-    WorthVector,
-    fit_lip,
-    read_records,
-    simulate_elicitation,
-    write_records,
-)
+from .lip import Lip, WorthVector, _read_queries, _simulate, fit_lip, write_records
 
 __all__ = [
     "RunConfig",
@@ -54,7 +48,12 @@ __all__ = [
 ]
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if isinstance(value, float):
+        return True
+    try:  # an integer beyond the float range fails where it is used
+        return _is_integer(value) and math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _is_integer(value) -> bool:
@@ -218,16 +217,17 @@ class RunConfig:
 @contextlib.contextmanager
 def _keyed(section: str, **aliases: str):
     """Name a faulty key, renamed by ``aliases``, as ``<section>.<key>``
-    when it belongs to ``section``; other errors pass through unchanged."""
+    when it belongs to ``section``, else as renamed (a flag); other
+    errors pass through unchanged."""
     try:
         yield
     except InvalidConfigurationError as exc:
         key = aliases.get(exc.key, exc.key)
-        if key not in SECTION_SCHEMAS[section]:
+        if key in SECTION_SCHEMAS[section]:
+            key = f"{section}.{key}"
+        elif exc.key not in aliases:
             raise
-        raise InvalidConfigurationError(
-            str(exc.args[0]), key=f"{section}.{key}"
-        ) from exc
+        raise InvalidConfigurationError(str(exc.args[0]), key=key) from exc
 
 
 def _fmt(value: float) -> str:
@@ -377,9 +377,9 @@ def _read_summaries(path) -> dict[int, str]:
 
 
 def _cmd_fit_lip(args, cfg: RunConfig) -> int:
-    records = read_records(args.records)
-    with _keyed("lip"):
-        worths, lip = fit_lip(records, args.sources, **cfg.section("lip"))
+    queries = _read_queries(args.records)
+    with _keyed("lip", n_sources="sources"):
+        worths, lip = fit_lip(queries, args.sources, **cfg.section("lip"))
     lip.write(args.out)
     print(f"wrote {args.out} ({lip.n_sources} sources)")
     return 0
@@ -387,9 +387,9 @@ def _cmd_fit_lip(args, cfg: RunConfig) -> int:
 
 def _cmd_simulate_oracle(args, cfg: RunConfig) -> int:
     rng = np.random.default_rng(args.seed)
-    records = simulate_elicitation(WorthVector(args.alpha), args.sizes, args.count, rng)
-    write_records(args.out, records)
-    print(f"wrote {args.out} ({len(records)} records)")
+    queries = _simulate(WorthVector(args.alpha), args.sizes, args.count, rng)
+    write_records(args.out, queries)
+    print(f"wrote {args.out} ({queries.chosen.size} records)")
     return 0
 
 

@@ -29,6 +29,14 @@ are not aggregated into counts of identical (subgroup, choice) pairs:
 with K = 50 and subgroups of 3 to 5 members, 2,500 simulated records
 hold over 2,470 distinct pairs, so counting would save almost nothing.
 
+The records commands never build a ``ChoiceRecord`` per query:
+``simulate-oracle`` writes from the sampled blocks and the judge's picks,
+and ``fit-lip`` parses its file straight into blocks, checked by array
+tests per block (members at least 1 and distinct, the choice 0 or a
+member); only the first bad line is rebuilt as a record, to word its
+error.  Indices meet K when a fit compiles the blocks; an index beyond
+int64 stays a Python int until then.
+
 File formats
 ------------
 Records: one query per line, ``subgroup=1,4,7;choice=4`` (choice 0 means
@@ -273,7 +281,7 @@ class Lip:
 
 
 class _Queries(NamedTuple):
-    """Judged queries as arrays, built once per record list.
+    """Judged queries as arrays, built once per record list or file.
 
     ``blocks`` holds one ``(rows, options)`` pair per option count: the
     positions of those records in the list, and their option indices as
@@ -285,30 +293,69 @@ class _Queries(NamedTuple):
     chosen: np.ndarray
 
 
-def _option_blocks(subgroups: Sequence[tuple[int, ...]], n_sources: int):
-    """Group sorted subgroups by size into ``(rows, options)`` blocks."""
-    by_size: dict[int, list[int]] = {}
-    for row, subgroup in enumerate(subgroups):
-        if subgroup[-1] > n_sources:
-            raise InvalidConfigurationError(
-                f"subgroup {subgroup} references a source beyond K={n_sources}"
-            )
-        by_size.setdefault(len(subgroup), []).append(row)
+def _build(entries: Iterable[Sequence[int]]) -> _Queries:
+    """Compile ``(choice, *sorted members)`` entries, in record order.
+
+    If an index does not fit in int64, the arrays hold Python ints until
+    ``_compile`` has checked every index against K.
+    """
+    widths, values = [], {}
+    for entry in entries:
+        widths.append(len(entry))
+        values.setdefault(len(entry), []).extend(entry)
+    try:
+        tables = {w: np.array(flat, dtype=np.int64) for w, flat in sorted(values.items())}
+    except OverflowError:
+        tables = {w: np.array(flat, dtype=object) for w, flat in sorted(values.items())}
+    widths = np.array(widths, dtype=np.int64)
+    # the tables' dtype, or int64 when there are none
+    chosen = np.zeros(widths.size, dtype=next(iter(tables.values()), widths).dtype)
     blocks = []
-    for size, rows in sorted(by_size.items()):
-        options = np.zeros((len(rows), size + 1), dtype=int)
-        options[:, 1:] = [subgroups[row] for row in rows]
-        blocks.append((np.array(rows), options))
-    return tuple(blocks)
+    for width, table in tables.items():
+        rows = np.flatnonzero(widths == width)
+        options = table.reshape(rows.size, width)
+        chosen[rows] = options[:, 0]
+        options[:, 0] = 0
+        blocks.append((rows, options))
+    return _Queries(tuple(blocks), chosen)
 
 
-def _compile(records: Sequence[ChoiceRecord] | _Queries, n_sources: int) -> _Queries:
-    if isinstance(records, _Queries):
+def _compile(records: Iterable[ChoiceRecord] | _Queries, n_sources=None) -> _Queries:
+    """The queries of ``records``; given K, every index is checked against it.
+
+    An index beyond int64 (held as a Python int, see ``_build``) exceeds
+    every K a fit can allocate, so checked queries are int64 arrays.
+    """
+    if not isinstance(records, _Queries):
+        records = _build((rec.choice, *rec.subgroup) for rec in records)
+    if n_sources is None:
         return records
-    return _Queries(
-        _option_blocks([rec.subgroup for rec in records], n_sources),
-        np.array([rec.choice for rec in records], dtype=int),
-    )
+    beyond = [
+        (rows[i], options[i, 1:])
+        for rows, options in records.blocks
+        for i in np.flatnonzero(options[:, -1] > n_sources)[:1]
+    ]
+    if beyond:
+        _, members = min(beyond, key=lambda hit: hit[0])
+        raise InvalidConfigurationError(
+            f"subgroup {tuple(members.tolist())} references a source beyond K={n_sources}",
+            key="n_sources",
+        )
+    return records
+
+
+def _each_query(queries: _Queries, form) -> list:
+    """``form(members, choice)`` of each query, in record order."""
+    out: list = [None] * queries.chosen.size
+    chosen = queries.chosen.tolist()
+    for rows, options in queries.blocks:
+        for row, members in zip(rows.tolist(), options[:, 1:].tolist()):
+            out[row] = form(members, chosen[row])
+    return out
+
+
+def _records(queries: _Queries) -> list[ChoiceRecord]:
+    return _each_query(queries, lambda members, c: ChoiceRecord(tuple(members), c))
 
 
 def _softmax(alpha: np.ndarray, options: np.ndarray):
@@ -351,7 +398,7 @@ def _check_settings(**settings) -> None:
 def choice_probability(worths: WorthVector, subgroup, choice: int) -> float:
     """Probability the judge picks ``choice`` from ``subgroup`` plus null."""
     record = ChoiceRecord(tuple(subgroup), choice)
-    ((_, options),) = _option_blocks([record.subgroup], worths.n_sources)
+    ((_, options),) = _compile([record], worths.n_sources).blocks
     probs = _softmax(worths.alpha, options)[0][0]
     position = 0 if record.choice == 0 else record.subgroup.index(record.choice) + 1
     return float(probs[position])
@@ -508,7 +555,7 @@ def fit_lip(
     returned prior is exactly p0 for every source.
     """
     if n_sources < 1:
-        raise InvalidConfigurationError("need at least one source")
+        raise InvalidConfigurationError("need at least one source", key="n_sources")
     result = minimize_worths(records, n_sources, p0=p0, eps=eps, tol=tol, max_iters=max_iters)
     return result.worths, Lip.from_worths(result.worths)
 
@@ -544,8 +591,9 @@ def sample_subgroups(
     out = []
     for _ in range(count):
         size = sizes[gen.integers(len(sizes))]
-        members = gen.choice(n_sources, size=size, replace=False) + 1
-        out.append(tuple(sorted(int(i) for i in members)))
+        members = gen.choice(n_sources, size=size, replace=False)
+        members += 1
+        out.append(tuple(sorted(members.tolist())))
     return out
 
 
@@ -574,8 +622,16 @@ def _judge(alpha: np.ndarray, blocks, count: int, gen: np.random.Generator) -> n
 def simulated_judge(true_worths: WorthVector, subgroup, rng) -> int:
     """Sample a choice from the model's own probabilities at known worths."""
     record = ChoiceRecord(tuple(subgroup), 0)
-    blocks = _option_blocks([record.subgroup], true_worths.n_sources)
+    blocks = _compile([record], true_worths.n_sources).blocks
     return int(_judge(true_worths.alpha, blocks, 1, _as_rng(rng))[0])
+
+
+def _simulate(true_worths: WorthVector, sizes: Sequence[int], count: int, rng) -> _Queries:
+    """``simulate_elicitation``'s draw, as compiled queries."""
+    gen = _as_rng(rng)
+    subgroups = sample_subgroups(true_worths.n_sources, sizes, count, gen)
+    queries = _build((0, *members) for members in subgroups)
+    return queries._replace(chosen=_judge(true_worths.alpha, queries.blocks, count, gen))
 
 
 def simulate_elicitation(
@@ -585,11 +641,7 @@ def simulate_elicitation(
     rng,
 ) -> list[ChoiceRecord]:
     """Sample subgroups and judge each one with the simulated judge."""
-    gen = _as_rng(rng)
-    subgroups = sample_subgroups(true_worths.n_sources, sizes, count, gen)
-    blocks = _option_blocks(subgroups, true_worths.n_sources)
-    chosen = _judge(true_worths.alpha, blocks, len(subgroups), gen)
-    return [ChoiceRecord(s, c) for s, c in zip(subgroups, chosen.tolist())]
+    return _records(_simulate(true_worths, sizes, count, rng))
 
 
 # ---------------------------------------------------------------------------
@@ -597,31 +649,65 @@ def simulate_elicitation(
 # ---------------------------------------------------------------------------
 
 
-def write_records(path, records: Iterable[ChoiceRecord]) -> None:
-    lines = [
-        "subgroup=" + ",".join(str(i) for i in rec.subgroup) + f";choice={rec.choice}"
-        for rec in records
-    ]
+def write_records(path, records: Iterable[ChoiceRecord] | _Queries) -> None:
+    lines = _each_query(
+        _compile(records),
+        lambda members, choice: f"subgroup={','.join(map(str, members))};choice={choice}",
+    )
     write_text_atomic(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
-def read_records(path) -> list[ChoiceRecord]:
-    out = []
-    text = read_text(path)
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
+def _parse_line(line: str) -> list[int]:
+    """``[choice, *sorted members]`` of one stripped records line."""
+    parts = line.split(";")
+    if len(parts) != 2:
+        raise ValueError("expected 'subgroup=...;choice=...'")
+    sub_part, choice_part = parts
+    if not sub_part.startswith("subgroup=") or not choice_part.startswith("choice="):
+        raise ValueError("missing subgroup=/choice= fields")
+    members = sorted(int(i) for i in sub_part[len("subgroup="):].split(","))
+    return [int(choice_part[len("choice="):]), *members]
+
+
+def _read_queries(path) -> _Queries:
+    """Parse a records file straight into compiled queries.
+
+    Indices are not checked against K here (``_compile`` does that);
+    everything else is, as array tests on each block.  The first bad
+    line is parsed again into a ``ChoiceRecord``, whose error names it.
+    """
+    lines = read_text(path).splitlines()
+    bad = len(lines) + 1
+
+    def entries():
+        nonlocal bad
+        for lineno, raw in enumerate(lines, start=1):
+            if line := raw.strip():
+                try:
+                    yield _parse_line(line)
+                except ValueError:
+                    bad = lineno
+                    return
+
+    queries = _build(entries())
+    for rows, options in queries.blocks:
+        members, choice = options[:, 1:], queries.chosen[rows]
+        valid = (
+            (members[:, 0] >= 1)
+            & (members[:, 1:] != members[:, :-1]).all(axis=1)
+            & ((choice == 0) | (members == choice[:, None]).any(axis=1))
+        )
+        if not valid.all():
+            linenos = [i for i, raw in enumerate(lines, start=1) if raw.strip()]
+            bad = min(bad, linenos[rows[np.argmin(valid)]])
+    if bad <= len(lines):
         try:
-            parts = line.split(";")
-            if len(parts) != 2:
-                raise ValueError("expected 'subgroup=...;choice=...'")
-            sub_part, choice_part = parts
-            if not sub_part.startswith("subgroup=") or not choice_part.startswith("choice="):
-                raise ValueError("missing subgroup=/choice= fields")
-            subgroup = tuple(int(i) for i in sub_part[len("subgroup="):].split(","))
-            choice = int(choice_part[len("choice="):])
-            out.append(ChoiceRecord(subgroup, choice))
+            choice, *members = _parse_line(lines[bad - 1].strip())
+            ChoiceRecord(tuple(members), choice)
         except (ValueError, InvalidConfigurationError, InvalidChoiceError) as exc:
-            raise ParseError(f"{path}: line {lineno}: {exc}", line_number=lineno) from exc
-    return out
+            raise ParseError(f"{path}: line {bad}: {exc}", line_number=bad) from exc
+    return queries
+
+
+def read_records(path) -> list[ChoiceRecord]:
+    return _records(_read_queries(path))

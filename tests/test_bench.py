@@ -37,7 +37,8 @@ from lipem.bench import (
     oracle_mse_check,
     spawn_rngs,
 )
-from lipem.em import EmConfig, NullSpec
+from lipem.bench import _draw_source_thetas
+from lipem.em import EmConfig, NullSpec, run_em
 from lipem.errors import (
     DataNotFoundError,
     InsufficientDataError,
@@ -387,6 +388,47 @@ class TestConsistencyCheck:
             assert last < first
             # 5 sigma sqrt(d / N0) bound at the final sweep point
             assert last <= 5.0 * np.sqrt(1.0 / 10_000)
+
+    def test_rows_equal_one_run_em_per_replication(self):
+        """The row-axis sweep reports exactly what one ``run_em`` per
+        (replication, N0, variant) reported, repeated sweep points and
+        variants included."""
+        spec = HierarchicalSpec(
+            n_sources=4, relevant=(1, 3), theta0=(0.0, 1.0), tau=0.2,
+            null_gen=NullGen(offset=(5.0, -1.0), spread=1.0), seed=7,
+        )
+        n0_sweep, variants = (50, 200, 50), ("exact_hessian_reuse", "small_tau_surrogate")
+        pi = np.array([0.01, 0.9, 0.01, 0.01])
+        model = GaussianMeanModel(2, covariance=spec.sigma**2)
+        errors = {}
+        for seed in np.random.SeedSequence(spec.seed).spawn(3):
+            rng = np.random.default_rng(seed)
+            _, thetas = _draw_source_thetas(spec, rng)
+            sources = [
+                Dataset(thetas[k] + spec.sigma * rng.standard_normal((spec.n_source, 2)))
+                for k in range(spec.n_sources)
+            ]
+            for n0 in n0_sweep:
+                target = Dataset(
+                    np.asarray(spec.theta0) + spec.sigma * rng.standard_normal((n0, 2))
+                )
+                for variant in variants:
+                    config = EmConfig(
+                        tau=spec.tau, nu=0.05, variant=variant,
+                        null_spec=NullSpec("empirical_bayes_mixture"),
+                    )
+                    state, _ = run_em([target, *sources], model, pi, config)
+                    errors.setdefault((variant, n0), []).append(
+                        float(np.linalg.norm(state.theta - np.asarray(spec.theta0)))
+                    )
+        expected = [
+            BenchReport.from_values(v, "error_norm", "n_target", float(n0), values)
+            for (v, n0), values in sorted(errors.items())
+        ]
+        reports = consistency_check(
+            spec, n0_sweep, replications=3, pi=pi, variants=variants
+        )
+        assert reports == expected
 
 
 class TestGaussianExperiment:

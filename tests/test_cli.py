@@ -33,7 +33,14 @@ from lipem.errors import (
     InvalidConfigurationError,
     ParseError,
 )
-from lipem.lip import Lip, read_records
+from lipem.lip import (
+    Lip,
+    WorthVector,
+    fit_lip,
+    read_records,
+    simulate_elicitation,
+    write_records,
+)
 
 REFERENCE_DIR = Path(__file__).resolve().parents[1] / "benchmarks" / "reference"
 
@@ -489,6 +496,96 @@ class TestFitLipCommand:
         assert f"[key: {key}]" in err
 
 
+class TestRecordsPipeline:
+    """``simulate-oracle`` and ``fit-lip`` work on compiled queries; their
+    files must equal the library's record-list round trip byte for byte,
+    and a bad records file must fail as the per-record reader did."""
+
+    K = 50
+    ALPHA = np.concatenate(
+        ([0.0], np.random.default_rng(3).normal(np.log(0.05 / 0.95), 0.5, size=K))
+    )
+
+    def _fit(self, records, out):
+        return dispatch(
+            ["fit-lip", "--records", str(records), "--sources", str(self.K),
+             "--out", str(out)]
+        )
+
+    @pytest.mark.parametrize("count", [2500, 0])
+    @pytest.mark.parametrize("seed", [42, *range(1, 10)])
+    def test_files_equal_the_record_list_round_trip(self, tmp_path, capsys, seed, count):
+        records, prior = tmp_path / "records.txt", tmp_path / "lip.txt"
+        code = dispatch(
+            ["simulate-oracle", "--alpha=" + ",".join(map(repr, self.ALPHA.tolist())),
+             "--sizes", "3,4,5", "--count", str(count), "--seed", str(seed),
+             "--out", str(records)]
+        )
+        assert code == 0 and self._fit(records, prior) == 0
+        capsys.readouterr()
+        expected_records, expected_prior = tmp_path / "r.txt", tmp_path / "l.txt"
+        write_records(
+            expected_records,
+            simulate_elicitation(
+                WorthVector(self.ALPHA), [3, 4, 5], count, np.random.default_rng(seed)
+            ),
+        )
+        fit_lip(read_records(expected_records), self.K)[1].write(expected_prior)
+        assert records.read_bytes() == expected_records.read_bytes()
+        assert prior.read_bytes() == expected_prior.read_bytes()
+
+    BIG = "1" + "0" * 29
+
+    @pytest.mark.parametrize(
+        "text, code, message",
+        [
+            ("subgroup=1,2,2;choice=1", 1,
+             "parse: {path}: line 1: invalid-configuration: subgroup has "
+             "repeated indices: (1, 2, 2)"),
+            ("subgroup=3,0,2;choice=2", 1,
+             "parse: {path}: line 1: invalid-configuration: source indices "
+             "must be >= 1, got (0, 2, 3)"),
+            ("subgroup=1,2,3;choice=4", 1,
+             "parse: {path}: line 1: invalid-choice: choice 4 is not in "
+             "subgroup (1, 2, 3) or the null"),
+            ("subgroup=1,2,99;choice=0", 3,
+             "invalid-configuration: subgroup (1, 2, 99) references a source "
+             "beyond K=50 [key: sources]"),
+            (f"subgroup=1,{BIG},2;choice={BIG}", 3,
+             f"invalid-configuration: subgroup (1, 2, {BIG}) references a "
+             "source beyond K=50 [key: sources]"),
+            ("subgroup=1,2,3;choice=" + "9" * 27, 1,
+             "parse: {path}: line 1: invalid-choice: choice " + "9" * 27
+             + " is not in subgroup (1, 2, 3) or the null"),
+            ("subgroup=1,2,99;choice=0\nsubgroup=1,2;choice=x", 1,
+             "parse: {path}: line 2: invalid literal for int() with base 10: 'x'"),
+            ("subgroup=1,2;choice=1\n\nsubgroup=4,4;choice=0\nsubgroup=1;;choice=1", 1,
+             "parse: {path}: line 3: invalid-configuration: subgroup has "
+             "repeated indices: (4, 4)"),
+            ("subgroup=1;;choice=1\nsubgroup=4,4;choice=0", 1,
+             "parse: {path}: line 1: expected 'subgroup=...;choice=...'"),
+        ],
+    )
+    def test_bad_file_error_line(self, tmp_path, capsys, text, code, message):
+        records = tmp_path / "records.txt"
+        records.write_text(text + "\n", encoding="utf-8")
+        assert self._fit(records, tmp_path / "lip.txt") == code
+        err = capsys.readouterr().err
+        assert err == "error: " + message.format(path=records) + "\n"
+
+    @pytest.mark.parametrize(
+        "spelling", ["subgroup=1, 2 ,+3;choice=\u0663", "subgroup=3,1,2;choice=3"]
+    )
+    def test_other_spellings_fit_as_the_canonical_one(self, tmp_path, capsys, spelling):
+        canonical, other = tmp_path / "canonical.txt", tmp_path / "other.txt"
+        canonical.write_text("subgroup=1,2,3;choice=3\n", encoding="utf-8")
+        other.write_text(spelling + "\n", encoding="utf-8")
+        assert self._fit(canonical, tmp_path / "a.txt") == 0
+        assert self._fit(other, tmp_path / "b.txt") == 0
+        capsys.readouterr()
+        assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
+
+
 class TestSimulateOracleCommand:
     def test_round_trip_through_records_file(self, tmp_path, capsys):
         out = tmp_path / "records.txt"
@@ -677,6 +774,24 @@ class TestBenchCmapssCommand:
         with pytest.warns(RuntimeWarning):
             assert self._run(cmapss_dir, cmapss_dir / "r", "--lip", str(prior)) == 3
         assert "[key: lip_source]" in capsys.readouterr().err
+
+
+class TestIntegerBeyondFloatRange:
+    @pytest.mark.parametrize(
+        "argv, doc, key",
+        [
+            (["bench", "gaussian"], {"experiment": {"sigma": 10**400}}, "experiment.sigma"),
+            (["bench", "oracle-mse"], {"oracle": {"taus": [0.1, 10**400]}}, "oracle.taus"),
+        ],
+    )
+    def test_exits_three_naming_key(self, tmp_path, capsys, argv, doc, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        code = dispatch([*argv, "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert err.endswith(f"[key: {key}]\n")
 
 
 class TestBenchOracleMseCommand:

@@ -9,12 +9,15 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize as scipy_minimize
 from scipy.special import expit, logit
 
@@ -56,6 +59,50 @@ def fd_gradient(f, x, step=1e-6):
 
 def random_worths(rng, n_sources, scale=2.0):
     return WorthVector(rng.normal(scale=scale, size=n_sources + 1))
+
+
+PROPERTY = settings(max_examples=60, deadline=None, database=None, derandomize=True)
+
+
+def loop_sample(n_sources, sizes, count, gen):
+    """The sampler as one Python sort per query, the form its draw
+    order was fixed in."""
+    sizes = sorted(set(sizes))
+    out = []
+    for _ in range(count):
+        size = sizes[gen.integers(len(sizes))]
+        members = gen.choice(n_sources, size=size, replace=False) + 1
+        out.append(tuple(sorted(int(i) for i in members)))
+    return out
+
+
+def loop_read(path):
+    """The records reader as one ``ChoiceRecord`` per line."""
+    out = []
+    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            parts = line.split(";")
+            if len(parts) != 2:
+                raise ValueError("expected 'subgroup=...;choice=...'")
+            sub_part, choice_part = parts
+            if not sub_part.startswith("subgroup=") or not choice_part.startswith("choice="):
+                raise ValueError("missing subgroup=/choice= fields")
+            subgroup = tuple(int(i) for i in sub_part[len("subgroup="):].split(","))
+            choice = int(choice_part[len("choice="):])
+            out.append(ChoiceRecord(subgroup, choice))
+        except (ValueError, InvalidConfigurationError, InvalidChoiceError) as exc:
+            raise ParseError(f"{path}: line {lineno}: {exc}", line_number=lineno) from exc
+    return out
+
+
+def outcome(read, path):
+    try:
+        return read(path)
+    except ParseError as exc:
+        return str(exc), exc.line_number
 
 
 def random_subgroup(rng, n_sources):
@@ -402,6 +449,21 @@ class TestSampling:
         with pytest.raises(InvalidConfigurationError):
             sample_subgroups(3, [4], 5, np.random.default_rng(42))
 
+    @PROPERTY
+    @given(
+        n_sources=st.integers(1, 60),
+        sizes=st.lists(st.integers(1, 6), min_size=1, max_size=4),
+        count=st.integers(0, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_one_python_sort_per_query(self, n_sources, sizes, count, seed):
+        sizes = [min(s, n_sources) for s in sizes]
+        fast, loop = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert sample_subgroups(n_sources, sizes, count, fast) == loop_sample(
+            n_sources, sizes, count, loop
+        )
+        assert fast.bit_generator.state == loop.bit_generator.state
+
     def test_negative_count_rejected_and_zero_draws_nothing(self):
         rng = np.random.default_rng(42)
         with pytest.raises(InvalidConfigurationError) as err:
@@ -453,6 +515,35 @@ class TestRecordsIo:
         path.write_text("subgroup=1,2;choice=7\n", encoding="utf-8")
         with pytest.raises(ParseError):
             read_records(path)
+
+    @PROPERTY
+    @given(
+        st.lists(
+            st.one_of(
+                st.builds(
+                    "subgroup={};choice={}".format,
+                    st.lists(
+                        st.sampled_from(["1", "2", "3", "0", "-2", " 4 ", "+3", "\u0663",
+                                         "9" * 25, "-" + "9" * 25, "x", ""]),
+                        min_size=1, max_size=5,
+                    ).map(",".join),
+                    st.sampled_from(["0", "1", "2", "3", "4", "+1", " 2", "9" * 25, "y"]),
+                ),
+                st.sampled_from(["", "   ", "subgroup=1;choice=1;", "subgroup 1", "choice=1"]),
+            ),
+            max_size=8,
+        )
+    )
+    @example(["subgroup=1,2,2;choice=1", "", "subgroup=1;;choice=1"])
+    @example(["subgroup=x;choice=0", "subgroup=1,1;choice=1"])
+    @example(["subgroup=1,2,3;choice=1", "subgroup=2,3;choice=9", "subgroup=1,1,2;choice=1"])
+    def test_reads_as_one_record_per_line(self, lines):
+        """Same records, or the same error on the same line, as a reader
+        that builds one ``ChoiceRecord`` per line."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "records.txt"
+            path.write_text("\n".join(lines), encoding="utf-8")
+            assert outcome(read_records, path) == outcome(loop_read, path)
 
 
 class TestLipIo:
