@@ -45,15 +45,6 @@ from .lip import (
     simulated_judge,
     write_records,
 )
-from .judge import (
-    HttpTransport,
-    JudgeTelemetry,
-    ReplayLog,
-    TransportConfig,
-    elicit_records,
-    llm_judge,
-    summarize_dataset,
-)
 from .em import (
     EmConfig,
     EmRunReport,
@@ -93,6 +84,22 @@ from .bench import (
 from .cli import dispatch, ingest_cmapss, load_dataset, write_report
 
 __version__ = "0.1.0"
+
+# the judge's names load ``lipem.judge``, and with it the network stack,
+# on first use rather than with the package (PEP 562)
+_JUDGE_NAMES = (
+    "HttpTransport", "JudgeTelemetry", "ReplayLog", "TransportConfig",
+    "elicit_records", "llm_judge", "summarize_dataset",
+)
+
+
+def __getattr__(name: str):
+    if name in _JUDGE_NAMES:
+        from . import judge
+
+        return getattr(judge, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "__version__",

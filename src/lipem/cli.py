@@ -34,7 +34,6 @@ from .bench import (
 from .em import EmConfig, NullSpec, run_em, write_em_report
 from .errors import InvalidConfigurationError, LipemError, ParseError
 from .files import ingest_cmapss, load_dataset, read_text, write_text_atomic
-from .judge import HttpTransport, ReplayLog, TransportConfig, elicit_records
 from .likelihood import GaussianMeanModel, SplineGlmModel
 from .lip import Lip, WorthVector, _read_queries, _simulate, fit_lip, write_records
 
@@ -406,12 +405,14 @@ def _cmd_elicit(args, cfg: RunConfig) -> int:
             "or --context-file",
             key="context",
         )
-    transport = HttpTransport(
-        TransportConfig(model=args.model, temperature=args.temperature)
+    from . import judge  # the network stack loads only for this command
+
+    transport = judge.HttpTransport(
+        judge.TransportConfig(model=args.model, temperature=args.temperature)
     )
-    replay = ReplayLog(args.replay) if args.replay else None
+    replay = judge.ReplayLog(args.replay) if args.replay else None
     rng = np.random.default_rng(args.seed)
-    records, telemetry = elicit_records(
+    records, telemetry = judge.elicit_records(
         transport,
         context,
         summaries,
@@ -572,6 +573,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: usage: {self.prog}: {message}\n")
 
 
+@functools.cache  # prog is fixed, so one parser serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="lipem",

@@ -24,17 +24,19 @@ of the sources: for splines, one solve of the summed normal equations of
 fits kept on each dataset and shared by every collection. The E-step,
 the null scores and both M-steps are array expressions over the K sources.
 
-What does not change between iterations is computed once per run and
-cached on the :class:`SufficientStats`: the cross table and the mixture
-null's copy of it (diagonal masked), the pooled-null scores, the
-tempering scales eps_k per mode, the logit of the clamped prior, the
-surrogate M-step's N0 theta_0, and, per tau, the Laplace factors
-(I + tau^2 H_k)^{-1} with their log-determinants and the M-step blocks
-C_k with their pulls C_k theta_k.
+What does not change between iterations is resolved once per run by
+one private step object, ``_Step``: the tempering scales eps_k, the
+logit of the clamped prior, the Laplace factors (I + tau^2 H_k)^{-1}
+with half their log-determinants, the pooled or fixed null's scores or
+the mixture null's column copy of the cross table (made once per
+stack), the M-step blocks C_k with their pulls C_k theta_k or the
+surrogate's N0 theta_0, and the blend's weight buffer; what a
+collection's rows share is cached on its :class:`SufficientStats`.
 An iteration then computes only what depends on the iterate: the
 tempering ramp, the expansion at theta, the Laplace quadratic term, the
 mixture null's log-sum-exp over the lagged weights, the sigmoid, and one
-d x d solve for the blend.
+d x d solve for the blend. The public steps below build a ``_Step`` per
+call, so they and the loop share one arithmetic path.
 
 One loop, :func:`run_em_rows`, advances R problems of one shape (K
 sources, dimension d) together. A row is a (dataset collection, prior)
@@ -57,6 +59,7 @@ import copy
 import math
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from numbers import Integral, Real
 from typing import Mapping, Sequence
 
@@ -220,11 +223,11 @@ class SufficientStats:
     mixture null.
 
     :meth:`stack` puts R problems of one shape on a leading row axis;
-    every array, and every value the methods return, then carries that
-    axis first. The methods below return per-run constants, each
-    computed on first use and cached on this object; a stack builds
-    each once per collection, so rows that share a collection share the
-    work. The returned arrays are read-only.
+    every array then carries that axis first. ``_cached`` keeps the
+    constants an EM run's ``_Step`` asks for (tempering scales, Laplace
+    factors, blend terms, null scores) on this object, read-only; a
+    stack builds each once per collection, so rows that share a
+    collection share the work.
     """
 
     theta_hat: np.ndarray
@@ -252,7 +255,6 @@ class SufficientStats:
         # index into them; all None on one collection
         self.collections, self.source_ids, self.index = collections, source_ids, index
         self._cache: dict[tuple, object] = {}
-        self._prior: tuple | None = None  # (key, logit, prior)
 
     @classmethod
     def stack(
@@ -294,9 +296,6 @@ class SufficientStats:
             key: tuple(a[rows] for a in value) if isinstance(value, tuple) else value[rows]
             for key, value in self._cache.items()
         }
-        if self._prior is not None:
-            pi = self._prior[2][rows]
-            out._prior = ((pi.shape, pi.tobytes()), self._prior[1][rows], pi)
         return out
 
     def _cached(self, key: tuple, build):
@@ -342,17 +341,14 @@ class SufficientStats:
         )
         return value, self.gradients - curv
 
-    def tempering_scale(self, mode: str) -> np.ndarray:
-        """Per-source scales eps_k, computed once per mode.
+    def _tempering_scale(self, mode: str) -> np.ndarray:
+        """Per-source tempering scales eps_k.
 
         eps_k^2 is the relative information of source k against the
         target: Tr(H0^{-1} H_k) in trace_exact mode, d N_k / N0 in
         fisher_ratio mode. A singular target Hessian downgrades
         trace_exact to fisher_ratio with a warning.
         """
-        return self._cached(("eps", mode), lambda c, _: c._tempering_scale(mode))
-
-    def _tempering_scale(self, mode: str) -> np.ndarray:
         eps_sq = self.dim * self.sizes[1:] / self.sizes[0]
         if mode == "trace_exact":
             try:
@@ -377,26 +373,9 @@ class SufficientStats:
                 eps_sq = np.trace(solved.reshape(d, n, d), axis1=0, axis2=2)
         return np.maximum(np.sqrt(np.maximum(eps_sq, 0.0)), 1e-12)
 
-    def pooled_null(self) -> np.ndarray:
-        """Log-likelihood of each source at the pooled MLE, computed once."""
-        return self._cached(
-            ("pooled",), lambda c, _: c.expand(c.pooled_theta)[0][1:]
-        )
-
-    def laplace_factor(self, tau: float) -> tuple[np.ndarray, np.ndarray]:
-        """(I + tau^2 H_k)^{-1} and its log-determinant for every source,
-        computed once per tau; see ``_laplace``."""
-        return self._cached(
-            ("laplace", tau), lambda c, _: _laplace_factor(c.hessians[1:], tau)
-        )
-
-    def blend_terms(self, tau: float) -> tuple[np.ndarray, np.ndarray]:
-        """The exact M-step's stack [H0, C_1..C_K] and pulls [H0 theta_0,
-        C_k theta_k], with C_k = (I + tau^2 H_k)^{-1} H_k, computed once
-        per tau; see ``m_step_exact``."""
-        return self._cached(("blend", tau), lambda c, _: c._blend_terms(tau))
-
     def _blend_terms(self, tau: float) -> tuple[np.ndarray, np.ndarray]:
+        """The exact M-step's stack [H0, C_1..C_K] and pulls [H0 theta_0,
+        C_k theta_k], with C_k = (I + tau^2 H_k)^{-1} H_k."""
         blocks = self.hessians[1:]
         if tau != 0:
             blocks = np.linalg.solve(np.eye(self.dim) + tau**2 * blocks, blocks)
@@ -407,43 +386,6 @@ class SufficientStats:
             np.concatenate([h0[None], blocks]),
             np.concatenate([(h0 @ self.theta_hat[0])[None], pulls]),
         )
-
-    def surrogate_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The surrogate M-step's N0, N0 theta_0 and source sizes N_k,
-        computed once; see ``m_step_surrogate``."""
-        return self._cached(("surrogate",), lambda c, _: c._surrogate_terms())
-
-    def _surrogate_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        n0 = self.sizes[:1]
-        if n0[0] < 1:
-            raise InsufficientDataError("target dataset is empty")
-        return n0, n0[0] * self.theta_hat[0], self.sizes[1:]
-
-    def fixed_null(self, null_spec: NullSpec) -> np.ndarray:
-        """The fixed null's table value for every source, looked up once
-        per table by the source's original index; a source missing from
-        the table is an error."""
-        table = null_spec.table
-        return self._cached(
-            ("fixed", tuple(sorted(table.items()))),
-            lambda _, ids: _table_lookup(table, ids),
-        )
-
-    def prior_logit(self, pi: np.ndarray) -> np.ndarray:
-        """logit of the prior clamped to [WEIGHT_CLAMP, 1 - WEIGHT_CLAMP];
-        on a stack the prior has shape (R, K).
-
-        The prior is checked, and its logit computed, only when it
-        differs from the last one seen, so a run pays for both once.
-        """
-        pi = np.asarray(pi, dtype=float)
-        key = (pi.shape, pi.tobytes())
-        if self._prior is None or self._prior[0] != key:
-            _check_prior(pi, self.theta_hat.shape[:-2] + (self.n_sources,))
-            value = logit(np.clip(pi, WEIGHT_CLAMP, 1.0 - WEIGHT_CLAMP))
-            value.setflags(write=False)
-            self._prior = (key, value, pi)
-        return self._prior[1]
 
 
 def _check_prior(pi: np.ndarray, shape: tuple[int, ...]) -> None:
@@ -531,10 +473,10 @@ class EmRunReport:
 
 
 def _laplace_factor(hess: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
-    """(I + tau^2 H)^{-1} and logdet(I + tau^2 H), batched over leading
-    axes; I + tau^2 H is positive definite for a PSD H."""
+    """(I + tau^2 H)^{-1} and (1/2) logdet(I + tau^2 H), batched over
+    leading axes; I + tau^2 H is positive definite for a PSD H."""
     a = np.eye(hess.shape[-1]) + tau**2 * hess
-    return np.linalg.inv(a), np.linalg.slogdet(a)[1]
+    return np.linalg.inv(a), 0.5 * np.linalg.slogdet(a)[1]
 
 
 def _laplace(value, grad, factor, tau: float):
@@ -548,10 +490,10 @@ def _laplace(value, grad, factor, tau: float):
     """
     if tau == 0:
         return value
-    inverse, logdet = factor
+    inverse, half_logdet = factor
     solved = (inverse @ grad[..., None])[..., 0]
     quad = 0.5 * tau**2 * np.einsum("...i,...i->...", grad, solved)
-    return value + quad - 0.5 * logdet
+    return value + quad - half_logdet
 
 
 def relevant_marginal_loglik(
@@ -576,6 +518,155 @@ def relevant_marginal_loglik(
     return out
 
 
+@dataclass(eq=False)
+class _Step:
+    """One EM run's constants over a stack, and an iteration's steps.
+
+    The fields are the run's knobs. Each constant is built on first use
+    and then held, so an iteration is only the array work that depends
+    on theta and the weights. :func:`run_em_rows` builds one step per
+    stack, and takes a new one when freezing rows re-index the stack.
+    """
+
+    stats: SufficientStats
+    pi: np.ndarray | None = None
+    tau: float = 0.0
+    nu: float = 0.0
+    mode: str = "trace_exact"
+    variant: str = "exact_hessian_reuse"
+    null_spec: NullSpec = NullSpec()
+    # the sources the null scores, indexed from 1; all of them by default
+    sources: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.sources is None:
+            self.sources = np.arange(1, self.stats.n_sources + 1)
+        self._scale = None  # [1, w_1..w_K] per row, for the blend
+
+    def take(self, rows) -> "_Step":
+        """The step of the selected rows, with the prior's logit sliced."""
+        out = replace(self, stats=self.stats.take(rows), pi=self.pi[rows])
+        out.prior_logit = self.prior_logit[rows]
+        return out
+
+    @cached_property
+    def eps(self) -> np.ndarray:
+        mode = self.mode
+        return self.stats._cached(("eps", mode), lambda c, _: c._tempering_scale(mode))
+
+    @cached_property
+    def prior_logit(self) -> np.ndarray:
+        """logit of the checked prior, clamped to [WEIGHT_CLAMP, 1 - WEIGHT_CLAMP]."""
+        _check_prior(self.pi, self.stats.theta_hat.shape[:-2] + (self.stats.n_sources,))
+        return logit(np.clip(self.pi, WEIGHT_CLAMP, 1.0 - WEIGHT_CLAMP))
+
+    @cached_property
+    def laplace(self) -> tuple[np.ndarray, np.ndarray] | None:
+        tau = self.tau
+        if not tau:
+            return None
+        return self.stats._cached(
+            ("laplace", tau), lambda c, _: _laplace_factor(c.hessians[1:], tau)
+        )
+
+    @cached_property
+    def null_part(self) -> tuple[np.ndarray, float | None]:
+        """The scored sources' pooled-MLE likelihoods or fixed-table
+        values with None, or their columns of ``stats.mixture_table``
+        with log(K - 1)."""
+        stats, ks, table = self.stats, self.sources, self.null_spec.table
+        if self.null_spec.kind == "fixed":
+            scores = stats._cached(
+                ("fixed", tuple(sorted(table.items()))),
+                lambda _, ids: _table_lookup(table, ids),
+            )
+            return scores[..., ks - 1], None
+        if self.null_spec.kind == "parametric_pooled":
+            scores = stats._cached(("pooled",), lambda c, _: c.expand(c.pooled_theta)[0][1:])
+            return scores[..., ks - 1], None
+        if stats.n_sources < 2:
+            raise InvalidConfigurationError(
+                "the mixture null needs at least two sources", key="null_spec.kind"
+            )
+        # rows: mixture components j = 1..K; columns: the scored sources.
+        # The fancy index lays the copy out column by column, so the sum
+        # over components in ``null`` runs along contiguous memory
+        # (pairwise from eight components on)
+        return stats.mixture_table[..., :, ks - 1], math.log(stats.n_sources - 1)
+
+    @cached_property
+    def blend(self) -> tuple[np.ndarray, np.ndarray]:
+        tau = self.tau
+        return self.stats._cached(("blend", tau), lambda c, _: c._blend_terms(tau))
+
+    @cached_property
+    def surrogate(self) -> tuple[np.ndarray, ...]:
+        """N0, N0 theta_0, the source sizes N_k and the source MLEs."""
+        n0, theta_hat = self.stats.sizes[..., :1], self.stats.theta_hat
+        if (n0 < 1).any():
+            raise InsufficientDataError("target dataset is empty")
+        return n0, n0 * theta_hat[..., 0, :], self.stats.sizes[..., 1:], theta_hat[..., 1:, :]
+
+    def beta(self, t: int) -> np.ndarray:
+        """The tempering multipliers (1 - exp(-nu t)) / eps_k."""
+        ramp = -np.expm1(-self.nu * t)
+        if ramp == 0.0:
+            return np.zeros(self.stats.sizes[..., 1:].shape)
+        return ramp / self.eps
+
+    def e_step(self, beta: np.ndarray, theta: np.ndarray, prev: np.ndarray) -> np.ndarray:
+        """See :func:`e_step`; ``prev`` is the previous weights."""
+        prior_logit = self.prior_logit
+        if not beta.any():
+            return self.pi.copy()
+        prev = np.minimum(np.maximum(prev, WEIGHT_CLAMP), 1.0 - WEIGHT_CLAMP)
+        value, grad = self.stats.expand(theta)
+        rel = _laplace(value[..., 1:], grad[..., 1:, :], self.laplace, self.tau)
+        _name_non_finite(rel, "relevant marginal")
+        ratio = rel - self.null(prev)
+        _name_non_finite(ratio, "log-ratio")
+        return expit(beta * ratio + prior_logit)
+
+    def null(self, prev: np.ndarray) -> np.ndarray:
+        """See ``_null_scores``; a ``prev`` of 1 divides by zero in the log."""
+        scores, log_count = self.null_part
+        if log_count is None:
+            return scores
+        terms = np.log(1.0 - prev)[..., :, None] + scores
+        peak = terms.max(axis=-2)
+        finite = np.isfinite(peak)
+        if not finite.all():
+            # the first bad source of the first bad row
+            k = self.sources[np.argwhere(~finite)[0][-1]]
+            raise DegenerateNullError(
+                f"mixture null for source {k} is degenerate: no other component "
+                "has positive responsibility and a finite likelihood; fall back "
+                "to the parametric_pooled null"
+            )
+        # the peak term contributes exp(0) = 1, so the log is finite
+        total = np.exp(terms - peak[..., None, :]).sum(axis=-2)
+        return np.log(total) + peak - log_count
+
+    def m_step(self, weights: np.ndarray) -> np.ndarray:
+        """The blended theta for weights of one shape per step."""
+        if self.variant == "small_tau_surrogate":
+            n0, pull0, sizes, sources = self.surrogate
+            mass = weights * sizes
+            numer = pull0 + (mass[..., None, :] @ sources)[..., 0, :]
+            return numer / (n0 + mass.sum(axis=-1, keepdims=True))
+        stack, pulls = self.blend
+        if self._scale is None:
+            self._scale = np.ones(weights.shape[:-1] + (weights.shape[-1] + 1,))
+        # weight 1 on the target term, then the sources in order: the sums
+        # along the stacking axis run in that order, so rounding follows
+        # the formula
+        scale = self._scale
+        scale[..., 1:] = weights
+        lhs = (scale[..., None, None] * stack).sum(axis=-3)
+        rhs = (scale[..., None] * pulls).sum(axis=-2)
+        return _solve_with_jitter(lhs, rhs)
+
+
 def _null_scores(
     null_spec: NullSpec,
     stats: SufficientStats,
@@ -588,36 +679,11 @@ def _null_scores(
     The mixture form averages the other sources' fitted models with
     responsibilities (1 - w_j) lagged from the previous iteration,
     evaluated with a max-shifted log-sum-exp over one column of
-    ``stats.mixture_table``.
+    ``stats.mixture_table``; a component of weight 1 drops out.
     """
-    if null_spec.kind == "fixed":
-        return stats.fixed_null(null_spec)[..., ks - 1]
-    if null_spec.kind == "parametric_pooled":
-        return stats.pooled_null()[..., ks - 1]
-    n_sources = stats.n_sources
-    if n_sources < 2:
-        raise InvalidConfigurationError(
-            "the mixture null needs at least two sources", key="null_spec.kind"
-        )
-    survival = 1.0 - np.asarray(weights_prev, dtype=float)
+    prev = np.asarray(weights_prev, dtype=float)
     with np.errstate(divide="ignore"):
-        # rows: mixture components j = 1..K; columns: the scored sources.
-        # The fancy index lays the copy out column by column, so the sum
-        # over components below runs along contiguous memory (pairwise)
-        terms = np.log(survival)[..., :, None] + stats.mixture_table[..., :, ks - 1]
-    peak = terms.max(axis=-2)
-    finite = np.isfinite(peak)
-    if not finite.all():
-        # the first bad source of the first bad row
-        k = ks[np.argwhere(~finite)[0][-1]]
-        raise DegenerateNullError(
-            f"mixture null for source {k} is degenerate: no other component "
-            "has positive responsibility and a finite likelihood; fall back "
-            "to the parametric_pooled null"
-        )
-    # the peak term contributes exp(0) = 1, so the log is finite
-    total = np.exp(terms - peak[..., None, :]).sum(axis=-2)
-    return np.log(total) + peak - math.log(n_sources - 1)
+        return _Step(stats, null_spec=null_spec, sources=ks).null(prev)
 
 
 def null_loglik(
@@ -640,7 +706,7 @@ def tempering_schedule(
     when ``stats`` stacks rows.
 
     beta_k = (1 - exp(-nu t)) / eps_k, with eps_k from
-    ``SufficientStats.tempering_scale``.
+    ``SufficientStats._tempering_scale``.
     """
     if t < 0:
         raise InvalidConfigurationError("t must be >= 0", key="t")
@@ -648,10 +714,7 @@ def tempering_schedule(
         raise InvalidConfigurationError(
             f"unknown tempering_mode {mode!r}", key="tempering_mode"
         )
-    ramp = -np.expm1(-nu * t)
-    if ramp == 0.0:
-        return np.zeros(stats.sizes[..., 1:].shape)
-    return ramp / stats.tempering_scale(mode)
+    return _Step(stats, nu=nu, mode=mode).beta(t)
 
 
 def _name_non_finite(values: np.ndarray, what: str) -> None:
@@ -679,23 +742,9 @@ def e_step(
     stack (``SufficientStats.stack``), theta, the weights, beta and pi
     carry the row axis first.
     """
-    pi = np.asarray(pi, dtype=float)
-    prior_logit = stats.prior_logit(pi)
+    step = _Step(stats, np.asarray(pi, dtype=float), config.tau, null_spec=config.null_spec)
     beta = np.asarray(state.beta, dtype=float)
-    if not beta.any():
-        return pi.copy()
-    prev = np.minimum(
-        np.maximum(np.asarray(state.weights, dtype=float), WEIGHT_CLAMP),
-        1.0 - WEIGHT_CLAMP,
-    )
-    value, grad = stats.expand(state.theta)
-    factor = stats.laplace_factor(config.tau) if config.tau else None
-    rel = _laplace(value[..., 1:], grad[..., 1:, :], factor, config.tau)
-    _name_non_finite(rel, "relevant marginal")
-    sources = np.arange(1, stats.n_sources + 1)
-    ratio = rel - _null_scores(config.null_spec, stats, prev, sources)
-    _name_non_finite(ratio, "log-ratio")
-    return expit(beta * ratio + prior_logit)
+    return step.e_step(beta, state.theta, np.asarray(state.weights, dtype=float))
 
 
 def _solve_with_jitter(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -725,34 +774,20 @@ def m_step_exact(
     form of the blend theta = (I + sum Lambda_k)^{-1}(theta0 +
     sum Lambda_k theta_k), Lambda_k = w_k H0^{-1} C_k, multiplied
     through by H0. The blocks and pulls come from
-    ``SufficientStats.blend_terms``, once per tau; an iteration forms
+    ``SufficientStats._blend_terms``, once per tau; an iteration forms
     the two weighted sums and makes one d x d solve per row, no
     explicit inverses.
     """
-    stack, pulls = stats.blend_terms(tau)
-    # weight 1 on the target term, then the sources in order: the sums
-    # along the stacking axis run in that order, so rounding follows
-    # the formula
-    weights = np.asarray(weights, dtype=float)
-    scale = np.empty(weights.shape[:-1] + (weights.shape[-1] + 1,))
-    scale[..., 0] = 1.0
-    scale[..., 1:] = weights
-    lhs = (scale[..., None, None] * stack).sum(axis=-3)
-    rhs = (scale[..., None] * pulls).sum(axis=-2)
-    return _solve_with_jitter(lhs, rhs)
+    return _Step(stats, tau=tau).m_step(np.asarray(weights, dtype=float))
 
 
 def m_step_surrogate(
     stats: SufficientStats, weights: np.ndarray
 ) -> np.ndarray:
     """Sample-size weighted average of the target and source MLEs:
-    (N0 theta_0 + sum_k w_k N_k theta_k) / (N0 + sum_k w_k N_k), with
-    the terms that do not depend on the weights from
-    ``SufficientStats.surrogate_terms``."""
-    n0, pull0, sizes = stats.surrogate_terms()
-    mass = np.asarray(weights, dtype=float) * sizes
-    numer = pull0 + (mass[..., None, :] @ stats.theta_hat[..., 1:, :])[..., 0, :]
-    return numer / (n0 + mass.sum(axis=-1, keepdims=True))
+    (N0 theta_0 + sum_k w_k N_k theta_k) / (N0 + sum_k w_k N_k)."""
+    step = _Step(stats, variant="small_tau_surrogate")
+    return step.m_step(np.asarray(weights, dtype=float))
 
 
 def run_em(
@@ -884,18 +919,15 @@ def run_em_rows(
     )
     pi = np.array([pi[[k - 1 for k in prepared[c][1]]] for c, pi in rows])
 
+    step = _Step(
+        stats, pi, config.tau, config.nu, config.tempering_mode, config.variant,
+        config.null_spec,
+    )
     n_rows = len(rows)
-    state = EmState(
-        theta=np.zeros((n_rows, stats.dim)),
-        weights=pi.copy(),
-        t=0,
-        beta=np.zeros(pi.shape),
-    )
-    state.weights = e_step(state, stats, pi, config)
+    theta, beta = np.zeros((n_rows, stats.dim)), step.beta(0)
+    weights = step.e_step(beta, theta, pi)
     history = _History(n_rows, stats.n_sources, stats.dim)
-    history.record(
-        slice(None), 0, state.weights, state.theta, state.beta, np.full(n_rows, np.inf)
-    )
+    history.record(slice(None), 0, weights, theta, beta, np.full(n_rows, np.inf))
 
     # the live rows' history slots: all rows until the first one freezes
     active, live = np.arange(n_rows), slice(None)
@@ -903,16 +935,12 @@ def run_em_rows(
     converged = np.zeros(n_rows, dtype=bool)
     iterations = np.full(n_rows, config.max_iters)
     for t in range(1, config.max_iters + 1):
-        state.t = t
-        state.beta = tempering_schedule(t, stats, config.tempering_mode, config.nu)
-        new_weights = e_step(state, stats, pi, config)
-        delta = np.abs(new_weights - state.weights).max(axis=-1)
-        state.weights = new_weights
-        if config.variant == "exact_hessian_reuse":
-            state.theta = m_step_exact(stats, state.weights, config.tau)
-        else:
-            state.theta = m_step_surrogate(stats, state.weights)
-        history.record(live, t, state.weights, state.theta, state.beta, delta)
+        beta = step.beta(t)
+        new_weights = step.e_step(beta, theta, weights)
+        delta = np.abs(new_weights - weights).max(axis=-1)
+        weights = new_weights
+        theta = step.m_step(weights)
+        history.record(live, t, weights, theta, beta, delta)
         streak = (streak + 1) * (delta <= config.tol)
         if streak.max() >= config.patience:
             done = streak >= config.patience
@@ -922,10 +950,10 @@ def run_em_rows(
             if not keep.any():
                 break
             # converged rows freeze: re-index the stack without them
-            active, streak, pi = active[keep], streak[keep], pi[keep]
+            active, streak = active[keep], streak[keep]
             live = active
-            stats = stats.take(keep)
-            state = EmState(state.theta[keep], state.weights[keep], t, state.beta[keep])
+            theta, weights = theta[keep], weights[keep]
+            step = step.take(keep)
 
     results = []
     for r, (c, _) in enumerate(rows):

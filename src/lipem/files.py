@@ -6,7 +6,6 @@ from __future__ import annotations
 import contextlib
 import math
 import os
-import secrets
 import warnings
 from pathlib import Path
 
@@ -52,7 +51,7 @@ def write_text_atomic(path, text: str) -> None:
     against a failed or killed writer, not against power loss.
     """
     path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
     try:
         # mode "x" creates the file as plain open() does, so it gets the
         # usual permissions, and refuses to reuse an existing name

@@ -489,6 +489,12 @@ def minimize_worths(
     # a gradient norm is never negative, so a negative tol is never met
     if not tol >= 0.0:
         raise InvalidConfigurationError("tol must be nonnegative", key="tol")
+    # the Newton step holds a dense (K+1) x (K+1) Hessian of float64
+    if 8 * (n_sources + 1) ** 2 > np.iinfo(np.intp).max:
+        raise InvalidConfigurationError(
+            f"{n_sources} sources is more than numpy can size arrays for",
+            key="n_sources",
+        )
     queries = _compile(records, n_sources)
     alpha = np.concatenate(([0.0], np.full(n_sources, float(logit(p0)))))
     worths = WorthVector(alpha)

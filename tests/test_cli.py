@@ -435,6 +435,41 @@ class TestInputContract:
         assert "[key: context]" in capsys.readouterr().err
 
 
+class TestParserReuse:
+    """One parser, built on first use, serves every ``dispatch`` call."""
+
+    def test_calls_with_different_subcommands_share_one_parser(self, tmp_path, capsys):
+        records, prior = tmp_path / "records.txt", tmp_path / "lip.txt"
+        assert dispatch(["simulate-oracle", "--alpha", "0,1,-1", "--sizes", "2",
+                         "--count", "5", "--out", str(records)]) == 0
+        assert dispatch(["fit-lip", "--records", str(records), "--sources", "3",
+                         "--out", str(prior)]) == 0
+        out = capsys.readouterr().out
+        assert f"wrote {records} (5 records)" in out and f"wrote {prior} (3 sources)" in out
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_a_failed_parse_leaves_the_parser_usable(self, tmp_path, capsys):
+        assert dispatch(["fit-lip", "--sources", "3"]) == 2
+        assert "error: usage:" in capsys.readouterr().err
+        records = tmp_path / "records.txt"
+        records.write_text("")
+        out = tmp_path / "lip.txt"
+        assert dispatch(["fit-lip", "--records", str(records), "--sources", "2",
+                         "--out", str(out)]) == 0
+        capsys.readouterr()
+        np.testing.assert_allclose(Lip.read(out).pi, [0.01, 0.01], atol=1e-8)
+
+    @pytest.mark.parametrize("argv", [["--help"], ["bench", "gaussian", "--help"]])
+    def test_help_is_the_text_of_a_fresh_parser(self, capsys, argv):
+        fresh = cli._build_parser.__wrapped__()
+        with pytest.raises(SystemExit):
+            fresh.parse_args(argv)
+        expected = capsys.readouterr().out
+        for _ in range(2):
+            assert dispatch(argv) == 0
+            assert capsys.readouterr().out == expected
+
+
 class TestFitLipCommand:
     def test_empty_records_fit_writes_baseline_prior(self, tmp_path, capsys):
         records = tmp_path / "records.txt"
@@ -447,6 +482,20 @@ class TestFitLipCommand:
         assert f"wrote {out} (3 sources)" in capsys.readouterr().out
         lip = Lip.read(out)
         np.testing.assert_allclose(lip.pi, np.full(3, 0.01), atol=1e-8)
+
+    def test_source_count_numpy_cannot_size_exits_three(self, tmp_path, capsys):
+        # 10**19 is past the index range, so numpy refuses it before
+        # allocating anything
+        records = tmp_path / "records.txt"
+        records.write_text("")
+        out = tmp_path / "lip.txt"
+        code = dispatch(["fit-lip", "--records", str(records), "--sources",
+                         str(10**19), "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid-configuration:") and err.count("\n") == 1
+        assert "[key: sources]" in err
+        assert not out.exists()
 
     def test_fit_respects_config_p0(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -1169,7 +1218,7 @@ class TestNonUtf8Input:
         assert not out.exists()
 
     def test_context_file(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "HttpTransport", _no_transport)
+        monkeypatch.setattr("lipem.judge.HttpTransport", _no_transport)
         summaries = tmp_path / "summaries.json"
         summaries.write_text(json.dumps({"1": "first", "2": "second"}))
         context = tmp_path / "context.txt"
@@ -1199,7 +1248,7 @@ class TestNegativeCount:
         ],
     )
     def test_exits_three_and_writes_nothing(self, tmp_path, capsys, monkeypatch, argv):
-        monkeypatch.setattr(cli, "HttpTransport", _no_transport)
+        monkeypatch.setattr("lipem.judge.HttpTransport", _no_transport)
         summaries = tmp_path / "summaries.json"
         summaries.write_text(json.dumps({"1": "first", "2": "second"}))
         argv = [str(summaries) if a == "SUMMARIES" else a for a in argv]

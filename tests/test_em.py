@@ -6,6 +6,7 @@ and the mixture null against direct non-log-space summation. Behavioural
 tests for the E-step, both M-steps, and the full loop follow.
 """
 
+import functools
 import math
 import warnings
 from collections import Counter
@@ -218,6 +219,48 @@ class TestNullLoglik:
             worst = max(worst, np.max(np.abs(got - expected) / np.abs(expected)))
         assert worst <= 1e-14
 
+    def test_many_component_mixture_sums_as_the_column_copy_lays_it_out(self):
+        # from eight components on numpy sums a contiguous run pairwise,
+        # so the column-major copy of the table pins the bits; a
+        # C-ordered copy sums the same terms in another order
+        rng = np.random.default_rng(7)
+        for k in (8, 12, 21):
+            a = rng.normal(size=(k + 1, 1, 1))
+            stats = SufficientStats(
+                rng.normal(0.0, 3.0, size=(k + 1, 1)),
+                rng.normal(0.0, 5.0, size=k + 1),
+                np.zeros((k + 1, 1)),
+                a * a + 0.5,
+                np.full(k + 1, 20),
+                np.zeros(1),
+            )
+            stack = SufficientStats.stack([stats], [0, 0])
+            prev = rng.uniform(0.05, 0.95, size=(2, k))
+            ks = np.arange(1, k + 1)
+            # the reference: the expression the E-step evaluated every
+            # iteration, fancy index included
+            terms = np.log(1.0 - prev)[..., :, None] + stack.mixture_table[..., :, ks - 1]
+            peak = terms.max(axis=-2)
+            total = np.exp(terms - peak[..., None, :]).sum(axis=-2)
+            expected = np.log(total) + peak - math.log(k - 1)
+            np.testing.assert_array_equal(_null_scores(NullSpec(), stack, prev, ks), expected)
+            step = em._Step(stack, null_spec=NullSpec())
+            np.testing.assert_array_equal(step.null(prev), expected)
+            for j in (1, k):
+                assert null_loglik(NullSpec(), j, stats, prev[0]) == expected[0, j - 1]
+
+    def test_weight_of_one_drops_its_component_without_a_warning(self):
+        rng = np.random.default_rng(42)
+        _, _, stats = gaussian_stats(rng, [0.0, 1.0, 2.0, 3.0], [4, 10, 10, 10])
+        prev = np.array([0.3, 1.0, 0.4])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = null_loglik(NullSpec(), 1, stats, prev)
+        # source 2 is committed, so only source 3 is left in the mixture
+        expected = math.log(0.6) + stats.mixture_table[2, 0] - math.log(2)
+        assert np.isfinite(got)
+        assert got == pytest.approx(expected, rel=1e-15)
+
     def test_column_without_finite_component_is_degenerate(self):
         # source 2 has likelihood -inf under every fit, so its column of
         # the mixture table holds -inf only, whatever the weights
@@ -335,7 +378,7 @@ class TestTemperingSchedule:
             )
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                eps = stats.tempering_scale("trace_exact")[0]
+                eps = stats._tempering_scale("trace_exact")[0]
             fired = any(issubclass(w.category, RuntimeWarning) for w in caught)
             try:
                 factor = cho_factor(h0)
@@ -1051,9 +1094,15 @@ class TestRowAxis:
 
         monkeypatch.setattr(em, "_laplace_factor", counting("laplace", em._laplace_factor))
         monkeypatch.setattr(em, "logit", counting("logit", em.logit))
-        for name in ("_blend_terms", "_tempering_scale"):
+        for name in ("_blend_terms", "_tempering_scale", "take"):
             original = getattr(SufficientStats, name)
             monkeypatch.setattr(SufficientStats, name, counting(name, original))
+        # the mixture null's column copy is made by the step's null_part
+        null_part = functools.cached_property(
+            counting("null_part", em._Step.null_part.func)
+        )
+        null_part.__set_name__(em._Step, "null_part")
+        monkeypatch.setattr(em._Step, "null_part", null_part)
         rng = np.random.default_rng(42)
         collections = [_collection(rng, 3, 2), _collection(rng, 3, 2)]
         pis = [np.full(3, 0.5), np.array([1e-6, 0.999, 1e-6])]
@@ -1063,7 +1112,71 @@ class TestRowAxis:
         iterations = [report.iterations for _, report in got]
         assert all(report.converged for _, report in got)
         assert min(iterations) < max(iterations)
-        assert calls == {"laplace": 2, "_blend_terms": 2, "_tempering_scale": 2, "logit": 1}
+        # the stack is re-indexed at every freeze but the last; the column
+        # copy is made once for the stack and once per re-index
+        takes = len(set(iterations)) - 1
+        assert calls == {
+            "laplace": 2, "_blend_terms": 2, "_tempering_scale": 2, "logit": 1,
+            "take": takes, "null_part": 1 + takes,
+        }
+
+    @pytest.mark.parametrize("tau", [0.0, 0.1])
+    @pytest.mark.parametrize("null_kind", em.NULL_KINDS)
+    @pytest.mark.parametrize("variant", em.VARIANTS)
+    def test_public_steps_are_the_loops_step(self, monkeypatch, variant, null_kind, tau):
+        # the loop's own step object, and every row's history replayed
+        # through the public functions on the stack and on the row's
+        # own statistics: beta, weights, null scores and theta agree bit
+        # for bit
+        steps = []
+
+        class Recording(em._Step):
+            def __post_init__(self):
+                super().__post_init__()
+                steps.append(self)
+
+        monkeypatch.setattr(em, "_Step", Recording)
+        rng = np.random.default_rng(42)
+        k, d = 4, 2
+        collections = [_collection(rng, k, d) for _ in range(2)]
+        table = {j: float(rng.normal(-60.0, 10.0)) for j in range(1, k + 1)}
+        spec = NullSpec(null_kind, table if null_kind == "fixed" else None)
+        config = EmConfig(tau=tau, variant=variant, null_spec=spec, max_iters=30, tol=1e-15)
+        rows = [(c, rng.uniform(0.05, 0.95, size=k)) for c in (0, 1, 1)]
+        model = GaussianMeanModel(d)
+        got = run_em_rows(collections, model, rows, config)
+        # the stack's step, until the first row freezes
+        loop, first_freeze = steps[0], min(report.iterations for _, report in got)
+        assert first_freeze >= 10
+        solo = [build_sufficient_stats(model, data) for data in collections]
+        stack = SufficientStats.stack(solo, [c for c, _ in rows])
+        pis = np.array([pi for _, pi in rows])
+        weights, thetas, betas = (
+            np.stack([getattr(report, name)[: first_freeze + 1] for _, report in got], axis=1)
+            for name in ("weight_history", "theta_history", "beta_history")
+        )
+        m_step = (
+            (lambda stats, w: m_step_exact(stats, w, tau))
+            if variant == "exact_hessian_reuse" else m_step_surrogate
+        )
+        for t in range(1, first_freeze + 1):
+            prev = np.clip(weights[t - 1], em.WEIGHT_CLAMP, 1.0 - em.WEIGHT_CLAMP)
+            loop_null = loop.null(prev)
+            state = EmState(thetas[t - 1], weights[t - 1], t, betas[t])
+            beta = tempering_schedule(t, stack, config.tempering_mode, config.nu)
+            np.testing.assert_array_equal(beta, betas[t])
+            np.testing.assert_array_equal(e_step(state, stack, pis, config), weights[t])
+            np.testing.assert_array_equal(m_step(stack, weights[t]), thetas[t])
+            for r, (c, pi) in enumerate(rows):
+                state = EmState(thetas[t - 1, r], weights[t - 1, r], t, betas[t, r])
+                np.testing.assert_array_equal(
+                    tempering_schedule(t, solo[c], config.tempering_mode, config.nu),
+                    betas[t, r],
+                )
+                np.testing.assert_array_equal(e_step(state, solo[c], pi, config), weights[t, r])
+                np.testing.assert_array_equal(m_step(solo[c], weights[t, r]), thetas[t, r])
+                for j in range(1, k + 1):
+                    assert null_loglik(spec, j, solo[c], prev[r]) == loop_null[r, j - 1]
 
     def test_jitter_reaches_only_the_singular_row(self):
         # every Hessian of the first collection is zero in its second
@@ -1081,7 +1194,7 @@ class TestRowAxis:
         singular = stats([np.diag([2.0, 0.0]), np.diag([3.0, 0.0]), np.diag([1.0, 0.0])])
         regular = stats([np.eye(2) * 2.0, np.diag([3.0, 1.0]), np.diag([1.0, 4.0])])
         weights = np.array([[0.3, 0.6], [0.2, 0.9]])
-        stack, pulls = singular.blend_terms(0.1)
+        stack, pulls = singular._blend_terms(0.1)
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(stack[0] + 0.3 * stack[1] + 0.6 * stack[2], pulls[0])
         got = m_step_exact(
