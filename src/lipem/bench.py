@@ -20,7 +20,6 @@ from .em import (
     EmConfig,
     EmState,
     NullSpec,
-    SufficientStats,
     build_sufficient_stats,
     e_step,
     run_em,  # noqa: F401  (benchmarks/perf.py times lipem.bench.run_em)
@@ -140,6 +139,10 @@ class HierarchicalSpec:
         object.__setattr__(
             self, "relevant", tuple(sorted(int(k) for k in set(self.relevant)))
         )
+        if not self.theta0:
+            raise InvalidConfigurationError(
+                "theta0 must list at least one value", key="theta0"
+            )
         if self.n_sources < 1:
             raise InvalidConfigurationError(
                 "need at least one source", key="n_sources"
@@ -149,14 +152,15 @@ class HierarchicalSpec:
                 f"relevant set {self.relevant} outside 1..{self.n_sources}",
                 key="relevant",
             )
-        # JSON reads 1e400 as inf, so finiteness is checked with the range
-        if not (math.isfinite(self.tau) and self.tau >= 0):
+        # both enter squared, so their squares must be finite too
+        if not (self.tau >= 0 and math.isfinite(self.tau * self.tau)):
             raise InvalidConfigurationError(
-                f"tau must be finite and >= 0, got {self.tau}", key="tau"
+                f"tau must be >= 0 with a finite square, got {self.tau}", key="tau"
             )
-        if not (math.isfinite(self.sigma) and self.sigma > 0):
+        if not (self.sigma > 0 and math.isfinite(self.sigma * self.sigma)):
             raise InvalidConfigurationError(
-                f"sigma must be finite and positive, got {self.sigma}", key="sigma"
+                f"sigma must be positive with a finite square, got {self.sigma}",
+                key="sigma",
             )
         for name in ("n_target", "n_source"):
             if getattr(self, name) < 1:
@@ -395,10 +399,17 @@ def _check_replications(replications: int) -> None:
         )
 
 
-def _check_sweep(values: Sequence, key: str) -> None:
+def _check_sweep(values: Sequence, key: str, valid=lambda v: True, want: str = "") -> None:
+    """A non-empty sweep whose every value passes ``valid``; ``want``
+    says what a value must be."""
     if len(values) == 0:
         raise InvalidConfigurationError(
             f"{key} must list at least one value", key=key
+        )
+    bad = [v for v in values if not valid(v)]
+    if bad:
+        raise InvalidConfigurationError(
+            f"{key} values must be {want}, got {bad[0]}", key=key
         )
 
 
@@ -636,6 +647,11 @@ def oracle_mse_check(
         raise InvalidConfigurationError(
             "need at least 1000 replications", key="replications"
         )
+    if n_weight_vectors < 0:
+        raise InvalidConfigurationError(
+            f"n_weight_vectors must be >= 0, got {n_weight_vectors}",
+            key="n_weight_vectors",
+        )
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
     theta0 = np.asarray(spec.theta0)
     indicator = np.array(
@@ -706,17 +722,17 @@ def dichotomy_check(
     configuration, for each flat prior level. Relevant weights should
     commit to 1 and irrelevant ones to 0 as N grows, regardless of the
     prior. The statistics are built once per (replication, N), and the
-    prior levels score them as rows of one E-step.
+    prior levels score them along a leading axis of one E-step.
     """
     _check_replications(replications)
-    _check_sweep(n_sweep, "n_sweep")
-    _check_sweep(priors, "priors")
+    _check_sweep(n_sweep, "n_sweep", lambda n: n >= 1, ">= 1")
+    _check_sweep(priors, "priors", lambda p: 0 < p < 1, "strictly inside (0, 1)")
     spec = spec or SEPARATED_SPEC
     theta0 = np.asarray(spec.theta0)
     model = GaussianMeanModel(spec.dim, covariance=spec.sigma**2)
     config = EmConfig()
     rep_seeds = np.random.SeedSequence(spec.seed).spawn(replications)
-    # one row per prior, all reading the same statistics
+    # one leading index per prior, all reading the same statistics
     pis = np.repeat(np.asarray(priors, dtype=float)[:, None], spec.n_sources, axis=1)
     weights = []  # per N: (replication, prior, source)
     for n in n_sweep:
@@ -725,9 +741,7 @@ def dichotomy_check(
         for seed in rep_seeds:
             rng = np.random.default_rng(seed)
             target, sources, _ = generate_hierarchical(sized, rng)
-            stats = SufficientStats.stack(
-                [build_sufficient_stats(model, [target, *sources])], [0] * len(pis)
-            )
+            stats = build_sufficient_stats(model, [target, *sources])
             state = EmState(
                 theta=np.tile(theta0, (len(pis), 1)),
                 weights=pis.copy(),
@@ -771,7 +785,7 @@ def consistency_check(
     adversarial case: abundant target data must still wash it out.
     """
     _check_replications(replications)
-    _check_sweep(n0_sweep, "n0_sweep")
+    _check_sweep(n0_sweep, "n0_sweep", lambda n: n >= 1, ">= 1")
     spec = spec or SEPARATED_SPEC
     theta0 = np.asarray(spec.theta0)
     if pi is None:
@@ -889,6 +903,10 @@ def cmapss_experiment(
             raise InvalidConfigurationError(
                 f"cutoff {cut} outside [0, 1)", key="cutoffs"
             )
+    if not 0 < p0 < 1:
+        raise InvalidConfigurationError(
+            f"p0 must lie strictly inside (0, 1), got {p0}", key="p0"
+        )
     if knots is None:
         knots = np.linspace(0.0, 300.0, 5)
 
@@ -916,13 +934,13 @@ def cmapss_experiment(
     for j, target_id in enumerate(engines):
         full = all_engines[target_id]
         n = len(full)
-        source_ids = [e for e in sorted(all_engines) if e != target_id]
-        sources = [all_engines[e] for e in source_ids]
+        source_engines = [e for e in sorted(all_engines) if e != target_id]
+        sources = [all_engines[e] for e in source_engines]
         sigma_sq = pooled_noise_variance(knots, sources, ridge=ridge)
         model = SplineGlmModel(knots, noise_variance=sigma_sq, ridge=ridge)
         pi = None
         if lip is not None:
-            pi = np.array([lip.pi[e - 1] for e in source_ids])
+            pi = np.array([lip.pi[e - 1] for e in source_engines])
         for i, cutoff in enumerate(cutoffs):
             n_train = int(np.floor((1.0 - cutoff) * n))
             n_train = max(n_train, 1)

@@ -47,10 +47,10 @@ __all__ = [
 ]
 
 def _is_number(value) -> bool:
-    if isinstance(value, float):
-        return True
-    try:  # an integer beyond the float range fails where it is used
-        return _is_integer(value) and math.isfinite(value)
+    # finite only: JSON reads 1e400 as inf and NaN as nan, and an
+    # integer beyond the float range overflows in isfinite
+    try:
+        return (isinstance(value, float) or _is_integer(value)) and math.isfinite(value)
     except OverflowError:
         return False
 
@@ -326,7 +326,8 @@ def _build_em_config(section: dict) -> EmConfig:
 def _build_model(section: dict, width: int):
     kind = section.get("kind", "gaussian")
     if kind == "gaussian":
-        return GaussianMeanModel(width, covariance=section.get("covariance", 1.0))
+        with _keyed("model"):
+            return GaussianMeanModel(width, covariance=section.get("covariance", 1.0))
     if kind == "spline_glm":
         if "knots" not in section:
             raise InvalidConfigurationError(
@@ -435,6 +436,13 @@ def _cmd_elicit(args, cfg: RunConfig) -> int:
 def _cmd_run_em(args, cfg: RunConfig) -> int:
     target = load_dataset(args.target)
     sources = [load_dataset(p) for p in args.sources]
+    for path, source in zip(args.sources, sources):
+        # an empty source is dropped by the EM, whatever its width
+        if len(source) and source.width != target.width:
+            raise ParseError(
+                f"dataset file {path} has {source.width} columns; the target "
+                f"file {args.target} has {target.width}"
+            )
     model = _build_model(cfg.section("model"), target.width)
     em_config = _build_em_config(cfg.section("em"))
     if args.lip == "uniform":

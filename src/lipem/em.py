@@ -28,34 +28,32 @@ What does not change between iterations is resolved once per run by
 one private step object, ``_Step``: the tempering scales eps_k, the
 logit of the clamped prior, the Laplace factors (I + tau^2 H_k)^{-1}
 with half their log-determinants, the pooled or fixed null's scores or
-the mixture null's column copy of the cross table (made once per
-stack), the M-step blocks C_k with their pulls C_k theta_k or the
-surrogate's N0 theta_0, and the blend's weight buffer; what a
-collection's rows share is cached on its :class:`SufficientStats`.
-An iteration then computes only what depends on the iterate: the
-tempering ramp, the expansion at theta, the Laplace quadratic term, the
-mixture null's log-sum-exp over the lagged weights, the sigmoid, and one
-d x d solve for the blend. The public steps below build a ``_Step`` per
-call, so they and the loop share one arithmetic path.
+the mixture null's column copy of the cross table, the M-step blocks
+C_k with their pulls C_k theta_k or the surrogate's N0 theta_0, and the
+blend's weight buffer. An iteration then computes only what depends on
+the iterate: the tempering ramp, the expansion at theta, the Laplace
+quadratic term, the mixture null's log-sum-exp over the lagged weights,
+the sigmoid, and one d x d solve for the blend. The public steps below
+take one collection's statistics, build a ``_Step`` per call and
+broadcast over leading axes of theta, the weights and pi, so they and
+the loop share one arithmetic path.
 
 One loop, :func:`run_em_rows`, advances R problems of one shape (K
 sources, dimension d) together. A row is a (dataset collection, prior)
-pair; the iterate carries a leading row axis, and
-``SufficientStats.stack`` puts the rows' statistics on that axis. Each
-collection's statistics are built once, and each per-run constant once
-per collection, even when several rows share it. The E-step, the null
-scores, the tempering schedule, both M-steps and the jittered solve
-broadcast over the row axis;
+pair. Each collection's statistics are built once, and so is its step,
+whose constants are built once however many rows share it;
+``_Step.stack`` then puts those constants on a leading row axis, which
+no other object carries. The E-step, the null scores, the tempering
+schedule, both M-steps and the jittered solve broadcast over that axis;
 jitter reaches only a row whose blend is singular. A row freezes once it
-converges: it leaves the stack, which is re-indexed only then, so its
-iteration count, histories and report equal a solo run's.
+converges: ``_Step.take`` slices it out of the stack, so its iteration
+count, histories and report equal a solo run's.
 :func:`run_em` is the R = 1 call of that loop. Histories grow with the
 iterations run, not with ``max_iters``.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -173,9 +171,10 @@ class EmConfig:
                     raise InvalidConfigurationError(
                         f"{name} must be {noun}, got {value!r}", key=name
                     )
-        if not (math.isfinite(self.tau) and self.tau >= 0):
+        # tau enters squared, so its square must be finite too
+        if not (self.tau >= 0 and math.isfinite(self.tau * self.tau)):
             raise InvalidConfigurationError(
-                f"tau must be finite and >= 0, got {self.tau}", key="tau"
+                f"tau must be >= 0 with a finite square, got {self.tau}", key="tau"
             )
         if not self.nu > 0:
             raise InvalidConfigurationError("nu must be > 0", key="nu")
@@ -207,9 +206,10 @@ class EmConfig:
         return "fisher_ratio"
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class SufficientStats:
-    """Quadratic summary of every dataset, computed once and frozen.
+    """Quadratic summary of one collection's datasets, computed once and
+    frozen.
 
     Index 0 is the target; 1..K are the candidate sources. Per dataset
     k: the MLE ``theta_hat[k]``, the log-likelihood ``loglik_hat[k]``
@@ -220,14 +220,8 @@ class SufficientStats:
     expansion like every other likelihood value the EM needs;
     ``mixture_table`` is its source block ``crossloglik[1:, 1:]`` with
     -inf on the diagonal, since no source is a component of its own
-    mixture null.
-
-    :meth:`stack` puts R problems of one shape on a leading row axis;
-    every array then carries that axis first. ``_cached`` keeps the
-    constants an EM run's ``_Step`` asks for (tempering scales, Laplace
-    factors, blend terms, null scores) on this object, read-only; a
-    stack builds each once per collection, so rows that share a
-    collection share the work.
+    mixture null. Only the mixture null reads those two tables, so each
+    is built on first use.
     """
 
     theta_hat: np.ndarray
@@ -237,83 +231,22 @@ class SufficientStats:
     sizes: np.ndarray
     pooled_theta: np.ndarray
 
-    _ARRAYS = (
-        "theta_hat", "loglik_hat", "gradients", "hessians", "sizes",
-        "pooled_theta", "crossloglik", "mixture_table",
-    )
-
     def __post_init__(self):
-        self.crossloglik = self.expand(self.theta_hat)[0]
-        self.mixture_table = self.crossloglik[1:, 1:].copy()
-        np.fill_diagonal(self.mixture_table, -np.inf)
-        for name in self._ARRAYS:
-            getattr(self, name).setflags(write=False)
-        self._reset(None, None, None)
+        for value in vars(self).values():
+            value.setflags(write=False)
 
-    def _reset(self, collections, source_ids, index) -> None:
-        # a stack's collections, their original source ids and the row
-        # index into them; all None on one collection
-        self.collections, self.source_ids, self.index = collections, source_ids, index
-        self._cache: dict[tuple, object] = {}
+    @cached_property
+    def crossloglik(self) -> np.ndarray:
+        table = self.expand(self.theta_hat)[0]
+        table.setflags(write=False)
+        return table
 
-    @classmethod
-    def stack(
-        cls,
-        collections: Sequence["SufficientStats"],
-        index: Sequence[int],
-        source_ids: Sequence[Sequence[int]] | None = None,
-    ) -> "SufficientStats":
-        """R problems of one shape on a leading row axis: row r reads
-        ``collections[index[r]]``, and every collection must have the
-        same source count K and dimension d. ``source_ids[c]`` are the
-        original indices of collection c's sources (1..K by default),
-        by which a fixed null's table is read."""
-        collections = tuple(collections)
-        shapes = sorted({(c.n_sources, c.dim) for c in collections})
-        if len(shapes) != 1:
-            raise InvalidConfigurationError(
-                "rows must share one shape after empty sources are dropped; "
-                f"got (sources, dimension) pairs {shapes}",
-                key="rows",
-            )
-        if source_ids is None:
-            source_ids = [range(1, shapes[0][0] + 1)] * len(collections)
-        out = cls.__new__(cls)
-        index = np.asarray(index, dtype=int)
-        for name in cls._ARRAYS:
-            setattr(out, name, np.stack([getattr(c, name) for c in collections])[index])
-        out._reset(collections, tuple(tuple(ids) for ids in source_ids), index)
-        return out
-
-    def take(self, rows) -> "SufficientStats":
-        """The stack of the selected rows (an index array or a mask),
-        with every constant built so far."""
-        out = copy.copy(self)
-        out.index = self.index[rows]
-        for name in self._ARRAYS:
-            setattr(out, name, getattr(self, name)[rows])
-        out._cache = {
-            key: tuple(a[rows] for a in value) if isinstance(value, tuple) else value[rows]
-            for key, value in self._cache.items()
-        }
-        return out
-
-    def _cached(self, key: tuple, build):
-        # build(collection, original source ids) once per collection; a
-        # stack gives each row its collection's copy
-        if key not in self._cache:
-            if self.index is None:
-                value = build(self, range(1, self.n_sources + 1))
-            else:
-                parts = [build(c, ids) for c, ids in zip(self.collections, self.source_ids)]
-                if isinstance(parts[0], tuple):
-                    value = tuple(np.stack(p)[self.index] for p in zip(*parts))
-                else:
-                    value = np.stack(parts)[self.index]
-            for arr in value if isinstance(value, tuple) else (value,):
-                arr.setflags(write=False)
-            self._cache[key] = value
-        return self._cache[key]
+    @cached_property
+    def mixture_table(self) -> np.ndarray:
+        table = self.crossloglik[1:, 1:].copy()
+        np.fill_diagonal(table, -np.inf)
+        table.setflags(write=False)
+        return table
 
     @property
     def n_sources(self) -> int:
@@ -324,22 +257,9 @@ class SufficientStats:
         return self.theta_hat.shape[-1]
 
     def expand(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Log-likelihood and gradient of every dataset at theta.
-
-        Uses the expansion around each dataset's own MLE,
-
-            l_k + g_k'(theta - theta_k) - (1/2)(theta - theta_k)' H_k (theta - theta_k),
-
-        exact for the shipped families. ``theta`` of shape (..., d)
-        gives values of shape (..., K+1) and gradients (..., K+1, d);
-        on a stack, theta (R, d) gives values (R, K+1).
-        """
-        dev = np.asarray(theta, dtype=float)[..., None, :] - self.theta_hat
-        curv = np.einsum("...kij,...kj->...ki", self.hessians, dev)
-        value = self.loglik_hat + np.einsum(
-            "...ki,...ki->...k", self.gradients - 0.5 * curv, dev
-        )
-        return value, self.gradients - curv
+        """Log-likelihood and gradient of every dataset at theta; see
+        ``_expand``."""
+        return _expand(theta, self.theta_hat, self.loglik_hat, self.gradients, self.hessians)
 
     def _tempering_scale(self, mode: str) -> np.ndarray:
         """Per-source tempering scales eps_k.
@@ -386,6 +306,23 @@ class SufficientStats:
             np.concatenate([h0[None], blocks]),
             np.concatenate([(h0 @ self.theta_hat[0])[None], pulls]),
         )
+
+
+def _expand(theta, theta_hat, loglik_hat, gradients, hessians):
+    """Log-likelihood and gradient of every dataset at theta.
+
+    Uses the expansion around each dataset's own MLE,
+
+        l_k + g_k'(theta - theta_k) - (1/2)(theta - theta_k)' H_k (theta - theta_k),
+
+    exact for the shipped families. ``theta`` of shape (..., d) gives
+    values of shape (..., K+1) and gradients (..., K+1, d); statistics
+    with a leading row axis take theta (R, d).
+    """
+    dev = np.asarray(theta, dtype=float)[..., None, :] - theta_hat
+    curv = np.einsum("...kij,...kj->...ki", hessians, dev)
+    value = loglik_hat + np.einsum("...ki,...ki->...k", gradients - 0.5 * curv, dev)
+    return value, gradients - curv
 
 
 def _check_prior(pi: np.ndarray, shape: tuple[int, ...]) -> None:
@@ -520,15 +457,18 @@ def relevant_marginal_loglik(
 
 @dataclass(eq=False)
 class _Step:
-    """One EM run's constants over a stack, and an iteration's steps.
+    """One EM run's constants, and an iteration's steps.
 
-    The fields are the run's knobs. Each constant is built on first use
+    On one collection's statistics each constant is built on first use
     and then held, so an iteration is only the array work that depends
-    on theta and the weights. :func:`run_em_rows` builds one step per
-    stack, and takes a new one when freezing rows re-index the stack.
+    on theta and the weights; theta, the weights and pi may carry
+    leading axes, over which every step broadcasts. :meth:`stack` puts
+    several collections' constants on a leading row axis, one row per
+    (collection, prior) pair, and :meth:`take` slices them when rows
+    freeze: the row axis lives on this object only.
     """
 
-    stats: SufficientStats
+    stats: SufficientStats | None  # None on a stack
     pi: np.ndarray | None = None
     tau: float = 0.0
     nu: float = 0.0
@@ -543,75 +483,103 @@ class _Step:
             self.sources = np.arange(1, self.stats.n_sources + 1)
         self._scale = None  # [1, w_1..w_K] per row, for the blend
 
+    def _run_constants(self) -> list[str]:
+        # what an EM run reads, in the order its loop first reads it
+        names = ["eps", "quadratic"] + (["laplace"] if self.tau else []) + ["null_part"]
+        return names + ["surrogate" if self.variant == "small_tau_surrogate" else "blend"]
+
+    @classmethod
+    def stack(cls, steps: Sequence["_Step"], index: Sequence[int], pi) -> "_Step":
+        """R rows on a leading axis: row r reads ``steps[index[r]]`` from
+        the prior ``pi[r]``. Each step builds the run's constants once,
+        here, however many rows read it; the steps must share one source
+        count K and dimension d."""
+        shapes = sorted({(step.stats.n_sources, step.stats.dim) for step in steps})
+        if len(shapes) != 1:
+            raise InvalidConfigurationError(
+                "rows must share one shape after empty sources are dropped; "
+                f"got (sources, dimension) pairs {shapes}",
+                key="rows",
+            )
+        out = replace(steps[0], stats=None, pi=np.array(pi, dtype=float))
+        index = np.asarray(index, dtype=int)
+        for name in out._run_constants():
+            parts = [getattr(step, name) for step in steps]
+            if isinstance(parts[0], tuple):
+                out.__dict__[name] = tuple(np.stack(p)[index] for p in zip(*parts))
+            else:
+                out.__dict__[name] = np.stack(parts)[index]
+        return out
+
     def take(self, rows) -> "_Step":
-        """The step of the selected rows, with the prior's logit sliced."""
-        out = replace(self, stats=self.stats.take(rows), pi=self.pi[rows])
-        out.prior_logit = self.prior_logit[rows]
+        """The stack of the selected rows (an index array or a mask)."""
+        out = replace(self, pi=self.pi[rows])
+        for name in ("prior_logit", *self._run_constants()):
+            value = getattr(self, name)
+            out.__dict__[name] = (
+                tuple(a[rows] for a in value) if isinstance(value, tuple) else value[rows]
+            )
         return out
 
     @cached_property
     def eps(self) -> np.ndarray:
-        mode = self.mode
-        return self.stats._cached(("eps", mode), lambda c, _: c._tempering_scale(mode))
+        return self.stats._tempering_scale(self.mode)
+
+    @cached_property
+    def quadratic(self) -> tuple[np.ndarray, ...]:
+        """The expansion's theta_k, l_k, g_k and H_k; see ``_expand``."""
+        stats = self.stats
+        return stats.theta_hat, stats.loglik_hat, stats.gradients, stats.hessians
 
     @cached_property
     def prior_logit(self) -> np.ndarray:
-        """logit of the checked prior, clamped to [WEIGHT_CLAMP, 1 - WEIGHT_CLAMP]."""
-        _check_prior(self.pi, self.stats.theta_hat.shape[:-2] + (self.stats.n_sources,))
+        """logit of the checked prior, clamped to [WEIGHT_CLAMP, 1 - WEIGHT_CLAMP].
+        A stack's rows were checked before they were stacked."""
+        if self.stats is not None:
+            _check_prior(self.pi, self.pi.shape[:-1] + (self.stats.n_sources,))
         return logit(np.clip(self.pi, WEIGHT_CLAMP, 1.0 - WEIGHT_CLAMP))
 
     @cached_property
     def laplace(self) -> tuple[np.ndarray, np.ndarray] | None:
-        tau = self.tau
-        if not tau:
-            return None
-        return self.stats._cached(
-            ("laplace", tau), lambda c, _: _laplace_factor(c.hessians[1:], tau)
-        )
+        return _laplace_factor(self.stats.hessians[1:], self.tau) if self.tau else None
 
     @cached_property
-    def null_part(self) -> tuple[np.ndarray, float | None]:
+    def null_part(self) -> np.ndarray:
         """The scored sources' pooled-MLE likelihoods or fixed-table
-        values with None, or their columns of ``stats.mixture_table``
-        with log(K - 1)."""
-        stats, ks, table = self.stats, self.sources, self.null_spec.table
+        values, or their columns of ``stats.mixture_table``."""
+        stats, ks = self.stats, self.sources
         if self.null_spec.kind == "fixed":
-            scores = stats._cached(
-                ("fixed", tuple(sorted(table.items()))),
-                lambda _, ids: _table_lookup(table, ids),
-            )
-            return scores[..., ks - 1], None
+            table = _table_lookup(self.null_spec.table, range(1, stats.n_sources + 1))
+            return table[ks - 1]
         if self.null_spec.kind == "parametric_pooled":
-            scores = stats._cached(("pooled",), lambda c, _: c.expand(c.pooled_theta)[0][1:])
-            return scores[..., ks - 1], None
+            return stats.expand(stats.pooled_theta)[0][ks]
         if stats.n_sources < 2:
             raise InvalidConfigurationError(
                 "the mixture null needs at least two sources", key="null_spec.kind"
             )
         # rows: mixture components j = 1..K; columns: the scored sources.
-        # The fancy index lays the copy out column by column, so the sum
-        # over components in ``null`` runs along contiguous memory
-        # (pairwise from eight components on)
-        return stats.mixture_table[..., :, ks - 1], math.log(stats.n_sources - 1)
+        # The fancy index lays the copy out column by column, and a stack
+        # keeps that layout, so the sum over components in ``null`` runs
+        # along contiguous memory (pairwise from eight components on)
+        return stats.mixture_table[:, ks - 1]
 
     @cached_property
     def blend(self) -> tuple[np.ndarray, np.ndarray]:
-        tau = self.tau
-        return self.stats._cached(("blend", tau), lambda c, _: c._blend_terms(tau))
+        return self.stats._blend_terms(self.tau)
 
     @cached_property
     def surrogate(self) -> tuple[np.ndarray, ...]:
         """N0, N0 theta_0, the source sizes N_k and the source MLEs."""
-        n0, theta_hat = self.stats.sizes[..., :1], self.stats.theta_hat
-        if (n0 < 1).any():
+        n0, theta_hat = self.stats.sizes[:1], self.stats.theta_hat
+        if n0[0] < 1:
             raise InsufficientDataError("target dataset is empty")
-        return n0, n0 * theta_hat[..., 0, :], self.stats.sizes[..., 1:], theta_hat[..., 1:, :]
+        return n0, n0 * theta_hat[0], self.stats.sizes[1:], theta_hat[1:]
 
     def beta(self, t: int) -> np.ndarray:
         """The tempering multipliers (1 - exp(-nu t)) / eps_k."""
         ramp = -np.expm1(-self.nu * t)
         if ramp == 0.0:
-            return np.zeros(self.stats.sizes[..., 1:].shape)
+            return np.zeros(self.stats.n_sources)
         return ramp / self.eps
 
     def e_step(self, beta: np.ndarray, theta: np.ndarray, prev: np.ndarray) -> np.ndarray:
@@ -620,7 +588,7 @@ class _Step:
         if not beta.any():
             return self.pi.copy()
         prev = np.minimum(np.maximum(prev, WEIGHT_CLAMP), 1.0 - WEIGHT_CLAMP)
-        value, grad = self.stats.expand(theta)
+        value, grad = _expand(theta, *self.quadratic)
         rel = _laplace(value[..., 1:], grad[..., 1:, :], self.laplace, self.tau)
         _name_non_finite(rel, "relevant marginal")
         ratio = rel - self.null(prev)
@@ -628,9 +596,9 @@ class _Step:
         return expit(beta * ratio + prior_logit)
 
     def null(self, prev: np.ndarray) -> np.ndarray:
-        """See ``_null_scores``; a ``prev`` of 1 divides by zero in the log."""
-        scores, log_count = self.null_part
-        if log_count is None:
+        """See :func:`null_loglik`; a ``prev`` of 1 divides by zero in the log."""
+        scores = self.null_part
+        if self.null_spec.kind != "empirical_bayes_mixture":
             return scores
         terms = np.log(1.0 - prev)[..., :, None] + scores
         peak = terms.max(axis=-2)
@@ -643,9 +611,10 @@ class _Step:
                 "has positive responsibility and a finite likelihood; fall back "
                 "to the parametric_pooled null"
             )
-        # the peak term contributes exp(0) = 1, so the log is finite
+        # the peak term contributes exp(0) = 1, so the log is finite; the
+        # component axis holds the K mixture components
         total = np.exp(terms - peak[..., None, :]).sum(axis=-2)
-        return np.log(total) + peak - log_count
+        return np.log(total) + peak - math.log(scores.shape[-2] - 1)
 
     def m_step(self, weights: np.ndarray) -> np.ndarray:
         """The blended theta for weights of one shape per step."""
@@ -667,25 +636,6 @@ class _Step:
         return _solve_with_jitter(lhs, rhs)
 
 
-def _null_scores(
-    null_spec: NullSpec,
-    stats: SufficientStats,
-    weights_prev: np.ndarray,
-    ks: np.ndarray,
-) -> np.ndarray:
-    """Null log-densities of the sources ``ks`` (indexed from 1), per
-    row when ``stats`` stacks rows.
-
-    The mixture form averages the other sources' fitted models with
-    responsibilities (1 - w_j) lagged from the previous iteration,
-    evaluated with a max-shifted log-sum-exp over one column of
-    ``stats.mixture_table``; a component of weight 1 drops out.
-    """
-    prev = np.asarray(weights_prev, dtype=float)
-    with np.errstate(divide="ignore"):
-        return _Step(stats, null_spec=null_spec, sources=ks).null(prev)
-
-
 def null_loglik(
     null_spec: NullSpec,
     k: int,
@@ -693,17 +643,25 @@ def null_loglik(
     weights_prev: np.ndarray,
 ) -> float:
     """Log-density of dataset k (indexed from 1) under the irrelevance
-    hypothesis; see ``_null_scores``."""
+    hypothesis.
+
+    The mixture form averages the other sources' fitted models with
+    responsibilities (1 - w_j) lagged from the previous iteration,
+    evaluated with a max-shifted log-sum-exp over one column of
+    ``stats.mixture_table``; a component of weight 1 drops out.
+    """
     if not 1 <= k <= stats.n_sources:
         raise InvalidConfigurationError(f"source index {k} out of range", key="k")
-    return float(_null_scores(null_spec, stats, weights_prev, np.array([k]))[0])
+    prev = np.asarray(weights_prev, dtype=float)
+    with np.errstate(divide="ignore"):
+        scores = _Step(stats, null_spec=null_spec, sources=np.array([k])).null(prev)
+    return float(scores[0])
 
 
 def tempering_schedule(
     t: int, stats: SufficientStats, mode: str, nu: float
 ) -> np.ndarray:
-    """Per-source tempering multipliers beta_k at iteration t, per row
-    when ``stats`` stacks rows.
+    """Per-source tempering multipliers beta_k at iteration t.
 
     beta_k = (1 - exp(-nu t)) / eps_k, with eps_k from
     ``SufficientStats._tempering_scale``.
@@ -738,9 +696,9 @@ def e_step(
     w_k = sigmoid(beta_k [rel_k - null_k] + logit(pi_k)), where rel_k
     is the relevant marginal of dataset k at the current theta and
     null_k the irrelevance score. With beta identically zero (t = 0)
-    the prior is returned exactly and no statistic is read. On a
-    stack (``SufficientStats.stack``), theta, the weights, beta and pi
-    carry the row axis first.
+    the prior is returned exactly and no statistic is read. theta,
+    the weights, beta and pi may carry leading axes (several priors on
+    one collection, say), over which the step broadcasts.
     """
     step = _Step(stats, np.asarray(pi, dtype=float), config.tau, null_spec=config.null_spec)
     beta = np.asarray(state.beta, dtype=float)
@@ -775,8 +733,8 @@ def m_step_exact(
     sum Lambda_k theta_k), Lambda_k = w_k H0^{-1} C_k, multiplied
     through by H0. The blocks and pulls come from
     ``SufficientStats._blend_terms``, once per tau; an iteration forms
-    the two weighted sums and makes one d x d solve per row, no
-    explicit inverses.
+    the two weighted sums and makes one d x d solve per leading index
+    of the weights, no explicit inverses.
     """
     return _Step(stats, tau=tau).m_step(np.asarray(weights, dtype=float))
 
@@ -886,8 +844,9 @@ def run_em_rows(
     Each collection is a target followed by its candidate sources, as
     in :func:`run_em`. Row r = (c, pi) runs EM on ``collections[c]``
     from the prior ``pi``, so rows may share a collection; its
-    statistics, and the per-run constants cached on them, are built
-    once. Every row's prior is checked before any dataset is read.
+    statistics, and the run's constants on them, are built once, in
+    one ``_Step`` per collection that ``_Step.stack`` puts on the row
+    axis. Every row's prior is checked before any dataset is read.
     Empty sources are dropped per collection; the rows must then share
     one shape (K, d), or ``InvalidConfigurationError`` is raised.
 
@@ -914,19 +873,19 @@ def run_em_rows(
         _check_collection(collections[c])
         _check_prior(pi, (len(collections[c]) - 1,))
     prepared = [_prepare(datasets, model, config) for datasets in collections]
-    stats = SufficientStats.stack(
-        [p[0] for p in prepared], [c for c, _ in rows], [p[1] for p in prepared]
+    step = _Step.stack(
+        [
+            _Step(stats, None, config.tau, config.nu, config.tempering_mode,
+                  config.variant, kept_config.null_spec)
+            for stats, _, _, kept_config in prepared
+        ],
+        [c for c, _ in rows],
+        [pi[[k - 1 for k in prepared[c][1]]] for c, pi in rows],
     )
-    pi = np.array([pi[[k - 1 for k in prepared[c][1]]] for c, pi in rows])
-
-    step = _Step(
-        stats, pi, config.tau, config.nu, config.tempering_mode, config.variant,
-        config.null_spec,
-    )
-    n_rows = len(rows)
-    theta, beta = np.zeros((n_rows, stats.dim)), step.beta(0)
-    weights = step.e_step(beta, theta, pi)
-    history = _History(n_rows, stats.n_sources, stats.dim)
+    (n_rows, n_sources), dim = step.pi.shape, prepared[0][0].dim
+    theta, beta = np.zeros((n_rows, dim)), np.zeros((n_rows, n_sources))
+    weights = step.e_step(beta, theta, step.pi)
+    history = _History(n_rows, n_sources, dim)
     history.record(slice(None), 0, weights, theta, beta, np.full(n_rows, np.inf))
 
     # the live rows' history slots: all rows until the first one freezes

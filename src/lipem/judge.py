@@ -52,6 +52,9 @@ __all__ = [
 
 API_KEY_ENV = "LIPEM_API_KEY"
 API_URL_ENV = "LIPEM_API_URL"
+# a rate-limited query is retried this many times, this many seconds apart
+MAX_RETRIES = 3
+RETRY_WAIT = 1.0
 
 
 @dataclass
@@ -276,13 +279,11 @@ def llm_judge(
     *,
     replay: ReplayLog | None = None,
     telemetry: JudgeTelemetry | None = None,
-    max_retries: int = 3,
-    retry_wait: float = 1.0,
 ) -> int:
     """Ask the judge to pick from one subgroup, replay-cached.
 
     A replay hit answers without any transport.  Rate-limit responses are
-    retried up to ``max_retries`` times (each counted in telemetry);
+    retried up to ``MAX_RETRIES`` times (each counted in telemetry);
     other transport failures propagate.  Malformed replies raise after
     being logged to the replay file, so a rerun will not re-ask them
     either.
@@ -310,10 +311,9 @@ def llm_judge(
         except RateLimitedError:
             attempts += 1
             telemetry.bump("retries")
-            if attempts > max_retries:
+            if attempts > MAX_RETRIES:
                 raise
-            if retry_wait > 0:
-                time.sleep(retry_wait)
+            time.sleep(RETRY_WAIT)
     try:
         choice = parse_choice(raw, subgroup)
     except MalformedJudgeResponseError:
@@ -337,8 +337,6 @@ def elicit_records(
     *,
     replay: ReplayLog | None = None,
     jobs: int = 1,
-    max_retries: int = 3,
-    retry_wait: float = 1.0,
 ) -> tuple[list[ChoiceRecord], JudgeTelemetry]:
     """Drive a full elicitation round over ``count`` sampled subgroups.
 
@@ -358,8 +356,6 @@ def elicit_records(
                 summaries,
                 replay=replay,
                 telemetry=telemetry,
-                max_retries=max_retries,
-                retry_wait=retry_wait,
             )
             return ChoiceRecord(subgroup, choice)
         except MalformedJudgeResponseError:

@@ -175,18 +175,26 @@ class GaussianMeanModel(LikelihoodFamily):
         if dim < 1:
             raise InvalidConfigurationError("dim must be >= 1")
         self._dim = int(dim)
-        cov = np.asarray(covariance, dtype=float)
+        try:
+            cov = np.asarray(covariance, dtype=float)
+        except ValueError as exc:  # a ragged list of rows
+            raise InvalidConfigurationError(
+                "covariance must be a number or a square matrix", key="covariance"
+            ) from exc
         if cov.ndim == 0:
             cov = float(cov) * np.eye(self._dim)
         if cov.shape != (self._dim, self._dim):
             raise InvalidConfigurationError(
-                f"covariance shape {cov.shape} does not match dim {dim}"
+                f"covariance shape {cov.shape} does not match dim {dim}",
+                key="covariance",
             )
         cov = 0.5 * (cov + cov.T)
         try:
             chol = np.linalg.cholesky(cov)
         except np.linalg.LinAlgError as exc:
-            raise InvalidConfigurationError("covariance must be positive definite") from exc
+            raise InvalidConfigurationError(
+                "covariance must be positive definite", key="covariance"
+            ) from exc
         self.covariance = cov
         self._precision = np.linalg.inv(cov)
         # log det(2 pi Sigma) via the Cholesky factor

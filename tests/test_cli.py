@@ -1331,6 +1331,87 @@ class TestSplineModelSection:
         assert not out.exists()
 
 
+class TestConfigValueFaults:
+    """Numbers whose square overflows, non-finite numbers, and sweep,
+    generator and covariance values out of range: each is one error
+    line naming its key with exit 3, never a traceback."""
+
+    @staticmethod
+    def _dispatch(cmapss_dir, argv, doc):
+        cfg = cmapss_dir / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        if argv[0] == "run-em":
+            target, source = cmapss_dir / "t.txt", cmapss_dir / "s.txt"
+            np.savetxt(target, [[0.1], [-0.3], [0.2]])
+            np.savetxt(source, np.random.default_rng(42).normal(size=(20, 1)))
+            argv = argv + ["--target", str(target), "--sources", str(source), str(source)]
+        if argv[:2] == ["bench", "cmapss"]:
+            argv = argv + ["--data", str(cmapss_dir), "--engines", "4", "--cutoff", "0.5"]
+        with warnings.catch_warnings():
+            # the six-engine fixture file is smaller than FD001
+            warnings.simplefilter("ignore", RuntimeWarning)
+            return dispatch(argv + ["--config", str(cfg), "--out", str(cmapss_dir / "r")])
+
+    @pytest.mark.parametrize(
+        "command, doc, key",
+        [
+            # squares that overflow
+            ("run-em", {"em": {"tau": 1e200}}, "em.tau"),
+            ("bench gaussian", {"experiment": {"tau": 1e200}}, "experiment.tau"),
+            ("bench gaussian", {"experiment": {"sigma": 1e200}}, "experiment.sigma"),
+            ("bench oracle-mse", {"generator": {"sigma": 1e200}}, "generator.sigma"),
+            ("bench oracle-mse", {"oracle": {"taus": [1e200]}}, "oracle.taus"),
+            ("bench consistency", {"generator": {"tau": 1e200}}, "generator.tau"),
+            ("bench cmapss", {"cmapss": {"tau": 1e200}}, "cmapss.tau"),
+            # JSON reads 1e400 as inf and NaN as nan
+            ("bench dichotomy", {"generator": {"shell": [1, 1e400]}}, "generator.shell"),
+            ("run-em", {"em": {"nu": 1e400}}, "em.nu"),
+            ("bench gaussian", {"experiment": {"nu": 1e400}}, "experiment.nu"),
+            ("bench consistency", {"consistency": {"nu": 1e400}}, "consistency.nu"),
+            ("run-em", {"em": {"tol": 1e400}}, "em.tol"),
+            ("run-em", {"em": {"tau": float("nan")}}, "em.tau"),
+            ("bench dichotomy", {"generator": {"spread": 1e400}}, "generator.spread"),
+            ("bench dichotomy", {"generator": {"offset": 1e400}}, "generator.offset"),
+            ("bench dichotomy", {"generator": {"theta0": [1e400]}}, "generator.theta0"),
+            ("run-em", {"model": {"covariance": 1e400}}, "model.covariance"),
+            # sweeps and generator settings, keyed where they are owned
+            ("bench consistency", {"consistency": {"n0_sweep": [-5]}}, "consistency.n0_sweep"),
+            ("bench consistency", {"consistency": {"n0_sweep": [0]}}, "consistency.n0_sweep"),
+            ("bench dichotomy", {"dichotomy": {"n_sweep": [0]}}, "dichotomy.n_sweep"),
+            ("bench dichotomy", {"dichotomy": {"priors": [1.5]}}, "dichotomy.priors"),
+            ("bench cmapss", {"cmapss": {"p0": 2}}, "cmapss.p0"),
+            ("bench oracle-mse", {"generator": {"theta0": []}}, "generator.theta0"),
+            ("bench dichotomy", {"generator": {"theta0": []}}, "generator.theta0"),
+            ("bench oracle-mse", {"oracle": {"n_weight_vectors": -1}}, "oracle.n_weight_vectors"),
+            # Gaussian covariances
+            ("run-em", {"model": {"covariance": [[1], [2, 3]]}}, "model.covariance"),
+            ("run-em", {"model": {"covariance": -1}}, "model.covariance"),
+            ("run-em", {"model": {"covariance": [[1, 2]]}}, "model.covariance"),
+        ],
+    )
+    def test_exits_three_naming_key(self, cmapss_dir, capsys, command, doc, key):
+        assert self._dispatch(cmapss_dir, command.split(), doc) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert err.endswith(f"[key: {key}]\n")
+        assert not (cmapss_dir / "r").exists()
+
+    @pytest.mark.parametrize("widths", [(1, 2), (2, 1)])
+    def test_source_width_unlike_the_target_is_a_parse_error(self, tmp_path, capsys, widths):
+        target, source = tmp_path / "t.txt", tmp_path / "s.txt"
+        np.savetxt(target, np.ones((3, widths[0])))
+        np.savetxt(source, np.ones((4, widths[1])))
+        out = tmp_path / "report.txt"
+        argv = ["run-em", "--target", str(target), "--sources", str(source), str(source),
+                "--out", str(out)]
+        assert dispatch(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: parse:") and err.count("\n") == 1
+        assert f"{source} has {widths[1]} columns" in err
+        assert f"{target} has {widths[0]}" in err
+        assert not out.exists()
+
+
 def test_python_dash_m_lipem_runs_the_cli():
     import os
     import subprocess

@@ -26,7 +26,6 @@ from lipem.em import (
     EmState,
     NullSpec,
     SufficientStats,
-    _null_scores,
     build_sufficient_stats,
     e_step,
     m_step_exact,
@@ -215,7 +214,7 @@ class TestNullLoglik:
             with np.errstate(divide="ignore"):
                 terms = np.log(1.0 - prev)[:, None] + table
             expected = logsumexp(terms, axis=0) - np.log(k - 1)
-            got = _null_scores(NullSpec(), stats, prev, np.arange(1, k + 1))
+            got = np.array([null_loglik(NullSpec(), j, stats, prev) for j in range(1, k + 1)])
             worst = max(worst, np.max(np.abs(got - expected) / np.abs(expected)))
         assert worst <= 1e-14
 
@@ -234,18 +233,20 @@ class TestNullLoglik:
                 np.full(k + 1, 20),
                 np.zeros(1),
             )
-            stack = SufficientStats.stack([stats], [0, 0])
             prev = rng.uniform(0.05, 0.95, size=(2, k))
             ks = np.arange(1, k + 1)
             # the reference: the expression the E-step evaluated every
-            # iteration, fancy index included
-            terms = np.log(1.0 - prev)[..., :, None] + stack.mixture_table[..., :, ks - 1]
+            # iteration on a two-row stack of the tables, fancy index
+            # included
+            table = np.stack([stats.mixture_table] * 2)
+            terms = np.log(1.0 - prev)[..., :, None] + table[..., :, ks - 1]
             peak = terms.max(axis=-2)
             total = np.exp(terms - peak[..., None, :]).sum(axis=-2)
             expected = np.log(total) + peak - math.log(k - 1)
-            np.testing.assert_array_equal(_null_scores(NullSpec(), stack, prev, ks), expected)
-            step = em._Step(stack, null_spec=NullSpec())
+            step = em._Step(stats, null_spec=NullSpec())
             np.testing.assert_array_equal(step.null(prev), expected)
+            stack = em._Step.stack([step], [0, 0], np.full((2, k), 0.5))
+            np.testing.assert_array_equal(stack.null(prev), expected)
             for j in (1, k):
                 assert null_loglik(NullSpec(), j, stats, prev[0]) == expected[0, j - 1]
 
@@ -278,7 +279,7 @@ class TestNullLoglik:
         )
         prev = np.array([0.2, 0.3, 0.4])
         with pytest.raises(DegenerateNullError) as err:
-            _null_scores(NullSpec(), stats, prev, np.arange(1, 4))
+            em._Step(stats, null_spec=NullSpec()).null(prev)
         assert "source 2" in str(err.value)
         assert np.isfinite(null_loglik(NullSpec(), 1, stats, prev))
 
@@ -1094,9 +1095,10 @@ class TestRowAxis:
 
         monkeypatch.setattr(em, "_laplace_factor", counting("laplace", em._laplace_factor))
         monkeypatch.setattr(em, "logit", counting("logit", em.logit))
-        for name in ("_blend_terms", "_tempering_scale", "take"):
+        for name in ("_blend_terms", "_tempering_scale"):
             original = getattr(SufficientStats, name)
             monkeypatch.setattr(SufficientStats, name, counting(name, original))
+        monkeypatch.setattr(em._Step, "take", counting("take", em._Step.take))
         # the mixture null's column copy is made by the step's null_part
         null_part = functools.cached_property(
             counting("null_part", em._Step.null_part.func)
@@ -1112,12 +1114,12 @@ class TestRowAxis:
         iterations = [report.iterations for _, report in got]
         assert all(report.converged for _, report in got)
         assert min(iterations) < max(iterations)
-        # the stack is re-indexed at every freeze but the last; the column
-        # copy is made once for the stack and once per re-index
+        # the stack is sliced at every freeze but the last; the column
+        # copy is made once per collection and sliced with the rest
         takes = len(set(iterations)) - 1
         assert calls == {
             "laplace": 2, "_blend_terms": 2, "_tempering_scale": 2, "logit": 1,
-            "take": takes, "null_part": 1 + takes,
+            "take": takes, "null_part": 2,
         }
 
     @pytest.mark.parametrize("tau", [0.0, 0.1])
@@ -1125,9 +1127,8 @@ class TestRowAxis:
     @pytest.mark.parametrize("variant", em.VARIANTS)
     def test_public_steps_are_the_loops_step(self, monkeypatch, variant, null_kind, tau):
         # the loop's own step object, and every row's history replayed
-        # through the public functions on the stack and on the row's
-        # own statistics: beta, weights, null scores and theta agree bit
-        # for bit
+        # through the public functions on the row's own statistics:
+        # beta, weights, null scores and theta agree bit for bit
         steps = []
 
         class Recording(em._Step):
@@ -1146,11 +1147,10 @@ class TestRowAxis:
         model = GaussianMeanModel(d)
         got = run_em_rows(collections, model, rows, config)
         # the stack's step, until the first row freezes
-        loop, first_freeze = steps[0], min(report.iterations for _, report in got)
+        loop = next(step for step in steps if step.stats is None)
+        first_freeze = min(report.iterations for _, report in got)
         assert first_freeze >= 10
         solo = [build_sufficient_stats(model, data) for data in collections]
-        stack = SufficientStats.stack(solo, [c for c, _ in rows])
-        pis = np.array([pi for _, pi in rows])
         weights, thetas, betas = (
             np.stack([getattr(report, name)[: first_freeze + 1] for _, report in got], axis=1)
             for name in ("weight_history", "theta_history", "beta_history")
@@ -1162,11 +1162,6 @@ class TestRowAxis:
         for t in range(1, first_freeze + 1):
             prev = np.clip(weights[t - 1], em.WEIGHT_CLAMP, 1.0 - em.WEIGHT_CLAMP)
             loop_null = loop.null(prev)
-            state = EmState(thetas[t - 1], weights[t - 1], t, betas[t])
-            beta = tempering_schedule(t, stack, config.tempering_mode, config.nu)
-            np.testing.assert_array_equal(beta, betas[t])
-            np.testing.assert_array_equal(e_step(state, stack, pis, config), weights[t])
-            np.testing.assert_array_equal(m_step(stack, weights[t]), thetas[t])
             for r, (c, pi) in enumerate(rows):
                 state = EmState(thetas[t - 1, r], weights[t - 1, r], t, betas[t, r])
                 np.testing.assert_array_equal(
@@ -1178,10 +1173,57 @@ class TestRowAxis:
                 for j in range(1, k + 1):
                     assert null_loglik(spec, j, solo[c], prev[r]) == loop_null[r, j - 1]
 
+    @pytest.mark.parametrize("null_kind", em.NULL_KINDS)
+    def test_only_the_mixture_null_builds_the_cross_table(self, monkeypatch, null_kind):
+        # the (K+1) x (K+1) tables are built on first use, and only the
+        # mixture null uses them
+        built = []
+
+        def recording(model, datasets):
+            built.append(build_sufficient_stats(model, datasets))
+            return built[-1]
+
+        monkeypatch.setattr(em, "build_sufficient_stats", recording)
+        rng = np.random.default_rng(42)
+        collections = [_collection(rng, 4, 2) for _ in range(2)]
+        table = {j: -50.0 - j for j in range(1, 5)}
+        spec = NullSpec(null_kind, table if null_kind == "fixed" else None)
+        rows = [(0, np.full(4, 0.5)), (1, np.full(4, 0.3))]
+        run_em_rows(collections, GaussianMeanModel(2), rows, EmConfig(tau=0.1, null_spec=spec))
+        assert len(built) == 2
+        mixture = null_kind == "empirical_bayes_mixture"
+        for stats in built:
+            assert ("mixture_table" in vars(stats)) == mixture
+            assert ("crossloglik" in vars(stats)) == mixture
+
+    @pytest.mark.parametrize("n_sources", [3, 12])
+    def test_a_broadcast_prior_axis_is_the_stack_of_one_collection(self, n_sources):
+        # dichotomy_check scores P priors on one collection along a
+        # leading axis; that equals the loop's stack of P rows on it,
+        # also where the mixture null sums pairwise (K >= 8)
+        from lipem.bench import SEPARATED_SPEC, generate_hierarchical
+
+        spec = replace(SEPARATED_SPEC, n_sources=n_sources)
+        target, sources, _ = generate_hierarchical(spec, np.random.default_rng(7))
+        stats = build_sufficient_stats(GaussianMeanModel(spec.dim), [target, *sources])
+        pis = np.repeat(np.array([0.1, 0.5, 0.9])[:, None], stats.n_sources, axis=1)
+        theta = np.tile(np.asarray(spec.theta0) + 0.3, (3, 1))
+        for config in (EmConfig(), EmConfig(tau=0.1, null_spec=NullSpec("parametric_pooled"))):
+            state = EmState(theta=theta, weights=pis, t=1, beta=np.ones(pis.shape))
+            step = em._Step(
+                stats, None, config.tau, config.nu, config.tempering_mode,
+                config.variant, config.null_spec,
+            )
+            stack = em._Step.stack([step], [0, 0, 0], pis)
+            np.testing.assert_array_equal(
+                e_step(state, stats, pis, config), stack.e_step(state.beta, theta, pis)
+            )
+
     def test_jitter_reaches_only_the_singular_row(self):
         # every Hessian of the first collection is zero in its second
         # coordinate, so that row's blend is exactly singular and needs
-        # jitter; the second row's blend solves as it is
+        # jitter (and its target Hessian downgrades the tempering scale);
+        # the second row's blend solves as it is
         rng = np.random.default_rng(42)
 
         def stats(hessians):
@@ -1194,12 +1236,16 @@ class TestRowAxis:
         singular = stats([np.diag([2.0, 0.0]), np.diag([3.0, 0.0]), np.diag([1.0, 0.0])])
         regular = stats([np.eye(2) * 2.0, np.diag([3.0, 1.0]), np.diag([1.0, 4.0])])
         weights = np.array([[0.3, 0.6], [0.2, 0.9]])
-        stack, pulls = singular._blend_terms(0.1)
+        blocks, pulls = singular._blend_terms(0.1)
         with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.solve(stack[0] + 0.3 * stack[1] + 0.6 * stack[2], pulls[0])
-        got = m_step_exact(
-            SufficientStats.stack([singular, regular], [0, 1]), weights, 0.1
-        )
+            np.linalg.solve(blocks[0] + 0.3 * blocks[1] + 0.6 * blocks[2], pulls[0])
+        with pytest.warns(RuntimeWarning, match="target Hessian is singular"):
+            step = em._Step.stack(
+                [em._Step(singular, tau=0.1), em._Step(regular, tau=0.1)],
+                [0, 1],
+                np.full((2, 2), 0.5),
+            )
+        got = step.m_step(weights)
         np.testing.assert_array_equal(got[0], m_step_exact(singular, weights[0], 0.1))
         np.testing.assert_array_equal(got[1], m_step_exact(regular, weights[1], 0.1))
         assert np.all(np.isfinite(got))

@@ -12,6 +12,7 @@ import urllib.error
 import numpy as np
 import pytest
 
+from lipem import judge
 from lipem.errors import (
     InvalidConfigurationError,
     MalformedJudgeResponseError,
@@ -118,34 +119,23 @@ class TestLlmJudge:
         assert telemetry.queries == 1
         assert telemetry.retries == 0
 
-    def test_rate_limited_twice_then_success(self):
+    def test_rate_limited_twice_then_success(self, monkeypatch):
+        monkeypatch.setattr(judge, "MAX_RETRIES", 3)
+        monkeypatch.setattr(judge, "RETRY_WAIT", 0.0)
         transport = ScriptedTransport(
             [RateLimitedError("slow down"), RateLimitedError("slow down"), "1"]
         )
         telemetry = JudgeTelemetry()
-        choice = llm_judge(
-            transport,
-            CONTEXT,
-            (1, 2),
-            SUMMARIES,
-            telemetry=telemetry,
-            max_retries=3,
-            retry_wait=0.0,
-        )
+        choice = llm_judge(transport, CONTEXT, (1, 2), SUMMARIES, telemetry=telemetry)
         assert choice == 1
         assert telemetry.retries == 2
 
-    def test_rate_limit_retries_are_bounded(self):
+    def test_rate_limit_retries_are_bounded(self, monkeypatch):
+        monkeypatch.setattr(judge, "MAX_RETRIES", 2)
+        monkeypatch.setattr(judge, "RETRY_WAIT", 0.0)
         transport = ScriptedTransport([RateLimitedError("slow down")] * 5)
         with pytest.raises(RateLimitedError):
-            llm_judge(
-                transport,
-                CONTEXT,
-                (1, 2),
-                SUMMARIES,
-                max_retries=2,
-                retry_wait=0.0,
-            )
+            llm_judge(transport, CONTEXT, (1, 2), SUMMARIES)
         # initial call plus exactly two retries
         assert len(transport.prompts) == 3
 
