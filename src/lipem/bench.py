@@ -9,7 +9,6 @@ statistic.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
@@ -20,6 +19,7 @@ from .em import (
     EmConfig,
     EmState,
     NullSpec,
+    _is_finite,
     build_sufficient_stats,
     e_step,
     run_em,  # noqa: F401  (benchmarks/perf.py times lipem.bench.run_em)
@@ -153,11 +153,11 @@ class HierarchicalSpec:
                 key="relevant",
             )
         # both enter squared, so their squares must be finite too
-        if not (self.tau >= 0 and math.isfinite(self.tau * self.tau)):
+        if not (self.tau >= 0 and _is_finite(self.tau, 2)):
             raise InvalidConfigurationError(
                 f"tau must be >= 0 with a finite square, got {self.tau}", key="tau"
             )
-        if not (self.sigma > 0 and math.isfinite(self.sigma * self.sigma)):
+        if not (self.sigma > 0 and _is_finite(self.sigma, 2)):
             raise InvalidConfigurationError(
                 f"sigma must be positive with a finite square, got {self.sigma}",
                 key="sigma",

@@ -289,12 +289,12 @@ def write_report(
         names = sorted(curves["series"])
         header = "x," + ",".join(names)
         rows = [header]
-        x = np.asarray(curves["x"], dtype=float)
-        cols = [np.asarray(curves["series"][n], dtype=float) for n in names]
-        for i in range(x.size):
-            rows.append(
-                ",".join([_fmt(x[i])] + [_fmt(col[i]) for col in cols])
-            )
+        # Python floats, not numpy scalars: formatting them is cheaper
+        columns = [
+            np.asarray(values, dtype=float).tolist()
+            for values in (curves["x"], *(curves["series"][n] for n in names))
+        ]
+        rows += [",".join(map(_fmt, row)) for row in zip(*columns, strict=True)]
         write_text_atomic(curve_path, "\n".join(rows) + "\n")
         paths.append(curve_path)
     return paths

@@ -142,6 +142,15 @@ class NullSpec:
                 )
 
 
+def _is_finite(value, power: int = 1) -> bool:
+    """Whether ``value ** power`` is a finite float; an integer beyond
+    the float range is not."""
+    try:
+        return math.isfinite(float(value) ** power)
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class EmConfig:
     """Knobs for one EM run.
@@ -172,12 +181,14 @@ class EmConfig:
                         f"{name} must be {noun}, got {value!r}", key=name
                     )
         # tau enters squared, so its square must be finite too
-        if not (self.tau >= 0 and math.isfinite(self.tau * self.tau)):
+        if not (self.tau >= 0 and _is_finite(self.tau, 2)):
             raise InvalidConfigurationError(
                 f"tau must be >= 0 with a finite square, got {self.tau}", key="tau"
             )
-        if not self.nu > 0:
-            raise InvalidConfigurationError("nu must be > 0", key="nu")
+        if not (self.nu > 0 and _is_finite(self.nu)):
+            raise InvalidConfigurationError(
+                f"nu must be finite and > 0, got {self.nu}", key="nu"
+            )
         if self.variant not in VARIANTS:
             raise InvalidConfigurationError(
                 f"unknown variant {self.variant!r}; expected one of {VARIANTS}",
@@ -443,8 +454,10 @@ def relevant_marginal_loglik(
     ``_laplace``). At tau = 0 this is the plain log-likelihood, bit
     for bit.
     """
-    if not tau >= 0:
-        raise InvalidConfigurationError("tau must be >= 0", key="tau")
+    if not (tau >= 0 and _is_finite(tau, 2)):
+        raise InvalidConfigurationError(
+            f"tau must be >= 0 with a finite square, got {tau}", key="tau"
+        )
     value = float(model.loglik(theta, data))
     grad = np.asarray(model.gradient(theta, data), dtype=float)
     hess = clamp_psd(model.hessian(theta, data))

@@ -29,11 +29,18 @@ are not aggregated into counts of identical (subgroup, choice) pairs:
 with K = 50 and subgroups of 3 to 5 members, 2,500 simulated records
 hold over 2,470 distinct pairs, so counting would save almost nothing.
 
-The records commands never build a ``ChoiceRecord`` per query:
-``simulate-oracle`` writes from the sampled blocks and the judge's picks,
-and ``fit-lip`` parses its file straight into blocks, checked by array
-tests per block (members at least 1 and distinct, the choice 0 or a
-member); only the first bad line is rebuilt as a record, to word its
+Settings and K are checked once per fit, and each Newton iterate's
+softmax is computed once: the Hessian reuses the probabilities of the
+line search's accepted evaluation, which are bit-equal to recomputing
+them.
+
+The records commands never build a ``ChoiceRecord`` per query.  The
+sampler draws straight into blocks (one ``Generator.choice`` per query,
+the call order that fixes every simulated records file), and
+``simulate-oracle`` writes each block from one line template.
+``fit-lip`` parses each line straight into its block, and checks the
+blocks by array tests (members at least 1 and distinct, the choice 0 or
+a member); only the first bad line is rebuilt as a record, to word its
 error.  Indices meet K when a fit compiles the blocks; an index beyond
 int64 stays a Python int until then.
 
@@ -293,20 +300,19 @@ class _Queries(NamedTuple):
     chosen: np.ndarray
 
 
-def _build(entries: Iterable[Sequence[int]]) -> _Queries:
-    """Compile ``(choice, *sorted members)`` entries, in record order.
+def _tabulate(widths: list[int], values: dict[int, list[int]]) -> _Queries:
+    """Compile accumulated queries: each record's option count, in record
+    order, and per option count one flat list of its records' ``(choice,
+    *sorted members)`` entries, in record order.
 
     If an index does not fit in int64, the arrays hold Python ints until
     ``_compile`` has checked every index against K.
     """
-    widths, values = [], {}
-    for entry in entries:
-        widths.append(len(entry))
-        values.setdefault(len(entry), []).extend(entry)
+    values = {w: flat for w, flat in sorted(values.items()) if flat}
     try:
-        tables = {w: np.array(flat, dtype=np.int64) for w, flat in sorted(values.items())}
+        tables = {w: np.array(flat, dtype=np.int64) for w, flat in values.items()}
     except OverflowError:
-        tables = {w: np.array(flat, dtype=object) for w, flat in sorted(values.items())}
+        tables = {w: np.array(flat, dtype=object) for w, flat in values.items()}
     widths = np.array(widths, dtype=np.int64)
     # the tables' dtype, or int64 when there are none
     chosen = np.zeros(widths.size, dtype=next(iter(tables.values()), widths).dtype)
@@ -323,11 +329,15 @@ def _build(entries: Iterable[Sequence[int]]) -> _Queries:
 def _compile(records: Iterable[ChoiceRecord] | _Queries, n_sources=None) -> _Queries:
     """The queries of ``records``; given K, every index is checked against it.
 
-    An index beyond int64 (held as a Python int, see ``_build``) exceeds
+    An index beyond int64 (held as a Python int, see ``_tabulate``) exceeds
     every K a fit can allocate, so checked queries are int64 arrays.
     """
     if not isinstance(records, _Queries):
-        records = _build((rec.choice, *rec.subgroup) for rec in records)
+        widths, values = [], {}
+        for rec in records:
+            widths.append(len(rec.subgroup) + 1)
+            values.setdefault(widths[-1], []).extend((rec.choice, *rec.subgroup))
+        records = _tabulate(widths, values)
     if n_sources is None:
         return records
     beyond = [
@@ -416,39 +426,49 @@ def nll_objective(
     The null worth alpha_0 carries no regularization.
     """
     _check_settings(p0=p0, eps=eps)
-    queries = _compile(records, worths.n_sources)
-    alpha = worths.alpha
+    value, grad, _ = _nll(worths.alpha, _compile(records, worths.n_sources), p0, eps)
+    return value, grad
+
+
+def _nll(alpha: np.ndarray, queries: _Queries, p0: float, eps: float):
+    """``nll_objective`` on checked queries, plus each block's choice
+    probabilities (``_nll_hessian`` reuses them at the same worths)."""
     # -log p(k_m | S_m) per record behind a leading 0, summed in record
     # order (see the module doc)
     terms = np.zeros(queries.chosen.size + 1)
     grad = -np.bincount(queries.chosen, minlength=alpha.size).astype(float)
+    block_probs = []
     for rows, options in queries.blocks:
         probs, shift, denom = _softmax(alpha, options)
         # math.log, because numpy's vectorised log differs from it in the
         # last bit on some inputs
-        log_denom = np.array([math.log(d) for d in denom.tolist()])
+        log_denom = np.fromiter(map(math.log, denom.tolist()), float, denom.size)
         terms[rows + 1] = log_denom + shift - alpha[queries.chosen[rows]]
         grad += np.bincount(options.ravel(), probs.ravel(), minlength=alpha.size)
+        block_probs.append(probs)
     value = float(np.cumsum(terms)[-1])
     dev = alpha[1:] - float(logit(p0))
     value += eps * float(dev @ dev)
     grad[1:] += 2.0 * eps * dev
-    return value, grad
+    return value, grad, block_probs
 
 
 def _nll_hessian(
-    worths: WorthVector, records: Sequence[ChoiceRecord], eps: float
+    worths: WorthVector, records: Sequence[ChoiceRecord], eps: float, block_probs=None
 ) -> np.ndarray:
+    """The objective's Hessian; ``block_probs``, if given, are the
+    probabilities ``_nll`` returned for these worths and queries."""
     queries = _compile(records, worths.n_sources)
     alpha = worths.alpha
     n = alpha.size
+    if block_probs is None:
+        block_probs = [_softmax(alpha, options)[0] for _, options in queries.blocks]
     # each record adds diag(p) - p p' on its options; the outer products
     # are accumulated one pair of option columns at a time, so memory
     # stays O(records + K^2)
     diag = np.zeros(n)
     outer = np.zeros(n * n)
-    for _, options in queries.blocks:
-        probs = _softmax(alpha, options)[0]
+    for (_, options), probs in zip(queries.blocks, block_probs):
         diag += np.bincount(options.ravel(), probs.ravel(), minlength=n)
         cells = options * n
         for i in range(options.shape[1]):
@@ -485,6 +505,10 @@ def minimize_worths(
     stops when the gradient infinity norm falls to ``tol``.  The
     objective is convex, so the trace is monotone nonincreasing.
     """
+    if isinstance(n_sources, bool) or not isinstance(n_sources, Integral) or n_sources < 1:
+        raise InvalidConfigurationError(
+            f"need at least one source, got {n_sources!r}", key="n_sources"
+        )
     _check_settings(p0=p0, eps=eps, tol=tol, max_iters=max_iters)
     # a gradient norm is never negative, so a negative tol is never met
     if not tol >= 0.0:
@@ -495,10 +519,11 @@ def minimize_worths(
             f"{n_sources} sources is more than numpy can size arrays for",
             key="n_sources",
         )
+    # settings and K are checked once, here, not per evaluation
     queries = _compile(records, n_sources)
     alpha = np.concatenate(([0.0], np.full(n_sources, float(logit(p0)))))
     worths = WorthVector(alpha)
-    value, grad = nll_objective(worths, queries, p0, eps)
+    value, grad, probs = _nll(alpha, queries, p0, eps)
     trace = [value]
     for iteration in range(max_iters):
         gnorm = float(np.max(np.abs(grad)))
@@ -508,7 +533,7 @@ def minimize_worths(
             raise OptimizationFailureError(
                 f"non-finite gradient at iteration {iteration}", last_iterate=worths
             )
-        hess = _nll_hessian(worths, queries, eps)
+        hess = _nll_hessian(worths, queries, eps, probs)
         # tiny ridge keeps the flat null direction solvable
         jitter = 1e-10 * (1.0 + float(np.trace(hess)) / hess.shape[0])
         try:
@@ -532,11 +557,11 @@ def minimize_worths(
         scale = 1.0
         for _ in range(60):
             cand = WorthVector(worths.alpha + scale * step)
-            cand_value, cand_grad = nll_objective(cand, queries, p0, eps)
+            cand_value, cand_grad, cand_probs = _nll(cand.alpha, queries, p0, eps)
             if cand_value <= value + 1e-4 * scale * slope + noise:
                 break
             scale *= 0.5
-        worths, value, grad = cand, cand_value, cand_grad
+        worths, value, grad, probs = cand, cand_value, cand_grad, cand_probs
         trace.append(value)
     gnorm = float(np.max(np.abs(grad)))
     if gnorm <= tol:
@@ -560,8 +585,6 @@ def fit_lip(
     With zero records the initializer is already stationary, so the
     returned prior is exactly p0 for every source.
     """
-    if n_sources < 1:
-        raise InvalidConfigurationError("need at least one source", key="n_sources")
     result = minimize_worths(records, n_sources, p0=p0, eps=eps, tol=tol, max_iters=max_iters)
     return result.worths, Lip.from_worths(result.worths)
 
@@ -577,30 +600,55 @@ def _as_rng(rng) -> np.random.Generator:
     return np.random.default_rng(rng)
 
 
+def _draw(n_sources: int, sizes: Sequence[int], count: int, gen) -> _Queries:
+    """``count`` subgroups as compiled queries whose choices are all 0:
+    size uniform over ``sizes``, members distinct and uniform over {1..K}.
+
+    Each query makes one ``gen.integers`` and one ``gen.choice`` call, in
+    query order; that stream fixes every simulated records file.
+    """
+    if isinstance(count, bool) or not isinstance(count, Integral):
+        raise InvalidConfigurationError(
+            f"count must be an integer, got {count!r}", key="count"
+        )
+    if count < 0:
+        raise InvalidConfigurationError(
+            f"count must be nonnegative, got {count}", key="count"
+        )
+    if any(isinstance(s, bool) or not isinstance(s, Integral) for s in sizes):
+        raise InvalidConfigurationError(
+            f"subgroup sizes must be integers, got {list(sizes)!r}", key="sizes"
+        )
+    sizes = sorted(set(int(s) for s in sizes))
+    if not sizes or sizes[0] < 1:
+        raise InvalidConfigurationError("subgroup sizes must be positive", key="sizes")
+    if sizes[-1] > n_sources:
+        raise InvalidConfigurationError(
+            f"largest subgroup size {sizes[-1]} exceeds K={n_sources}", key="sizes"
+        )
+    integers, choice = gen.integers, gen.choice
+    widths, values = [], {size + 1: [] for size in sizes}
+    for _ in range(count):
+        size = sizes[integers(len(sizes))]
+        members = choice(n_sources, size=size, replace=False).tolist()
+        members.sort()
+        widths.append(size + 1)
+        flat = values[size + 1]
+        flat.append(0)
+        flat += members
+    queries = _tabulate(widths, values)
+    for _, options in queries.blocks:
+        options[:, 1:] += 1  # drawn from {0..K-1}
+    return queries
+
+
 def sample_subgroups(
     n_sources: int, sizes: Sequence[int], count: int, rng
 ) -> list[tuple[int, ...]]:
     """Draw ``count`` subgroups: size uniform over ``sizes``, members
     distinct and uniform over {1..K}."""
-    if count < 0:
-        raise InvalidConfigurationError(
-            f"count must be nonnegative, got {count}", key="count"
-        )
-    sizes = sorted(set(int(s) for s in sizes))
-    if not sizes or sizes[0] < 1:
-        raise InvalidConfigurationError("subgroup sizes must be positive")
-    if sizes[-1] > n_sources:
-        raise InvalidConfigurationError(
-            f"largest subgroup size {sizes[-1]} exceeds K={n_sources}"
-        )
-    gen = _as_rng(rng)
-    out = []
-    for _ in range(count):
-        size = sizes[gen.integers(len(sizes))]
-        members = gen.choice(n_sources, size=size, replace=False)
-        members += 1
-        out.append(tuple(sorted(members.tolist())))
-    return out
+    queries = _draw(n_sources, sizes, count, _as_rng(rng))
+    return _each_query(queries, lambda members, _: tuple(members))
 
 
 def _judge(alpha: np.ndarray, blocks, count: int, gen: np.random.Generator) -> np.ndarray:
@@ -635,8 +683,7 @@ def simulated_judge(true_worths: WorthVector, subgroup, rng) -> int:
 def _simulate(true_worths: WorthVector, sizes: Sequence[int], count: int, rng) -> _Queries:
     """``simulate_elicitation``'s draw, as compiled queries."""
     gen = _as_rng(rng)
-    subgroups = sample_subgroups(true_worths.n_sources, sizes, count, gen)
-    queries = _build((0, *members) for members in subgroups)
+    queries = _draw(true_worths.n_sources, sizes, count, gen)
     return queries._replace(chosen=_judge(true_worths.alpha, queries.blocks, count, gen))
 
 
@@ -656,10 +703,15 @@ def simulate_elicitation(
 
 
 def write_records(path, records: Iterable[ChoiceRecord] | _Queries) -> None:
-    lines = _each_query(
-        _compile(records),
-        lambda members, choice: f"subgroup={','.join(map(str, members))};choice={choice}",
-    )
+    queries = _compile(records)
+    lines = np.empty(queries.chosen.size, dtype=object)
+    for rows, options in queries.blocks:
+        # one line template per option count, filled from the block's
+        # [members | choice] rows in one go
+        template = "subgroup=" + ",".join(["%d"] * (options.shape[1] - 1)) + ";choice=%d"
+        table = np.column_stack((options[:, 1:], queries.chosen[rows])).ravel().tolist()
+        lines[rows] = ("\n".join([template] * rows.size) % tuple(table)).split("\n")
+    lines = lines.tolist()
     write_text_atomic(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
@@ -678,24 +730,35 @@ def _parse_line(line: str) -> list[int]:
 def _read_queries(path) -> _Queries:
     """Parse a records file straight into compiled queries.
 
-    Indices are not checked against K here (``_compile`` does that);
-    everything else is, as array tests on each block.  The first bad
-    line is parsed again into a ``ChoiceRecord``, whose error names it.
+    Each line is read as ``_parse_line`` reads it, straight into the
+    per-option-count lists.  Indices are not checked against K here
+    (``_compile`` does that); everything else is, as array tests on each
+    block.  The first bad line is parsed again into a ``ChoiceRecord``,
+    whose error names it.
     """
     lines = read_text(path).splitlines()
     bad = len(lines) + 1
-
-    def entries():
-        nonlocal bad
-        for lineno, raw in enumerate(lines, start=1):
-            if line := raw.strip():
-                try:
-                    yield _parse_line(line)
-                except ValueError:
-                    bad = lineno
-                    return
-
-    queries = _build(entries())
+    widths, values = [], {}
+    for lineno, raw in enumerate(lines, start=1):
+        if not (line := raw.strip()):
+            continue
+        # a second ';' fails int() on either side, so this reads exactly
+        # the lines that ``_parse_line`` reads
+        sub_part, sep, choice = line.partition(";choice=")
+        if not sep or not sub_part.startswith("subgroup="):
+            bad = lineno
+            break
+        try:
+            members = sorted(map(int, sub_part[len("subgroup="):].split(",")))
+            choice = int(choice)
+        except ValueError:
+            bad = lineno
+            break
+        widths.append(len(members) + 1)
+        flat = values.setdefault(widths[-1], [])
+        flat.append(choice)
+        flat += members
+    queries = _tabulate(widths, values)
     for rows, options in queries.blocks:
         members, choice = options[:, 1:], queries.chosen[rows]
         valid = (

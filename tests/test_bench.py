@@ -95,6 +95,13 @@ class TestHierarchicalSpec:
         with pytest.raises(InvalidConfigurationError):
             HierarchicalSpec(tau=-0.1)
 
+    @pytest.mark.parametrize("field", ["tau", "sigma"])
+    def test_integer_beyond_float_range_rejected_with_key(self, field):
+        # an integer beyond the float range has no finite square
+        with pytest.raises(InvalidConfigurationError) as err:
+            HierarchicalSpec(**{field: 10**400})
+        assert err.value.key == field
+
     def test_dim_follows_theta0(self):
         assert HierarchicalSpec(theta0=(0.0, 1.0, 2.0)).dim == 3
 

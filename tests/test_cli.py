@@ -276,6 +276,25 @@ class TestWriteReport:
         assert lines[1] == "0,3,1"
         assert paths[-1].name == "plot_curves.csv"
 
+    def test_curves_format_as_numpy_scalars_did(self, tmp_path):
+        rng = np.random.default_rng(42)
+        x = np.linspace(0.0, 3.0, 41)
+        series = {
+            "b": rng.normal(scale=1e6, size=41),
+            "a": np.concatenate([[np.inf, -np.inf, np.nan, -0.0, 1e-300, 5e-324],
+                                 rng.normal(size=35)]),
+            "c": list(rng.uniform(size=41)),  # a list, not an array
+        }
+        write_report([], tmp_path, "plot", curves={"x": x, "series": series})
+        names = sorted(series)
+        cols = [np.asarray(series[n], dtype=float) for n in names]
+        # each numpy scalar as the .12g report format renders it
+        want = ["x," + ",".join(names)] + [
+            ",".join(f"{v:.12g}" for v in [x[i]] + [col[i] for col in cols])
+            for i in range(x.size)
+        ]
+        assert (tmp_path / "plot_curves.csv").read_text() == "\n".join(want) + "\n"
+
     def test_failed_write_keeps_previous_file(self, tmp_path):
         # a method name that cannot be encoded makes the CSV write fail
         # after its file is opened; the previous table stays whole and no

@@ -76,6 +76,16 @@ class TestRelevantMarginal:
             spline, sdata, stheta, 0.0
         ) == spline.loglik(stheta, sdata)
 
+    @pytest.mark.parametrize(
+        "tau", [1e200, 10**400, math.inf, math.nan], ids=["1e200", "10**400", "inf", "nan"]
+    )
+    def test_spread_needs_a_finite_square(self, tau):
+        # tau**2 would overflow before any likelihood is read
+        model = GaussianMeanModel(1)
+        with pytest.raises(InvalidConfigurationError) as err:
+            relevant_marginal_loglik(model, Dataset(np.array([0.7])), np.zeros(1), tau)
+        assert err.value.key == "tau"
+
     def test_unit_spread_single_point_is_widened_normal(self):
         # convolving a unit-variance likelihood of one observation with a
         # unit-variance parameter spread gives a variance-2 density
@@ -682,6 +692,10 @@ class TestEmConfigValidation:
             (dict(tol=0.0), "tol"),
             (dict(patience=0), "patience"),
             (dict(tau=math.inf), "tau"),
+            # integers beyond the float range, and an infinite rate
+            (dict(tau=10**400), "tau"),
+            (dict(nu=10**400), "nu"),
+            (dict(nu=math.inf), "nu"),
         ],
     )
     def test_bad_field_rejected_with_key(self, kwargs, key):

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -31,8 +32,12 @@ from lipem.errors import (
 from lipem.lip import (
     ChoiceRecord,
     Lip,
+    NewtonResult,
     WorthVector,
     _nll_hessian,
+    _parse_line,
+    _records,
+    _simulate,
     choice_probability,
     fit_lip,
     minimize_worths,
@@ -96,6 +101,66 @@ def loop_read(path):
         except (ValueError, InvalidConfigurationError, InvalidChoiceError) as exc:
             raise ParseError(f"{path}: line {lineno}: {exc}", line_number=lineno) from exc
     return out
+
+
+def fstring_write(path, records):
+    """The records writer as one f-string per record."""
+    lines = [f"subgroup={','.join(map(str, r.subgroup))};choice={r.choice}" for r in records]
+    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+
+
+def parse_line_read(path):
+    """The records reader as ``_parse_line`` and a ``ChoiceRecord`` per line."""
+    out = []
+    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        if line := raw.strip():
+            try:
+                choice, *members = _parse_line(line)
+                out.append(ChoiceRecord(tuple(members), choice))
+            except (ValueError, InvalidConfigurationError, InvalidChoiceError) as exc:
+                raise ParseError(f"{path}: line {lineno}: {exc}", line_number=lineno) from exc
+    return out
+
+
+@st.composite
+def choice_records(draw, max_index=2**70):
+    """A record whose indices may lie beyond int64."""
+    members = draw(st.lists(st.integers(1, max_index), min_size=1, max_size=7, unique=True))
+    choice = draw(st.sampled_from([0, *members]))
+    return ChoiceRecord(tuple(members), choice)
+
+
+# fragments of records lines
+LINE_PIECES = [
+    "subgroup=", "choice=", ";", ";choice=", ",", "0", "1", "2", "12", "-", "+",
+    "_", " ", "\t", "\u0663", "\uff12", "\u00b2", "x",
+]
+
+# ways to write an index n that int() reads: surrounding whitespace, a
+# sign, underscores between digits and non-ASCII decimal digits; and two
+# it refuses, a leading underscore and a superscript
+SPELLINGS = [
+    str, " {} ".format, "+{}".format, "0_{}".format, "\t{}".format,
+    lambda n: chr(0x0660 + n), lambda n: chr(0xFF10 + n),
+    "_{}".format, lambda n: "\u00b2",
+]
+
+
+@st.composite
+def records_lines(draw):
+    """A records line that usually parses, else misses by a little."""
+    members = draw(st.lists(st.integers(0, 9), min_size=1, max_size=5, unique=True))
+    choice = draw(st.sampled_from([0, 0, *members]))
+    spell = st.sampled_from(SPELLINGS)
+    usual = st.sampled_from
+    return "".join([
+        draw(usual(["", " ", "\t"])),
+        draw(usual(["subgroup="] * 6 + ["choice=", "Subgroup=", "subgroup =", ""])),
+        ",".join(draw(spell)(n) for n in members),
+        draw(usual([";choice="] * 6 + ["; choice=", ";choice =", ",choice=", ";;choice="])),
+        draw(spell)(choice),
+        draw(usual(["", " ", "", ";", ";choice=1"])),
+    ])
 
 
 def outcome(read, path):
@@ -244,6 +309,70 @@ def random_records(rng, n_sources, count, max_size=10):
     return records
 
 
+def reference_newton(records, n_sources, p0=0.01, eps=0.1, tol=1e-8, max_iters=200):
+    """``minimize_worths`` as one public ``nll_objective`` call per
+    evaluation and a fresh ``_nll_hessian`` per iterate; returns the
+    result, or the failure, with the iterates the Hessian was taken at."""
+    iterates = []
+    worths = WorthVector(np.concatenate(([0.0], np.full(n_sources, float(logit(p0))))))
+    value, grad = nll_objective(worths, records, p0, eps)
+    trace = [value]
+    for iteration in range(max_iters):
+        gnorm = float(np.max(np.abs(grad)))
+        if gnorm <= tol:
+            return NewtonResult(worths, value, gnorm, iteration, tuple(trace)), iterates
+        if not math.isfinite(gnorm):
+            return ("non-finite", iteration, worths.alpha.tobytes()), iterates
+        iterates.append(worths.alpha.copy())
+        hess = _nll_hessian(worths, records, eps)
+        jitter = 1e-10 * (1.0 + float(np.trace(hess)) / hess.shape[0])
+        try:
+            step = np.linalg.solve(hess + jitter * np.eye(hess.shape[0]), -grad)
+        except np.linalg.LinAlgError:
+            step = -grad
+        longest = float(np.max(np.abs(step)))
+        if longest > 10.0:
+            step = step * (10.0 / longest)
+        slope = float(grad @ step)
+        if slope >= 0.0:
+            step = -grad
+            slope = float(grad @ step)
+        noise = 64.0 * np.finfo(float).eps * max(1.0, abs(value))
+        scale = 1.0
+        for _ in range(60):
+            cand = WorthVector(worths.alpha + scale * step)
+            cand_value, cand_grad = nll_objective(cand, records, p0, eps)
+            if cand_value <= value + 1e-4 * scale * slope + noise:
+                break
+            scale *= 0.5
+        worths, value, grad = cand, cand_value, cand_grad
+        trace.append(value)
+    gnorm = float(np.max(np.abs(grad)))
+    if gnorm <= tol:
+        return NewtonResult(worths, value, gnorm, max_iters, tuple(trace)), iterates
+    return ("no convergence", max_iters, worths.alpha.tobytes()), iterates
+
+
+def newton_outcome(records, n_sources, monkeypatch, **settings):
+    """``minimize_worths``'s result or failure, in ``reference_newton``'s
+    form, with the iterates its Hessians were taken at."""
+    iterates = []
+
+    def spy(worths, *args):
+        iterates.append(worths.alpha.copy())
+        return _nll_hessian(worths, *args)
+
+    monkeypatch.setattr(lip_module, "_nll_hessian", spy)
+    try:
+        return minimize_worths(records, n_sources, **settings), iterates
+    except OptimizationFailureError as exc:
+        kind = "non-finite" if "non-finite" in str(exc) else "no convergence"
+        iteration = len(iterates) if kind == "non-finite" else settings["max_iters"]
+        return (kind, iteration, exc.last_iterate.alpha.tobytes()), iterates
+    finally:
+        monkeypatch.undo()
+
+
 class TestArrayKernels:
     """The array kernels against the per-record loops they replace."""
 
@@ -308,6 +437,67 @@ class TestArrayKernels:
                 ChoiceRecord(s, simulated_judge(worths, s, judge_gen)) for s in subgroups
             ]
 
+    def test_newton_matches_reference_loop_bit_for_bit(self, monkeypatch):
+        # the fixtures of test_kernels_match_per_record_loop (each fit
+        # converges), then a fit cut short and one with a NaN objective
+        rng = np.random.default_rng(42)
+        cases = []
+        for trial in range(30):
+            n_sources = int(rng.integers(1, 61))
+            count = 0 if trial == 0 else int(rng.integers(1, 300))
+            records = random_records(rng, n_sources, count)
+            random_worths(rng, n_sources)  # keep the fixtures' stream
+            p0, eps = float(rng.uniform(0.001, 0.5)), float(rng.uniform(0.0, 1.0))
+            cases.append((records, n_sources, dict(p0=p0, eps=eps)))
+        records, n_sources, _ = cases[10]
+        cases += [
+            (records, n_sources, dict(eps=0.01, max_iters=2)),
+            (records, n_sources, dict(eps=1e308)),
+        ]
+        outcomes = []
+        for records, n_sources, settings in cases:
+            settings = {"p0": 0.01, "tol": 1e-8, "max_iters": 200, **settings}
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # eps = 1e308
+                got, got_iterates = newton_outcome(records, n_sources, monkeypatch, **settings)
+                want, want_iterates = reference_newton(records, n_sources, **settings)
+            assert [a.tobytes() for a in got_iterates] == [a.tobytes() for a in want_iterates]
+            if isinstance(want, NewtonResult):
+                assert got.worths.alpha.tobytes() == want.worths.alpha.tobytes()
+                assert got.objective_trace == want.objective_trace
+                assert (got.objective, got.gradient_norm, got.iterations) == (
+                    want.objective, want.gradient_norm, want.iterations
+                )
+            else:
+                assert got == want
+            outcomes.append(want)
+        assert all(isinstance(want, NewtonResult) for want in outcomes[:30])
+        assert [want[0] for want in outcomes[30:]] == ["no convergence", "non-finite"]
+
+    def test_one_softmax_per_evaluation(self, monkeypatch):
+        records = simulate_elicitation(
+            WorthVector(np.linspace(-1.0, 1.0, 9)), [2, 3, 5], 300, np.random.default_rng(7)
+        )
+        calls = Counter()
+        softmax, nll = lip_module._softmax, lip_module._nll
+
+        def count_softmax(*args):
+            calls["softmax"] += 1
+            return softmax(*args)
+
+        def count_nll(*args):
+            calls["nll"] += 1
+            return nll(*args)
+
+        monkeypatch.setattr(lip_module, "_softmax", count_softmax)
+        monkeypatch.setattr(lip_module, "_nll", count_nll)
+        result = minimize_worths(records, 8)
+        assert result.iterations >= 3
+        # three option counts, so three blocks per evaluation, and no
+        # softmax of the Hessian's own
+        assert calls["softmax"] == 3 * calls["nll"]
+        assert calls["nll"] > result.iterations
+
     def test_subgroup_beyond_k_rejected(self):
         records = [ChoiceRecord((1, 2), 1), ChoiceRecord((2, 4), 0)]
         worths = WorthVector(np.zeros(4))
@@ -336,6 +526,14 @@ class TestFitLip:
         with pytest.raises(InvalidConfigurationError) as err:
             fit_lip([], 3, tol=-1.0)
         assert err.value.key == "tol"
+
+    @pytest.mark.parametrize("n_sources", [-1, 0, 2.5, True, "3", None])
+    def test_source_count_must_be_a_positive_integer(self, n_sources):
+        # no numpy error for -1 or 2.5, and no null-only fit for 0
+        for fit in (minimize_worths, fit_lip):
+            with pytest.raises(InvalidConfigurationError) as err:
+                fit([], n_sources)
+            assert err.value.key == "n_sources"
 
     def test_non_finite_gradient_stops_at_once(self):
         # 2 * eps overflows, so the objective is NaN from the start; the
@@ -473,6 +671,50 @@ class TestSampling:
         # neither call consumed the stream
         assert rng.bit_generator.state == np.random.default_rng(42).bit_generator.state
 
+    @pytest.mark.parametrize(
+        "sizes, count, key",
+        [
+            ([2.7], 3, "sizes"),  # not to be drawn as size 2
+            ([2, True], 3, "sizes"),
+            ([np.float64(2.0)], 3, "sizes"),
+            ([2], 2.5, "count"),
+            ([2], True, "count"),  # not one query
+            ([2], "3", "count"),
+        ],
+    )
+    def test_non_integer_size_or_count_rejected_before_any_draw(self, sizes, count, key):
+        rng = np.random.default_rng(42)
+        with pytest.raises(InvalidConfigurationError) as err:
+            sample_subgroups(5, sizes, count, rng)
+        assert err.value.key == key
+        with pytest.raises(InvalidConfigurationError):
+            simulate_elicitation(WorthVector(np.zeros(6)), sizes, count, rng)
+        assert rng.bit_generator.state == np.random.default_rng(42).bit_generator.state
+
+    def test_numpy_integer_sizes_and_count_accepted(self):
+        sizes, count = np.array([2, 3]), np.int64(20)
+        a = sample_subgroups(10, sizes, count, np.random.default_rng(7))
+        assert a == sample_subgroups(10, [2, 3], 20, np.random.default_rng(7))
+
+    @PROPERTY
+    @given(
+        n_sources=st.integers(1, 40),
+        sizes=st.lists(st.integers(1, 6), min_size=1, max_size=4),
+        count=st.integers(0, 60),
+        scale=st.floats(0.0, 6.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_simulation_matches_per_query_choice_loop(self, n_sources, sizes, count, scale, seed):
+        """Records and the generator's end state equal one
+        ``Generator.choice`` per subgroup member draw and per judgement."""
+        sizes = [min(s, n_sources) for s in sizes]
+        worths = random_worths(np.random.default_rng(seed), n_sources, scale=scale)
+        fast, loop = np.random.default_rng(seed), np.random.default_rng(seed)
+        records = _records(_simulate(worths, sizes, count, fast))
+        subgroups = loop_sample(n_sources, sizes, count, loop)
+        assert records == [ChoiceRecord(s, loop_judge(worths, s, loop)) for s in subgroups]
+        assert fast.bit_generator.state == loop.bit_generator.state
+
 
 class TestSimulatedJudge:
     def test_dominant_worth_always_wins(self):
@@ -544,6 +786,53 @@ class TestRecordsIo:
             path = Path(tmp) / "records.txt"
             path.write_text("\n".join(lines), encoding="utf-8")
             assert outcome(read_records, path) == outcome(loop_read, path)
+
+    @PROPERTY
+    @given(st.lists(choice_records(), max_size=12))
+    @example([ChoiceRecord((2**63,), 2**63), ChoiceRecord((3, 1, 2), 0)])
+    def test_writer_matches_fstring_formatter(self, records):
+        with tempfile.TemporaryDirectory() as tmp:
+            got, want = Path(tmp) / "got.txt", Path(tmp) / "want.txt"
+            write_records(got, records)
+            fstring_write(want, records)
+            assert got.read_bytes() == want.read_bytes()
+
+    @PROPERTY
+    @given(
+        st.lists(st.integers(1, 12), min_size=1, max_size=3),
+        st.integers(0, 200),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_simulated_blocks_write_as_their_records(self, sizes, count, seed):
+        queries = _simulate(WorthVector(np.zeros(13)), sizes, count, np.random.default_rng(seed))
+        with tempfile.TemporaryDirectory() as tmp:
+            got, want = Path(tmp) / "got.txt", Path(tmp) / "want.txt"
+            write_records(got, queries)
+            fstring_write(want, _records(queries))
+            assert got.read_bytes() == want.read_bytes()
+
+    @settings(PROPERTY, max_examples=200)
+    @given(
+        st.lists(
+            st.one_of(
+                records_lines(),
+                st.lists(st.sampled_from(LINE_PIECES), max_size=10).map("".join),
+            ),
+            max_size=8,
+        )
+    )
+    @example(["subgroup=1;choice=1;choice=1", "choice=1;choice=1", "subgroup=_1,2;choice=2"])
+    @example(["subgroup=1;2;choice=1"])
+    @example(["subgroup=1,2;choice=2", "subgroup=1,1;choice=1", "choice=1"])
+    def test_parser_accepts_what_parse_line_accepts(self, lines):
+        """Same records, or the same error on the same line, as
+        ``_parse_line`` and a ``ChoiceRecord`` per line."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "records.txt"
+            # each line alone, then the whole file
+            for text in [*lines, "\n".join(lines)]:
+                path.write_text(text, encoding="utf-8")
+                assert outcome(read_records, path) == outcome(parse_line_read, path)
 
 
 class TestLipIo:
