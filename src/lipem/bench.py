@@ -73,6 +73,12 @@ def spawn_rngs(seed: int, count: int) -> list[np.random.Generator]:
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(count)]
 
 
+def _check_seed(seed: int) -> None:
+    # numpy's generators take no negative seed
+    if seed < 0:
+        raise InvalidConfigurationError(f"seed must be nonnegative, got {seed}", key="seed")
+
+
 @dataclass(frozen=True)
 class NullGen:
     """Generator for irrelevant source parameters.
@@ -167,6 +173,7 @@ class HierarchicalSpec:
                 raise InvalidConfigurationError(
                     f"{name} must be positive, got {getattr(self, name)}", key=name
                 )
+        _check_seed(self.seed)
 
     @property
     def dim(self) -> int:
@@ -450,6 +457,7 @@ class GaussianExperimentConfig:
                 key="dims",
             )
         _check_replications(self.replications)
+        _check_seed(self.seed)
         if self.curve_points < 2:
             raise InvalidConfigurationError(
                 f"curve_points must be >= 2, got {self.curve_points}",

@@ -25,6 +25,7 @@ from .bench import (
     GaussianExperimentConfig,
     HierarchicalSpec,
     NullGen,
+    _check_seed,
     cmapss_experiment,
     consistency_check,
     dichotomy_check,
@@ -682,6 +683,8 @@ def dispatch(argv: Sequence[str] | None = None) -> int:
                     f"{', '.join(args.sections)}",
                     key=section,
                 )
+        if getattr(args, "seed", None) is not None:
+            _check_seed(args.seed)
         return args.handler(args, cfg)
     except InvalidConfigurationError as exc:
         line = f"error: {exc}"

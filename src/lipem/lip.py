@@ -35,9 +35,15 @@ line search's accepted evaluation, which are bit-equal to recomputing
 them.
 
 The records commands never build a ``ChoiceRecord`` per query.  The
-sampler draws straight into blocks (one ``Generator.choice`` per query,
-the call order that fixes every simulated records file), and
-``simulate-oracle`` writes each block from one line template.
+sampler's stream is that of one ``Generator.integers`` and one
+``Generator.choice(replace=False)`` call per query, which fixes every
+simulated records file, but it makes neither call per query: it draws
+a block of 32-bit words at once and decodes it as numpy does, with
+array operations per subgroup size, straight into blocks (``_draw``).
+It makes the two calls for a query with a rejected word and outside
+the decoder's domain: K >= 2**32 and sizes above 64 (which include
+every size numpy draws by a tail shuffle).  ``simulate-oracle`` writes
+each block from one line template.
 ``fit-lip`` parses each line straight into its block, and checks the
 blocks by array tests (members at least 1 and distinct, the choice 0 or
 a member); only the first bad line is rebuilt as a record, to word its
@@ -600,20 +606,138 @@ def _as_rng(rng) -> np.random.Generator:
     return np.random.default_rng(rng)
 
 
+# numpy draws an integer on [0, r], 0 < r < 2**32 - 1, from one 32-bit
+# word u as (u * (r + 1)) >> 32 (Lemire's method), drawing again while the
+# low 32 bits are below 2**32 mod (r + 1); r = 0 takes no word
+_WORD = 1 << 32
+# the most words one block draws; larger blocks are faster but raise the
+# process's peak memory
+_BLOCK_WORDS = 1 << 11
+# the largest subgroup a block draws: Floyd's duplicate test and the row
+# order cost O(size^2) per query.  It also keeps the block clear of
+# numpy's tail shuffle, which takes sizes above K // 50 >= 200 once
+# K > 10000.
+_BLOCK_SIZE = 64
+
+
+def _word_ranges(n_sources: int, sizes: list[int]) -> list[list[int] | None]:
+    """Per subgroup size, the range r + 1 of each word that one query of
+    that size takes, in stream order.  None where numpy draws 64-bit
+    words (K >= 2**32) or the size is past ``_BLOCK_SIZE``."""
+    out = []
+    for size in sizes:
+        if n_sources >= _WORD or size > _BLOCK_SIZE:
+            out.append(None)
+            continue
+        out.append(
+            [len(sizes)] * (len(sizes) > 1)  # the size
+            # Floyd's draws on [0, j]; j = 0 takes no word
+            + [j + 1 for j in range(n_sources - size, n_sources) if j]
+            # the shuffle's draws on [0, i]; sorting discards their values
+            + list(range(size, 1, -1))
+        )
+    return out
+
+
+def _floyd(values: np.ndarray, n_sources: int) -> np.ndarray:
+    """Floyd's sample from its draws ``values[:, t]`` on [0, K - size + t],
+    one query per row: a draw is kept unless an earlier member holds it,
+    else K - size + t is.  Returned as option rows: 0 for the null, then
+    the members (from 0) in increasing order."""
+    m, size = values.shape
+    members = values.copy()
+    for t in range(1, size):
+        taken = (members[:, :t] == values[:, t, None]).any(axis=1)
+        members[taken, t] = n_sources - size + t
+    # a member's place in its row is the number of smaller members
+    places = (members[:, None, :] < members[:, :, None]).sum(axis=2)
+    options = np.zeros((m, size + 1), dtype=np.int64)
+    options[np.arange(m)[:, None], places + 1] = members
+    return options
+
+
+def _decode(words: np.ndarray, sizes: list[int], ranges: list, n_sources: int, count: int):
+    """The first of ``count`` queries that a block of words makes.
+
+    Returns how many queries are exact (those before the first one with a
+    rejected word or a size that ``ranges`` leaves out), the words they
+    take, their option counts, and per size their option rows (``_floyd``),
+    each in query order.
+    """
+    head = len(sizes) > 1
+    if n_sources > 1 << 31:  # u * (r + 1) may pass int64
+        words = words.view(np.uint64)
+    if head:
+        # read every word as a size draw (a rejected one is found below,
+        # with the query's other words); a size left out reads as a query
+        # of no words, which ends the walk
+        picks = words * len(sizes) >> 32
+        steps = np.array([0 if r is None else len(r) for r in ranges])[picks].tolist()
+        starts, end = [], 0
+        for _ in range(count):
+            if not steps[end]:
+                break
+            starts.append(end)
+            end += steps[end]
+        starts = np.array(starts, dtype=np.int64)
+        picks = picks[starts]
+    else:
+        end = words.size
+        starts = np.arange(0, end, end // count)
+        picks = np.zeros(count, dtype=np.int64)
+    kept, scaled_rows = starts.size, []
+    for i, bounds in enumerate(ranges):
+        rows = np.flatnonzero(picks == i)
+        if bounds is None or not rows.size:
+            continue
+        scaled = words[starts[rows, None] + np.arange(len(bounds))]
+        scaled *= np.array(bounds, dtype=words.dtype)
+        thresholds = np.array([_WORD % b for b in bounds], dtype=words.dtype)
+        rejected = (scaled % _WORD < thresholds).any(axis=1)
+        if rejected.any():
+            kept = min(kept, int(rows[np.flatnonzero(rejected)[0]]))
+        scaled_rows.append((sizes[i], rows, scaled))
+    drawn = []
+    for size, rows, scaled in scaled_rows:
+        m = np.count_nonzero(rows < kept)
+        if m:
+            floyd = scaled[:m, head : head + size - (size == n_sources)] >> 32
+            if size == n_sources:  # its draw on [0, 0] took no word
+                floyd = np.column_stack((np.zeros(m, dtype=floyd.dtype), floyd))
+            drawn.append(_floyd(floyd.astype(np.int64), n_sources))
+    widths = (np.array(sizes)[picks[:kept]] + 1).tolist()
+    return kept, int(starts[kept]) if kept < starts.size else end, widths, drawn
+
+
 def _draw(n_sources: int, sizes: Sequence[int], count: int, gen) -> _Queries:
     """``count`` subgroups as compiled queries whose choices are all 0:
     size uniform over ``sizes``, members distinct and uniform over {1..K}.
 
-    Each query makes one ``gen.integers`` and one ``gen.choice`` call, in
-    query order; that stream fixes every simulated records file.
+    The stream is that of one ``gen.integers(len(sizes))`` and one
+    ``gen.choice(K, size, replace=False)`` per query, in query order; it
+    fixes every simulated records file.  The calls are not made per
+    query.  A block of 32-bit words is drawn at once and decoded as numpy
+    decodes them: one Python loop walks the queries, since each query's
+    size draw fixes where the next one starts, and each size's member
+    draws (Floyd's algorithm, then a shuffle whose values the sort
+    discards) are array operations.  The generator is then rewound and
+    advanced by exactly the words the block's exact queries took.  The
+    next query, if it has a rejected word or a size ``_word_ranges``
+    leaves out, is drawn by the two calls.  The stream tests in
+    tests/test_lip.py compare every case with those calls, so they fail
+    on a numpy that draws ``choice`` another way.
     """
+    if isinstance(n_sources, bool) or not isinstance(n_sources, Integral):
+        raise InvalidConfigurationError(
+            f"n_sources must be an integer, got {n_sources!r}", key="n_sources"
+        )
     if isinstance(count, bool) or not isinstance(count, Integral):
         raise InvalidConfigurationError(
             f"count must be an integer, got {count!r}", key="count"
         )
-    if count < 0:
+    if not 0 <= count <= np.iinfo(np.int64).max:
         raise InvalidConfigurationError(
-            f"count must be nonnegative, got {count}", key="count"
+            f"count must be nonnegative and within int64, got {count}", key="count"
         )
     if any(isinstance(s, bool) or not isinstance(s, Integral) for s in sizes):
         raise InvalidConfigurationError(
@@ -626,16 +750,35 @@ def _draw(n_sources: int, sizes: Sequence[int], count: int, gen) -> _Queries:
         raise InvalidConfigurationError(
             f"largest subgroup size {sizes[-1]} exceeds K={n_sources}", key="sizes"
         )
-    integers, choice = gen.integers, gen.choice
+    n_sources, count = int(n_sources), int(count)
+    ranges = _word_ranges(n_sources, sizes)
+    widest = max((len(r) for r in ranges if r is not None), default=0)
     widths, values = [], {size + 1: [] for size in sizes}
-    for _ in range(count):
-        size = sizes[integers(len(sizes))]
-        members = choice(n_sources, size=size, replace=False).tolist()
-        members.sort()
-        widths.append(size + 1)
-        flat = values[size + 1]
-        flat.append(0)
-        flat += members
+    done, limit = 0, count
+    while done < count:
+        block = min(count - done, limit, _BLOCK_WORDS // max(widest, 1))
+        kept = 0
+        if widest:
+            saved = gen.bit_generator.state
+            words = gen.integers(0, _WORD, size=block * widest)
+            kept, used, picked, drawn = _decode(words, sizes, ranges, n_sources, block)
+            widths += picked
+            for options in drawn:
+                values[options.shape[1]] += options.ravel().tolist()
+            gen.bit_generator.state = saved
+            gen.integers(0, _WORD, size=used)
+            done += kept
+        if kept < block:  # the next query leaves the block
+            size = sizes[gen.integers(len(sizes))]
+            members = gen.choice(n_sources, size=size, replace=False).tolist()
+            members.sort()
+            widths.append(size + 1)
+            flat = values[size + 1]
+            flat.append(0)
+            flat += members
+            done += 1
+        # after a short block, try about twice as many queries as it kept
+        limit = 2 * kept + 2
     queries = _tabulate(widths, values)
     for _, options in queries.blocks:
         options[:, 1:] += 1  # drawn from {0..K-1}

@@ -102,6 +102,14 @@ class TestHierarchicalSpec:
             HierarchicalSpec(**{field: 10**400})
         assert err.value.key == field
 
+    @pytest.mark.parametrize("config", [HierarchicalSpec, GaussianExperimentConfig])
+    def test_negative_seed_rejected_with_key(self, config):
+        # numpy's generators take no negative seed
+        with pytest.raises(InvalidConfigurationError) as err:
+            config(seed=-1)
+        assert err.value.key == "seed"
+        assert config(seed=0).seed == 0
+
     def test_dim_follows_theta0(self):
         assert HierarchicalSpec(theta0=(0.0, 1.0, 2.0)).dim == 3
 

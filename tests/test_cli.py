@@ -1287,6 +1287,73 @@ class TestNegativeCount:
         assert out.read_bytes() == b""
 
 
+class TestNegativeSeed:
+    """numpy takes no negative seed; every seeded command and config
+    section rejects one with exit 3 naming the key, before any work."""
+
+    @pytest.mark.parametrize(
+        "argv, doc, key",
+        [
+            (["simulate-oracle", "--alpha", "0,1,-1", "--sizes", "2", "--seed", "-1"],
+             None, "seed"),
+            (["elicit", "--summaries", "SUMMARIES", "--context", "pick one",
+              "--sizes", "2", "--seed", "-1"], None, "seed"),
+            (["bench", "gaussian", "--seed", "-1"], None, "seed"),
+            (["bench", "oracle-mse", "--seed", "-1"], None, "seed"),
+            (["bench", "dichotomy", "--seed", "-1"], None, "seed"),
+            (["bench", "consistency", "--seed", "-2"], None, "seed"),
+            (["bench", "gaussian"], {"experiment": {"seed": -1}}, "experiment.seed"),
+            (["bench", "oracle-mse"], {"generator": {"seed": -1}}, "generator.seed"),
+            (["bench", "dichotomy"], {"generator": {"seed": -1}}, "generator.seed"),
+        ],
+    )
+    def test_exits_three_naming_seed(self, tmp_path, capsys, monkeypatch, argv, doc, key):
+        monkeypatch.setattr("lipem.judge.HttpTransport", _no_transport)
+        summaries = tmp_path / "summaries.json"
+        summaries.write_text(json.dumps({"1": "first", "2": "second"}))
+        argv = [str(summaries) if a == "SUMMARIES" else a for a in argv]
+        if doc is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(doc))
+            argv += ["--config", str(cfg)]
+        out = tmp_path / "out"
+        assert dispatch([*argv, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert err.endswith(f"[key: {key}]\n")
+        assert not out.exists()
+
+    def test_zero_seed_accepted(self, tmp_path, capsys):
+        out = tmp_path / "records.txt"
+        argv = ["simulate-oracle", "--alpha", "0,1,-1", "--sizes", "2",
+                "--count", "3", "--seed", "0", "--out", str(out)]
+        assert dispatch(argv) == 0
+        capsys.readouterr()
+        assert len(out.read_text().splitlines()) == 3
+
+
+class TestCountBeyondInt64:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate-oracle", "--alpha", "0,1,-1", "--sizes", "2"],
+            ["elicit", "--summaries", "SUMMARIES", "--context", "pick one", "--sizes", "2"],
+        ],
+    )
+    def test_exits_three_naming_count(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.setattr("lipem.judge.HttpTransport", _no_transport)
+        summaries = tmp_path / "summaries.json"
+        summaries.write_text(json.dumps({"1": "first", "2": "second"}))
+        argv = [str(summaries) if a == "SUMMARIES" else a for a in argv]
+        out = tmp_path / "records.txt"
+        argv += ["--count", "99999999999999999999", "--out", str(out)]
+        assert dispatch(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "[key: count]" in err
+        assert not out.exists()
+
+
 class TestNonFiniteTurbofanValues:
     """A nan or inf cycle or sensor 9 value is one parse error naming
     the file line, not a NaN noise variance found later."""

@@ -5,6 +5,7 @@ and the fitted optimum against an independent dense grid search plus a
 separately coded quasi-Newton solve before recovery tests use the fit.
 """
 
+import itertools
 import math
 import os
 import subprocess
@@ -17,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.special
+import scipy.stats
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize as scipy_minimize
@@ -714,6 +716,193 @@ class TestSampling:
         subgroups = loop_sample(n_sources, sizes, count, loop)
         assert records == [ChoiceRecord(s, loop_judge(worths, s, loop)) for s in subgroups]
         assert fast.bit_generator.state == loop.bit_generator.state
+
+
+def same_state(a, b):
+    """Bit generator states are equal, arrays (MT19937's key) included."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_state(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)
+
+
+def words_taken(bit_generator, seed, state, limit=10_000):
+    """How many 32-bit words a fresh generator draws to reach ``state``."""
+    gen = np.random.Generator(bit_generator(seed))
+    for taken in range(limit):
+        if same_state(gen.bit_generator.state, state):
+            return taken
+        gen.integers(0, 2**32)
+    raise AssertionError(f"state not reached in {limit} words")
+
+
+def untemper(y):
+    """The MT19937 key word whose tempered output is ``y``."""
+    y ^= y >> 18
+    y ^= (y << 15) & 0xEFC60000
+    x = y
+    for _ in range(5):
+        x = y ^ ((x << 7) & 0x9D2C5680)
+    y = x & 0xFFFFFFFF
+    x = y
+    for _ in range(3):
+        x = y ^ (x >> 11)
+    return x & 0xFFFFFFFF
+
+
+def drawing(words):
+    """An MT19937 generator whose next 32-bit words are ``words`` (at
+    most 624 of them); it runs on as MT19937 after those."""
+    gen = np.random.Generator(np.random.MT19937(0))
+    state = gen.bit_generator.state
+    start = 624 - len(words)
+    state["state"]["key"][start:] = [untemper(int(w)) for w in words]
+    state["state"]["pos"] = start
+    gen.bit_generator.state = state
+    return gen
+
+
+class CountingGenerator(np.random.Generator):
+    """A generator that counts its ``integers`` and ``choice`` calls."""
+
+    def __init__(self, bit_generator):
+        super().__init__(bit_generator)
+        self.calls = Counter()
+
+    def integers(self, *args, **kwargs):
+        self.calls["integers"] += 1
+        return super().integers(*args, **kwargs)
+
+    def choice(self, *args, **kwargs):
+        self.calls["choice"] += 1
+        return super().choice(*args, **kwargs)
+
+
+BIT_GENERATORS = [np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64]
+
+
+class TestBlockDraw:
+    """The sampler draws blocks of words and decodes them as numpy's
+    ``integers`` and ``choice`` would; every case must equal one call of
+    each per query (``loop_sample``), end state included."""
+
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+    @pytest.mark.parametrize(
+        "n_sources, sizes, count",
+        [
+            (50, [3, 4, 5], 1000),  # more than one block
+            (3 * 2**30, [1, 3, 4], 40),  # about a quarter of the words rejected
+            (2**31 + 3, [2, 3], 30),  # u * (r + 1) beyond int64
+            (2**32 - 1, [1, 2, 3], 30),
+            (2**32, [1, 2, 3], 30),  # 64-bit member draws
+            (2**32 + 7, [2, 3], 30),
+            (10001, [3, 201], 8),  # size 201 is numpy's tail shuffle
+            (200, [3, 70], 40),  # size 70 is past the block's largest
+            (4, [4], 20),  # K = size: Floyd's first draw takes no word
+            (5, [2], 30),  # no size draw
+            (1, [1], 5),  # no word at all
+        ],
+    )
+    @pytest.mark.parametrize("buffered", [False, True])
+    def test_matches_per_query_calls(self, bit_generator, n_sources, sizes, count, buffered):
+        fast, loop = (np.random.Generator(bit_generator(7)) for _ in range(2))
+        if buffered:  # leave half of a 64-bit output in the generator's buffer
+            fast.integers(10, dtype=np.uint32)
+            loop.integers(10, dtype=np.uint32)
+        assert sample_subgroups(n_sources, sizes, count, fast) == loop_sample(
+            n_sources, sizes, count, loop
+        )
+        assert same_state(fast.bit_generator.state, loop.bit_generator.state)
+
+    def test_rejected_words_are_redrawn(self):
+        n_sources, seed = 3 * 2**30, 11
+        gen = np.random.Generator(np.random.PCG64(seed))
+        subgroups = sample_subgroups(n_sources, [2, 3], 40, gen)
+        loop = np.random.Generator(np.random.PCG64(seed))
+        assert subgroups == loop_sample(n_sources, [2, 3], 40, loop)
+        # a size word, then per member a Floyd word and all but one a
+        # shuffle word, when no word is rejected
+        unrejected = sum(2 * len(s) for s in subgroups)
+        assert words_taken(np.random.PCG64, seed, gen.bit_generator.state) > unrejected
+
+    @pytest.mark.parametrize("every", [2, 3, 7])
+    def test_zero_words_are_redrawn_by_every_draw(self, every):
+        # a word of 0 is rejected by every draw whose range r + 1 is not a
+        # power of two: size draws, Floyd's draws and the shuffle's
+        words = np.random.default_rng(every).integers(1, 2**32, size=600)
+        words[::every] = 0
+        assert np.array_equal(drawing(words).integers(0, 2**32, size=600), words)
+        fast, loop = drawing(words), drawing(words)
+        assert sample_subgroups(50, [1, 2, 3], 120, fast) == loop_sample(50, [1, 2, 3], 120, loop)
+        assert same_state(fast.bit_generator.state, loop.bit_generator.state)
+
+    def test_no_call_per_query_inside_the_block(self):
+        gen = CountingGenerator(np.random.PCG64(42))
+        assert len(sample_subgroups(50, [3, 4, 5], 2500, gen)) == 2500
+        # a query takes at most 10 words; no word is rejected here, so
+        # each block draws its words and then advances past them
+        blocks = -(-2500 // (lip_module._BLOCK_WORDS // 10))
+        assert gen.calls == {"integers": 2 * blocks}
+
+    @pytest.mark.parametrize("n_sources", [2.5, True, np.float64(5.0), "5", None])
+    def test_non_integer_source_count_rejected_before_any_draw(self, n_sources):
+        rng = np.random.default_rng(42)
+        with pytest.raises(InvalidConfigurationError) as err:
+            sample_subgroups(n_sources, [1], 3, rng)
+        assert err.value.key == "n_sources"
+        assert same_state(rng.bit_generator.state, np.random.default_rng(42).bit_generator.state)
+
+    @pytest.mark.parametrize("count", [2**63, 10**20])
+    def test_count_beyond_int64_rejected_before_any_draw(self, count):
+        rng = np.random.default_rng(42)
+        with pytest.raises(InvalidConfigurationError) as err:
+            sample_subgroups(5, [2], count, rng)
+        assert err.value.key == "count"
+        assert same_state(rng.bit_generator.state, np.random.default_rng(42).bit_generator.state)
+
+    def test_numpy_integer_source_count_accepted(self):
+        a = sample_subgroups(np.int64(10), [2, 3], 20, np.random.default_rng(7))
+        assert a == sample_subgroups(10, [2, 3], 20, np.random.default_rng(7))
+
+
+class TestSamplingLaw:
+    """The sampler's and the simulated judge's laws, by chi-square tests
+    that do not depend on how numpy draws: at K = 6, each subgroup size
+    is equally likely, so is every subset of one size, and the judge's
+    picks follow the model's probabilities."""
+
+    N_SOURCES, SIZES, COUNT, SEED = 6, [2, 3], 6000, 2024
+
+    def test_every_subset_of_a_size_is_equally_likely(self):
+        subgroups = sample_subgroups(
+            self.N_SOURCES, self.SIZES, self.COUNT, np.random.default_rng(self.SEED)
+        )
+        by_size = Counter(len(s) for s in subgroups)
+        assert scipy.stats.chisquare([by_size[s] for s in self.SIZES]).pvalue > 1e-3
+        counts = Counter(subgroups)
+        for size in self.SIZES:
+            subsets = list(itertools.combinations(range(1, self.N_SOURCES + 1), size))
+            observed = [counts[s] for s in subsets]
+            assert sum(observed) == by_size[size]  # members sorted and distinct
+            assert scipy.stats.chisquare(observed).pvalue > 1e-3
+
+    def test_judge_picks_follow_the_model(self):
+        worths = WorthVector(np.array([0.0, 0.5, -0.5, 1.0, 0.0, -1.0, 0.3]))
+        records = simulate_elicitation(
+            worths, self.SIZES, self.COUNT, np.random.default_rng(self.SEED)
+        )
+        picks = {}
+        for rec in records:
+            picks.setdefault(rec.subgroup, Counter())[rec.choice] += 1
+        statistic, dof = 0.0, 0
+        for subgroup, counts in picks.items():
+            options = (0, *subgroup)
+            expected = sum(counts.values()) * np.array(
+                [choice_probability(worths, subgroup, k) for k in options]
+            )
+            observed = np.array([counts[k] for k in options])
+            statistic += float(((observed - expected) ** 2 / expected).sum())
+            dof += len(subgroup)
+        assert scipy.stats.chi2.sf(statistic, dof) > 1e-3
 
 
 class TestSimulatedJudge:
