@@ -39,6 +39,7 @@ from .lip import P0, Lip
 __all__ = [
     "NullGen",
     "HierarchicalSpec",
+    "check_seed",
     "SEPARATED_SPEC",
     "ORACLE_RELEVANT",
     "Truth",
@@ -73,8 +74,8 @@ def spawn_rngs(seed: int, count: int) -> list[np.random.Generator]:
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(count)]
 
 
-def _check_seed(seed: int) -> None:
-    # numpy's generators take no negative seed
+def check_seed(seed: int) -> None:
+    """Reject a negative seed, which numpy's generators do not take."""
     if seed < 0:
         raise InvalidConfigurationError(f"seed must be nonnegative, got {seed}", key="seed")
 
@@ -173,7 +174,7 @@ class HierarchicalSpec:
                 raise InvalidConfigurationError(
                     f"{name} must be positive, got {getattr(self, name)}", key=name
                 )
-        _check_seed(self.seed)
+        check_seed(self.seed)
 
     @property
     def dim(self) -> int:
@@ -457,7 +458,7 @@ class GaussianExperimentConfig:
                 key="dims",
             )
         _check_replications(self.replications)
-        _check_seed(self.seed)
+        check_seed(self.seed)
         if self.curve_points < 2:
             raise InvalidConfigurationError(
                 f"curve_points must be >= 2, got {self.curve_points}",

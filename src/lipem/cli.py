@@ -25,7 +25,7 @@ from .bench import (
     GaussianExperimentConfig,
     HierarchicalSpec,
     NullGen,
-    _check_seed,
+    check_seed,
     cmapss_experiment,
     consistency_check,
     dichotomy_check,
@@ -683,8 +683,11 @@ def dispatch(argv: Sequence[str] | None = None) -> int:
                     f"{', '.join(args.sections)}",
                     key=section,
                 )
+        # HierarchicalSpec and GaussianExperimentConfig check the seed they
+        # are given too, but an error from there names the config section
+        # the flag was copied into; a --seed flag is named `seed`
         if getattr(args, "seed", None) is not None:
-            _check_seed(args.seed)
+            check_seed(args.seed)
         return args.handler(args, cfg)
     except InvalidConfigurationError as exc:
         line = f"error: {exc}"

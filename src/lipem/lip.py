@@ -39,10 +39,11 @@ sampler's stream is that of one ``Generator.integers`` and one
 ``Generator.choice(replace=False)`` call per query, which fixes every
 simulated records file, but it makes neither call per query: it draws
 a block of 32-bit words at once and decodes it as numpy does, with
-array operations per subgroup size, straight into blocks (``_draw``).
-It makes the two calls for a query with a rejected word and outside
-the decoder's domain: K >= 2**32 and sizes above 64 (which include
-every size numpy draws by a tail shuffle).  ``simulate-oracle`` writes
+array operations over all of the block's queries, straight into blocks
+(``_draw``).  It makes the two calls for a query with a rejected word,
+and for every query of a draw where blocks would not pay: a size above
+16, K >= 2**32, or more than one query in 32 expected to hold a
+rejected word.  ``simulate-oracle`` writes
 each block from one line template.
 ``fit-lip`` parses each line straight into its block, and checks the
 blocks by array tests (members at least 1 and distinct, the choice 0 or
@@ -613,100 +614,138 @@ _WORD = 1 << 32
 # the most words one block draws; larger blocks are faster but raise the
 # process's peak memory
 _BLOCK_WORDS = 1 << 11
-# the largest subgroup a block draws: Floyd's duplicate test and the row
-# order cost O(size^2) per query.  It also keeps the block clear of
-# numpy's tail shuffle, which takes sizes above K // 50 >= 200 once
+# the largest subgroup size of a draw that takes blocks.  Floyd's
+# duplicate test takes one array step per member and the row order
+# O(size^2) work per query, so blocks lose to per-query calls past about
+# 30 members; 16 keeps a margin.  The bound also keeps the blocks clear
+# of numpy's tail shuffle, which takes sizes above K // 50 >= 200 once
 # K > 10000.
-_BLOCK_SIZE = 64
+_BLOCK_SIZE = 16
+# the largest expected share of queries with a rejected word for which a
+# draw takes blocks.  Each such query costs the decode of a whole block,
+# about what 20 per-query calls cost.
+_MOST_REJECTED = 1 / 32
 
 
-def _word_ranges(n_sources: int, sizes: list[int]) -> list[list[int] | None]:
+def _word_ranges(n_sources: int, sizes: list[int]) -> list[list[int]]:
     """Per subgroup size, the range r + 1 of each word that one query of
-    that size takes, in stream order.  None where numpy draws 64-bit
-    words (K >= 2**32) or the size is past ``_BLOCK_SIZE``."""
-    out = []
-    for size in sizes:
-        if n_sources >= _WORD or size > _BLOCK_SIZE:
-            out.append(None)
-            continue
-        out.append(
-            [len(sizes)] * (len(sizes) > 1)  # the size
-            # Floyd's draws on [0, j]; j = 0 takes no word
-            + [j + 1 for j in range(n_sources - size, n_sources) if j]
-            # the shuffle's draws on [0, i]; sorting discards their values
-            + list(range(size, 1, -1))
-        )
-    return out
+    that size takes, in stream order."""
+    return [
+        [len(sizes)] * (len(sizes) > 1)  # the size
+        # Floyd's draws on [0, j]; j = 0 takes no word
+        + [j + 1 for j in range(n_sources - size, n_sources) if j]
+        # the shuffle's draws on [0, i]; sorting discards their values
+        + list(range(size, 1, -1))
+        for size in sizes
+    ]
+
+
+def _rejected(ranges: list[list[int]]) -> float:
+    """The expected share of queries, sizes drawn uniformly, with a
+    rejected word: a word on range b is rejected with chance
+    (2**32 mod b) / 2**32."""
+    return -math.fsum(
+        math.expm1(math.fsum(math.log1p(-(_WORD % b) / _WORD) for b in bounds))
+        for bounds in ranges
+    ) / len(ranges)
+
+
+class _WordTable(NamedTuple):
+    """Per subgroup size (a row each), how ``_decode`` reads one query's
+    words: ``steps`` words; each word's range r + 1 and rejection
+    threshold 2**32 mod (r + 1), padded with 1 and 0 (never rejected) to
+    the widest query, in a dtype that holds u * (r + 1); and the column
+    of each Floyd draw, right-aligned to the largest size (see
+    ``_floyd``)."""
+
+    steps: list[int]
+    bounds: np.ndarray
+    thresholds: np.ndarray
+    columns: np.ndarray
+
+
+def _word_table(n_sources: int, sizes: list[int], ranges: list[list[int]]) -> _WordTable:
+    head, most = len(sizes) > 1, sizes[-1]
+    widest = max(len(r) for r in ranges)
+    # u * (r + 1) may pass int64 once r + 1 > 2**31
+    dtype = np.uint64 if n_sources > 1 << 31 else np.int64
+    bounds = np.ones((len(sizes), widest), dtype=dtype)
+    thresholds = np.zeros((len(sizes), widest), dtype=dtype)
+    # past the words: column ``widest`` reads 0, the rest read -1, -2, ...
+    columns = np.arange(widest + 1, widest + 1 + most) + np.zeros((len(sizes), 1), dtype=np.int64)
+    for i, (size, r) in enumerate(zip(sizes, ranges)):
+        bounds[i, : len(r)] = r
+        thresholds[i, : len(r)] = [_WORD % b for b in r]
+        # Floyd's t-th draw is word head + t, but at K = size the draw on
+        # [0, 0] takes no word and reads 0
+        floyd = [head + t - (size == n_sources) for t in range(size)]
+        if size == n_sources:
+            floyd[0] = widest
+        columns[i, most - size :] = floyd
+    return _WordTable([len(r) for r in ranges], bounds, thresholds, columns)
 
 
 def _floyd(values: np.ndarray, n_sources: int) -> np.ndarray:
-    """Floyd's sample from its draws ``values[:, t]`` on [0, K - size + t],
-    one query per row: a draw is kept unless an earlier member holds it,
-    else K - size + t is.  Returned as option rows: 0 for the null, then
-    the members (from 0) in increasing order."""
-    m, size = values.shape
+    """Floyd's sample from its draws, one query per row.  A query of size
+    s holds its draw on [0, K - s + t] in column c = S - s + t of S
+    columns, and distinct negative values before it.  A draw is kept
+    unless an earlier member holds it, else K - s + t = K - S + c is.
+    Returns the members (from 0) after the negative values, each row in
+    increasing order, behind one column of 0s."""
+    m, most = values.shape
     members = values.copy()
-    for t in range(1, size):
-        taken = (members[:, :t] == values[:, t, None]).any(axis=1)
-        members[taken, t] = n_sources - size + t
+    for c in range(1, most):
+        taken = (members[:, :c] == values[:, c, None]).any(axis=1)
+        members[taken, c] = n_sources - most + c
     # a member's place in its row is the number of smaller members
     places = (members[:, None, :] < members[:, :, None]).sum(axis=2)
-    options = np.zeros((m, size + 1), dtype=np.int64)
+    options = np.zeros((m, most + 1), dtype=np.int64)
     options[np.arange(m)[:, None], places + 1] = members
     return options
 
 
-def _decode(words: np.ndarray, sizes: list[int], ranges: list, n_sources: int, count: int):
+def _decode(words: np.ndarray, sizes: list[int], table: _WordTable, n_sources: int, count: int):
     """The first of ``count`` queries that a block of words makes.
 
     Returns how many queries are exact (those before the first one with a
-    rejected word or a size that ``ranges`` leaves out), the words they
-    take, their option counts, and per size their option rows (``_floyd``),
-    each in query order.
+    rejected word), the words they take, their option counts, and per size
+    their option rows, each in query order.  ``words`` holds at least
+    ``count`` times the widest query's words.
     """
-    head = len(sizes) > 1
-    if n_sources > 1 << 31:  # u * (r + 1) may pass int64
-        words = words.view(np.uint64)
-    if head:
-        # read every word as a size draw (a rejected one is found below,
-        # with the query's other words); a size left out reads as a query
-        # of no words, which ends the walk
+    widest, most = table.bounds.shape[1], sizes[-1]
+    words = words.view(table.bounds.dtype)
+    if len(sizes) > 1:
+        # read every word as a size draw; a rejected one is found below,
+        # with the query's other words
         picks = words * len(sizes) >> 32
-        steps = np.array([0 if r is None else len(r) for r in ranges])[picks].tolist()
+        steps = np.array(table.steps)[picks].tolist()
         starts, end = [], 0
         for _ in range(count):
-            if not steps[end]:
-                break
             starts.append(end)
             end += steps[end]
         starts = np.array(starts, dtype=np.int64)
         picks = picks[starts]
     else:
         end = words.size
-        starts = np.arange(0, end, end // count)
+        starts = np.arange(0, end, widest)
         picks = np.zeros(count, dtype=np.int64)
-    kept, scaled_rows = starts.size, []
-    for i, bounds in enumerate(ranges):
-        rows = np.flatnonzero(picks == i)
-        if bounds is None or not rows.size:
-            continue
-        scaled = words[starts[rows, None] + np.arange(len(bounds))]
-        scaled *= np.array(bounds, dtype=words.dtype)
-        thresholds = np.array([_WORD % b for b in bounds], dtype=words.dtype)
-        rejected = (scaled % _WORD < thresholds).any(axis=1)
-        if rejected.any():
-            kept = min(kept, int(rows[np.flatnonzero(rejected)[0]]))
-        scaled_rows.append((sizes[i], rows, scaled))
+    scaled = words[starts[:, None] + np.arange(widest)]
+    scaled *= table.bounds[picks]
+    rejected = (scaled % _WORD < table.thresholds[picks]).any(axis=1)
+    kept = int(np.flatnonzero(rejected)[0]) if rejected.any() else count
+    picks = picks[:kept]
+    values = np.zeros((kept, widest + 1 + most), dtype=np.int64)
+    values[:, :widest] = scaled[:kept] >> 32
+    values[:, widest + 1 :] = np.arange(-1, -most - 1, -1)
+    options = _floyd(values[np.arange(kept)[:, None], table.columns[picks]], n_sources)
     drawn = []
-    for size, rows, scaled in scaled_rows:
-        m = np.count_nonzero(rows < kept)
-        if m:
-            floyd = scaled[:m, head : head + size - (size == n_sources)] >> 32
-            if size == n_sources:  # its draw on [0, 0] took no word
-                floyd = np.column_stack((np.zeros(m, dtype=floyd.dtype), floyd))
-            drawn.append(_floyd(floyd.astype(np.int64), n_sources))
-    widths = (np.array(sizes)[picks[:kept]] + 1).tolist()
-    return kept, int(starts[kept]) if kept < starts.size else end, widths, drawn
+    for i, size in enumerate(sizes):
+        rows = np.flatnonzero(picks == i)
+        if rows.size:
+            drawn.append(options[rows, most - size :])
+            drawn[-1][:, 0] = 0
+    widths = (np.array(sizes)[picks] + 1).tolist()
+    return kept, int(starts[kept]) if kept < count else end, widths, drawn
 
 
 def _draw(n_sources: int, sizes: Sequence[int], count: int, gen) -> _Queries:
@@ -718,14 +757,17 @@ def _draw(n_sources: int, sizes: Sequence[int], count: int, gen) -> _Queries:
     fixes every simulated records file.  The calls are not made per
     query.  A block of 32-bit words is drawn at once and decoded as numpy
     decodes them: one Python loop walks the queries, since each query's
-    size draw fixes where the next one starts, and each size's member
-    draws (Floyd's algorithm, then a shuffle whose values the sort
-    discards) are array operations.  The generator is then rewound and
+    size draw fixes where the next one starts, and the member draws of
+    all the block's queries (Floyd's algorithm, then a shuffle whose
+    values the sort discards) are array operations.  The generator is then rewound and
     advanced by exactly the words the block's exact queries took.  The
-    next query, if it has a rejected word or a size ``_word_ranges``
-    leaves out, is drawn by the two calls.  The stream tests in
-    tests/test_lip.py compare every case with those calls, so they fail
-    on a numpy that draws ``choice`` another way.
+    next query, if it has a rejected word, is drawn by the two calls.
+    Blocks pay only for small subgroups and few rejected words, so a draw
+    with a size above ``_BLOCK_SIZE``, K >= 2**32, or an expected share of
+    queries with a rejected word above ``_MOST_REJECTED`` makes the two
+    calls for every query.  The stream tests in tests/test_lip.py compare
+    every case with those calls, so they fail on a numpy that draws
+    ``choice`` another way.
     """
     if isinstance(n_sources, bool) or not isinstance(n_sources, Integral):
         raise InvalidConfigurationError(
@@ -751,34 +793,41 @@ def _draw(n_sources: int, sizes: Sequence[int], count: int, gen) -> _Queries:
             f"largest subgroup size {sizes[-1]} exceeds K={n_sources}", key="sizes"
         )
     n_sources, count = int(n_sources), int(count)
-    ranges = _word_ranges(n_sources, sizes)
-    widest = max((len(r) for r in ranges if r is not None), default=0)
+    # numpy draws 64-bit words for members when K >= 2**32
+    blocked = n_sources < _WORD and sizes[-1] <= _BLOCK_SIZE
+    if blocked:
+        ranges = _word_ranges(n_sources, sizes)
+        widest = max(len(r) for r in ranges)
+        # K = 1 takes no word at all
+        blocked = widest > 0 and _rejected(ranges) <= _MOST_REJECTED
+    if blocked:
+        table = _word_table(n_sources, sizes, ranges)
+        per_block = _BLOCK_WORDS // widest
     widths, values = [], {size + 1: [] for size in sizes}
-    done, limit = 0, count
+    done = 0
     while done < count:
-        block = min(count - done, limit, _BLOCK_WORDS // max(widest, 1))
-        kept = 0
-        if widest:
+        if blocked:
+            block = min(count - done, per_block)
             saved = gen.bit_generator.state
             words = gen.integers(0, _WORD, size=block * widest)
-            kept, used, picked, drawn = _decode(words, sizes, ranges, n_sources, block)
+            kept, used, picked, drawn = _decode(words, sizes, table, n_sources, block)
             widths += picked
             for options in drawn:
                 values[options.shape[1]] += options.ravel().tolist()
             gen.bit_generator.state = saved
             gen.integers(0, _WORD, size=used)
             done += kept
-        if kept < block:  # the next query leaves the block
-            size = sizes[gen.integers(len(sizes))]
-            members = gen.choice(n_sources, size=size, replace=False).tolist()
-            members.sort()
-            widths.append(size + 1)
-            flat = values[size + 1]
-            flat.append(0)
-            flat += members
-            done += 1
-        # after a short block, try about twice as many queries as it kept
-        limit = 2 * kept + 2
+            if kept == block:
+                continue
+        # the next query has a rejected word, or the draw takes no blocks
+        size = sizes[gen.integers(len(sizes))]
+        members = gen.choice(n_sources, size=size, replace=False).tolist()
+        members.sort()
+        widths.append(size + 1)
+        flat = values[size + 1]
+        flat.append(0)
+        flat += members
+        done += 1
     queries = _tabulate(widths, values)
     for _, options in queries.blocks:
         options[:, 1:] += 1  # drawn from {0..K-1}

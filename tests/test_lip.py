@@ -791,12 +791,15 @@ class TestBlockDraw:
         [
             (50, [3, 4, 5], 1000),  # more than one block
             (3 * 2**30, [1, 3, 4], 40),  # about a quarter of the words rejected
+            (2143334847, [3, 4, 5], 600),  # a few rejected words inside blocks
             (2**31 + 3, [2, 3], 30),  # u * (r + 1) beyond int64
             (2**32 - 1, [1, 2, 3], 30),
             (2**32, [1, 2, 3], 30),  # 64-bit member draws
             (2**32 + 7, [2, 3], 30),
             (10001, [3, 201], 8),  # size 201 is numpy's tail shuffle
             (200, [3, 70], 40),  # size 70 is past the block's largest
+            (16, list(range(1, 17)), 300),  # every size a block draws, K = size
+            (1000, [2, 16], 300),  # short rows beside the widest
             (4, [4], 20),  # K = size: Floyd's first draw takes no word
             (5, [2], 30),  # no size draw
             (1, [1], 5),  # no word at all
@@ -842,6 +845,24 @@ class TestBlockDraw:
         # each block draws its words and then advances past them
         blocks = -(-2500 // (lip_module._BLOCK_WORDS // 10))
         assert gen.calls == {"integers": 2 * blocks}
+
+    def test_drawn_queries_are_unjudged(self):
+        queries = lip_module._draw(50, [3, 4, 5], 500, np.random.default_rng(3))
+        assert queries.chosen.shape == (500,) and not queries.chosen.any()
+
+    @pytest.mark.parametrize(
+        "n_sources, sizes",
+        [
+            (200, [3, 70]),  # a size past the block's largest
+            (3 * 2**30, [2, 3]),  # most queries have a rejected word
+            (2**32 + 7, [2, 3]),  # 64-bit member draws
+            (1, [1]),  # no word at all
+        ],
+    )
+    def test_draw_outside_the_blocks_makes_the_calls_per_query(self, n_sources, sizes):
+        gen = CountingGenerator(np.random.PCG64(42))
+        assert len(sample_subgroups(n_sources, sizes, 50, gen)) == 50
+        assert gen.calls == {"integers": 50, "choice": 50}
 
     @pytest.mark.parametrize("n_sources", [2.5, True, np.float64(5.0), "5", None])
     def test_non_integer_source_count_rejected_before_any_draw(self, n_sources):
