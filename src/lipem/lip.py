@@ -17,17 +17,24 @@ Compiled queries
 The fit and the simulated judge do their arithmetic on arrays.  A
 record list is compiled once into one block per option count: the
 records' positions and an (m, n) array of option indices with the null
-in column 0.  A block needs no padding, so each row's softmax normaliser
-is summed over exactly its n options, in the same order as for one
-record alone.  The objective adds its per-record terms in record order
-(a running sum, not numpy's pairwise sum), so its value is bit-equal to
-a plain loop over the records; a quasi-Newton solve with numeric
-gradients moves measurably when those last bits change.  The gradient
-and Hessian are scatter-adds (``np.bincount``), the Hessian one pair of
-option columns at a time, so memory stays O(records + K^2).  Records
-are not aggregated into counts of identical (subgroup, choice) pairs:
-with K = 50 and subgroups of 3 to 5 members, 2,500 simulated records
-hold over 2,470 distinct pairs, so counting would save almost nothing.
+in column 0, stored column-major, so the softmax's max and sum across a
+row's options are passes over whole columns.  A block needs no padding,
+so each row's normaliser is summed over exactly its n options, in the
+same order as for one record alone.  numpy adds a lone row of fewer
+than 8 entries left to right and a longer one pairwise, while it sums a
+column-major table left to right at every width; so from 8 options on
+the sum runs over a C-order copy (``_row_sums``).  The objective adds
+its per-record terms in record order (a running sum, not numpy's
+pairwise sum), so its value is bit-equal to a plain loop over the
+records; a quasi-Newton solve with numeric gradients moves measurably
+when those last bits change.  The gradient and Hessian are scatter-adds
+(``np.bincount``).  The Hessian scatters p (1 - p) onto its diagonal
+and -p_i p_j once per pair i < j of a row's options, in one call per
+block of up to ``_PAIR_CELLS`` pairs, and mirrors the pairs, so its
+temporaries stay bounded however large a block is.  Records are not
+aggregated into counts of identical (subgroup, choice) pairs: with K =
+50 and subgroups of 3 to 5 members, 2,500 simulated records hold over
+2,470 distinct pairs, so counting would save almost nothing.
 
 Settings and K are checked once per fit, and each Newton iterate's
 softmax is computed once: the Hessian reuses the probabilities of the
@@ -43,13 +50,22 @@ array operations over all of the block's queries, straight into blocks
 (``_draw``).  It makes the two calls for a query with a rejected word,
 and for every query of a draw where blocks would not pay: a size above
 16, K >= 2**32, or more than one query in 32 expected to hold a
-rejected word.  ``simulate-oracle`` writes
-each block from one line template.
-``fit-lip`` parses each line straight into its block, and checks the
-blocks by array tests (members at least 1 and distinct, the choice 0 or
-a member); only the first bad line is rebuilt as a record, to word its
-error.  Indices meet K when a fit compiles the blocks; an index beyond
-int64 stays a Python int until then.
+rejected word.  ``simulate-oracle`` writes each block from one line
+template.
+
+``fit-lip`` reads a records file on one of two paths.  A file whose
+every line is exactly as ``write_records`` writes it (digits only, at
+most 18 per field, each line ending in a newline, which is also how a
+CRLF line reads) is admitted by removing each such line with one
+``re.sub`` and finding nothing left; its fields are then parsed by one
+``np.fromstring`` call, and each option count's members are sorted as a
+table.  Any other file (spaces, signs, non-ASCII digits, blank lines, a
+missing final newline, longer fields) is read line by line.  Both paths
+check the blocks by the same array tests (members at least 1 and
+distinct, the choice 0 or a member); a canonical file that fails them
+is read again line by line, and only the first bad line is rebuilt as
+a record, to word its error.  Indices meet K when a fit compiles the
+blocks; an index beyond int64 stays a Python int until then.
 
 File formats
 ------------
@@ -62,6 +78,7 @@ k = 1..K.  Both are UTF-8 text.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from numbers import Integral, Real
 from typing import Iterable, NamedTuple, Sequence
@@ -210,6 +227,8 @@ class Lip:
             al = np.asarray(self.alpha, dtype=float).reshape(-1)
             if al.size != arr.size + 1:
                 raise InvalidConfigurationError("alpha must have one more entry than pi")
+            if not np.all(np.isfinite(al)):
+                raise InvalidConfigurationError("worths alpha must be finite")
             object.__setattr__(self, "alpha", al)
 
     @property
@@ -257,6 +276,8 @@ class Lip:
             raise ParseError(
                 f"{path}: bad K header {header!r}", line_number=header_line
             ) from exc
+        if k < 1:
+            raise ParseError(f"{path}: K must be at least 1, got {k}", line_number=header_line)
         alpha = {}
         pi = {}
         for lineno, line in lines[1:]:
@@ -276,15 +297,19 @@ class Lip:
                 raise ParseError(
                     f"{path}: bad index in {name!r} on line {lineno}", lineno
                 ) from exc
-            (alpha if prefix == "alpha" else pi)[number] = val
+            entries = alpha if prefix == "alpha" else pi
+            if number in entries:
+                raise ParseError(f"{path}: repeated {prefix}_{number} on line {lineno}", lineno)
+            entries[number] = val
         if alpha and pi:
             raise ParseError(f"{path}: mixes alpha_ and pi_ entries")
         if alpha:
-            if sorted(alpha) != list(range(k + 1)):
+            # a count that misses K builds no list of K entries
+            if len(alpha) != k + 1 or sorted(alpha) != list(range(k + 1)):
                 raise ParseError(f"{path}: need alpha_0..alpha_{k}, got {sorted(alpha)}")
             vec = np.array([alpha[i] for i in range(k + 1)])
             return Lip(expit(vec[1:]), "file", alpha=vec)
-        if sorted(pi) != list(range(1, k + 1)):
+        if len(pi) != k or sorted(pi) != list(range(1, k + 1)):
             raise ParseError(f"{path}: need pi_1..pi_{k}, got {sorted(pi)}")
         return Lip(np.array([pi[i] for i in range(1, k + 1)]), "file")
 
@@ -309,24 +334,25 @@ class _Queries(NamedTuple):
 
 def _tabulate(widths: list[int], values: dict[int, list[int]]) -> _Queries:
     """Compile accumulated queries: each record's option count, in record
-    order, and per option count one flat list of its records' ``(choice,
-    *sorted members)`` entries, in record order.
+    order, and per option count its records' ``(choice, *sorted members)``
+    entries, in record order, as one flat list or one row per record.
 
     If an index does not fit in int64, the arrays hold Python ints until
     ``_compile`` has checked every index against K.
     """
-    values = {w: flat for w, flat in sorted(values.items()) if flat}
+    values = {w: flat for w, flat in sorted(values.items()) if len(flat)}
     try:
-        tables = {w: np.array(flat, dtype=np.int64) for w, flat in values.items()}
+        tables = {w: np.asarray(flat, dtype=np.int64) for w, flat in values.items()}
     except OverflowError:
         tables = {w: np.array(flat, dtype=object) for w, flat in values.items()}
-    widths = np.array(widths, dtype=np.int64)
+    widths = np.asarray(widths, dtype=np.int64)
     # the tables' dtype, or int64 when there are none
     chosen = np.zeros(widths.size, dtype=next(iter(tables.values()), widths).dtype)
     blocks = []
     for width, table in tables.items():
         rows = np.flatnonzero(widths == width)
-        options = table.reshape(rows.size, width)
+        # column-major, so a pass across the options is a pass over columns
+        options = np.asfortranarray(table.reshape(rows.size, width))
         chosen[rows] = options[:, 0]
         options[:, 0] = 0
         blocks.append((rows, options))
@@ -385,8 +411,18 @@ def _softmax(alpha: np.ndarray, options: np.ndarray):
     vals = alpha[options]
     shift = vals.max(axis=1)
     ex = np.exp(vals - shift[:, None])
-    denom = ex.sum(axis=1)
+    denom = _row_sums(ex)
     return ex / denom[:, None], shift, denom
+
+
+def _row_sums(table: np.ndarray) -> np.ndarray:
+    """Each row's sum, bit-equal to summing that row alone.  numpy adds a
+    row left to right below 8 entries and pairwise from 8 on; a
+    column-major table is summed left to right at every width, so from 8
+    entries on a C-order copy is summed."""
+    if table.shape[1] >= 8:
+        table = np.ascontiguousarray(table)
+    return table.sum(axis=1)
 
 
 _SETTING_TYPES = {
@@ -451,13 +487,18 @@ def _nll(alpha: np.ndarray, queries: _Queries, p0: float, eps: float):
         # last bit on some inputs
         log_denom = np.fromiter(map(math.log, denom.tolist()), float, denom.size)
         terms[rows + 1] = log_denom + shift - alpha[queries.chosen[rows]]
-        grad += np.bincount(options.ravel(), probs.ravel(), minlength=alpha.size)
+        grad += np.bincount(options.ravel("F"), probs.ravel("F"), minlength=alpha.size)
         block_probs.append(probs)
     value = float(np.cumsum(terms)[-1])
     dev = alpha[1:] - float(logit(p0))
     value += eps * float(dev @ dev)
     grad[1:] += 2.0 * eps * dev
     return value, grad, block_probs
+
+
+# the most option pairs one Hessian scatter takes: larger scatters save
+# little time, and their temporaries raise the process's peak memory
+_PAIR_CELLS = 1 << 13
 
 
 def _nll_hessian(
@@ -470,20 +511,25 @@ def _nll_hessian(
     n = alpha.size
     if block_probs is None:
         block_probs = [_softmax(alpha, options)[0] for _, options in queries.blocks]
-    # each record adds diag(p) - p p' on its options; the outer products
-    # are accumulated one pair of option columns at a time, so memory
-    # stays O(records + K^2)
+    # each record adds diag(p) - p p' on its options: p (1 - p) on the
+    # diagonal, and -p_i p_j at (a, b) and (b, a) for each pair i < j of
+    # its options a, b, which are scattered once and mirrored
     diag = np.zeros(n)
-    outer = np.zeros(n * n)
+    upper = np.zeros(n * n)
     for (_, options), probs in zip(queries.blocks, block_probs):
-        diag += np.bincount(options.ravel(), probs.ravel(), minlength=n)
-        cells = options * n
-        for i in range(options.shape[1]):
-            for j in range(options.shape[1]):
-                outer += np.bincount(
-                    cells[:, i] + options[:, j], probs[:, i] * probs[:, j], minlength=n * n
-                )
-    hess = np.diag(diag) - outer.reshape(n, n)
+        diag += np.bincount(options.ravel("F"), (probs * (1.0 - probs)).ravel("F"), minlength=n)
+        first, second = np.triu_indices(options.shape[1], 1)
+        # one scatter per _PAIR_CELLS pairs bounds the temporaries
+        step = max(1, _PAIR_CELLS // first.size)
+        for top in range(0, options.shape[0], step):
+            rows = slice(top, top + step)
+            cells = options[rows, first] * n
+            cells += options[rows, second]
+            weights = probs[rows, first]
+            weights *= probs[rows, second]
+            upper += np.bincount(cells.ravel("F"), weights.ravel("F"), minlength=n * n)
+    upper = upper.reshape(n, n)
+    hess = np.diag(diag) - upper - upper.T
     hess[1:, 1:] += 2.0 * eps * np.eye(n - 1)
     return hess
 
@@ -857,7 +903,7 @@ def _judge(alpha: np.ndarray, blocks, count: int, gen: np.random.Generator) -> n
     chosen = np.zeros(count, dtype=int)
     for rows, options in blocks:
         probs = _softmax(alpha, options)[0]
-        probs = probs / probs.sum(axis=1, keepdims=True)
+        probs = probs / _row_sums(probs)[:, None]
         cdf = np.cumsum(probs, axis=1)
         cdf /= cdf[:, -1:]
         picks = (cdf <= draws[rows, None]).sum(axis=1)
@@ -919,16 +965,77 @@ def _parse_line(line: str) -> list[int]:
     return [int(choice_part[len("choice="):]), *members]
 
 
+# a records line exactly as ``write_records`` writes it; at most 18
+# digits per field keep every value within int64
+_RECORD_LINE = r"subgroup=[0-9]{1,18}(?:,[0-9]{1,18})*;choice=[0-9]{1,18}\n"
+# a canonical text's fields, one ',' apart, once the names are dropped
+_FIELD_SEPARATORS = bytes.maketrans(b";\n", b",,")
+
+
 def _read_queries(path) -> _Queries:
     """Parse a records file straight into compiled queries.
 
-    Each line is read as ``_parse_line`` reads it, straight into the
-    per-option-count lists.  Indices are not checked against K here
-    (``_compile`` does that); everything else is, as array tests on each
-    block.  The first bad line is parsed again into a ``ChoiceRecord``,
-    whose error names it.
+    A file of lines exactly as ``write_records`` writes them is parsed in
+    one pass (``_split_canonical``).  Any other file, or one whose
+    records fail the array tests, is read line by line (``_read_lines``),
+    which words the error.  Indices are not checked against K here
+    (``_compile`` does that).
     """
-    lines = read_text(path).splitlines()
+    text = read_text(path)
+    # each line is removed on its own; one whole-file match would hold
+    # a backtracking frame per repeat
+    if not re.sub(_RECORD_LINE, "", text):
+        queries = _tabulate(*_split_canonical(text))
+        if _first_invalid(queries) is None:
+            return queries
+    return _read_lines(path, text.splitlines())
+
+
+def _split_canonical(text: str):
+    """``_tabulate``'s input from a text of canonical lines: each line's
+    option count from the commas before its ';', every field from one
+    ``np.fromstring`` call, and per option count one row per line."""
+    data = text.encode()
+    chars = np.frombuffer(data, np.uint8)
+    commas = np.flatnonzero(chars == ord(","))
+    widths = np.diff(np.searchsorted(commas, np.flatnonzero(chars == ord(";"))), prepend=0) + 2
+    # the members, then the choice, of each line in turn
+    fields = np.fromstring(
+        data.translate(_FIELD_SEPARATORS, b"subgroup=choice="), dtype=np.int64, sep=","
+    )
+    ends = np.cumsum(widths)
+    tables = {}
+    for width in np.flatnonzero(np.bincount(widths)).tolist():
+        # a line's fields end at ``ends`` with its choice; each row
+        # takes the choice first, then the members
+        table = fields[ends[widths == width][:, None] + (np.arange(width) - 1) % width - width]
+        table[:, 1:].sort(axis=1)
+        tables[width] = table
+    return widths, tables
+
+
+def _first_invalid(queries: _Queries):
+    """The position of the first record whose members are not all at
+    least 1 and distinct, or whose choice is neither 0 nor a member;
+    None when every record passes."""
+    bad = []
+    for rows, options in queries.blocks:
+        members, choice = options[:, 1:], queries.chosen[rows]
+        valid = (
+            (members[:, 0] >= 1)
+            & (members[:, 1:] != members[:, :-1]).all(axis=1)
+            & ((choice == 0) | (members == choice[:, None]).any(axis=1))
+        )
+        if not valid.all():
+            bad.append(int(rows[np.argmin(valid)]))
+    return min(bad, default=None)
+
+
+def _read_lines(path, lines: list[str]) -> _Queries:
+    """``_read_queries`` for any file: each line is read as
+    ``_parse_line`` reads it, straight into the per-option-count lists,
+    and checked by ``_first_invalid``.  The first bad line is parsed
+    again into a ``ChoiceRecord``, whose error names it."""
     bad = len(lines) + 1
     widths, values = [], {}
     for lineno, raw in enumerate(lines, start=1):
@@ -951,16 +1058,10 @@ def _read_queries(path) -> _Queries:
         flat.append(choice)
         flat += members
     queries = _tabulate(widths, values)
-    for rows, options in queries.blocks:
-        members, choice = options[:, 1:], queries.chosen[rows]
-        valid = (
-            (members[:, 0] >= 1)
-            & (members[:, 1:] != members[:, :-1]).all(axis=1)
-            & ((choice == 0) | (members == choice[:, None]).any(axis=1))
-        )
-        if not valid.all():
-            linenos = [i for i, raw in enumerate(lines, start=1) if raw.strip()]
-            bad = min(bad, linenos[rows[np.argmin(valid)]])
+    invalid = _first_invalid(queries)
+    if invalid is not None:
+        linenos = [i for i, raw in enumerate(lines, start=1) if raw.strip()]
+        bad = min(bad, linenos[invalid])
     if bad <= len(lines):
         try:
             choice, *members = _parse_line(lines[bad - 1].strip())

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from lipem import cli
+from lipem import lip as lip_module
 from lipem.bench import (
     SEPARATED_SPEC,
     BenchReport,
@@ -601,6 +602,25 @@ class TestRecordsPipeline:
         fit_lip(read_records(expected_records), self.K)[1].write(expected_prior)
         assert records.read_bytes() == expected_records.read_bytes()
         assert prior.read_bytes() == expected_prior.read_bytes()
+
+    def test_simulated_file_takes_the_one_pass_parse(self, tmp_path, capsys, monkeypatch):
+        records = tmp_path / "records.txt"
+        assert dispatch(
+            ["simulate-oracle", "--alpha=" + ",".join(map(repr, self.ALPHA.tolist())),
+             "--sizes", "1,3,5,9", "--count", "400", "--seed", "42", "--out", str(records)]
+        ) == 0
+        # the per-line reader is the fallback for any other file
+        entered = []
+
+        def spy(path, lines):
+            entered.append(path)
+            return read_lines(path, lines)
+
+        read_lines = lip_module._read_lines
+        monkeypatch.setattr(lip_module, "_read_lines", spy)
+        assert self._fit(records, tmp_path / "lip.txt") == 0
+        assert entered == []
+        capsys.readouterr()
 
     BIG = "1" + "0" * 29
 

@@ -404,6 +404,25 @@ class TestArrayKernels:
                 loop_objective(worths, records, eps=0.0)[0]
             )
 
+    def test_option_counts_around_the_pairwise_sum(self):
+        # numpy sums a row of 8 or more entries pairwise: blocks of 7, 8
+        # and 9 options straddle the width where column-major tables
+        # must sum a C-order copy
+        rng = np.random.default_rng(42)
+        n_sources, sizes = 20, [6, 7, 8]
+        worths = random_worths(rng, n_sources, scale=3.0)
+        records = simulate_elicitation(worths, sizes, 300, np.random.default_rng(7))
+        assert {len(r.subgroup) for r in records} == set(sizes)
+        value, _ = nll_objective(worths, records)
+        assert value == loop_objective(worths, records)[0]
+        hess = _nll_hessian(worths, records, 0.1)
+        assert np.max(np.abs(hess - loop_hessian(worths, records, 0.1))) <= 1e-12
+        loop_gen = np.random.default_rng(7)
+        subgroups = sample_subgroups(n_sources, sizes, 300, loop_gen)
+        assert records == [
+            ChoiceRecord(s, loop_judge(worths, s, loop_gen)) for s in subgroups
+        ]
+
     def test_hessian_matches_finite_differences_of_gradient(self):
         rng = np.random.default_rng(42)
         records = random_records(rng, 6, 150, max_size=6)
@@ -989,6 +1008,16 @@ class TestRecordsIo:
     @example(["subgroup=1,2,2;choice=1", "", "subgroup=1;;choice=1"])
     @example(["subgroup=x;choice=0", "subgroup=1,1;choice=1"])
     @example(["subgroup=1,2,3;choice=1", "subgroup=2,3;choice=9", "subgroup=1,1,2;choice=1"])
+    # canonical files (a final newline, no blank line) and near misses
+    @example(["subgroup=3,1,2;choice=2", "subgroup=4;choice=0", ""])
+    @example([])
+    @example(["subgroup=1,2;choice=2", "subgroup=4;choice=0"])
+    @example(["subgroup=1,2;choice=2\r", "subgroup=4;choice=0\r", ""])
+    @example(["subgroup=1,2;choice=2", "", "subgroup=4;choice=0", ""])
+    @example(["subgroup=001,2;choice=0002", "subgroup=04;choice=00", ""])
+    @example(["subgroup=1," + "9" * 18 + ";choice=" + "9" * 18, ""])
+    @example(["subgroup=1," + "9" * 19 + ";choice=" + "9" * 19, ""])
+    @example(["subgroup=1,2;choice=2", "subgroup=4,1,4;choice=0", ""])
     def test_reads_as_one_record_per_line(self, lines):
         """Same records, or the same error on the same line, as a reader
         that builds one ``ChoiceRecord`` per line."""
@@ -1094,6 +1123,44 @@ class TestLipIo:
         path.write_text("pi_1=0.5\n", encoding="utf-8")
         with pytest.raises(ParseError):
             Lip.read(path)
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("K=2\nalpha_0=0\nalpha_1=1\nalpha_1=5\nalpha_2=0\n", 4),
+            ("K=2\npi_1=0.5\n\npi_01=0.2\npi_2=0.1\n", 4),
+        ],
+    )
+    def test_repeated_entry_rejected(self, tmp_path, text, line):
+        path = tmp_path / "prior.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError, match=f"line {line}") as err:
+            Lip.read(path)
+        assert err.value.line_number == line
+
+    def test_source_count_beyond_the_entries_rejected(self, tmp_path):
+        path = tmp_path / "prior.txt"
+        for entry in ["pi_1=0.5", "alpha_0=0"]:
+            path.write_text(f"K={10**20}\n{entry}\n", encoding="utf-8")
+            with pytest.raises(ParseError, match="need"):
+                Lip.read(path)
+
+    @pytest.mark.parametrize("text, line", [("K=-2\n", 1), ("\nK=0\nalpha_0=0\n", 2)])
+    def test_source_count_below_one_rejected(self, tmp_path, text, line):
+        path = tmp_path / "prior.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError, match="at least 1") as err:
+            Lip.read(path)
+        assert err.value.line_number == line
+
+    @pytest.mark.parametrize("worth", ["nan", "inf", "-inf"])
+    def test_non_finite_worth_rejected(self, tmp_path, worth):
+        path = tmp_path / "prior.txt"
+        path.write_text(f"K=1\nalpha_0={worth}\nalpha_1=0\n", encoding="utf-8")
+        with pytest.raises(InvalidConfigurationError, match="finite"):
+            Lip.read(path)
+        with pytest.raises(InvalidConfigurationError, match="finite"):
+            Lip(np.array([0.5]), "file", alpha=np.array([float(worth), 0.0]))
 
     def test_probability_outside_open_interval_rejected(self, tmp_path):
         path = tmp_path / "prior.txt"
