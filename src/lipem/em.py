@@ -12,30 +12,33 @@ Every dataset is read once. The likelihood families are exactly
 quadratic in theta, so :func:`build_sufficient_stats` makes one
 ``model.summarize`` call per dataset, which returns its MLE theta_k and
 the log-likelihood l_k, gradient g_k and PSD Hessian H_k there; every
-later likelihood value (the cross table, the relevant marginal at the
-current theta, the pooled null) is the expansion
+later likelihood value (the cross table, the pooled null) is the
+expansion in delta = theta - theta_k,
 
-    loglik(theta; D_k) = l_k + g_k'(theta - theta_k)
-                         - (1/2) (theta - theta_k)' H_k (theta - theta_k).
+    loglik(theta; D_k) = l_k + g_k'delta - (1/2) delta' H_k delta.
 
 Anchoring at each MLE rather than at theta = 0 keeps large responses
-from cancelling digits. The pooled null's theta is ``model.pooled_mle``
+from cancelling digits. The Laplace relevant marginal of a source is the
+same quadratic with c_k = l_k + (tau^2/2) g_k'F_k g_k - (1/2) logdet(I +
+tau^2 H_k), b_k = F_k g_k and C_k = F_k H_k in place of l_k, g_k and
+H_k, where F_k = (I + tau^2 H_k)^{-1}: I - tau^2 H_k F_k = F_k and H_k -
+tau^2 H_k F_k H_k = C_k. The pooled null's theta is ``model.pooled_mle``
 of the sources: for splines, one solve of the summed normal equations of
-fits kept on each dataset and shared by every collection. The E-step,
-the null scores and both M-steps are array expressions over the K sources.
+fits kept on each dataset and shared by every collection.
 
 What does not change between iterations is resolved once per run by
 one private step object, ``_Step``: the tempering scales eps_k, the
-logit of the clamped prior, the Laplace factors (I + tau^2 H_k)^{-1}
-with half their log-determinants, the pooled or fixed null's scores or
-the mixture null's column copy of the cross table, the M-step blocks
-C_k with their pulls C_k theta_k or the surrogate's N0 theta_0, and the
-blend's weight buffer. An iteration then computes only what depends on
-the iterate: the tempering ramp, the expansion at theta, the Laplace
-quadratic term, the mixture null's log-sum-exp over the lagged weights,
-the sigmoid, and one d x d solve for the blend. The public steps below
-take one collection's statistics, build a ``_Step`` per call and
-broadcast over leading axes of theta, the weights and pi, so they and
+logit of the clamped prior, the sources' theta_k, c_k, b_k and C_k, the
+pooled or fixed null's scores or the mixture null's column copy of the
+cross table, the exact blend's rows [H0 | H0 theta_0] and [C_k | C_k
+theta_k] (C_k is built once for both readers) or the surrogate's N0
+theta_0, and the blend's weight buffer. An iteration then computes only
+what depends on the iterate: the tempering ramp, the marginal's
+deviation, curvature product and dot over the K sources, the mixture
+null's log-sum-exp over the lagged weights, one finite check, the
+sigmoid, and one weighted sum and d x d solve for the blend. The public
+steps below take one collection's statistics, build a ``_Step`` per call
+and broadcast over leading axes of theta, the weights and pi, so they and
 the loop share one arithmetic path.
 
 One loop, :func:`run_em_rows`, advances R problems of one shape (K
@@ -248,7 +251,7 @@ class SufficientStats:
 
     @cached_property
     def crossloglik(self) -> np.ndarray:
-        table = self.expand(self.theta_hat)[0]
+        table = self.expand(self.theta_hat)
         table.setflags(write=False)
         return table
 
@@ -267,9 +270,8 @@ class SufficientStats:
     def dim(self) -> int:
         return self.theta_hat.shape[-1]
 
-    def expand(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Log-likelihood and gradient of every dataset at theta; see
-        ``_expand``."""
+    def expand(self, theta: np.ndarray) -> np.ndarray:
+        """Log-likelihood of every dataset at theta; see ``_expand``."""
         return _expand(theta, self.theta_hat, self.loglik_hat, self.gradients, self.hessians)
 
     def _tempering_scale(self, mode: str) -> np.ndarray:
@@ -320,20 +322,19 @@ class SufficientStats:
 
 
 def _expand(theta, theta_hat, loglik_hat, gradients, hessians):
-    """Log-likelihood and gradient of every dataset at theta.
+    """Log-likelihood of every dataset at theta.
 
     Uses the expansion around each dataset's own MLE,
 
         l_k + g_k'(theta - theta_k) - (1/2)(theta - theta_k)' H_k (theta - theta_k),
 
     exact for the shipped families. ``theta`` of shape (..., d) gives
-    values of shape (..., K+1) and gradients (..., K+1, d); statistics
-    with a leading row axis take theta (R, d).
+    values of shape (..., K+1); statistics with a leading row axis take
+    theta (R, d).
     """
     dev = np.asarray(theta, dtype=float)[..., None, :] - theta_hat
     curv = np.einsum("...kij,...kj->...ki", hessians, dev)
-    value = loglik_hat + np.einsum("...ki,...ki->...k", gradients - 0.5 * curv, dev)
-    return value, gradients - curv
+    return loglik_hat + np.einsum("...ki,...ki->...k", gradients - 0.5 * curv, dev)
 
 
 def _check_prior(pi: np.ndarray, shape: tuple[int, ...]) -> None:
@@ -498,7 +499,7 @@ class _Step:
 
     def _run_constants(self) -> list[str]:
         # what an EM run reads, in the order its loop first reads it
-        names = ["eps", "quadratic"] + (["laplace"] if self.tau else []) + ["null_part"]
+        names = ["eps", "marginal", "null_part"]
         return names + ["surrogate" if self.variant == "small_tau_surrogate" else "blend"]
 
     @classmethod
@@ -539,10 +540,15 @@ class _Step:
         return self.stats._tempering_scale(self.mode)
 
     @cached_property
-    def quadratic(self) -> tuple[np.ndarray, ...]:
-        """The expansion's theta_k, l_k, g_k and H_k; see ``_expand``."""
-        stats = self.stats
-        return stats.theta_hat, stats.loglik_hat, stats.gradients, stats.hessians
+    def marginal(self) -> tuple[np.ndarray, ...]:
+        """Each source's theta_k, c_k, b_k and the blend's C_k; see the module docstring."""
+        stats, tau = self.stats, self.tau
+        value, slope = stats.loglik_hat[1:], stats.gradients[1:]
+        if tau:
+            inverse, half_logdet = _laplace_factor(stats.hessians[1:], tau)
+            grad, slope = slope, (inverse @ slope[..., None])[..., 0]
+            value = value + 0.5 * tau**2 * np.einsum("ki,ki->k", grad, slope) - half_logdet
+        return stats.theta_hat[1:], value, slope, self.blend[1:, :, :-1]
 
     @cached_property
     def prior_logit(self) -> np.ndarray:
@@ -553,10 +559,6 @@ class _Step:
         return logit(np.clip(self.pi, WEIGHT_CLAMP, 1.0 - WEIGHT_CLAMP))
 
     @cached_property
-    def laplace(self) -> tuple[np.ndarray, np.ndarray] | None:
-        return _laplace_factor(self.stats.hessians[1:], self.tau) if self.tau else None
-
-    @cached_property
     def null_part(self) -> np.ndarray:
         """The scored sources' pooled-MLE likelihoods or fixed-table
         values, or their columns of ``stats.mixture_table``."""
@@ -565,7 +567,7 @@ class _Step:
             table = _table_lookup(self.null_spec.table, range(1, stats.n_sources + 1))
             return table[ks - 1]
         if self.null_spec.kind == "parametric_pooled":
-            return stats.expand(stats.pooled_theta)[0][ks]
+            return stats.expand(stats.pooled_theta)[ks]
         if stats.n_sources < 2:
             raise InvalidConfigurationError(
                 "the mixture null needs at least two sources", key="null_spec.kind"
@@ -577,8 +579,9 @@ class _Step:
         return stats.mixture_table[:, ks - 1]
 
     @cached_property
-    def blend(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.stats._blend_terms(self.tau)
+    def blend(self) -> np.ndarray:
+        blocks, pulls = self.stats._blend_terms(self.tau)
+        return np.concatenate([blocks, pulls[..., None]], axis=-1)
 
     @cached_property
     def surrogate(self) -> tuple[np.ndarray, ...]:
@@ -601,22 +604,27 @@ class _Step:
         if not beta.any():
             return self.pi.copy()
         prev = np.minimum(np.maximum(prev, WEIGHT_CLAMP), 1.0 - WEIGHT_CLAMP)
-        value, grad = _expand(theta, *self.quadratic)
-        rel = _laplace(value[..., 1:], grad[..., 1:, :], self.laplace, self.tau)
-        _name_non_finite(rel, "relevant marginal")
-        ratio = rel - self.null(prev)
-        _name_non_finite(ratio, "log-ratio")
+        center, value, slope, curvature = self.marginal
+        dev = theta[..., None, :] - center
+        curv = np.einsum("...kij,...kj->...ki", curvature, dev)
+        rel = value + np.einsum("...ki,...ki->...k", slope - 0.5 * curv, dev)
+        ratio = rel - self.null(prev, check=False)
+        if not np.isfinite(ratio).all():
+            # the first fault in order: the marginal, the null, the ratio
+            _name_non_finite(rel, "relevant marginal")
+            self.null(prev)
+            _name_non_finite(ratio, "log-ratio")
         return expit(beta * ratio + prior_logit)
 
-    def null(self, prev: np.ndarray) -> np.ndarray:
-        """See :func:`null_loglik`; a ``prev`` of 1 divides by zero in the log."""
+    def null(self, prev: np.ndarray, check: bool = True) -> np.ndarray:
+        """See :func:`null_loglik`; a ``prev`` of 1 divides by zero in the
+        log. Unchecked, a degenerate mixture column reads nan."""
         scores = self.null_part
         if self.null_spec.kind != "empirical_bayes_mixture":
             return scores
         terms = np.log(1.0 - prev)[..., :, None] + scores
         peak = terms.max(axis=-2)
-        finite = np.isfinite(peak)
-        if not finite.all():
+        if check and not (finite := np.isfinite(peak)).all():
             # the first bad source of the first bad row
             k = self.sources[np.argwhere(~finite)[0][-1]]
             raise DegenerateNullError(
@@ -636,17 +644,15 @@ class _Step:
             mass = weights * sizes
             numer = pull0 + (mass[..., None, :] @ sources)[..., 0, :]
             return numer / (n0 + mass.sum(axis=-1, keepdims=True))
-        stack, pulls = self.blend
         if self._scale is None:
             self._scale = np.ones(weights.shape[:-1] + (weights.shape[-1] + 1,))
-        # weight 1 on the target term, then the sources in order: the sums
-        # along the stacking axis run in that order, so rounding follows
+        # weight 1 on the target row, then the sources in order: the sum
+        # along the dataset axis runs in that order, so rounding follows
         # the formula
         scale = self._scale
         scale[..., 1:] = weights
-        lhs = (scale[..., None, None] * stack).sum(axis=-3)
-        rhs = (scale[..., None] * pulls).sum(axis=-2)
-        return _solve_with_jitter(lhs, rhs)
+        joint = np.einsum("...k,...kij->...ij", scale, self.blend)
+        return _solve_with_jitter(joint[..., :-1], joint[..., -1])
 
 
 def null_loglik(
@@ -714,8 +720,9 @@ def e_step(
     one collection, say), over which the step broadcasts.
     """
     step = _Step(stats, np.asarray(pi, dtype=float), config.tau, null_spec=config.null_spec)
-    beta = np.asarray(state.beta, dtype=float)
-    return step.e_step(beta, state.theta, np.asarray(state.weights, dtype=float))
+    beta, prev = np.asarray(state.beta, dtype=float), np.asarray(state.weights, dtype=float)
+    with np.errstate(invalid="ignore"):  # as in run_em_rows
+        return step.e_step(beta, np.asarray(state.theta, dtype=float), prev)
 
 
 def _solve_with_jitter(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -746,8 +753,8 @@ def m_step_exact(
     sum Lambda_k theta_k), Lambda_k = w_k H0^{-1} C_k, multiplied
     through by H0. The blocks and pulls come from
     ``SufficientStats._blend_terms``, once per tau; an iteration forms
-    the two weighted sums and makes one d x d solve per leading index
-    of the weights, no explicit inverses.
+    one weighted sum of their table and makes one d x d solve per
+    leading index of the weights, no explicit inverses.
     """
     return _Step(stats, tau=tau).m_step(np.asarray(weights, dtype=float))
 
@@ -906,26 +913,28 @@ def run_em_rows(
     streak = np.zeros(n_rows, dtype=int)
     converged = np.zeros(n_rows, dtype=bool)
     iterations = np.full(n_rows, config.max_iters)
-    for t in range(1, config.max_iters + 1):
-        beta = step.beta(t)
-        new_weights = step.e_step(beta, theta, weights)
-        delta = np.abs(new_weights - weights).max(axis=-1)
-        weights = new_weights
-        theta = step.m_step(weights)
-        history.record(live, t, weights, theta, beta, delta)
-        streak = (streak + 1) * (delta <= config.tol)
-        if streak.max() >= config.patience:
-            done = streak >= config.patience
-            converged[active[done]] = True
-            iterations[active[done]] = t
-            keep = ~done
-            if not keep.any():
-                break
-            # converged rows freeze: re-index the stack without them
-            active, streak = active[keep], streak[keep]
-            live = active
-            theta, weights = theta[keep], weights[keep]
-            step = step.take(keep)
+    # an unchecked degenerate null reads nan; the E-step's finite check raises
+    with np.errstate(invalid="ignore"):
+        for t in range(1, config.max_iters + 1):
+            beta = step.beta(t)
+            new_weights = step.e_step(beta, theta, weights)
+            delta = np.abs(new_weights - weights).max(axis=-1)
+            weights = new_weights
+            theta = step.m_step(weights)
+            history.record(live, t, weights, theta, beta, delta)
+            streak = (streak + 1) * (delta <= config.tol)
+            if streak.max() >= config.patience:
+                done = streak >= config.patience
+                converged[active[done]] = True
+                iterations[active[done]] = t
+                keep = ~done
+                if not keep.any():
+                    break
+                # converged rows freeze: re-index the stack without them
+                active, streak = active[keep], streak[keep]
+                live = active
+                theta, weights = theta[keep], weights[keep]
+                step = step.take(keep)
 
     results = []
     for r, (c, _) in enumerate(rows):

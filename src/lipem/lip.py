@@ -297,20 +297,21 @@ class Lip:
                 raise ParseError(
                     f"{path}: bad index in {name!r} on line {lineno}", lineno
                 ) from exc
-            entries = alpha if prefix == "alpha" else pi
+            entries, other = (alpha, pi) if prefix == "alpha" else (pi, alpha)
+            if other:
+                raise ParseError(f"{path}: mixes alpha_ and pi_ entries on line {lineno}", lineno)
             if number in entries:
                 raise ParseError(f"{path}: repeated {prefix}_{number} on line {lineno}", lineno)
             entries[number] = val
-        if alpha and pi:
-            raise ParseError(f"{path}: mixes alpha_ and pi_ entries")
+        need = f"{path}: K on line {header_line} needs"
         if alpha:
             # a count that misses K builds no list of K entries
             if len(alpha) != k + 1 or sorted(alpha) != list(range(k + 1)):
-                raise ParseError(f"{path}: need alpha_0..alpha_{k}, got {sorted(alpha)}")
+                raise ParseError(f"{need} alpha_0..alpha_{k}, got {sorted(alpha)}", header_line)
             vec = np.array([alpha[i] for i in range(k + 1)])
             return Lip(expit(vec[1:]), "file", alpha=vec)
         if len(pi) != k or sorted(pi) != list(range(1, k + 1)):
-            raise ParseError(f"{path}: need pi_1..pi_{k}, got {sorted(pi)}")
+            raise ParseError(f"{need} pi_1..pi_{k}, got {sorted(pi)}", header_line)
         return Lip(np.array([pi[i] for i in range(1, k + 1)]), "file")
 
 

@@ -522,6 +522,129 @@ class TestEStep:
         assert np.all((0.05 < got) & (got < 0.95))
         assert np.max(np.abs(got - expected)) <= 1e-10
 
+    @pytest.mark.parametrize("tau", [0.0, 0.1, 2.0])
+    @pytest.mark.parametrize("family", ["gaussian", "spline"])
+    def test_marginal_is_the_models_laplace_marginal(self, monkeypatch, family, tau):
+        # the step scores a source by one quadratic around its MLE; read
+        # it through a fixed null of 0, a prior of 1/2 (logit 0), beta = 1
+        # and an identity sigmoid, and compare it with the marginal built
+        # from model.loglik, gradient and hessian at theta
+        monkeypatch.setattr(em, "expit", lambda values: values)
+        rng = np.random.default_rng(42)
+        if family == "gaussian":
+            model = GaussianMeanModel(2)
+            datasets = [
+                Dataset(rng.normal(m, 1.0, size=(n, 2)))
+                for m, n in ((0.0, 5), (0.5, 30), (2.0, 40), (-1.0, 25))
+            ]
+        else:
+            # a strong ridge keeps the gradients at the MLEs away from
+            # zero. The scalar path's (tau^2/2) g'F g cancels against its
+            # loglik and loses digits with the condition of I + tau^2 H, so
+            # a wide noise keeps it within 1e-12 (at noise 0.5 and tau = 2
+            # it is 7e-11 off a 50-digit value; the step, 1e-15)
+            model = SplineGlmModel(np.linspace(0.0, 10.0, 4), noise_variance=50.0, ridge=5.0)
+            datasets = []
+            for n, slope in ((12, 1.0), (40, 1.1), (40, -0.5), (40, 0.9)):
+                x = rng.uniform(0.0, 10.0, size=n)
+                y = 2.0 + slope * x + rng.normal(0.0, 0.7, size=n)
+                datasets.append(Dataset(np.column_stack([x, y])))
+        stats = build_sufficient_stats(model, datasets)
+        k, d = stats.n_sources, stats.dim
+        spec = NullSpec("fixed", {j: 0.0 for j in range(1, k + 1)})
+        pi, ones = np.full((6, k), 0.5), np.ones((6, k))
+        step = em._Step(stats, pi[0], tau, null_spec=spec)
+        assert not step.prior_logit.any()
+        thetas = stats.theta_hat[0] + rng.normal(0.0, 0.5, size=(6, d))
+        rel = step.e_step(ones, thetas, pi)
+        expected = [
+            [relevant_marginal_loglik(model, datasets[j], theta, tau) for j in range(1, k + 1)]
+            for theta in thetas
+        ]
+        np.testing.assert_allclose(rel, expected, rtol=1e-12)
+        # the loop's stack of the same rows reads the same bits
+        stack = em._Step.stack([step], [0] * 6, pi)
+        np.testing.assert_array_equal(stack.e_step(ones, thetas, pi), rel)
+        if tau == 0:
+            quadratic = stats.theta_hat, stats.loglik_hat, stats.gradients, stats.hessians
+            np.testing.assert_array_equal(rel, em._expand(thetas, *quadratic)[..., 1:])
+
+    @staticmethod
+    def _stats_with(base, **changes):
+        fields = ("theta_hat", "loglik_hat", "gradients", "hessians", "sizes", "pooled_theta")
+        return SufficientStats(
+            *(np.asarray(changes.get(name, getattr(base, name)), dtype=float) for name in fields)
+        )
+
+    def test_non_finite_marginal_is_named_before_a_degenerate_null(self):
+        # source 2's likelihood is -inf everywhere, so both its marginal
+        # and its mixture-null column fail; the marginal is named
+        rng = np.random.default_rng(42)
+        _, _, base = gaussian_stats(rng, [0.0, 1.0, 2.0, 3.0], [4, 10, 10, 10])
+        loglik_hat = base.loglik_hat.copy()
+        loglik_hat[2] = -np.inf
+        stats = self._stats_with(base, loglik_hat=loglik_hat)
+        prev = np.full(3, 0.5)
+        with pytest.raises(DegenerateNullError, match="source 2"):
+            em._Step(stats).null(prev)
+        state = EmState(theta=np.zeros(1), weights=prev, t=1, beta=np.ones(3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteLikelihoodError, match="relevant marginal") as err:
+                e_step(state, stats, prev, EmConfig(tau=0.1))
+        assert err.value.source_index == 2
+
+    def test_degenerate_null_alone_raises_its_own_error(self, monkeypatch):
+        # H_2 is so steep that source 2's likelihood overflows to -inf at
+        # every other source's MLE, yet its marginal at theta_2 is finite
+        stats = SufficientStats(
+            np.array([[0.0], [1e10], [0.0], [-1e10]]),
+            np.array([-5.0, -20.0, -20.0, -20.0]),
+            np.zeros((4, 1)),
+            np.array([[[1.0]], [[1.0]], [[1e300]], [[1.0]]]),
+            np.array([4, 10, 10, 10]),
+            np.zeros(1),
+        )
+        state = EmState(theta=np.zeros(1), weights=np.full(3, 0.5), t=1, beta=np.ones(3))
+        # nor does the unchecked null's nan reach the caller as a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateNullError, match="source 2"):
+                e_step(state, stats, np.full(3, 0.5), EmConfig(tau=0.1))
+            # and the loop, whose first tempered E-step meets it
+            monkeypatch.setattr(em, "build_sufficient_stats", lambda model, datasets: stats)
+            datasets = [Dataset(np.zeros((n, 1))) for n in (4, 10, 10, 10)]
+            with pytest.raises(DegenerateNullError, match="source 2"):
+                run_em(datasets, GaussianMeanModel(1), np.full(3, 0.5), EmConfig(tau=0.1))
+        assert np.all(np.isinf(stats.mixture_table[[0, 2], 1]))
+
+    def test_overflowing_ratio_is_named_as_the_log_ratio(self):
+        # both terms are finite; their difference is not
+        rng = np.random.default_rng(42)
+        _, _, base = gaussian_stats(rng, [0.0, 1.0, 2.0], [4, 10, 10])
+        loglik_hat = base.loglik_hat.copy()
+        loglik_hat[1] = -1e308
+        stats = self._stats_with(base, loglik_hat=loglik_hat)
+        spec = NullSpec("fixed", {1: 1e308, 2: -30.0})
+        step = em._Step(stats, np.full(2, 0.5), 0.1, null_spec=spec)
+        with np.errstate(over="ignore"):
+            with pytest.raises(NonFiniteLikelihoodError, match="log-ratio") as err:
+                step.e_step(np.ones(2), stats.theta_hat[1], np.full(2, 0.5))
+        assert err.value.source_index == 1
+
+    @pytest.mark.parametrize("null_kind", em.NULL_KINDS)
+    @pytest.mark.parametrize("variant", em.VARIANTS)
+    def test_a_normal_run_warns_nothing(self, variant, null_kind):
+        rng = np.random.default_rng(42)
+        table = {j: -60.0 - j for j in range(1, 4)}
+        spec = NullSpec(null_kind, table if null_kind == "fixed" else None)
+        config = EmConfig(tau=0.1, nu=0.05, variant=variant, null_spec=spec, max_iters=60)
+        datasets = _collection(rng, 3, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, report = run_em(datasets, GaussianMeanModel(2), np.full(3, 0.5), config)
+        assert np.all(np.isfinite(report.weight_history))
+
 
 class TestMStepExact:
     def test_zero_weights_return_target_mle(self):
@@ -1113,12 +1236,12 @@ class TestRowAxis:
             original = getattr(SufficientStats, name)
             monkeypatch.setattr(SufficientStats, name, counting(name, original))
         monkeypatch.setattr(em._Step, "take", counting("take", em._Step.take))
-        # the mixture null's column copy is made by the step's null_part
-        null_part = functools.cached_property(
-            counting("null_part", em._Step.null_part.func)
-        )
-        null_part.__set_name__(em._Step, "null_part")
-        monkeypatch.setattr(em._Step, "null_part", null_part)
+        # the mixture null's column copy is made by the step's null_part,
+        # the marginal's theta_k, c_k, b_k and C_k by its marginal
+        for name in ("null_part", "marginal"):
+            prop = functools.cached_property(counting(name, getattr(em._Step, name).func))
+            prop.__set_name__(em._Step, name)
+            monkeypatch.setattr(em._Step, name, prop)
         rng = np.random.default_rng(42)
         collections = [_collection(rng, 3, 2), _collection(rng, 3, 2)]
         pis = [np.full(3, 0.5), np.array([1e-6, 0.999, 1e-6])]
@@ -1133,8 +1256,37 @@ class TestRowAxis:
         takes = len(set(iterations)) - 1
         assert calls == {
             "laplace": 2, "_blend_terms": 2, "_tempering_scale": 2, "logit": 1,
-            "take": takes, "null_part": 2,
+            "take": takes, "null_part": 2, "marginal": 2,
         }
+
+    @pytest.mark.parametrize("null_kind", em.NULL_KINDS)
+    def test_iterations_redo_no_laplace_work(self, monkeypatch, null_kind):
+        # the Laplace factors are taken once per collection, and no
+        # iteration expands a dataset or applies a Laplace term: the only
+        # expansion left is the null's own, the cross table or the pooled
+        # scores, once per collection
+        calls = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("_laplace_factor", "_laplace", "_expand"):
+            monkeypatch.setattr(em, name, counting(name, getattr(em, name)))
+        rng = np.random.default_rng(42)
+        collections = [_collection(rng, 3, 2) for _ in range(2)]
+        table = {j: -50.0 - j for j in range(1, 4)}
+        spec = NullSpec(null_kind, table if null_kind == "fixed" else None)
+        config = EmConfig(tau=0.1, nu=6e-5, null_spec=spec, max_iters=30, tol=1e-15)
+        rows = [(0, np.full(3, 0.5)), (1, np.full(3, 0.3)), (1, np.full(3, 0.7))]
+        got = run_em_rows(collections, GaussianMeanModel(2), rows, config)
+        assert [report.iterations for _, report in got] == [30, 30, 30]
+        assert calls["_laplace_factor"] == 2
+        assert calls["_laplace"] == 0
+        assert calls["_expand"] == (0 if null_kind == "fixed" else 2)
 
     @pytest.mark.parametrize("tau", [0.0, 0.1])
     @pytest.mark.parametrize("null_kind", em.NULL_KINDS)

@@ -1138,6 +1138,26 @@ class TestLipIo:
             Lip.read(path)
         assert err.value.line_number == line
 
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("K=1\nalpha_0=0\n\npi_1=0.5\nalpha_1=0\n", 4, "mixes alpha_ and pi_ entries"),
+            ("K=1\npi_1=0.5\nalpha_0=0\n", 3, "mixes alpha_ and pi_ entries"),
+            ("\nK=2\nalpha_0=0\nalpha_1=0\n", 2, "needs alpha_0..alpha_2, got [0, 1]"),
+            ("K=3\npi_1=0.5\n\npi_3=0.2\n", 1, "needs pi_1..pi_3, got [1, 3]"),
+        ],
+    )
+    def test_entry_errors_name_their_line(self, tmp_path, text, line, message):
+        # a mix names the first line of the second kind; a count that
+        # misses K names the K header
+        path = tmp_path / "prior.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            Lip.read(path)
+        assert message in str(err.value)
+        assert f"line {line}" in str(err.value)
+        assert err.value.line_number == line
+
     def test_source_count_beyond_the_entries_rejected(self, tmp_path):
         path = tmp_path / "prior.txt"
         for entry in ["pi_1=0.5", "alpha_0=0"]:
