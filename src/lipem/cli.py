@@ -215,7 +215,7 @@ class RunConfig:
 
 
 @contextlib.contextmanager
-def _keyed(section: str, **aliases: str):
+def _keyed(section: str = "", **aliases: str):
     """Name a faulty key, renamed by ``aliases``, as ``<section>.<key>``
     when it belongs to ``section``, else as renamed (a flag); other
     errors pass through unchanged."""
@@ -223,7 +223,7 @@ def _keyed(section: str, **aliases: str):
         yield
     except InvalidConfigurationError as exc:
         key = aliases.get(exc.key, exc.key)
-        if key in SECTION_SCHEMAS[section]:
+        if key in SECTION_SCHEMAS.get(section, ()):
             key = f"{section}.{key}"
         elif exc.key not in aliases:
             raise
@@ -396,7 +396,13 @@ def _cmd_simulate_oracle(args, cfg: RunConfig) -> int:
 
 def _cmd_elicit(args, cfg: RunConfig) -> int:
     summaries = _read_summaries(args.summaries)
-    n_sources = args.sources or max(summaries)
+    # with no --sources, K is the largest index the summaries name
+    n_sources = max(summaries) if args.sources is None else args.sources
+    if n_sources < 1:
+        raise InvalidConfigurationError(
+            f"the source count K must be at least 1, got {n_sources}",
+            key="summaries" if args.sources is None else "sources",
+        )
     if args.context_file:
         context = read_text(args.context_file)
     else:
@@ -414,17 +420,18 @@ def _cmd_elicit(args, cfg: RunConfig) -> int:
     )
     replay = judge.ReplayLog(args.replay) if args.replay else None
     rng = np.random.default_rng(args.seed)
-    records, telemetry = judge.elicit_records(
-        transport,
-        context,
-        summaries,
-        n_sources,
-        args.sizes,
-        args.count,
-        rng,
-        replay=replay,
-        jobs=args.jobs,
-    )
+    with _keyed(n_sources="sources"):
+        records, telemetry = judge.elicit_records(
+            transport,
+            context,
+            summaries,
+            n_sources,
+            args.sizes,
+            args.count,
+            rng,
+            replay=replay,
+            jobs=args.jobs,
+        )
     write_records(args.out, records)
     print(
         f"wrote {args.out} ({len(records)} records; "

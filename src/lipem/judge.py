@@ -340,12 +340,22 @@ def elicit_records(
 ) -> tuple[list[ChoiceRecord], JudgeTelemetry]:
     """Drive a full elicitation round over ``count`` sampled subgroups.
 
+    Every source 1..K needs a summary; a missing one is refused before
+    any query is sent.
+
     Queries may run concurrently up to ``jobs`` workers; record order
     always follows the query index.  Malformed replies are dropped and
     counted rather than retried or coerced.
     """
     telemetry = JudgeTelemetry()
     subgroups = sample_subgroups(n_sources, sizes, count, rng)
+    # the first source without a summary, found within len(summaries) + 1 steps
+    missing = next((i for i in range(1, n_sources + 1) if i not in summaries), None)
+    if missing is not None:
+        raise InvalidConfigurationError(
+            f"no summary for source {missing}; sources 1..{n_sources} need one each",
+            key="summaries",
+        )
 
     def ask(subgroup):
         try:

@@ -44,14 +44,11 @@ them.
 The records commands never build a ``ChoiceRecord`` per query.  The
 sampler's stream is that of one ``Generator.integers`` and one
 ``Generator.choice(replace=False)`` call per query, which fixes every
-simulated records file, but it makes neither call per query: it draws
-a block of 32-bit words at once and decodes it as numpy does, with
-array operations over all of the block's queries, straight into blocks
-(``_draw``).  It makes the two calls for a query with a rejected word,
-and for every query of a draw where blocks would not pay: a size above
-16, K >= 2**32, or more than one query in 32 expected to hold a
-rejected word.  ``simulate-oracle`` writes each block from one line
-template.
+simulated records file, but it makes neither call per query: a query's
+draws are bounded integers whose bounds depend only on its size, so a
+block of queries is one array-bounded ``integers`` call, its sizes
+guessed before and checked after (``_draw``).  ``simulate-oracle``
+writes each block from one line template.
 
 ``fit-lip`` reads a records file on one of two paths.  A file whose
 every line is exactly as ``write_records`` writes it (digits only, at
@@ -654,145 +651,58 @@ def _as_rng(rng) -> np.random.Generator:
     return np.random.default_rng(rng)
 
 
-# numpy draws an integer on [0, r], 0 < r < 2**32 - 1, from one 32-bit
-# word u as (u * (r + 1)) >> 32 (Lemire's method), drawing again while the
-# low 32 bits are below 2**32 mod (r + 1); r = 0 takes no word
-_WORD = 1 << 32
-# the most words one block draws; larger blocks are faster but raise the
-# process's peak memory
+# the most 32-bit words one block of queries takes; larger blocks are
+# faster but raise the process's peak memory
 _BLOCK_WORDS = 1 << 11
-# the largest subgroup size of a draw that takes blocks.  Floyd's
-# duplicate test takes one array step per member and the row order
-# O(size^2) work per query, so blocks lose to per-query calls past about
-# 30 members; 16 keeps a margin.  The bound also keeps the blocks clear
-# of numpy's tail shuffle, which takes sizes above K // 50 >= 200 once
-# K > 10000.
-_BLOCK_SIZE = 16
-# the largest expected share of queries with a rejected word for which a
-# draw takes blocks.  Each such query costs the decode of a whole block,
-# about what 20 per-query calls cost.
-_MOST_REJECTED = 1 / 32
 
 
-def _word_ranges(n_sources: int, sizes: list[int]) -> list[list[int]]:
-    """Per subgroup size, the range r + 1 of each word that one query of
-    that size takes, in stream order."""
-    return [
-        [len(sizes)] * (len(sizes) > 1)  # the size
-        # Floyd's draws on [0, j]; j = 0 takes no word
-        + [j + 1 for j in range(n_sources - size, n_sources) if j]
-        # the shuffle's draws on [0, i]; sorting discards their values
-        + list(range(size, 1, -1))
-        for size in sizes
-    ]
+def _tail(n_sources: int, size: int) -> range | None:
+    """The positions i, from K - 1 down, whose draws on [0, i] make a
+    subgroup of ``size`` when ``choice`` shuffles the tail of range(K);
+    None when it takes Floyd's algorithm instead."""
+    if n_sources > 10000 and size > n_sources // 50:
+        return range(n_sources - 1, max(n_sources - size, 1) - 1, -1)
+    return None
 
 
-def _rejected(ranges: list[list[int]]) -> float:
-    """The expected share of queries, sizes drawn uniformly, with a
-    rejected word: a word on range b is rejected with chance
-    (2**32 mod b) / 2**32."""
-    return -math.fsum(
-        math.expm1(math.fsum(math.log1p(-(_WORD % b) / _WORD) for b in bounds))
-        for bounds in ranges
-    ) / len(ranges)
+def _bound_table(n_sources: int, sizes: list[int]) -> np.ndarray:
+    """Per subgroup size (a row each), the inclusive upper bound of each
+    draw one query of that size makes, in stream order, padded with 0s:
+    a draw on [0, 0] takes no word and reads 0, in numpy as here."""
+    rows = []
+    for size in sizes:
+        # Floyd's draws on [0, j], j = K - s .. K - 1, then the shuffle's
+        # on [0, i], i = s - 1 .. 1, whose values the sort discards
+        floyd = [*range(n_sources - size, n_sources), *range(size - 1, 0, -1)]
+        rows.append([len(sizes) - 1, *(_tail(n_sources, size) or floyd)])
+    table = np.zeros((len(rows), max(map(len, rows))), dtype=np.int64)
+    for row, draws in zip(table, rows):
+        row[: len(draws)] = draws
+    return table
 
 
-class _WordTable(NamedTuple):
-    """Per subgroup size (a row each), how ``_decode`` reads one query's
-    words: ``steps`` words; each word's range r + 1 and rejection
-    threshold 2**32 mod (r + 1), padded with 1 and 0 (never rejected) to
-    the widest query, in a dtype that holds u * (r + 1); and the column
-    of each Floyd draw, right-aligned to the largest size (see
-    ``_floyd``)."""
-
-    steps: list[int]
-    bounds: np.ndarray
-    thresholds: np.ndarray
-    columns: np.ndarray
-
-
-def _word_table(n_sources: int, sizes: list[int], ranges: list[list[int]]) -> _WordTable:
-    head, most = len(sizes) > 1, sizes[-1]
-    widest = max(len(r) for r in ranges)
-    # u * (r + 1) may pass int64 once r + 1 > 2**31
-    dtype = np.uint64 if n_sources > 1 << 31 else np.int64
-    bounds = np.ones((len(sizes), widest), dtype=dtype)
-    thresholds = np.zeros((len(sizes), widest), dtype=dtype)
-    # past the words: column ``widest`` reads 0, the rest read -1, -2, ...
-    columns = np.arange(widest + 1, widest + 1 + most) + np.zeros((len(sizes), 1), dtype=np.int64)
-    for i, (size, r) in enumerate(zip(sizes, ranges)):
-        bounds[i, : len(r)] = r
-        thresholds[i, : len(r)] = [_WORD % b for b in r]
-        # Floyd's t-th draw is word head + t, but at K = size the draw on
-        # [0, 0] takes no word and reads 0
-        floyd = [head + t - (size == n_sources) for t in range(size)]
-        if size == n_sources:
-            floyd[0] = widest
-        columns[i, most - size :] = floyd
-    return _WordTable([len(r) for r in ranges], bounds, thresholds, columns)
-
-
-def _floyd(values: np.ndarray, n_sources: int) -> np.ndarray:
-    """Floyd's sample from its draws, one query per row.  A query of size
-    s holds its draw on [0, K - s + t] in column c = S - s + t of S
-    columns, and distinct negative values before it.  A draw is kept
-    unless an earlier member holds it, else K - s + t = K - S + c is.
-    Returns the members (from 0) after the negative values, each row in
-    increasing order, behind one column of 0s."""
-    m, most = values.shape
-    members = values.copy()
-    for c in range(1, most):
-        taken = (members[:, :c] == values[:, c, None]).any(axis=1)
-        members[taken, c] = n_sources - most + c
-    # a member's place in its row is the number of smaller members
-    places = (members[:, None, :] < members[:, :, None]).sum(axis=2)
-    options = np.zeros((m, most + 1), dtype=np.int64)
-    options[np.arange(m)[:, None], places + 1] = members
-    return options
-
-
-def _decode(words: np.ndarray, sizes: list[int], table: _WordTable, n_sources: int, count: int):
-    """The first of ``count`` queries that a block of words makes.
-
-    Returns how many queries are exact (those before the first one with a
-    rejected word), the words they take, their option counts, and per size
-    their option rows, each in query order.  ``words`` holds at least
-    ``count`` times the widest query's words.
-    """
-    widest, most = table.bounds.shape[1], sizes[-1]
-    words = words.view(table.bounds.dtype)
-    if len(sizes) > 1:
-        # read every word as a size draw; a rejected one is found below,
-        # with the query's other words
-        picks = words * len(sizes) >> 32
-        steps = np.array(table.steps)[picks].tolist()
-        starts, end = [], 0
-        for _ in range(count):
-            starts.append(end)
-            end += steps[end]
-        starts = np.array(starts, dtype=np.int64)
-        picks = picks[starts]
+def _members(draws: np.ndarray, n_sources: int, size: int) -> np.ndarray:
+    """The members (from 0), in increasing order, that the member draws of
+    queries of one size make, one query per row."""
+    tail = _tail(n_sources, size)
+    if tail:
+        # swap position i with its draw; the last s positions are the members
+        rows = []
+        for row in draws.tolist():
+            swapped = {}
+            for i, j in zip(tail, row):
+                swapped[i], swapped[j] = swapped.get(j, j), swapped.get(i, i)
+            rows.append([swapped.get(i, i) for i in range(n_sources - size, n_sources)])
+        members = np.array(rows, dtype=np.int64)
     else:
-        end = words.size
-        starts = np.arange(0, end, widest)
-        picks = np.zeros(count, dtype=np.int64)
-    scaled = words[starts[:, None] + np.arange(widest)]
-    scaled *= table.bounds[picks]
-    rejected = (scaled % _WORD < table.thresholds[picks]).any(axis=1)
-    kept = int(np.flatnonzero(rejected)[0]) if rejected.any() else count
-    picks = picks[:kept]
-    values = np.zeros((kept, widest + 1 + most), dtype=np.int64)
-    values[:, :widest] = scaled[:kept] >> 32
-    values[:, widest + 1 :] = np.arange(-1, -most - 1, -1)
-    options = _floyd(values[np.arange(kept)[:, None], table.columns[picks]], n_sources)
-    drawn = []
-    for i, size in enumerate(sizes):
-        rows = np.flatnonzero(picks == i)
-        if rows.size:
-            drawn.append(options[rows, most - size :])
-            drawn[-1][:, 0] = 0
-    widths = (np.array(sizes)[picks] + 1).tolist()
-    return kept, int(starts[kept]) if kept < count else end, widths, drawn
+        # Floyd's t-th draw, on [0, K - s + t], is the t-th member unless
+        # an earlier member holds it; then K - s + t is
+        members = draws[:, :size].copy()
+        for t in range(1, size):
+            taken = (members[:, :t] == members[:, t, None]).any(axis=1)
+            members[taken, t] = n_sources - size + t
+    members.sort(axis=1)
+    return members
 
 
 def _draw(n_sources: int, sizes: Sequence[int], count: int, gen) -> _Queries:
@@ -801,20 +711,17 @@ def _draw(n_sources: int, sizes: Sequence[int], count: int, gen) -> _Queries:
 
     The stream is that of one ``gen.integers(len(sizes))`` and one
     ``gen.choice(K, size, replace=False)`` per query, in query order; it
-    fixes every simulated records file.  The calls are not made per
-    query.  A block of 32-bit words is drawn at once and decoded as numpy
-    decodes them: one Python loop walks the queries, since each query's
-    size draw fixes where the next one starts, and the member draws of
-    all the block's queries (Floyd's algorithm, then a shuffle whose
-    values the sort discards) are array operations.  The generator is then rewound and
-    advanced by exactly the words the block's exact queries took.  The
-    next query, if it has a rejected word, is drawn by the two calls.
-    Blocks pay only for small subgroups and few rejected words, so a draw
-    with a size above ``_BLOCK_SIZE``, K >= 2**32, or an expected share of
-    queries with a rejected word above ``_MOST_REJECTED`` makes the two
-    calls for every query.  The stream tests in tests/test_lip.py compare
-    every case with those calls, so they fail on a numpy that draws
-    ``choice`` another way.
+    fixes every simulated records file.  Neither call is made per query:
+    a query's draws have bounds that depend only on its size
+    (``_bound_table``), and an array-bounded ``gen.integers`` call draws
+    each value as the scalar call inside ``choice`` does.  A block's
+    sizes are guessed from its raw 32-bit words, as if no word were
+    rejected, and the generator is rewound; then the block is drawn in
+    one call.  The queries before the first size that differs from its
+    guess are exact, and so is that size: the block keeps those queries
+    and draws them again.  The stream tests in tests/test_lip.py compare
+    every case with the per-query calls, so they fail on a numpy that
+    draws ``choice`` another way.
     """
     if isinstance(n_sources, bool) or not isinstance(n_sources, Integral):
         raise InvalidConfigurationError(
@@ -828,6 +735,10 @@ def _draw(n_sources: int, sizes: Sequence[int], count: int, gen) -> _Queries:
         raise InvalidConfigurationError(
             f"count must be nonnegative and within int64, got {count}", key="count"
         )
+    if n_sources > np.iinfo(np.int64).max:
+        raise InvalidConfigurationError(
+            f"n_sources must be within int64, got {n_sources}", key="n_sources"
+        )
     if any(isinstance(s, bool) or not isinstance(s, Integral) for s in sizes):
         raise InvalidConfigurationError(
             f"subgroup sizes must be integers, got {list(sizes)!r}", key="sizes"
@@ -840,45 +751,43 @@ def _draw(n_sources: int, sizes: Sequence[int], count: int, gen) -> _Queries:
             f"largest subgroup size {sizes[-1]} exceeds K={n_sources}", key="sizes"
         )
     n_sources, count = int(n_sources), int(count)
-    # numpy draws 64-bit words for members when K >= 2**32
-    blocked = n_sources < _WORD and sizes[-1] <= _BLOCK_SIZE
-    if blocked:
-        ranges = _word_ranges(n_sources, sizes)
-        widest = max(len(r) for r in ranges)
-        # K = 1 takes no word at all
-        blocked = widest > 0 and _rejected(ranges) <= _MOST_REJECTED
-    if blocked:
-        table = _word_table(n_sources, sizes, ranges)
-        per_block = _BLOCK_WORDS // widest
-    widths, values = [], {size + 1: [] for size in sizes}
+    table = _bound_table(n_sources, sizes)
+    # a query's words per size, when none is rejected
+    words = np.count_nonzero(table, axis=1)
+    limit = most = max(1, _BLOCK_WORDS // table.shape[1])
+    picked, drawn = [np.zeros(0, dtype=np.int64)], [table[:0, 1:]]
     done = 0
     while done < count:
-        if blocked:
-            block = min(count - done, per_block)
+        picks = np.zeros(min(count - done, limit), dtype=np.int64)
+        if len(sizes) > 1:
             saved = gen.bit_generator.state
-            words = gen.integers(0, _WORD, size=block * widest)
-            kept, used, picked, drawn = _decode(words, sizes, table, n_sources, block)
-            widths += picked
-            for options in drawn:
-                values[options.shape[1]] += options.ravel().tolist()
+            raw = gen.integers(0, 1 << 32, size=picks.size * table.shape[1])
             gen.bit_generator.state = saved
-            gen.integers(0, _WORD, size=used)
-            done += kept
-            if kept == block:
-                continue
-        # the next query has a rejected word, or the draw takes no blocks
-        size = sizes[gen.integers(len(sizes))]
-        members = gen.choice(n_sources, size=size, replace=False).tolist()
-        members.sort()
-        widths.append(size + 1)
-        flat = values[size + 1]
-        flat.append(0)
-        flat += members
-        done += 1
-    queries = _tabulate(widths, values)
-    for _, options in queries.blocks:
-        options[:, 1:] += 1  # drawn from {0..K-1}
-    return queries
+            guesses = raw * len(sizes) >> 32
+            steps, starts, at = words[guesses].tolist(), [], 0
+            for _ in range(picks.size):
+                starts.append(at)
+                at += steps[at]
+            picks = guesses[starts]
+        values = gen.integers(0, table[picks], endpoint=True)
+        wrong = np.flatnonzero(values[:, 0] != picks)
+        if wrong.size:
+            picks = values[: wrong[0] + 1, 0]
+            gen.bit_generator.state = saved
+            values = gen.integers(0, table[picks], endpoint=True)
+        picked.append(picks)
+        drawn.append(values[:, 1:])
+        done += picks.size
+        # after a wrong guess, a block at most twice the queries it kept
+        limit = min(most, 2 * picks.size)
+    picks, drawn, blocks = np.concatenate(picked), np.concatenate(drawn), []
+    for i, size in enumerate(sizes):
+        rows = np.flatnonzero(picks == i)
+        if rows.size:
+            options = np.zeros((rows.size, size + 1), dtype=np.int64, order="F")
+            options[:, 1:] = _members(drawn[rows], n_sources, size) + 1
+            blocks.append((rows, options))
+    return _Queries(tuple(blocks), np.zeros(count, dtype=np.int64))
 
 
 def sample_subgroups(

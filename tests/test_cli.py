@@ -1374,6 +1374,61 @@ class TestCountBeyondInt64:
         assert not out.exists()
 
 
+class TestElicitSourceCount:
+    """``elicit`` refuses a K it cannot draw from, and summaries that miss
+    a source of 1..K, with exit 3 naming the flag or the file, before any
+    query is sent."""
+
+    @pytest.mark.parametrize(
+        "summaries, flags, key",
+        [
+            ({"1": "a", "2": "b"}, ["--sources", "100000000000000000000"], "sources"),
+            ({"1": "a", "2": "b"}, ["--sources", "9223372036854775808"], "sources"),
+            ({"1": "a", "2": "b"}, ["--sources", "0"], "sources"),  # not "infer K"
+            ({"1": "a", "2": "b"}, ["--sources", "-3"], "sources"),
+            ({"0": "a", "-1": "b"}, [], "summaries"),  # an inferred K of 0
+            ({"1": "a", "2": "b", "5": "c"}, [], "summaries"),  # K = 5 misses 3 and 4
+            ({"1": "a", "2": "b"}, ["--sources", "3"], "summaries"),
+            ({"1": "a", "2": "b"}, ["--sources", "9223372036854775807"], "summaries"),
+        ],
+    )
+    def test_exits_three_naming_the_key(
+        self, tmp_path, capsys, monkeypatch, summaries, flags, key
+    ):
+        monkeypatch.setattr("lipem.judge.HttpTransport", _no_transport)
+        path = tmp_path / "summaries.json"
+        path.write_text(json.dumps(summaries))
+        out = tmp_path / "records.txt"
+        argv = ["elicit", "--summaries", str(path), "--context", "pick one",
+                "--sizes", "1", *flags, "--out", str(out)]
+        assert dispatch(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert err.endswith(f"[key: {key}]\n")
+        assert not out.exists()
+
+    def test_absent_flag_infers_k_from_the_summaries(self, tmp_path, capsys, monkeypatch):
+        prompts = []
+
+        def transport(config):
+            def send(prompt):
+                prompts.append(prompt)
+                return '{"choice": 0}'
+
+            return send
+
+        monkeypatch.setattr("lipem.judge.HttpTransport", transport)
+        path = tmp_path / "summaries.json"
+        path.write_text(json.dumps({"1": "a", "2": "b", "3": "c"}))
+        out = tmp_path / "records.txt"
+        argv = ["elicit", "--summaries", str(path), "--context", "pick one",
+                "--sizes", "3", "--count", "2", "--out", str(out)]
+        assert dispatch(argv) == 0
+        capsys.readouterr()
+        assert out.read_text() == "subgroup=1,2,3;choice=0\n" * 2
+        assert len(prompts) == 2
+
+
 class TestNonFiniteTurbofanValues:
     """A nan or inf cycle or sensor 9 value is one parse error naming
     the file line, not a NaN noise variance found later."""

@@ -799,10 +799,30 @@ class CountingGenerator(np.random.Generator):
 BIT_GENERATORS = [np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64]
 
 
+@st.composite
+def stream_cases(draw):
+    """A draw's (K, sizes, count): small K, K whose member draws reject
+    many words, K that takes 64-bit member draws, or K with one size that
+    numpy draws by its tail shuffle."""
+    kind = draw(st.sampled_from(["small", "rejecting", "wide", "tail"]))
+    if kind == "small":
+        n_sources = draw(st.integers(1, 60))
+    elif kind == "rejecting":
+        n_sources = draw(st.sampled_from([3 * 2**30, 2**31 + 3])) + draw(st.integers(-40, 40))
+    elif kind == "wide":
+        n_sources = draw(st.integers(2**32, 2**32 + 100))
+    else:
+        n_sources = draw(st.integers(10001, 20000))
+    sizes = [min(s, n_sources) for s in draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))]
+    if kind == "tail":
+        sizes.append(draw(st.integers(n_sources // 50 + 1, n_sources // 50 + 30)))
+    return n_sources, sizes, draw(st.integers(0, 40))
+
+
 class TestBlockDraw:
-    """The sampler draws blocks of words and decodes them as numpy's
-    ``integers`` and ``choice`` would; every case must equal one call of
-    each per query (``loop_sample``), end state included."""
+    """The sampler draws a block of queries with one array-bounded
+    ``integers`` call; every case must equal one ``integers`` and one
+    ``choice`` call per query (``loop_sample``), end state included."""
 
     @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
     @pytest.mark.parametrize(
@@ -822,6 +842,7 @@ class TestBlockDraw:
             (4, [4], 20),  # K = size: Floyd's first draw takes no word
             (5, [2], 30),  # no size draw
             (1, [1], 5),  # no word at all
+            (2**63 - 1, [1, 2, 3], 20),  # the largest K
         ],
     )
     @pytest.mark.parametrize("buffered", [False, True])
@@ -860,8 +881,9 @@ class TestBlockDraw:
     def test_no_call_per_query_inside_the_block(self):
         gen = CountingGenerator(np.random.PCG64(42))
         assert len(sample_subgroups(50, [3, 4, 5], 2500, gen)) == 2500
-        # a query takes at most 10 words; no word is rejected here, so
-        # each block draws its words and then advances past them
+        # a query makes at most 10 draws; no word is rejected here, so
+        # each block reads its raw words to guess the sizes and then draws
+        # its queries in one call
         blocks = -(-2500 // (lip_module._BLOCK_WORDS // 10))
         assert gen.calls == {"integers": 2 * blocks}
 
@@ -872,22 +894,49 @@ class TestBlockDraw:
     @pytest.mark.parametrize(
         "n_sources, sizes",
         [
-            (200, [3, 70]),  # a size past the block's largest
+            (200, [3, 70]),  # a large subgroup
             (3 * 2**30, [2, 3]),  # most queries have a rejected word
             (2**32 + 7, [2, 3]),  # 64-bit member draws
             (1, [1]),  # no word at all
         ],
     )
-    def test_draw_outside_the_blocks_makes_the_calls_per_query(self, n_sources, sizes):
+    def test_no_input_makes_a_choice_call(self, n_sources, sizes):
         gen = CountingGenerator(np.random.PCG64(42))
-        assert len(sample_subgroups(n_sources, sizes, 50, gen)) == 50
-        assert gen.calls == {"integers": 50, "choice": 50}
+        loop = np.random.Generator(np.random.PCG64(42))
+        assert sample_subgroups(n_sources, sizes, 50, gen) == loop_sample(
+            n_sources, sizes, 50, loop
+        )
+        assert "choice" not in gen.calls
+        assert same_state(gen.bit_generator.state, loop.bit_generator.state)
+
+    @PROPERTY
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+    @pytest.mark.parametrize("buffered", [False, True])
+    @given(case=stream_cases(), seed=st.integers(0, 2**32 - 1))
+    def test_property_matches_per_query_calls(self, bit_generator, buffered, case, seed):
+        n_sources, sizes, count = case
+        fast, loop = (np.random.Generator(bit_generator(seed)) for _ in range(2))
+        if buffered:
+            fast.integers(10, dtype=np.uint32)
+            loop.integers(10, dtype=np.uint32)
+        assert sample_subgroups(n_sources, sizes, count, fast) == loop_sample(
+            n_sources, sizes, count, loop
+        )
+        assert same_state(fast.bit_generator.state, loop.bit_generator.state)
 
     @pytest.mark.parametrize("n_sources", [2.5, True, np.float64(5.0), "5", None])
     def test_non_integer_source_count_rejected_before_any_draw(self, n_sources):
         rng = np.random.default_rng(42)
         with pytest.raises(InvalidConfigurationError) as err:
             sample_subgroups(n_sources, [1], 3, rng)
+        assert err.value.key == "n_sources"
+        assert same_state(rng.bit_generator.state, np.random.default_rng(42).bit_generator.state)
+
+    @pytest.mark.parametrize("n_sources", [2**63, 10**20])
+    def test_source_count_beyond_int64_rejected_before_any_draw(self, n_sources):
+        rng = np.random.default_rng(42)
+        with pytest.raises(InvalidConfigurationError) as err:
+            sample_subgroups(n_sources, [2], 3, rng)
         assert err.value.key == "n_sources"
         assert same_state(rng.bit_generator.state, np.random.default_rng(42).bit_generator.state)
 
