@@ -408,8 +408,8 @@ def _check_replications(replications: int) -> None:
 
 
 def _check_sweep(values: Sequence, key: str, valid=lambda v: True, want: str = "") -> None:
-    """A non-empty sweep whose every value passes ``valid``; ``want``
-    says what a value must be."""
+    """A non-empty sweep of distinct values that each pass ``valid``;
+    ``want`` says what a value must be."""
     if len(values) == 0:
         raise InvalidConfigurationError(
             f"{key} must list at least one value", key=key
@@ -418,6 +418,11 @@ def _check_sweep(values: Sequence, key: str, valid=lambda v: True, want: str = "
     if bad:
         raise InvalidConfigurationError(
             f"{key} values must be {want}, got {bad[0]}", key=key
+        )
+    repeated = [v for i, v in enumerate(values) if v in values[:i]]
+    if repeated:
+        raise InvalidConfigurationError(
+            f"{key} lists {repeated[0]} more than once", key=key
         )
 
 
@@ -452,11 +457,7 @@ class GaussianExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "dims", tuple(self.dims))
-        if not self.dims or any(d < 1 for d in self.dims):
-            raise InvalidConfigurationError(
-                f"dims must list at least one dimension, each >= 1, got {self.dims}",
-                key="dims",
-            )
+        _check_sweep(self.dims, "dims", lambda d: d >= 1, ">= 1")
         _check_replications(self.replications)
         check_seed(self.seed)
         if self.curve_points < 2:
@@ -849,18 +850,17 @@ def consistency_check(
     return reports
 
 
-def fast_decay_lip(
-    engines: Mapping[int, Dataset],
-    *,
-    p0: float = P0,
-    strong: float = 0.9,
-    fraction: float = 0.1,
-) -> Lip:
+# the share of engines ``fast_decay_lip`` favours, and their prior
+_FAST_DECAY_SHARE = 0.1
+_FAST_DECAY_PI = 0.9
+
+
+def fast_decay_lip(engines: Mapping[int, Dataset], *, p0: float = P0) -> Lip:
     """Prior concentrated on the fastest-decaying engines.
 
-    Engines are ranked by lifetime (cycle count); the shortest
-    ``fraction`` receive probability ``strong`` and the rest ``p0``.
-    Indices in the returned prior are engine ids.
+    Engines are ranked by lifetime (cycle count); the shortest tenth (at
+    least one) receive probability 0.9 and the rest ``p0``.  Indices in
+    the returned prior are engine ids.
     """
     ids = sorted(engines)
     if ids != list(range(1, len(ids) + 1)):
@@ -868,10 +868,10 @@ def fast_decay_lip(
             "engine ids must be contiguous from 1", key="engines"
         )
     lifetimes = np.array([len(engines[i]) for i in ids], dtype=float)
-    n_strong = max(1, int(round(fraction * len(ids))))
+    n_strong = max(1, int(round(_FAST_DECAY_SHARE * len(ids))))
     order = np.argsort(lifetimes, kind="stable")
     pi = np.full(len(ids), p0)
-    pi[order[:n_strong]] = strong
+    pi[order[:n_strong]] = _FAST_DECAY_PI
     return Lip(pi=pi, provenance="file")
 
 
@@ -906,12 +906,8 @@ def cmapss_experiment(
         raise InvalidConfigurationError(
             f"engines {missing} not present in the data", key="engines"
         )
-    _check_sweep(cutoffs, "cutoffs")
-    for cut in cutoffs:
-        if not 0 <= cut < 1:
-            raise InvalidConfigurationError(
-                f"cutoff {cut} outside [0, 1)", key="cutoffs"
-            )
+    # at cutoff 0 no target keeps a holdout
+    _check_sweep(cutoffs, "cutoffs", lambda c: 0 < c < 1, "strictly inside (0, 1)")
     if not 0 < p0 < 1:
         raise InvalidConfigurationError(
             f"p0 must lie strictly inside (0, 1), got {p0}", key="p0"
@@ -963,12 +959,7 @@ def cmapss_experiment(
                 continue
             target = Dataset(full.points[:n_train])
             holdout = full.points[n_train:]
-            with warnings.catch_warnings():
-                # tiny targets routinely have singular Hessians here
-                warnings.simplefilter("ignore", RuntimeWarning)
-                estimates = baselines(
-                    target, sources, model, em_config=em_config, lip=pi, p0=p0
-                )
+            estimates = baselines(target, sources, model, em_config=em_config, lip=pi, p0=p0)
             x_hold, y_hold = holdout[:, 0], holdout[:, 1]
             cells[i, j] = {}
             for method, theta in estimates.items():
@@ -988,6 +979,10 @@ def cmapss_experiment(
                     "param_value": float(cutoff),
                     "engine": int(target_id),
                 }
+    if not cells:
+        raise InvalidConfigurationError(
+            "no target engine keeps a holdout at any cutoff", key="cutoffs"
+        )
     # cutoff-major order: a report's values follow the targets as given
     rmse_cells: dict[tuple[str, float], list[float]] = {}
     for (i, _), rmse in sorted(cells.items()):

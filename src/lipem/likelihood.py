@@ -384,17 +384,16 @@ class SplineGlmModel(LikelihoodFamily):
         return spline_design(inputs, self.knots) @ th
 
 
-def pooled_noise_variance(
-    knots,
-    datasets: Sequence[Dataset],
-    ridge: float = 1e-8,
-    floor: float = 1e-8,
-) -> float:
+# the least noise variance ``pooled_noise_variance`` returns
+_NOISE_FLOOR = 1e-8
+
+
+def pooled_noise_variance(knots, datasets: Sequence[Dataset], ridge: float = 1e-8) -> float:
     """Size-weighted residual variance pooled over per-dataset spline fits.
 
     Each dataset is fit on its own (ridge-jittered least squares); the
     residual sums of squares are pooled across datasets and divided by the
-    total observation count, then floored away from zero.  Used to fix the
+    total observation count, then floored at 1e-8.  Used to fix the
     shared noise variance of :class:`SplineGlmModel` before any
     cross-dataset comparison, so that likelihoods from different sources
     live on one scale.  Each fit is the one kept on its dataset.
@@ -404,4 +403,4 @@ def pooled_noise_variance(
     if not sized:
         raise InsufficientDataError("no observations available to estimate noise variance")
     total_ss = sum(probe._fit(data)[4] for data in sized)
-    return max(total_ss / sum(map(len, sized)), floor)
+    return max(total_ss / sum(map(len, sized)), _NOISE_FLOOR)

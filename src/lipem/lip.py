@@ -50,19 +50,14 @@ block of queries is one array-bounded ``integers`` call, its sizes
 guessed before and checked after (``_draw``).  ``simulate-oracle``
 writes each block from one line template.
 
-``fit-lip`` reads a records file on one of two paths.  A file whose
-every line is exactly as ``write_records`` writes it (digits only, at
-most 18 per field, each line ending in a newline, which is also how a
-CRLF line reads) is admitted by removing each such line with one
-``re.sub`` and finding nothing left; its fields are then parsed by one
-``np.fromstring`` call, and each option count's members are sorted as a
-table.  Any other file (spaces, signs, non-ASCII digits, blank lines, a
-missing final newline, longer fields) is read line by line.  Both paths
-check the blocks by the same array tests (members at least 1 and
-distinct, the choice 0 or a member); a canonical file that fails them
-is read again line by line, and only the first bad line is rebuilt as
-a record, to word its error.  Indices meet K when a fit compiles the
-blocks; an index beyond int64 stays a Python int until then.
+``fit-lip`` reads a records file on one path.  Every line must be as
+``write_records`` writes it: digits only, at most 18 per field, each
+line ending in a newline (a CRLF line reads so too, and a missing final
+newline is added).  One ``re.sub`` removing each such line must leave
+nothing; one ``np.fromstring`` call then parses the fields, and each
+option count's members are sorted as a table.  Array tests check the
+records (members at least 1 and distinct, the choice 0 or a member).
+Only the first bad line or record is looked at again, to word its error.
 
 File formats
 ------------
@@ -863,18 +858,6 @@ def write_records(path, records: Iterable[ChoiceRecord] | _Queries) -> None:
     write_text_atomic(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
-def _parse_line(line: str) -> list[int]:
-    """``[choice, *sorted members]`` of one stripped records line."""
-    parts = line.split(";")
-    if len(parts) != 2:
-        raise ValueError("expected 'subgroup=...;choice=...'")
-    sub_part, choice_part = parts
-    if not sub_part.startswith("subgroup=") or not choice_part.startswith("choice="):
-        raise ValueError("missing subgroup=/choice= fields")
-    members = sorted(int(i) for i in sub_part[len("subgroup="):].split(","))
-    return [int(choice_part[len("choice="):]), *members]
-
-
 # a records line exactly as ``write_records`` writes it; at most 18
 # digits per field keep every value within int64
 _RECORD_LINE = r"subgroup=[0-9]{1,18}(?:,[0-9]{1,18})*;choice=[0-9]{1,18}\n"
@@ -885,20 +868,33 @@ _FIELD_SEPARATORS = bytes.maketrans(b";\n", b",,")
 def _read_queries(path) -> _Queries:
     """Parse a records file straight into compiled queries.
 
-    A file of lines exactly as ``write_records`` writes them is parsed in
-    one pass (``_split_canonical``).  Any other file, or one whose
-    records fail the array tests, is read line by line (``_read_lines``),
-    which words the error.  Indices are not checked against K here
-    (``_compile`` does that).
+    The first line not as ``write_records`` writes it, or whose record
+    ``ChoiceRecord`` refuses, raises a ``ParseError`` naming it.  Indices
+    are not checked against K here (``_compile`` does that).
     """
     text = read_text(path)
+    if text and not text.endswith("\n"):
+        text += "\n"
+    lineno = None
     # each line is removed on its own; one whole-file match would hold
     # a backtracking frame per repeat
-    if not re.sub(_RECORD_LINE, "", text):
-        queries = _tabulate(*_split_canonical(text))
-        if _first_invalid(queries) is None:
-            return queries
-    return _read_lines(path, text.splitlines())
+    if re.sub(_RECORD_LINE, "", text):
+        lines = [line + "\n" for line in text.split("\n")]
+        lineno = next(i for i, ln in enumerate(lines, 1) if not re.fullmatch(_RECORD_LINE, ln))
+        # the records before it may hold an earlier fault
+        text = "".join(lines[: lineno - 1])
+    queries = _tabulate(*_split_canonical(text))
+    invalid = _first_invalid(queries)
+    if invalid is not None:
+        row, members, choice = invalid
+        try:
+            ChoiceRecord(tuple(members), choice)
+        except (InvalidConfigurationError, InvalidChoiceError) as exc:
+            raise ParseError(f"{path}: line {row + 1}: {exc}", line_number=row + 1) from exc
+    if lineno is not None:
+        grammar = "expected 'subgroup=<i>,...;choice=<c>', digits 0-9 only, at most 18 per field"
+        raise ParseError(f"{path}: line {lineno}: {grammar}", line_number=lineno)
+    return queries
 
 
 def _split_canonical(text: str):
@@ -925,9 +921,9 @@ def _split_canonical(text: str):
 
 
 def _first_invalid(queries: _Queries):
-    """The position of the first record whose members are not all at
-    least 1 and distinct, or whose choice is neither 0 nor a member;
-    None when every record passes."""
+    """``(position, members, choice)`` of the first record whose members
+    are not all at least 1 and distinct, or whose choice is neither 0 nor
+    a member; None when every record passes."""
     bad = []
     for rows, options in queries.blocks:
         members, choice = options[:, 1:], queries.chosen[rows]
@@ -937,48 +933,9 @@ def _first_invalid(queries: _Queries):
             & ((choice == 0) | (members == choice[:, None]).any(axis=1))
         )
         if not valid.all():
-            bad.append(int(rows[np.argmin(valid)]))
+            i = int(np.argmin(valid))
+            bad.append((int(rows[i]), members[i].tolist(), int(choice[i])))
     return min(bad, default=None)
-
-
-def _read_lines(path, lines: list[str]) -> _Queries:
-    """``_read_queries`` for any file: each line is read as
-    ``_parse_line`` reads it, straight into the per-option-count lists,
-    and checked by ``_first_invalid``.  The first bad line is parsed
-    again into a ``ChoiceRecord``, whose error names it."""
-    bad = len(lines) + 1
-    widths, values = [], {}
-    for lineno, raw in enumerate(lines, start=1):
-        if not (line := raw.strip()):
-            continue
-        # a second ';' fails int() on either side, so this reads exactly
-        # the lines that ``_parse_line`` reads
-        sub_part, sep, choice = line.partition(";choice=")
-        if not sep or not sub_part.startswith("subgroup="):
-            bad = lineno
-            break
-        try:
-            members = sorted(map(int, sub_part[len("subgroup="):].split(",")))
-            choice = int(choice)
-        except ValueError:
-            bad = lineno
-            break
-        widths.append(len(members) + 1)
-        flat = values.setdefault(widths[-1], [])
-        flat.append(choice)
-        flat += members
-    queries = _tabulate(widths, values)
-    invalid = _first_invalid(queries)
-    if invalid is not None:
-        linenos = [i for i, raw in enumerate(lines, start=1) if raw.strip()]
-        bad = min(bad, linenos[invalid])
-    if bad <= len(lines):
-        try:
-            choice, *members = _parse_line(lines[bad - 1].strip())
-            ChoiceRecord(tuple(members), choice)
-        except (ValueError, InvalidConfigurationError, InvalidChoiceError) as exc:
-            raise ParseError(f"{path}: line {bad}: {exc}", line_number=bad) from exc
-    return queries
 
 
 def read_records(path) -> list[ChoiceRecord]:

@@ -406,13 +406,13 @@ class TestConsistencyCheck:
 
     def test_rows_equal_one_run_em_per_replication(self):
         """The row-axis sweep reports exactly what one ``run_em`` per
-        (replication, N0, variant) reported, repeated sweep points and
-        variants included."""
+        (replication, N0, variant) reported, for a sweep out of order; a
+        repeated sweep point is refused."""
         spec = HierarchicalSpec(
             n_sources=4, relevant=(1, 3), theta0=(0.0, 1.0), tau=0.2,
             null_gen=NullGen(offset=(5.0, -1.0), spread=1.0), seed=7,
         )
-        n0_sweep, variants = (50, 200, 50), ("exact_hessian_reuse", "small_tau_surrogate")
+        n0_sweep, variants = (50, 200, 30), ("exact_hessian_reuse", "small_tau_surrogate")
         pi = np.array([0.01, 0.9, 0.01, 0.01])
         model = GaussianMeanModel(2, covariance=spec.sigma**2)
         errors = {}
@@ -444,6 +444,9 @@ class TestConsistencyCheck:
             spec, n0_sweep, replications=3, pi=pi, variants=variants
         )
         assert reports == expected
+        with pytest.raises(InvalidConfigurationError) as err:
+            consistency_check(spec, (50, 200, 50), replications=3, pi=pi, variants=variants)
+        assert err.value.key == "n0_sweep"
 
 
 class TestGaussianExperiment:
@@ -583,11 +586,26 @@ class TestCmapssExperiment:
             )
         assert "lip_em" in {r.method for r in reports}
 
-    def test_cutoff_leaving_no_holdout_is_skipped(self, cmapss_dir):
+    def test_cutoff_leaving_no_holdout_is_skipped(self, one_cycle_dir):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            reports, _ = cmapss_experiment(
-                cmapss_dir, engines=(1,), cutoffs=(0.0,)
-            )
-        assert any("holdout" in str(w.message) for w in caught)
-        assert reports == []
+            reports, _ = cmapss_experiment(one_cycle_dir, engines=(7, 1), cutoffs=(0.5,))
+        assert any("no holdout for engine 7" in str(w.message) for w in caught)
+        # every cell holds engine 1 alone
+        assert reports and all(r.replications == 1 for r in reports)
+
+    def test_no_cell_with_a_holdout_raises(self, one_cycle_dir):
+        with quiet_runtime_warnings():
+            with pytest.raises(InvalidConfigurationError) as err:
+                cmapss_experiment(one_cycle_dir, engines=(7,), cutoffs=(0.5, 0.1))
+        assert err.value.key == "cutoffs"
+
+
+@pytest.fixture
+def one_cycle_dir(cmapss_dir):
+    """The six-engine fixture file plus engine 7, which runs one cycle."""
+    data = cmapss_dir / "train_FD001.txt"
+    row = ["7", "1", *data.read_text().split("\n")[0].split()[2:]]
+    with data.open("a", encoding="utf-8") as out:
+        out.write(" ".join(row) + "\n")
+    return cmapss_dir

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from lipem import cli
-from lipem import lip as lip_module
 from lipem.bench import (
     SEPARATED_SPEC,
     BenchReport,
@@ -565,10 +564,14 @@ class TestFitLipCommand:
         assert f"[key: {key}]" in err
 
 
+# the records grammar, as a parse error states it
+GRAMMAR = "expected 'subgroup=<i>,...;choice=<c>', digits 0-9 only, at most 18 per field"
+
+
 class TestRecordsPipeline:
     """``simulate-oracle`` and ``fit-lip`` work on compiled queries; their
     files must equal the library's record-list round trip byte for byte,
-    and a bad records file must fail as the per-record reader did."""
+    and a bad records file must fail naming its first bad line."""
 
     K = 50
     ALPHA = np.concatenate(
@@ -603,25 +606,6 @@ class TestRecordsPipeline:
         assert records.read_bytes() == expected_records.read_bytes()
         assert prior.read_bytes() == expected_prior.read_bytes()
 
-    def test_simulated_file_takes_the_one_pass_parse(self, tmp_path, capsys, monkeypatch):
-        records = tmp_path / "records.txt"
-        assert dispatch(
-            ["simulate-oracle", "--alpha=" + ",".join(map(repr, self.ALPHA.tolist())),
-             "--sizes", "1,3,5,9", "--count", "400", "--seed", "42", "--out", str(records)]
-        ) == 0
-        # the per-line reader is the fallback for any other file
-        entered = []
-
-        def spy(path, lines):
-            entered.append(path)
-            return read_lines(path, lines)
-
-        read_lines = lip_module._read_lines
-        monkeypatch.setattr(lip_module, "_read_lines", spy)
-        assert self._fit(records, tmp_path / "lip.txt") == 0
-        assert entered == []
-        capsys.readouterr()
-
     BIG = "1" + "0" * 29
 
     @pytest.mark.parametrize(
@@ -639,19 +623,15 @@ class TestRecordsPipeline:
             ("subgroup=1,2,99;choice=0", 3,
              "invalid-configuration: subgroup (1, 2, 99) references a source "
              "beyond K=50 [key: sources]"),
-            (f"subgroup=1,{BIG},2;choice={BIG}", 3,
-             f"invalid-configuration: subgroup (1, 2, {BIG}) references a "
-             "source beyond K=50 [key: sources]"),
-            ("subgroup=1,2,3;choice=" + "9" * 27, 1,
-             "parse: {path}: line 1: invalid-choice: choice " + "9" * 27
-             + " is not in subgroup (1, 2, 3) or the null"),
+            # a field of more than 18 digits is refused before K is known
+            (f"subgroup=1,{BIG},2;choice={BIG}", 1, "parse: {path}: line 1: " + GRAMMAR),
+            ("subgroup=1,2,3;choice=" + "9" * 27, 1, "parse: {path}: line 1: " + GRAMMAR),
             ("subgroup=1,2,99;choice=0\nsubgroup=1,2;choice=x", 1,
-             "parse: {path}: line 2: invalid literal for int() with base 10: 'x'"),
+             "parse: {path}: line 2: " + GRAMMAR),
             ("subgroup=1,2;choice=1\n\nsubgroup=4,4;choice=0\nsubgroup=1;;choice=1", 1,
-             "parse: {path}: line 3: invalid-configuration: subgroup has "
-             "repeated indices: (4, 4)"),
+             "parse: {path}: line 2: " + GRAMMAR),
             ("subgroup=1;;choice=1\nsubgroup=4,4;choice=0", 1,
-             "parse: {path}: line 1: expected 'subgroup=...;choice=...'"),
+             "parse: {path}: line 1: " + GRAMMAR),
         ],
     )
     def test_bad_file_error_line(self, tmp_path, capsys, text, code, message):
@@ -662,9 +642,11 @@ class TestRecordsPipeline:
         assert err == "error: " + message.format(path=records) + "\n"
 
     @pytest.mark.parametrize(
-        "spelling", ["subgroup=1, 2 ,+3;choice=\u0663", "subgroup=3,1,2;choice=3"]
+        "spelling",
+        ["subgroup=3,1,2;choice=3", "subgroup=01,2,003;choice=03", "subgroup=2,3,1;choice=3\r"],
     )
     def test_other_spellings_fit_as_the_canonical_one(self, tmp_path, capsys, spelling):
+        # members in any order, leading zeros and a CRLF line end
         canonical, other = tmp_path / "canonical.txt", tmp_path / "other.txt"
         canonical.write_text("subgroup=1,2,3;choice=3\n", encoding="utf-8")
         other.write_text(spelling + "\n", encoding="utf-8")
@@ -672,6 +654,27 @@ class TestRecordsPipeline:
         assert self._fit(other, tmp_path / "b.txt") == 0
         capsys.readouterr()
         assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("subgroup=1, 2 ,+3;choice=\u0663", 1),
+            ("subgroup=1,2,3;choice=3 ", 1),
+            ("subgroup=1,+2,3;choice=3", 1),
+            ("subgroup=1,2,\u0663;choice=3", 1),
+            ("subgroup=1,2,\uff13;choice=0", 1),
+            ("subgroup=1,2,0_3;choice=3", 1),
+            ("subgroup=1,2,3;choice=3\n\nsubgroup=1;choice=0", 2),
+            ("subgroup=1,2;choice=0\nsubgroup=1,2,3;choice=" + "0" * 18 + "3", 2),
+        ],
+    )
+    def test_other_spellings_are_refused(self, tmp_path, capsys, text, line):
+        records = tmp_path / "records.txt"
+        records.write_text(text + "\n", encoding="utf-8")
+        assert self._fit(records, tmp_path / "lip.txt") == 1
+        err = capsys.readouterr().err
+        assert err == f"error: parse: {records}: line {line}: {GRAMMAR}\n"
+        assert not (tmp_path / "lip.txt").exists()
 
 
 class TestSimulateOracleCommand:
@@ -1033,9 +1036,33 @@ class TestBenchGaussianCommand:
     def test_empty_sweep_exits_three_naming_key(
         self, cmapss_dir, capsys, command, doc, key
     ):
+        self._assert_bad_sweep(cmapss_dir, capsys, command, doc, key, [])
+
+    @pytest.mark.parametrize(
+        "command, doc, flags, key",
+        [
+            ("dichotomy", {"dichotomy": {"n_sweep": [10, 10]}}, [], "dichotomy.n_sweep"),
+            ("dichotomy", {"dichotomy": {"priors": [0.1, 0.1]}}, [], "dichotomy.priors"),
+            ("consistency", {"consistency": {"n0_sweep": [100, 100], "replications": 3}}, [],
+             "consistency.n0_sweep"),
+            ("oracle-mse", {"oracle": {"taus": [0.1, 0.1]}}, [], "oracle.taus"),
+            ("gaussian", {"experiment": {"dims": [1, 1]}}, [], "experiment.dims"),
+            ("cmapss", {}, ["--engines", "1,1", "--cutoff", "0.5"], "cmapss.engines"),
+            ("cmapss", {"cmapss": {"cutoffs": [0.5, 0.5]}}, ["--engines", "1"],
+             "cmapss.cutoffs"),
+            # cutoff 0 keeps every cycle for training, so no holdout is left
+            ("cmapss", {}, ["--engines", "1", "--cutoff", "0"], "cmapss.cutoffs"),
+        ],
+    )
+    def test_repeated_sweep_value_exits_three_naming_key(
+        self, cmapss_dir, capsys, command, doc, flags, key
+    ):
+        self._assert_bad_sweep(cmapss_dir, capsys, command, doc, key, flags)
+
+    def _assert_bad_sweep(self, cmapss_dir, capsys, command, doc, key, flags):
         cfg = cmapss_dir / "cfg.json"
         cfg.write_text(json.dumps(doc))
-        argv = ["bench", command, "--config", str(cfg), "--out", str(cmapss_dir / "r")]
+        argv = ["bench", command, "--config", str(cfg), "--out", str(cmapss_dir / "r"), *flags]
         if command == "cmapss":
             argv += ["--data", str(cmapss_dir)]
         with warnings.catch_warnings():

@@ -531,7 +531,7 @@ class TestPooledNoiseVariance:
         knots = np.array([0.0, 50.0, 100.0, 150.0, 200.0])
         x = np.linspace(10.0, 190.0, 30)
         data = Dataset(np.column_stack([x, 1.0 + 2.0 * x]))
-        pooled = pooled_noise_variance(knots, [data], ridge=0.0, floor=1e-8)
+        pooled = pooled_noise_variance(knots, [data], ridge=0.0)
         assert pooled == pytest.approx(1e-8)
 
     def test_no_observations_fails(self):

@@ -8,6 +8,7 @@ separately coded quasi-Newton solve before recovery tests use the fit.
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -37,7 +38,6 @@ from lipem.lip import (
     NewtonResult,
     WorthVector,
     _nll_hessian,
-    _parse_line,
     _records,
     _simulate,
     choice_probability,
@@ -83,24 +83,25 @@ def loop_sample(n_sources, sizes, count, gen):
     return out
 
 
-def loop_read(path):
-    """The records reader as one ``ChoiceRecord`` per line."""
+# the one records grammar: 1 to 18 ASCII digits per field
+FIELD = "[0-9]{1,18}"
+GRAMMAR = "expected 'subgroup=<i>,...;choice=<c>', digits 0-9 only, at most 18 per field"
+
+
+def strict_read(path):
+    """The records reader as one ``fullmatch`` and one ``ChoiceRecord``
+    per line; the final newline, if any, ends the last line."""
+    lines = Path(path).read_text(encoding="utf-8").split("\n")
+    if lines[-1] == "":
+        lines.pop()
     out = []
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.strip()
-        if not line:
-            continue
+    for lineno, line in enumerate(lines, 1):
+        match = re.fullmatch(f"subgroup=({FIELD}(?:,{FIELD})*);choice=({FIELD})", line)
+        if match is None:
+            raise ParseError(f"{path}: line {lineno}: {GRAMMAR}", line_number=lineno)
         try:
-            parts = line.split(";")
-            if len(parts) != 2:
-                raise ValueError("expected 'subgroup=...;choice=...'")
-            sub_part, choice_part = parts
-            if not sub_part.startswith("subgroup=") or not choice_part.startswith("choice="):
-                raise ValueError("missing subgroup=/choice= fields")
-            subgroup = tuple(int(i) for i in sub_part[len("subgroup="):].split(","))
-            choice = int(choice_part[len("choice="):])
-            out.append(ChoiceRecord(subgroup, choice))
-        except (ValueError, InvalidConfigurationError, InvalidChoiceError) as exc:
+            out.append(ChoiceRecord(tuple(map(int, match[1].split(","))), int(match[2])))
+        except (InvalidConfigurationError, InvalidChoiceError) as exc:
             raise ParseError(f"{path}: line {lineno}: {exc}", line_number=lineno) from exc
     return out
 
@@ -109,19 +110,6 @@ def fstring_write(path, records):
     """The records writer as one f-string per record."""
     lines = [f"subgroup={','.join(map(str, r.subgroup))};choice={r.choice}" for r in records]
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
-
-
-def parse_line_read(path):
-    """The records reader as ``_parse_line`` and a ``ChoiceRecord`` per line."""
-    out = []
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if line := raw.strip():
-            try:
-                choice, *members = _parse_line(line)
-                out.append(ChoiceRecord(tuple(members), choice))
-            except (ValueError, InvalidConfigurationError, InvalidChoiceError) as exc:
-                raise ParseError(f"{path}: line {lineno}: {exc}", line_number=lineno) from exc
-    return out
 
 
 @st.composite
@@ -138,9 +126,10 @@ LINE_PIECES = [
     "_", " ", "\t", "\u0663", "\uff12", "\u00b2", "x",
 ]
 
-# ways to write an index n that int() reads: surrounding whitespace, a
-# sign, underscores between digits and non-ASCII decimal digits; and two
-# it refuses, a leading underscore and a superscript
+# ways to write an index n: the canonical one, and near misses that
+# int() reads (surrounding whitespace, a sign, underscores between
+# digits, non-ASCII decimal digits) or refuses (a leading underscore, a
+# superscript); the records grammar refuses every near miss
 SPELLINGS = [
     str, " {} ".format, "+{}".format, "0_{}".format, "\t{}".format,
     lambda n: chr(0x0660 + n), lambda n: chr(0xFF10 + n),
@@ -1069,11 +1058,11 @@ class TestRecordsIo:
     @example(["subgroup=1,2;choice=2", "subgroup=4,1,4;choice=0", ""])
     def test_reads_as_one_record_per_line(self, lines):
         """Same records, or the same error on the same line, as a reader
-        that builds one ``ChoiceRecord`` per line."""
+        that matches the grammar and builds one ``ChoiceRecord`` per line."""
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "records.txt"
             path.write_text("\n".join(lines), encoding="utf-8")
-            assert outcome(read_records, path) == outcome(loop_read, path)
+            assert outcome(read_records, path) == outcome(strict_read, path)
 
     @PROPERTY
     @given(st.lists(choice_records(), max_size=12))
@@ -1112,15 +1101,27 @@ class TestRecordsIo:
     @example(["subgroup=1;choice=1;choice=1", "choice=1;choice=1", "subgroup=_1,2;choice=2"])
     @example(["subgroup=1;2;choice=1"])
     @example(["subgroup=1,2;choice=2", "subgroup=1,1;choice=1", "choice=1"])
-    def test_parser_accepts_what_parse_line_accepts(self, lines):
-        """Same records, or the same error on the same line, as
-        ``_parse_line`` and a ``ChoiceRecord`` per line."""
+    def test_near_misses_are_refused_at_their_line(self, lines):
+        """Same records, or the same error on the same line, as a reader
+        that matches the grammar and builds one ``ChoiceRecord`` per line."""
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "records.txt"
             # each line alone, then the whole file
             for text in [*lines, "\n".join(lines)]:
                 path.write_text(text, encoding="utf-8")
-                assert outcome(read_records, path) == outcome(parse_line_read, path)
+                assert outcome(read_records, path) == outcome(strict_read, path)
+
+    @PROPERTY
+    @given(st.lists(choice_records(max_index=10**18 - 1), max_size=12), st.booleans())
+    @example([ChoiceRecord((10**18 - 1, 1), 10**18 - 1), ChoiceRecord((3,), 0)], False)
+    @example([], True)
+    def test_written_records_read_back_equal(self, records, final_newline):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "records.txt"
+            write_records(path, records)
+            if not final_newline:
+                path.write_bytes(path.read_bytes().removesuffix(b"\n"))
+            assert read_records(path) == records
 
 
 class TestLipIo:
