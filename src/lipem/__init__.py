@@ -49,6 +49,7 @@ from .em import (
     EmConfig,
     EmRunReport,
     EmState,
+    EmStep,
     NullSpec,
     SufficientStats,
     build_sufficient_stats,
@@ -145,6 +146,7 @@ __all__ = [
     "EmConfig",
     "NullSpec",
     "SufficientStats",
+    "EmStep",
     "EmState",
     "EmRunReport",
     "build_sufficient_stats",

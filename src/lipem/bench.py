@@ -17,11 +17,10 @@ import numpy as np
 
 from .em import (
     EmConfig,
-    EmState,
+    EmStep,
     NullSpec,
     _is_finite,
     build_sufficient_stats,
-    e_step,
     run_em,  # noqa: F401  (benchmarks/perf.py times lipem.bench.run_em)
     run_em_rows,
 )
@@ -738,12 +737,13 @@ def dichotomy_check(
     _check_sweep(n_sweep, "n_sweep", lambda n: n >= 1, ">= 1")
     _check_sweep(priors, "priors", lambda p: 0 < p < 1, "strictly inside (0, 1)")
     spec = spec or SEPARATED_SPEC
-    theta0 = np.asarray(spec.theta0)
     model = GaussianMeanModel(spec.dim, covariance=spec.sigma**2)
     config = EmConfig()
     rep_seeds = np.random.SeedSequence(spec.seed).spawn(replications)
     # one leading index per prior, all reading the same statistics
     pis = np.repeat(np.asarray(priors, dtype=float)[:, None], spec.n_sources, axis=1)
+    theta = np.tile(np.asarray(spec.theta0, dtype=float), (len(pis), 1))
+    beta = np.ones(pis.shape)
     weights = []  # per N: (replication, prior, source)
     for n in n_sweep:
         sized = replace(spec, n_source=int(n))
@@ -752,13 +752,8 @@ def dichotomy_check(
             rng = np.random.default_rng(seed)
             target, sources, _ = generate_hierarchical(sized, rng)
             stats = build_sufficient_stats(model, [target, *sources])
-            state = EmState(
-                theta=np.tile(theta0, (len(pis), 1)),
-                weights=pis.copy(),
-                t=1,
-                beta=np.ones(pis.shape),
-            )
-            per_rep.append(e_step(state, stats, pis, config))
+            with np.errstate(invalid="ignore"):  # as in run_em_rows
+                per_rep.append(EmStep(stats, config, pis).e_step(beta, theta, pis))
         weights.append(np.array(per_rep))
     reports = []
     for p, prior in enumerate(priors):

@@ -354,13 +354,14 @@ def _build_generator(section: dict, seed: int | None) -> HierarchicalSpec:
         return HierarchicalSpec(null_gen=NullGen(**null_kwargs), **body)
 
 
-# argparse types; argparse names them in its usage error on a bad value
+# argparse types; argparse names them in its usage error on a bad value.
+# An empty field is a bad value, so an empty flag never reads as not given
 def number_list(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v.strip()]
+    return [float(v) for v in text.split(",")]
 
 
 def integer_list(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v.strip()]
+    return [int(v) for v in text.split(",")]
 
 
 def _read_summaries(path) -> dict[int, str]:
@@ -452,6 +453,11 @@ def _cmd_run_em(args, cfg: RunConfig) -> int:
                 f"file {args.target} has {target.width}"
             )
     model = _build_model(cfg.section("model"), target.width)
+    if isinstance(model, SplineGlmModel) and target.width != 2:
+        raise ParseError(
+            f"dataset file {args.target} has {target.width} columns; a "
+            "spline_glm model reads 2 (input, response)"
+        )
     em_config = _build_em_config(cfg.section("em"))
     if args.lip == "uniform":
         # a flat prior reads only p0 from the lip section
@@ -698,7 +704,7 @@ def dispatch(argv: Sequence[str] | None = None) -> int:
         return args.handler(args, cfg)
     except InvalidConfigurationError as exc:
         line = f"error: {exc}"
-        if exc.key:
+        if exc.key is not None:  # a JSON key may be the empty string
             line += f" [key: {exc.key}]"
         print(line, file=sys.stderr)
         return 3

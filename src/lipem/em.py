@@ -22,34 +22,35 @@ from cancelling digits. The Laplace relevant marginal of a source is the
 same quadratic with c_k = l_k + (tau^2/2) g_k'F_k g_k - (1/2) logdet(I +
 tau^2 H_k), b_k = F_k g_k and C_k = F_k H_k in place of l_k, g_k and
 H_k, where F_k = (I + tau^2 H_k)^{-1}: I - tau^2 H_k F_k = F_k and H_k -
-tau^2 H_k F_k H_k = C_k. The pooled null's theta is ``model.pooled_mle``
-of the sources: for splines, one solve of the summed normal equations of
-fits kept on each dataset and shared by every collection.
+tau^2 H_k F_k H_k = C_k. ``_expand`` evaluates every such quadratic,
+the public :func:`relevant_marginal_loglik` included. The pooled null's
+theta is ``model.pooled_mle`` of the sources: for splines, one solve of
+the summed normal equations of fits kept on each dataset.
 
-What does not change between iterations is resolved once per run by
-one private step object, ``_Step``: the tempering scales eps_k, the
+:class:`EmStep`, the one EM step, is built from one collection's
+statistics and an :class:`EmConfig`. It resolves what does not change
+between iterations once, on first use: the tempering scales eps_k, the
 logit of the clamped prior, the sources' theta_k, c_k, b_k and C_k, the
 pooled or fixed null's scores or the mixture null's column copy of the
 cross table, the exact blend's rows [H0 | H0 theta_0] and [C_k | C_k
 theta_k] (C_k is built once for both readers) or the surrogate's N0
 theta_0, and the blend's weight buffer. An iteration then computes only
 what depends on the iterate: the tempering ramp, the marginal's
-deviation, curvature product and dot over the K sources, the mixture
-null's log-sum-exp over the lagged weights, one finite check, the
-sigmoid, and one weighted sum and d x d solve for the blend. The public
-steps below take one collection's statistics, build a ``_Step`` per call
-and broadcast over leading axes of theta, the weights and pi, so they and
-the loop share one arithmetic path.
+quadratic over the K sources, the mixture null's log-sum-exp over the
+lagged weights, one finite check, the sigmoid, and one weighted sum and
+d x d solve for the blend. Its steps broadcast over leading axes of
+theta, the weights and pi. The public step functions below are one
+``EmStep`` call each, so they and the loop share one arithmetic path.
 
 One loop, :func:`run_em_rows`, advances R problems of one shape (K
 sources, dimension d) together. A row is a (dataset collection, prior)
 pair. Each collection's statistics are built once, and so is its step,
 whose constants are built once however many rows share it;
-``_Step.stack`` then puts those constants on a leading row axis, which
+``EmStep.stack`` then puts those constants on a leading row axis, which
 no other object carries. The E-step, the null scores, the tempering
 schedule, both M-steps and the jittered solve broadcast over that axis;
 jitter reaches only a row whose blend is singular. A row freezes once it
-converges: ``_Step.take`` slices it out of the stack, so its iteration
+converges: ``EmStep.take`` slices it out of the stack, so its iteration
 count, histories and report equal a solo run's.
 :func:`run_em` is the R = 1 call of that loop. Histories grow with the
 iterations run, not with ``max_iters``.
@@ -74,7 +75,7 @@ from .errors import (
     SingularFitError,
 )
 from .files import write_text_atomic
-from .likelihood import Dataset, LikelihoodFamily, clamp_psd
+from .likelihood import Dataset, LikelihoodFamily
 from .lip import expit, logit
 
 __all__ = [
@@ -82,6 +83,7 @@ __all__ = [
     "NullSpec",
     "EmConfig",
     "SufficientStats",
+    "EmStep",
     "EmState",
     "EmRunReport",
     "build_sufficient_stats",
@@ -272,69 +274,39 @@ class SufficientStats:
 
     def expand(self, theta: np.ndarray) -> np.ndarray:
         """Log-likelihood of every dataset at theta; see ``_expand``."""
+        theta = np.asarray(theta, dtype=float)
         return _expand(theta, self.theta_hat, self.loglik_hat, self.gradients, self.hessians)
 
-    def _tempering_scale(self, mode: str) -> np.ndarray:
-        """Per-source tempering scales eps_k.
 
-        eps_k^2 is the relative information of source k against the
-        target: Tr(H0^{-1} H_k) in trace_exact mode, d N_k / N0 in
-        fisher_ratio mode. A singular target Hessian downgrades
-        trace_exact to fisher_ratio with a warning.
-        """
-        eps_sq = self.dim * self.sizes[1:] / self.sizes[0]
-        if mode == "trace_exact":
-            try:
-                # H0 = U'U. The upper factor decides singularity as
-                # LAPACK's potrf('U') does; on clamped rank-deficient
-                # spline Hessians the lower factor fails on a different
-                # set of matrices
-                upper = np.linalg.cholesky(self.hessians[0], upper=True)
-            except np.linalg.LinAlgError:
-                warnings.warn(
-                    "target Hessian is singular; tempering falls back to "
-                    "the fisher_ratio scale",
-                    RuntimeWarning,
-                )
-            else:
-                # H0^{-1} H_k through the factor, for the source Hessians
-                # side by side: an LU solve of a nearly singular H0 can
-                # meet an exactly zero pivot where the factor has none
-                d, n = self.dim, self.n_sources
-                blocks = np.hstack(self.hessians[1:])
-                solved = np.linalg.solve(upper, np.linalg.solve(upper.T, blocks))
-                eps_sq = np.trace(solved.reshape(d, n, d), axis1=0, axis2=2)
-        return np.maximum(np.sqrt(np.maximum(eps_sq, 0.0)), 1e-12)
+def _expand(theta, center, value, slope, curvature):
+    """The quadratic value + slope'delta - (1/2) delta' curvature delta at
+    delta = theta - center, one per entry of the K axis.
 
-    def _blend_terms(self, tau: float) -> tuple[np.ndarray, np.ndarray]:
-        """The exact M-step's stack [H0, C_1..C_K] and pulls [H0 theta_0,
-        C_k theta_k], with C_k = (I + tau^2 H_k)^{-1} H_k."""
-        blocks = self.hessians[1:]
-        if tau != 0:
-            blocks = np.linalg.solve(np.eye(self.dim) + tau**2 * blocks, blocks)
-            blocks = 0.5 * (blocks + blocks.swapaxes(1, 2))
-        h0 = self.hessians[0]
-        pulls = (blocks @ self.theta_hat[1:, :, None])[..., 0]
-        return (
-            np.concatenate([h0[None], blocks]),
-            np.concatenate([(h0 @ self.theta_hat[0])[None], pulls]),
-        )
-
-
-def _expand(theta, theta_hat, loglik_hat, gradients, hessians):
-    """Log-likelihood of every dataset at theta.
-
-    Uses the expansion around each dataset's own MLE,
-
-        l_k + g_k'(theta - theta_k) - (1/2)(theta - theta_k)' H_k (theta - theta_k),
-
-    exact for the shipped families. ``theta`` of shape (..., d) gives
-    values of shape (..., K+1); statistics with a leading row axis take
+    With each dataset's MLE theta_k, l_k, g_k and H_k this is its
+    log-likelihood, exact for the shipped families; with the sources'
+    theta_k, c_k, b_k and C_k (``_laplace_terms``) it is their Laplace
+    relevant marginal. ``theta`` is a float array of shape (..., d) and
+    gives values of shape (..., K); terms with a leading row axis take
     theta (R, d).
     """
-    dev = np.asarray(theta, dtype=float)[..., None, :] - theta_hat
-    curv = np.einsum("...kij,...kj->...ki", hessians, dev)
-    return loglik_hat + np.einsum("...ki,...ki->...k", gradients - 0.5 * curv, dev)
+    dev = theta[..., None, :] - center
+    curv = np.einsum("...kij,...kj->...ki", curvature, dev)
+    return value + np.einsum("...ki,...ki->...k", slope - 0.5 * curv, dev)
+
+
+def _laplace_terms(loglik, gradients, hessians, tau: float):
+    """The Laplace relevant marginal's c_k, b_k and C_k from l_k, g_k and
+    the PSD H_k at each MLE, over a leading dataset axis; see the module
+    docstring. At tau = 0 they are l_k, g_k and H_k as given."""
+    if tau == 0:
+        return loglik, gradients, hessians
+    # I + tau^2 H_k is positive definite for a PSD H_k
+    a = np.eye(hessians.shape[-1]) + tau**2 * hessians
+    slope = (np.linalg.inv(a) @ gradients[..., None])[..., 0]
+    half_logdet = 0.5 * np.linalg.slogdet(a)[1]
+    value = loglik + 0.5 * tau**2 * np.einsum("ki,ki->k", gradients, slope) - half_logdet
+    curvature = np.linalg.solve(a, hessians)
+    return value, slope, 0.5 * (curvature + curvature.swapaxes(1, 2))
 
 
 def _check_prior(pi: np.ndarray, shape: tuple[int, ...]) -> None:
@@ -421,75 +393,49 @@ class EmRunReport:
     dropped_sources: tuple[int, ...] = ()
 
 
-def _laplace_factor(hess: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
-    """(I + tau^2 H)^{-1} and (1/2) logdet(I + tau^2 H), batched over
-    leading axes; I + tau^2 H is positive definite for a PSD H."""
-    a = np.eye(hess.shape[-1]) + tau**2 * hess
-    return np.linalg.inv(a), 0.5 * np.linalg.slogdet(a)[1]
-
-
-def _laplace(value, grad, factor, tau: float):
-    """Laplace relevant marginal from the loglik and gradient at theta
-    and the ``_laplace_factor`` of the PSD Hessian there, batched over
-    leading axes:
-
-        value + (tau^2/2) g' (I + tau^2 H)^{-1} g - (1/2) logdet(I + tau^2 H)
-
-    At tau = 0 ``value`` is returned as it is.
-    """
-    if tau == 0:
-        return value
-    inverse, half_logdet = factor
-    solved = (inverse @ grad[..., None])[..., 0]
-    quad = 0.5 * tau**2 * np.einsum("...i,...i->...", grad, solved)
-    return value + quad - half_logdet
-
-
 def relevant_marginal_loglik(
     model: LikelihoodFamily, data: Dataset, theta: np.ndarray, tau: float
 ) -> float:
     """Laplace-approximated log marginal of a dataset near theta.
 
     Integrates the likelihood against an isotropic Gaussian of spread
-    tau centered at theta, using the curvature at theta (see
-    ``_laplace``). At tau = 0 this is the plain log-likelihood, bit
-    for bit.
+    tau centered at theta: the step's quadratic c + b'delta - (1/2)
+    delta' C delta around the dataset's MLE (``model.summarize``), so a
+    dataset whose MLE is singular raises ``SingularFitError``. At tau = 0
+    this is the plain log-likelihood, bit for bit.
     """
     if not (tau >= 0 and _is_finite(tau, 2)):
         raise InvalidConfigurationError(
             f"tau must be >= 0 with a finite square, got {tau}", key="tau"
         )
-    value = float(model.loglik(theta, data))
-    grad = np.asarray(model.gradient(theta, data), dtype=float)
-    hess = clamp_psd(model.hessian(theta, data))
-    factor = _laplace_factor(hess, tau) if tau else None
-    out = float(_laplace(value, grad, factor, tau))
+    if tau == 0:
+        out = float(model.loglik(theta, data))
+    else:
+        theta = model._check_theta(theta)
+        center, value, slope, curvature = model.summarize(data)
+        terms = _laplace_terms(np.array([value]), slope[None], curvature[None], tau)
+        out = float(_expand(theta, center[None], *terms)[0])
     if not np.isfinite(out):
         raise NonFiniteLikelihoodError("marginal log-likelihood is not finite")
     return out
 
 
 @dataclass(eq=False)
-class _Step:
-    """One EM run's constants, and an iteration's steps.
+class EmStep:
+    """One EM step on one collection's statistics under one ``EmConfig``.
 
-    On one collection's statistics each constant is built on first use
-    and then held, so an iteration is only the array work that depends
-    on theta and the weights; theta, the weights and pi may carry
-    leading axes, over which every step broadcasts. :meth:`stack` puts
-    several collections' constants on a leading row axis, one row per
+    Each constant :meth:`beta`, :meth:`e_step`, :meth:`null` and
+    :meth:`m_step` read is built on first use and then held. ``pi`` is
+    the prior the E-step corrects; ``sources`` are the sources (from 1)
+    the null scores, all by default. :meth:`stack` puts several
+    collections' constants on a leading row axis, one row per
     (collection, prior) pair, and :meth:`take` slices them when rows
     freeze: the row axis lives on this object only.
     """
 
     stats: SufficientStats | None  # None on a stack
+    config: EmConfig = field(default_factory=EmConfig)
     pi: np.ndarray | None = None
-    tau: float = 0.0
-    nu: float = 0.0
-    mode: str = "trace_exact"
-    variant: str = "exact_hessian_reuse"
-    null_spec: NullSpec = NullSpec()
-    # the sources the null scores, indexed from 1; all of them by default
     sources: np.ndarray | None = None
 
     def __post_init__(self):
@@ -500,10 +446,10 @@ class _Step:
     def _run_constants(self) -> list[str]:
         # what an EM run reads, in the order its loop first reads it
         names = ["eps", "marginal", "null_part"]
-        return names + ["surrogate" if self.variant == "small_tau_surrogate" else "blend"]
+        return names + ["surrogate" if self.config.variant == "small_tau_surrogate" else "blend"]
 
     @classmethod
-    def stack(cls, steps: Sequence["_Step"], index: Sequence[int], pi) -> "_Step":
+    def stack(cls, steps: Sequence["EmStep"], index: Sequence[int], pi) -> "EmStep":
         """R rows on a leading axis: row r reads ``steps[index[r]]`` from
         the prior ``pi[r]``. Each step builds the run's constants once,
         here, however many rows read it; the steps must share one source
@@ -525,7 +471,7 @@ class _Step:
                 out.__dict__[name] = np.stack(parts)[index]
         return out
 
-    def take(self, rows) -> "_Step":
+    def take(self, rows) -> "EmStep":
         """The stack of the selected rows (an index array or a mask)."""
         out = replace(self, pi=self.pi[rows])
         for name in ("prior_logit", *self._run_constants()):
@@ -537,18 +483,47 @@ class _Step:
 
     @cached_property
     def eps(self) -> np.ndarray:
-        return self.stats._tempering_scale(self.mode)
+        """Per-source tempering scales eps_k.
+
+        eps_k^2 is the relative information of source k against the
+        target: Tr(H0^{-1} H_k) in trace_exact mode, d N_k / N0 in
+        fisher_ratio mode (see ``EmConfig.tempering_mode``). A singular
+        target Hessian downgrades trace_exact to fisher_ratio with a
+        warning.
+        """
+        stats = self.stats
+        eps_sq = stats.dim * stats.sizes[1:] / stats.sizes[0]
+        if self.config.tempering_mode == "trace_exact":
+            try:
+                # H0 = U'U. The upper factor decides singularity as
+                # LAPACK's potrf('U') does; on clamped rank-deficient
+                # spline Hessians the lower factor fails on a different
+                # set of matrices
+                upper = np.linalg.cholesky(stats.hessians[0], upper=True)
+            except np.linalg.LinAlgError:
+                warnings.warn(
+                    "target Hessian is singular; tempering falls back to "
+                    "the fisher_ratio scale",
+                    RuntimeWarning,
+                )
+            else:
+                # H0^{-1} H_k through the factor, for the source Hessians
+                # side by side: an LU solve of a nearly singular H0 can
+                # meet an exactly zero pivot where the factor has none
+                d, n = stats.dim, stats.n_sources
+                blocks = np.hstack(stats.hessians[1:])
+                solved = np.linalg.solve(upper, np.linalg.solve(upper.T, blocks))
+                eps_sq = np.trace(solved.reshape(d, n, d), axis1=0, axis2=2)
+        return np.maximum(np.sqrt(np.maximum(eps_sq, 0.0)), 1e-12)
 
     @cached_property
     def marginal(self) -> tuple[np.ndarray, ...]:
-        """Each source's theta_k, c_k, b_k and the blend's C_k; see the module docstring."""
-        stats, tau = self.stats, self.tau
-        value, slope = stats.loglik_hat[1:], stats.gradients[1:]
-        if tau:
-            inverse, half_logdet = _laplace_factor(stats.hessians[1:], tau)
-            grad, slope = slope, (inverse @ slope[..., None])[..., 0]
-            value = value + 0.5 * tau**2 * np.einsum("ki,ki->k", grad, slope) - half_logdet
-        return stats.theta_hat[1:], value, slope, self.blend[1:, :, :-1]
+        """Each source's theta_k, c_k, b_k and C_k, in ``_expand``'s order."""
+        stats = self.stats
+        terms = _laplace_terms(
+            stats.loglik_hat[1:], stats.gradients[1:], stats.hessians[1:], self.config.tau
+        )
+        return (stats.theta_hat[1:], *terms)
 
     @cached_property
     def prior_logit(self) -> np.ndarray:
@@ -562,11 +537,11 @@ class _Step:
     def null_part(self) -> np.ndarray:
         """The scored sources' pooled-MLE likelihoods or fixed-table
         values, or their columns of ``stats.mixture_table``."""
-        stats, ks = self.stats, self.sources
-        if self.null_spec.kind == "fixed":
-            table = _table_lookup(self.null_spec.table, range(1, stats.n_sources + 1))
+        stats, ks, null_spec = self.stats, self.sources, self.config.null_spec
+        if null_spec.kind == "fixed":
+            table = _table_lookup(null_spec.table, range(1, stats.n_sources + 1))
             return table[ks - 1]
-        if self.null_spec.kind == "parametric_pooled":
+        if null_spec.kind == "parametric_pooled":
             return stats.expand(stats.pooled_theta)[ks]
         if stats.n_sources < 2:
             raise InvalidConfigurationError(
@@ -580,8 +555,11 @@ class _Step:
 
     @cached_property
     def blend(self) -> np.ndarray:
-        blocks, pulls = self.stats._blend_terms(self.tau)
-        return np.concatenate([blocks, pulls[..., None]], axis=-1)
+        """The exact M-step's rows [H0 | H0 theta_0] and [C_k | C_k theta_k]."""
+        h0, theta_hat, blocks = self.stats.hessians[0], self.stats.theta_hat, self.marginal[3]
+        pulls = [(h0 @ theta_hat[0])[None], (blocks @ theta_hat[1:, :, None])[..., 0]]
+        rows = np.concatenate([h0[None], blocks])
+        return np.concatenate([rows, np.concatenate(pulls)[..., None]], axis=-1)
 
     @cached_property
     def surrogate(self) -> tuple[np.ndarray, ...]:
@@ -593,21 +571,19 @@ class _Step:
 
     def beta(self, t: int) -> np.ndarray:
         """The tempering multipliers (1 - exp(-nu t)) / eps_k."""
-        ramp = -np.expm1(-self.nu * t)
+        ramp = -np.expm1(-self.config.nu * t)
         if ramp == 0.0:
             return np.zeros(self.stats.n_sources)
         return ramp / self.eps
 
     def e_step(self, beta: np.ndarray, theta: np.ndarray, prev: np.ndarray) -> np.ndarray:
-        """See :func:`e_step`; ``prev`` is the previous weights."""
+        """See :func:`e_step`; ``prev`` is the previous weights. theta is
+        a float array."""
         prior_logit = self.prior_logit
         if not beta.any():
             return self.pi.copy()
         prev = np.minimum(np.maximum(prev, WEIGHT_CLAMP), 1.0 - WEIGHT_CLAMP)
-        center, value, slope, curvature = self.marginal
-        dev = theta[..., None, :] - center
-        curv = np.einsum("...kij,...kj->...ki", curvature, dev)
-        rel = value + np.einsum("...ki,...ki->...k", slope - 0.5 * curv, dev)
+        rel = _expand(theta, *self.marginal)
         ratio = rel - self.null(prev, check=False)
         if not np.isfinite(ratio).all():
             # the first fault in order: the marginal, the null, the ratio
@@ -620,7 +596,7 @@ class _Step:
         """See :func:`null_loglik`; a ``prev`` of 1 divides by zero in the
         log. Unchecked, a degenerate mixture column reads nan."""
         scores = self.null_part
-        if self.null_spec.kind != "empirical_bayes_mixture":
+        if self.config.null_spec.kind != "empirical_bayes_mixture":
             return scores
         terms = np.log(1.0 - prev)[..., :, None] + scores
         peak = terms.max(axis=-2)
@@ -639,7 +615,7 @@ class _Step:
 
     def m_step(self, weights: np.ndarray) -> np.ndarray:
         """The blended theta for weights of one shape per step."""
-        if self.variant == "small_tau_surrogate":
+        if self.config.variant == "small_tau_surrogate":
             n0, pull0, sizes, sources = self.surrogate
             mass = weights * sizes
             numer = pull0 + (mass[..., None, :] @ sources)[..., 0, :]
@@ -671,10 +647,9 @@ def null_loglik(
     """
     if not 1 <= k <= stats.n_sources:
         raise InvalidConfigurationError(f"source index {k} out of range", key="k")
-    prev = np.asarray(weights_prev, dtype=float)
+    step = EmStep(stats, EmConfig(null_spec=null_spec), sources=np.array([k]))
     with np.errstate(divide="ignore"):
-        scores = _Step(stats, null_spec=null_spec, sources=np.array([k])).null(prev)
-    return float(scores[0])
+        return float(step.null(np.asarray(weights_prev, dtype=float))[0])
 
 
 def tempering_schedule(
@@ -682,8 +657,8 @@ def tempering_schedule(
 ) -> np.ndarray:
     """Per-source tempering multipliers beta_k at iteration t.
 
-    beta_k = (1 - exp(-nu t)) / eps_k, with eps_k from
-    ``SufficientStats._tempering_scale``.
+    beta_k = (1 - exp(-nu t)) / eps_k, with eps_k from ``EmStep.eps``
+    in the given mode.
     """
     if t < 0:
         raise InvalidConfigurationError("t must be >= 0", key="t")
@@ -691,7 +666,8 @@ def tempering_schedule(
         raise InvalidConfigurationError(
             f"unknown tempering_mode {mode!r}", key="tempering_mode"
         )
-    return _Step(stats, nu=nu, mode=mode).beta(t)
+    variant = "exact_hessian_reuse" if mode == "trace_exact" else "small_tau_surrogate"
+    return EmStep(stats, EmConfig(nu=nu, variant=variant)).beta(t)
 
 
 def _name_non_finite(values: np.ndarray, what: str) -> None:
@@ -719,7 +695,7 @@ def e_step(
     the weights, beta and pi may carry leading axes (several priors on
     one collection, say), over which the step broadcasts.
     """
-    step = _Step(stats, np.asarray(pi, dtype=float), config.tau, null_spec=config.null_spec)
+    step = EmStep(stats, config, np.asarray(pi, dtype=float))
     beta, prev = np.asarray(state.beta, dtype=float), np.asarray(state.weights, dtype=float)
     with np.errstate(invalid="ignore"):  # as in run_em_rows
         return step.e_step(beta, np.asarray(state.theta, dtype=float), prev)
@@ -751,12 +727,11 @@ def m_step_exact(
     with C_k = (I + tau^2 H_k)^{-1} H_k, which is the normal-equation
     form of the blend theta = (I + sum Lambda_k)^{-1}(theta0 +
     sum Lambda_k theta_k), Lambda_k = w_k H0^{-1} C_k, multiplied
-    through by H0. The blocks and pulls come from
-    ``SufficientStats._blend_terms``, once per tau; an iteration forms
-    one weighted sum of their table and makes one d x d solve per
-    leading index of the weights, no explicit inverses.
+    through by H0. The blocks and pulls come from ``EmStep.blend``; the
+    step forms one weighted sum of their table and makes one d x d solve
+    per leading index of the weights, no explicit inverses.
     """
-    return _Step(stats, tau=tau).m_step(np.asarray(weights, dtype=float))
+    return EmStep(stats, EmConfig(tau=tau)).m_step(np.asarray(weights, dtype=float))
 
 
 def m_step_surrogate(
@@ -764,7 +739,7 @@ def m_step_surrogate(
 ) -> np.ndarray:
     """Sample-size weighted average of the target and source MLEs:
     (N0 theta_0 + sum_k w_k N_k theta_k) / (N0 + sum_k w_k N_k)."""
-    step = _Step(stats, variant="small_tau_surrogate")
+    step = EmStep(stats, EmConfig(variant="small_tau_surrogate"))
     return step.m_step(np.asarray(weights, dtype=float))
 
 
@@ -865,7 +840,7 @@ def run_em_rows(
     in :func:`run_em`. Row r = (c, pi) runs EM on ``collections[c]``
     from the prior ``pi``, so rows may share a collection; its
     statistics, and the run's constants on them, are built once, in
-    one ``_Step`` per collection that ``_Step.stack`` puts on the row
+    one ``EmStep`` per collection that ``EmStep.stack`` puts on the row
     axis. Every row's prior is checked before any dataset is read.
     Empty sources are dropped per collection; the rows must then share
     one shape (K, d), or ``InvalidConfigurationError`` is raised.
@@ -893,12 +868,8 @@ def run_em_rows(
         _check_collection(collections[c])
         _check_prior(pi, (len(collections[c]) - 1,))
     prepared = [_prepare(datasets, model, config) for datasets in collections]
-    step = _Step.stack(
-        [
-            _Step(stats, None, config.tau, config.nu, config.tempering_mode,
-                  config.variant, kept_config.null_spec)
-            for stats, _, _, kept_config in prepared
-        ],
+    step = EmStep.stack(
+        [EmStep(stats, kept_config) for stats, _, _, kept_config in prepared],
         [c for c, _ in rows],
         [pi[[k - 1 for k in prepared[c][1]]] for c, pi in rows],
     )

@@ -71,7 +71,7 @@ class TransportConfig:
         url = os.environ.get(API_URL_ENV, "") or self.base_url
         if not url:
             raise InvalidConfigurationError(
-                f"no endpoint configured; set {API_URL_ENV} or base_url"
+                f"no endpoint configured; set {API_URL_ENV} or base_url", key=API_URL_ENV
             )
         return url
 

@@ -294,6 +294,16 @@ class Lip:
                 raise ParseError(f"{path}: mixes alpha_ and pi_ entries on line {lineno}", lineno)
             if number in entries:
                 raise ParseError(f"{path}: repeated {prefix}_{number} on line {lineno}", lineno)
+            if not math.isfinite(val):
+                raise ParseError(f"{path}: {name} must be finite, got {val} on line {lineno}", lineno)
+            if prefix == "pi" or number:  # alpha_0 is the null's worth, not a prior
+                prob = val if prefix == "pi" else _expit(val)
+                if not 0.0 < prob < 1.0:
+                    raise ParseError(
+                        f"{path}: {name}={val!r} on line {lineno} gives prior probability "
+                        f"{prob!r}, not strictly inside (0, 1)",
+                        lineno,
+                    )
             entries[number] = val
         need = f"{path}: K on line {header_line} needs"
         if alpha:
@@ -435,8 +445,13 @@ def _check_settings(**settings) -> None:
             raise InvalidConfigurationError(
                 f"{name} must be {noun}, got {value!r}", key=name
             )
-    if not 0.0 < settings["p0"] < 1.0:
-        raise InvalidConfigurationError("p0 must lie strictly in (0, 1)", key="p0")
+    # the fit starts every source at logit(p0), and its sigmoid must stay
+    # a probability the prior can hold
+    p0 = settings["p0"]
+    if not (0.0 < p0 < 1.0 and 0.0 < _expit(_logit(p0)) < 1.0):
+        raise InvalidConfigurationError(
+            f"p0 must lie strictly in (0, 1), also through its logit, got {p0!r}", key="p0"
+        )
     if not settings["eps"] >= 0.0:
         raise InvalidConfigurationError("eps must be nonnegative", key="eps")
 
@@ -803,7 +818,7 @@ def _judge(alpha: np.ndarray, blocks, count: int, gen: np.random.Generator) -> n
     one such call per query.
     """
     if not np.all(np.isfinite(alpha)):
-        raise InvalidConfigurationError("simulated worths must be finite")
+        raise InvalidConfigurationError("simulated worths must be finite", key="alpha")
     draws = gen.random(count)
     chosen = np.zeros(count, dtype=int)
     for rows, options in blocks:

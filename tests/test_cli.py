@@ -1519,6 +1519,25 @@ class TestSplineModelSection:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_target_without_two_columns_is_a_parse_error(self, tmp_path, capsys, width):
+        # a spline reads (input, response) rows; the sources match the
+        # target's width, so the target file is the one named
+        target, source = tmp_path / "t.txt", tmp_path / "s.txt"
+        np.savetxt(target, np.arange(3.0 * width).reshape(3, width))
+        np.savetxt(source, np.arange(4.0 * width).reshape(4, width))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": {"kind": "spline_glm", "knots": [0.0, 2.0, 4.0]}}))
+        out = tmp_path / "report.txt"
+        argv = ["run-em", "--target", str(target), "--sources", str(source), str(source),
+                "--config", str(cfg), "--out", str(out)]
+        assert dispatch(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: parse:") and err.count("\n") == 1
+        assert f"{target} has {width} columns" in err
+        assert not out.exists()
+
+
 class TestConfigValueFaults:
     """Numbers whose square overflows, non-finite numbers, and sweep,
     generator and covariance values out of range: each is one error

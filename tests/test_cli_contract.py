@@ -56,10 +56,13 @@ def _run(argv) -> int:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
             warnings.catch_warnings(record=True):
         code = dispatch(argv)
-    # a failure is one error line, never a traceback
+    # a failure is one error line, never a traceback, and a
+    # configuration fault names its key
     if code != 0:
         assert err.getvalue().startswith("error:")
         assert err.getvalue().count("\n") == 1
+    if code == 3:
+        assert "[key: " in err.getvalue()
     return code
 
 
@@ -67,6 +70,8 @@ def _run(argv) -> int:
 @given(alpha=flag_text, sizes=flag_text)
 @example(alpha="0,x", sizes="2")
 @example(alpha="0,1,1", sizes="1,y")
+@example(alpha="0,nan,1", sizes="1")
+@example(alpha="0,1", sizes="1,,")
 def test_simulate_oracle_list_flags_keep_the_contract(alpha, sizes):
     with tempfile.TemporaryDirectory() as tmp:
         argv = ["simulate-oracle", f"--alpha={alpha}", f"--sizes={sizes}",
@@ -78,6 +83,8 @@ def test_simulate_oracle_list_flags_keep_the_contract(alpha, sizes):
 @given(cutoff=flag_text, engines=flag_text)
 @example(cutoff="0.5,abc", engines="1")
 @example(cutoff="0.5", engines="1,x")
+@example(cutoff=",", engines="1")
+@example(cutoff="0.5", engines=",")
 def test_cmapss_list_flags_keep_the_contract(cutoff, engines):
     with tempfile.TemporaryDirectory() as tmp:
         argv = ["bench", "cmapss", "--data", str(Path(tmp) / "absent"),
@@ -90,6 +97,7 @@ def test_cmapss_list_flags_keep_the_contract(cutoff, engines):
 @given(doc=documents)
 @example(doc={"lip": {"tol": -1.0, "max_iters": 10**12}})
 @example(doc={"lip": {"eps": 1e308, "max_iters": 10**12}})
+@example(doc={"lip": {"p0": 1e-320}})
 def test_any_config_document_keeps_the_contract(doc):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -104,3 +112,31 @@ def test_any_config_document_keeps_the_contract(doc):
         for argv in runs:
             code = _run([*argv, "--config", str(cfg), "--out", str(tmp / "out")])
             assert code in CONTRACT
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bench", "cmapss", "--data", "absent", "--cutoff", ","],
+        ["bench", "cmapss", "--data", "absent", "--engines", ","],
+        ["bench", "cmapss", "--data", "absent", "--engines="],
+        ["simulate-oracle", "--alpha", "0,1", "--sizes", "1,,"],
+    ],
+)
+def test_an_empty_list_field_is_a_usage_error(argv, tmp_path):
+    # an empty field never reads as the flag not given
+    assert _run([*argv, "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_elicitation_without_an_endpoint_names_its_variable(tmp_path, monkeypatch):
+    monkeypatch.delenv("LIPEM_API_URL", raising=False)
+    summaries = tmp_path / "summaries.json"
+    summaries.write_text(json.dumps({"1": "first", "2": "second"}), encoding="utf-8")
+    argv = ["elicit", "--summaries", str(summaries), "--context", "pick one",
+            "--sizes", "1", "--count", "2", "--out", str(tmp_path / "records.txt")]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert dispatch(argv) == 3
+    assert err.getvalue().startswith("error:")
+    assert err.getvalue().endswith("[key: LIPEM_API_URL]\n")

@@ -43,6 +43,7 @@ from lipem.errors import (
     InvalidConfigurationError,
     LipemError,
     NonFiniteLikelihoodError,
+    SingularFitError,
 )
 from lipem.likelihood import Dataset, GaussianMeanModel, SplineGlmModel, clamp_psd
 
@@ -55,6 +56,43 @@ def gaussian_stats(rng, means, sizes, dim=1, sigma=1.0):
         for mean, n in zip(means, sizes)
     ]
     return model, datasets, build_sufficient_stats(model, datasets)
+
+
+def model_path_marginal(model, data, theta, tau):
+    """The Laplace relevant marginal from ``model.loglik``, ``gradient`` and
+    ``hessian`` at theta, the reference for the step's quadratic:
+
+        loglik + (tau^2/2) g'(I + tau^2 H)^{-1} g - (1/2) logdet(I + tau^2 H).
+
+    Its g'Fg term cancels against the loglik and loses digits with the
+    condition of I + tau^2 H, so it is a reference on well-conditioned
+    data only.
+    """
+    value = float(model.loglik(theta, data))
+    if tau == 0:
+        return value
+    grad = np.asarray(model.gradient(theta, data), dtype=float)
+    a = np.eye(grad.size) + tau**2 * clamp_psd(model.hessian(theta, data))
+    solved = np.linalg.inv(a) @ grad
+    return value + 0.5 * tau**2 * (grad @ solved) - 0.5 * np.linalg.slogdet(a)[1]
+
+
+def counting(calls, name, fn):
+    """``fn``, counting each call in ``calls[name]``."""
+
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+def count_step_builds(monkeypatch, calls, *names):
+    """Count each build of the named cached properties of ``EmStep``."""
+    for name in names:
+        prop = functools.cached_property(counting(calls, name, getattr(em.EmStep, name).func))
+        prop.__set_name__(em.EmStep, name)
+        monkeypatch.setattr(em.EmStep, name, prop)
 
 
 class TestRelevantMarginal:
@@ -145,6 +183,48 @@ class TestRelevantMarginal:
         mc_se = weights.std(ddof=1) / (weights.mean() * np.sqrt(weights.size))
         got = relevant_marginal_loglik(model, data, theta, tau)
         assert abs(got - mc_value) <= 3.0 * mc_se
+
+    @pytest.mark.parametrize("tau", [0.1, 2.0])
+    def test_matches_extended_precision_on_an_ill_conditioned_spline(self, tau):
+        # a narrow noise and a strong ridge make I + tau^2 H ill conditioned,
+        # where a marginal built from the loglik and gradient at theta
+        # cancels digits (1e-12 to 8e-11 off); the quadratic around the
+        # MLE holds them. The reference is the same Laplace formula on the
+        # data, in 60-digit arithmetic
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 60
+        rng = np.random.default_rng(42)
+        x = rng.uniform(0.0, 10.0, 40)
+        y = 2.0 + 1.1 * x + rng.normal(0.0, 0.7, 40)
+        data = Dataset(np.column_stack([x, y]))
+        model = SplineGlmModel(np.linspace(0.0, 10.0, 4), noise_variance=0.5, ridge=5.0)
+        theta = model.mle(data) + 0.5
+        knots, var, tau_mp = list(map(mp.mpf, model.knots)), mp.mpf(0.5), mp.mpf(tau)
+        rows = []
+        for xv in map(mp.mpf, x):
+            cube = [max(xv - k, 0) ** 3 for k in knots]
+            d = [(cube[j] - cube[-1]) / (knots[-1] - knots[j]) for j in range(len(knots) - 1)]
+            rows.append([mp.mpf(1), xv] + [dj - d[-1] for dj in d[:-1]])
+        design = mp.matrix(rows)
+        resid = mp.matrix(list(map(mp.mpf, y))) - design * mp.matrix(list(map(mp.mpf, theta)))
+        loglik = -sum(r**2 for r in resid) / (2 * var) - len(x) * mp.log(2 * mp.pi * var) / 2
+        grad = design.T * resid / var
+        a = mp.eye(len(knots)) + tau_mp**2 * (design.T * design) / var
+        solved = mp.lu_solve(a, grad)
+        quad = sum(g * v for g, v in zip(grad, solved))
+        expected = loglik + tau_mp**2 / 2 * quad - mp.log(mp.det(a)) / 2
+        got = relevant_marginal_loglik(model, data, theta, tau)
+        assert abs((got - expected) / expected) <= 1e-14
+
+    def test_a_singular_fit_is_refused_once_the_spread_is_positive(self):
+        # two points cannot fix four unpenalised spline coefficients; the
+        # marginal expands around the MLE, which does not exist
+        model = SplineGlmModel(np.linspace(0.0, 10.0, 4))
+        data = Dataset(np.array([[1.0, 0.5], [2.0, 0.7]]))
+        theta = np.full(4, 0.1)
+        assert relevant_marginal_loglik(model, data, theta, 0.0) == model.loglik(theta, data)
+        with pytest.raises(SingularFitError):
+            relevant_marginal_loglik(model, data, theta, 0.5)
 
     def test_non_finite_loglik_raises(self):
         model = GaussianMeanModel(1)
@@ -253,9 +333,9 @@ class TestNullLoglik:
             peak = terms.max(axis=-2)
             total = np.exp(terms - peak[..., None, :]).sum(axis=-2)
             expected = np.log(total) + peak - math.log(k - 1)
-            step = em._Step(stats, null_spec=NullSpec())
+            step = em.EmStep(stats)
             np.testing.assert_array_equal(step.null(prev), expected)
-            stack = em._Step.stack([step], [0, 0], np.full((2, k), 0.5))
+            stack = em.EmStep.stack([step], [0, 0], np.full((2, k), 0.5))
             np.testing.assert_array_equal(stack.null(prev), expected)
             for j in (1, k):
                 assert null_loglik(NullSpec(), j, stats, prev[0]) == expected[0, j - 1]
@@ -289,7 +369,7 @@ class TestNullLoglik:
         )
         prev = np.array([0.2, 0.3, 0.4])
         with pytest.raises(DegenerateNullError) as err:
-            em._Step(stats, null_spec=NullSpec()).null(prev)
+            em.EmStep(stats).null(prev)
         assert "source 2" in str(err.value)
         assert np.isfinite(null_loglik(NullSpec(), 1, stats, prev))
 
@@ -389,7 +469,7 @@ class TestTemperingSchedule:
             )
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                eps = stats._tempering_scale("trace_exact")[0]
+                eps = em.EmStep(stats).eps[0]
             fired = any(issubclass(w.category, RuntimeWarning) for w in caught)
             try:
                 factor = cho_factor(h0)
@@ -539,10 +619,8 @@ class TestEStep:
             ]
         else:
             # a strong ridge keeps the gradients at the MLEs away from
-            # zero. The scalar path's (tau^2/2) g'F g cancels against its
-            # loglik and loses digits with the condition of I + tau^2 H, so
-            # a wide noise keeps it within 1e-12 (at noise 0.5 and tau = 2
-            # it is 7e-11 off a 50-digit value; the step, 1e-15)
+            # zero, and a wide noise keeps I + tau^2 H well conditioned,
+            # where the model-path reference holds 1e-12
             model = SplineGlmModel(np.linspace(0.0, 10.0, 4), noise_variance=50.0, ridge=5.0)
             datasets = []
             for n, slope in ((12, 1.0), (40, 1.1), (40, -0.5), (40, 0.9)):
@@ -553,17 +631,23 @@ class TestEStep:
         k, d = stats.n_sources, stats.dim
         spec = NullSpec("fixed", {j: 0.0 for j in range(1, k + 1)})
         pi, ones = np.full((6, k), 0.5), np.ones((6, k))
-        step = em._Step(stats, pi[0], tau, null_spec=spec)
+        step = em.EmStep(stats, EmConfig(tau=tau, null_spec=spec), pi[0])
         assert not step.prior_logit.any()
         thetas = stats.theta_hat[0] + rng.normal(0.0, 0.5, size=(6, d))
         rel = step.e_step(ones, thetas, pi)
         expected = [
-            [relevant_marginal_loglik(model, datasets[j], theta, tau) for j in range(1, k + 1)]
+            [model_path_marginal(model, datasets[j], theta, tau) for j in range(1, k + 1)]
             for theta in thetas
         ]
         np.testing.assert_allclose(rel, expected, rtol=1e-12)
+        # the public marginal is the same quadratic
+        public = [
+            [relevant_marginal_loglik(model, datasets[j], theta, tau) for j in range(1, k + 1)]
+            for theta in thetas
+        ]
+        np.testing.assert_allclose(rel, public, rtol=1e-15)
         # the loop's stack of the same rows reads the same bits
-        stack = em._Step.stack([step], [0] * 6, pi)
+        stack = em.EmStep.stack([step], [0] * 6, pi)
         np.testing.assert_array_equal(stack.e_step(ones, thetas, pi), rel)
         if tau == 0:
             quadratic = stats.theta_hat, stats.loglik_hat, stats.gradients, stats.hessians
@@ -586,7 +670,7 @@ class TestEStep:
         stats = self._stats_with(base, loglik_hat=loglik_hat)
         prev = np.full(3, 0.5)
         with pytest.raises(DegenerateNullError, match="source 2"):
-            em._Step(stats).null(prev)
+            em.EmStep(stats).null(prev)
         state = EmState(theta=np.zeros(1), weights=prev, t=1, beta=np.ones(3))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -626,7 +710,7 @@ class TestEStep:
         loglik_hat[1] = -1e308
         stats = self._stats_with(base, loglik_hat=loglik_hat)
         spec = NullSpec("fixed", {1: 1e308, 2: -30.0})
-        step = em._Step(stats, np.full(2, 0.5), 0.1, null_spec=spec)
+        step = em.EmStep(stats, EmConfig(tau=0.1, null_spec=spec), np.full(2, 0.5))
         with np.errstate(over="ignore"):
             with pytest.raises(NonFiniteLikelihoodError, match="log-ratio") as err:
                 step.e_step(np.ones(2), stats.theta_hat[1], np.full(2, 0.5))
@@ -826,6 +910,21 @@ class TestEmConfigValidation:
             EmConfig(**kwargs)
         assert err.value.key == key
 
+    @pytest.mark.parametrize("value", [-1.0, math.nan])
+    def test_public_steps_refuse_what_the_config_refuses(self, value):
+        # each public step is one EmStep call, so its tau or nu passes
+        # EmConfig's checks
+        rng = np.random.default_rng(42)
+        _, _, stats = gaussian_stats(rng, [0.0, 1.0, 2.0], [4, 20, 20])
+        calls = {
+            "tau": lambda: m_step_exact(stats, np.full(2, 0.5), tau=value),
+            "nu": lambda: tempering_schedule(3, stats, "fisher_ratio", value),
+        }
+        for key, call in calls.items():
+            with pytest.raises(InvalidConfigurationError) as err:
+                call()
+            assert err.value.key == key
+
     def test_unknown_null_kind_rejected(self):
         with pytest.raises(InvalidConfigurationError):
             NullSpec("bootstrap")
@@ -977,22 +1076,12 @@ class TestRunEm:
         assert model.calls == {"loglik": 4, "gradient": 4, "hessian": 4}
 
     def test_run_constants_are_built_once(self, monkeypatch):
-        # the Laplace factors, the M-step blocks, the tempering scales
+        # the Laplace terms, the M-step blocks, the tempering scales
         # and the prior logit depend on the run, not on the iterate
         calls = Counter()
-
-        def counting(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-
-            return wrapper
-
-        monkeypatch.setattr(em, "_laplace_factor", counting("laplace", em._laplace_factor))
-        monkeypatch.setattr(em, "logit", counting("logit", em.logit))
-        for name in ("_blend_terms", "_tempering_scale"):
-            original = getattr(SufficientStats, name)
-            monkeypatch.setattr(SufficientStats, name, counting(name, original))
+        monkeypatch.setattr(em, "_laplace_terms", counting(calls, "laplace", em._laplace_terms))
+        monkeypatch.setattr(em, "logit", counting(calls, "logit", em.logit))
+        count_step_builds(monkeypatch, calls, "blend", "eps")
         rng = np.random.default_rng(42)
         model = GaussianMeanModel(2)
         datasets = [Dataset(rng.normal(m, 1.0, size=(n, 2))) for m, n in
@@ -1000,9 +1089,7 @@ class TestRunEm:
         config = EmConfig(tau=0.1, nu=6e-5, max_iters=100, tol=1e-15)
         _, report = run_em(datasets, model, [0.5, 0.5, 0.5], config)
         assert report.iterations == 100
-        assert calls == {
-            "laplace": 1, "logit": 1, "_blend_terms": 1, "_tempering_scale": 1
-        }
+        assert calls == {"laplace": 1, "logit": 1, "blend": 1, "eps": 1}
 
     @pytest.mark.parametrize("pi", [[0.5, np.nan], [0.5, 1.0], [0.0, 0.5], [0.5]])
     def test_prior_checked_before_any_dataset_is_read(self, pi):
@@ -1222,26 +1309,12 @@ class TestRowAxis:
         # built once per collection, not per row, and a row that freezes
         # keeps the others' constants instead of rebuilding them
         calls = Counter()
-
-        def counting(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-
-            return wrapper
-
-        monkeypatch.setattr(em, "_laplace_factor", counting("laplace", em._laplace_factor))
-        monkeypatch.setattr(em, "logit", counting("logit", em.logit))
-        for name in ("_blend_terms", "_tempering_scale"):
-            original = getattr(SufficientStats, name)
-            monkeypatch.setattr(SufficientStats, name, counting(name, original))
-        monkeypatch.setattr(em._Step, "take", counting("take", em._Step.take))
+        monkeypatch.setattr(em, "_laplace_terms", counting(calls, "laplace", em._laplace_terms))
+        monkeypatch.setattr(em, "logit", counting(calls, "logit", em.logit))
+        monkeypatch.setattr(em.EmStep, "take", counting(calls, "take", em.EmStep.take))
         # the mixture null's column copy is made by the step's null_part,
         # the marginal's theta_k, c_k, b_k and C_k by its marginal
-        for name in ("null_part", "marginal"):
-            prop = functools.cached_property(counting(name, getattr(em._Step, name).func))
-            prop.__set_name__(em._Step, name)
-            monkeypatch.setattr(em._Step, name, prop)
+        count_step_builds(monkeypatch, calls, "eps", "blend", "null_part", "marginal")
         rng = np.random.default_rng(42)
         collections = [_collection(rng, 3, 2), _collection(rng, 3, 2)]
         pis = [np.full(3, 0.5), np.array([1e-6, 0.999, 1e-6])]
@@ -1255,27 +1328,26 @@ class TestRowAxis:
         # copy is made once per collection and sliced with the rest
         takes = len(set(iterations)) - 1
         assert calls == {
-            "laplace": 2, "_blend_terms": 2, "_tempering_scale": 2, "logit": 1,
+            "laplace": 2, "blend": 2, "eps": 2, "logit": 1,
             "take": takes, "null_part": 2, "marginal": 2,
         }
 
     @pytest.mark.parametrize("null_kind", em.NULL_KINDS)
     def test_iterations_redo_no_laplace_work(self, monkeypatch, null_kind):
-        # the Laplace factors are taken once per collection, and no
-        # iteration expands a dataset or applies a Laplace term: the only
-        # expansion left is the null's own, the cross table or the pooled
-        # scores, once per collection
-        calls = Counter()
+        # the Laplace terms are taken once per collection, and no
+        # iteration expands a dataset: an iteration evaluates the K
+        # sources' marginal quadratics once, for every row, and the only
+        # dataset expansion is the null's own, the cross table or the
+        # pooled scores, once per collection
+        calls, centers = Counter(), Counter()
+        monkeypatch.setattr(em, "_laplace_terms", counting(calls, "laplace", em._laplace_terms))
+        expand = em._expand
 
-        def counting(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
+        def recording(theta, center, *terms):
+            centers[center.shape[-2]] += 1  # K + 1 for a dataset expansion
+            return expand(theta, center, *terms)
 
-            return wrapper
-
-        for name in ("_laplace_factor", "_laplace", "_expand"):
-            monkeypatch.setattr(em, name, counting(name, getattr(em, name)))
+        monkeypatch.setattr(em, "_expand", recording)
         rng = np.random.default_rng(42)
         collections = [_collection(rng, 3, 2) for _ in range(2)]
         table = {j: -50.0 - j for j in range(1, 4)}
@@ -1284,9 +1356,8 @@ class TestRowAxis:
         rows = [(0, np.full(3, 0.5)), (1, np.full(3, 0.3)), (1, np.full(3, 0.7))]
         got = run_em_rows(collections, GaussianMeanModel(2), rows, config)
         assert [report.iterations for _, report in got] == [30, 30, 30]
-        assert calls["_laplace_factor"] == 2
-        assert calls["_laplace"] == 0
-        assert calls["_expand"] == (0 if null_kind == "fixed" else 2)
+        assert calls["laplace"] == 2
+        assert centers == {3: 30, **({} if null_kind == "fixed" else {4: 2})}
 
     @pytest.mark.parametrize("tau", [0.0, 0.1])
     @pytest.mark.parametrize("null_kind", em.NULL_KINDS)
@@ -1297,12 +1368,12 @@ class TestRowAxis:
         # beta, weights, null scores and theta agree bit for bit
         steps = []
 
-        class Recording(em._Step):
+        class Recording(em.EmStep):
             def __post_init__(self):
                 super().__post_init__()
                 steps.append(self)
 
-        monkeypatch.setattr(em, "_Step", Recording)
+        monkeypatch.setattr(em, "EmStep", Recording)
         rng = np.random.default_rng(42)
         k, d = 4, 2
         collections = [_collection(rng, k, d) for _ in range(2)]
@@ -1376,11 +1447,7 @@ class TestRowAxis:
         theta = np.tile(np.asarray(spec.theta0) + 0.3, (3, 1))
         for config in (EmConfig(), EmConfig(tau=0.1, null_spec=NullSpec("parametric_pooled"))):
             state = EmState(theta=theta, weights=pis, t=1, beta=np.ones(pis.shape))
-            step = em._Step(
-                stats, None, config.tau, config.nu, config.tempering_mode,
-                config.variant, config.null_spec,
-            )
-            stack = em._Step.stack([step], [0, 0, 0], pis)
+            stack = em.EmStep.stack([em.EmStep(stats, config)], [0, 0, 0], pis)
             np.testing.assert_array_equal(
                 e_step(state, stats, pis, config), stack.e_step(state.beta, theta, pis)
             )
@@ -1402,12 +1469,14 @@ class TestRowAxis:
         singular = stats([np.diag([2.0, 0.0]), np.diag([3.0, 0.0]), np.diag([1.0, 0.0])])
         regular = stats([np.eye(2) * 2.0, np.diag([3.0, 1.0]), np.diag([1.0, 4.0])])
         weights = np.array([[0.3, 0.6], [0.2, 0.9]])
-        blocks, pulls = singular._blend_terms(0.1)
+        config = EmConfig(tau=0.1)
+        blend = em.EmStep(singular, config).blend
+        blocks, pulls = blend[..., :-1], blend[0, :, -1]
         with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.solve(blocks[0] + 0.3 * blocks[1] + 0.6 * blocks[2], pulls[0])
+            np.linalg.solve(blocks[0] + 0.3 * blocks[1] + 0.6 * blocks[2], pulls)
         with pytest.warns(RuntimeWarning, match="target Hessian is singular"):
-            step = em._Step.stack(
-                [em._Step(singular, tau=0.1), em._Step(regular, tau=0.1)],
+            step = em.EmStep.stack(
+                [em.EmStep(singular, config), em.EmStep(regular, config)],
                 [0, 1],
                 np.full((2, 2), 0.5),
             )

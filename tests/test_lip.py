@@ -1225,18 +1225,39 @@ class TestLipIo:
 
     @pytest.mark.parametrize("worth", ["nan", "inf", "-inf"])
     def test_non_finite_worth_rejected(self, tmp_path, worth):
+        # in a file, at its line; built directly, by Lip
         path = tmp_path / "prior.txt"
         path.write_text(f"K=1\nalpha_0={worth}\nalpha_1=0\n", encoding="utf-8")
-        with pytest.raises(InvalidConfigurationError, match="finite"):
+        with pytest.raises(ParseError, match="finite") as err:
             Lip.read(path)
+        assert err.value.line_number == 2
         with pytest.raises(InvalidConfigurationError, match="finite"):
             Lip(np.array([0.5]), "file", alpha=np.array([float(worth), 0.0]))
 
     def test_probability_outside_open_interval_rejected(self, tmp_path):
         path = tmp_path / "prior.txt"
         path.write_text("K=1\npi_1=1.0\n", encoding="utf-8")
-        with pytest.raises(InvalidConfigurationError):
+        with pytest.raises(ParseError, match="line 2") as err:
             Lip.read(path)
+        assert err.value.line_number == 2
+
+    @pytest.mark.parametrize(
+        "entry",
+        ["pi_1=1.5", "pi_1=nan", "pi_1=-0.0", "alpha_1=inf", "alpha_1=800", "alpha_1=-800"],
+    )
+    def test_an_entry_giving_no_prior_names_its_file_and_line(self, tmp_path, entry):
+        # a worth whose sigmoid rounds to 0 or 1 gives no prior either;
+        # the null's worth is not a prior, so only its finiteness counts
+        path = tmp_path / "prior.txt"
+        head = "pi_2=0.5" if entry.startswith("pi") else "alpha_0=800\nalpha_2=0"
+        path.write_text(f"K=2\n{head}\n\n{entry}\n", encoding="utf-8")
+        line = 4 if entry.startswith("pi") else 5
+        with pytest.raises(ParseError) as err:
+            Lip.read(path)
+        assert str(path) in str(err.value) and f"line {line}" in str(err.value)
+        assert err.value.line_number == line
+        path.write_text(f"K=2\n{head}\n\n{entry.split('=')[0]}=0.25\n", encoding="utf-8")
+        assert Lip.read(path).n_sources == 2
 
 
 class TestNumpyOnly:
