@@ -330,30 +330,30 @@ def baselines(
                 "prior must have one entry per source", key="lip"
             )
         priors["lip_em"] = pi
-    [out] = _baseline_rows([(target, sources)], model, em_config, priors)
+    [out] = _baseline_rows([(target, sources)], [model], em_config, priors)
     return out
 
 
 def _baseline_rows(
     collections: Sequence[tuple[Dataset, Sequence[Dataset]]],
-    model: LikelihoodFamily,
+    models: Sequence[LikelihoodFamily],
     em_config: EmConfig,
     priors: Mapping[str, np.ndarray],
 ) -> list[dict[str, np.ndarray]]:
-    """``baselines`` of each (target, sources) collection, with one EM
-    arm per named prior; every collection's arms are rows of one
-    ``run_em_rows`` call."""
+    """``baselines`` of each (target, sources) collection under its own
+    model, with one EM arm per named prior; every collection's arms are
+    rows of one ``run_em_rows`` call."""
     rows = [(i, pi) for i in range(len(collections)) for pi in priors.values()]
     fits = iter(
         run_em_rows(
             [[target, *sources] for target, sources in collections],
-            model,
+            models,
             rows,
             em_config,
         )
     )
     out = []
-    for target, sources in collections:
+    for (target, sources), model in zip(collections, models):
         estimates = {
             "target_only": np.asarray(model.mle(target), dtype=float),
             "pooled": np.asarray(model.pooled_mle([target, *sources]), dtype=float),
@@ -425,6 +425,15 @@ def _check_sweep(values: Sequence, key: str, valid=lambda v: True, want: str = "
         )
 
 
+def _check_mixture_sources(n_sources: int) -> None:
+    """The studies score sources under the mixture null, which needs two."""
+    if n_sources < 2:
+        raise InvalidConfigurationError(
+            f"n_sources must be >= 2 for the mixture null, got {n_sources}",
+            key="n_sources",
+        )
+
+
 @dataclass(frozen=True)
 class GaussianExperimentConfig:
     """Settings for the scarce-target Gaussian study.
@@ -464,10 +473,7 @@ class GaussianExperimentConfig:
                 f"curve_points must be >= 2, got {self.curve_points}",
                 key="curve_points",
             )
-        if self.n_sources < 1:
-            raise InvalidConfigurationError(
-                f"n_sources must be >= 1, got {self.n_sources}", key="n_sources"
-            )
+        _check_mixture_sources(self.n_sources)
         if not 0 <= self.n_relevant <= self.n_sources:
             raise InvalidConfigurationError(
                 f"n_relevant must lie in 0..n_sources ({self.n_sources}), "
@@ -495,9 +501,9 @@ def gaussian_experiment(
 
     Reports the MSE against theta0 of every baseline plus the oracle
     blend that knows the relevant set, and density-curve samples from
-    the first 1-d replication for plotting. Every replication and EM
-    arm of one dimension is a row of one ``run_em_rows`` call, so a
-    dimension's replications are held in memory together.
+    the first 1-d replication for plotting. Every dimension, replication
+    and EM arm is a row of one ``run_em_rows`` call, so all replications
+    are held in memory together.
     """
     config = config or GaussianExperimentConfig()
     reports: list[BenchReport] = []
@@ -523,9 +529,10 @@ def gaussian_experiment(
         [1.0 if k in relevant else 0.0 for k in range(1, config.n_sources + 1)]
     )
 
+    specs, draws, models = [], [], []
     dim_seeds = np.random.SeedSequence(config.seed).spawn(len(config.dims))
     for d, dim_seed in zip(config.dims, dim_seeds):
-        spec = HierarchicalSpec(
+        specs.append(HierarchicalSpec(
             n_sources=config.n_sources,
             relevant=relevant,
             theta0=(0.0,) * d,
@@ -534,25 +541,27 @@ def gaussian_experiment(
             n_target=config.n_target,
             n_source=config.n_source,
             seed=config.seed,
-        )
-        theta0 = np.asarray(spec.theta0)
-        model = GaussianMeanModel(d, covariance=config.sigma**2)
-        draws = [
-            generate_hierarchical(spec, np.random.default_rng(s))[:2]
+        ))
+        draws += [
+            generate_hierarchical(specs[-1], np.random.default_rng(s))[:2]
             for s in dim_seed.spawn(config.replications)
         ]
-        # every replication x arm of this dimension is one row
-        fits = _baseline_rows(draws, model, em_config, priors)
+        models += [GaussianMeanModel(d, covariance=config.sigma**2)] * config.replications
+    # every dimension x replication x arm is one row
+    fits = _baseline_rows(draws, models, em_config, priors)
+    for i, spec in enumerate(specs):
+        theta0 = np.asarray(spec.theta0)
+        block = slice(i * config.replications, (i + 1) * config.replications)
         errors: dict[str, list[float]] = {}
-        for rep, ((target, sources), estimates) in enumerate(zip(draws, fits)):
+        for rep, ((target, sources), estimates) in enumerate(zip(draws[block], fits[block])):
             estimates["oracle"] = fixed_weight_blend(target, sources, indicator)
             for method, theta in estimates.items():
                 errors.setdefault(method, []).append(_squared_error(theta, theta0))
-            if d == 1 and rep == 0:
+            if spec.dim == 1 and rep == 0:
                 curves = _density_curves(target, sources, estimates, spec, config)
         for method, values in errors.items():
             reports.append(
-                BenchReport.from_values(method, "mse", "dim", float(d), values)
+                BenchReport.from_values(method, "mse", "dim", float(spec.dim), values)
             )
     return reports, curves
 
@@ -737,6 +746,7 @@ def dichotomy_check(
     _check_sweep(n_sweep, "n_sweep", lambda n: n >= 1, ">= 1")
     _check_sweep(priors, "priors", lambda p: 0 < p < 1, "strictly inside (0, 1)")
     spec = spec or SEPARATED_SPEC
+    _check_mixture_sources(spec.n_sources)
     model = GaussianMeanModel(spec.dim, covariance=spec.sigma**2)
     config = EmConfig()
     rep_seeds = np.random.SeedSequence(spec.seed).spawn(replications)
@@ -792,6 +802,7 @@ def consistency_check(
     _check_replications(replications)
     _check_sweep(n0_sweep, "n0_sweep", lambda n: n >= 1, ">= 1")
     spec = spec or SEPARATED_SPEC
+    _check_mixture_sources(spec.n_sources)
     theta0 = np.asarray(spec.theta0)
     if pi is None:
         pi = np.full(spec.n_sources, P0)

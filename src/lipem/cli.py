@@ -577,7 +577,8 @@ def _cmd_bench_check(check, args, cfg: RunConfig) -> int:
         spec = bench.SEPARATED_SPEC
     else:
         spec = dataclasses.replace(bench.SEPARATED_SPEC, seed=args.seed)
-    with _keyed(name):
+    # both checks score under the mixture null, which needs two sources
+    with _keyed(name, n_sources="generator.n_sources"):
         reports = check(spec, **body)
     paths = write_report(
         reports, args.out, name, config_echo={"spec": _echo(spec), **body}
@@ -705,7 +706,10 @@ def dispatch(argv: Sequence[str] | None = None) -> int:
     except InvalidConfigurationError as exc:
         line = f"error: {exc}"
         if exc.key is not None:  # a JSON key may be the empty string
-            line += f" [key: {exc.key}]"
+            # a control character in a JSON key is escaped as in a repr,
+            # so the error stays on one line
+            key = "".join(c if c.isprintable() else repr(c)[1:-1] for c in exc.key)
+            line += f" [key: {key}]"
         print(line, file=sys.stderr)
         return 3
     except LipemError as exc:

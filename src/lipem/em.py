@@ -42,18 +42,20 @@ d x d solve for the blend. Its steps broadcast over leading axes of
 theta, the weights and pi. The public step functions below are one
 ``EmStep`` call each, so they and the loop share one arithmetic path.
 
-One loop, :func:`run_em_rows`, advances R problems of one shape (K
-sources, dimension d) together. A row is a (dataset collection, prior)
-pair. Each collection's statistics are built once, and so is its step,
-whose constants are built once however many rows share it;
-``EmStep.stack`` then puts those constants on a leading row axis, which
-no other object carries. The E-step, the null scores, the tempering
-schedule, both M-steps and the jittered solve broadcast over that axis;
-jitter reaches only a row whose blend is singular. A row freezes once it
-converges: ``EmStep.take`` slices it out of the stack, so its iteration
-count, histories and report equal a solo run's.
-:func:`run_em` is the R = 1 call of that loop. Histories grow with the
-iterations run, not with ``max_iters``.
+One loop, :func:`run_em_rows`, advances R problems with one source
+count K together; their dimensions d may differ. A row is a (dataset
+collection, prior) pair. Each collection's statistics are built once,
+and so is its step, whose constants are built once however many rows
+share it; ``EmStep.stack`` then puts those constants on a leading row
+axis, which no other object carries. What is shaped by the sources
+alone (the tempering schedule, the null scores, the log-ratio and its
+finite check, the sigmoid) runs once over every row; the relevant
+marginal and both M-steps run once per dimension group, each on its own
+rows, and the jittered solve reaches only a row whose blend is
+singular. A row freezes once it converges: ``EmStep.take`` slices it
+out of the stack, so its iteration count, histories and report equal a
+solo run's. :func:`run_em` is the R = 1 call of that loop. Histories
+grow with the iterations run, not with ``max_iters``.
 """
 
 from __future__ import annotations
@@ -145,6 +147,17 @@ class NullSpec:
                     "table",
                     {int(k): float(v) for k, v in self.table.items()},
                 )
+
+
+# the constants of an EM run that do not depend on the dimension d
+_DIM_FREE = ("eps", "null_part")
+
+
+def _selector(rows: np.ndarray) -> slice | np.ndarray:
+    """Ascending row indices as a slice where they are contiguous."""
+    if rows[-1] - rows[0] + 1 == rows.size:
+        return slice(int(rows[0]), int(rows[-1]) + 1)
+    return rows
 
 
 def _is_finite(value, power: int = 1) -> bool:
@@ -430,7 +443,8 @@ class EmStep:
     the null scores, all by default. :meth:`stack` puts several
     collections' constants on a leading row axis, one row per
     (collection, prior) pair, and :meth:`take` slices them when rows
-    freeze: the row axis lives on this object only.
+    freeze: the row axis lives on this object only, and on the steps of
+    its dimension groups.
     """
 
     stats: SufficientStats | None  # None on a stack
@@ -442,43 +456,79 @@ class EmStep:
         if self.sources is None:
             self.sources = np.arange(1, self.stats.n_sources + 1)
         self._scale = None  # [1, w_1..w_K] per row, for the blend
+        self.groups = None  # a stack's dimension groups; see ``stack``
 
-    def _run_constants(self) -> list[str]:
-        # what an EM run reads, in the order its loop first reads it
-        names = ["eps", "marginal", "null_part"]
-        return names + ["surrogate" if self.config.variant == "small_tau_surrogate" else "blend"]
+    def _dim_constants(self) -> tuple[str, ...]:
+        # what an EM run reads that has the collection's dimension d
+        return ("marginal", "surrogate" if self.config.variant == "small_tau_surrogate" else "blend")
+
+    def _stack(self, steps: Sequence["EmStep"], index: np.ndarray, names) -> None:
+        # each step's constants built once, then laid on the row axis
+        for name in names:
+            parts = [getattr(step, name) for step in steps]
+            if isinstance(parts[0], tuple):
+                self.__dict__[name] = tuple(np.stack(p)[index] for p in zip(*parts))
+            else:
+                self.__dict__[name] = np.stack(parts)[index]
+
+    def _take(self, source: "EmStep", rows, names) -> None:
+        for name in names:
+            value = getattr(source, name)
+            self.__dict__[name] = (
+                tuple(a[rows] for a in value) if isinstance(value, tuple) else value[rows]
+            )
 
     @classmethod
     def stack(cls, steps: Sequence["EmStep"], index: Sequence[int], pi) -> "EmStep":
         """R rows on a leading axis: row r reads ``steps[index[r]]`` from
         the prior ``pi[r]``. Each step builds the run's constants once,
-        here, however many rows read it; the steps must share one source
-        count K and dimension d."""
-        shapes = sorted({(step.stats.n_sources, step.stats.dim) for step in steps})
-        if len(shapes) != 1:
+        here, however many rows read it. The steps must share one source
+        count K; their dimensions d may differ. What does not depend on
+        d (the tempering scales, the null's part, the prior) lies on the
+        row axis; the marginal and the M-step's constants lie on one row
+        axis per dimension, in ``groups``: one (rows, step) pair per
+        dimension, in the order of its first row. A stack's theta is a
+        list with one array per group."""
+        counts = sorted({step.stats.n_sources for step in steps})
+        if len(counts) != 1:
             raise InvalidConfigurationError(
-                "rows must share one shape after empty sources are dropped; "
-                f"got (sources, dimension) pairs {shapes}",
+                "rows must share one source count after empty sources are "
+                f"dropped; got source counts {counts}",
                 key="rows",
             )
-        out = replace(steps[0], stats=None, pi=np.array(pi, dtype=float))
         index = np.asarray(index, dtype=int)
-        for name in out._run_constants():
-            parts = [getattr(step, name) for step in steps]
-            if isinstance(parts[0], tuple):
-                out.__dict__[name] = tuple(np.stack(p)[index] for p in zip(*parts))
-            else:
-                out.__dict__[name] = np.stack(parts)[index]
+        out = replace(steps[0], stats=None, pi=np.array(pi, dtype=float))
+        out._stack(steps, index, _DIM_FREE)
+        dims = np.array([step.stats.dim for step in steps])[index]
+        out.groups = []
+        for d in dict.fromkeys(dims.tolist()):
+            rows = np.flatnonzero(dims == d)
+            members = sorted(set(index[rows].tolist()))
+            group = replace(steps[0], stats=None)
+            group._stack(
+                [steps[c] for c in members],
+                np.searchsorted(members, index[rows]),
+                group._dim_constants(),
+            )
+            out.groups.append((_selector(rows), group))
         return out
 
     def take(self, rows) -> "EmStep":
-        """The stack of the selected rows (an index array or a mask)."""
+        """The stack of the selected rows (an index array or a mask).
+        The groups keep their order; one none of the rows is in leaves."""
+        rows = np.arange(len(self.pi))[rows]
         out = replace(self, pi=self.pi[rows])
-        for name in ("prior_logit", *self._run_constants()):
-            value = getattr(self, name)
-            out.__dict__[name] = (
-                tuple(a[rows] for a in value) if isinstance(value, tuple) else value[rows]
-            )
+        out._take(self, rows, ("prior_logit", *_DIM_FREE))
+        out.groups = []
+        for selector, group in self.groups:
+            # each stack row's position in this group, -1 outside it
+            place = np.full(len(self.pi), -1)
+            place[selector] = np.arange(place[selector].size)
+            kept = np.flatnonzero(place[rows] >= 0)
+            if kept.size:
+                part = replace(group)
+                part._take(group, place[rows[kept]], group._dim_constants())
+                out.groups.append((_selector(kept), part))
         return out
 
     @cached_property
@@ -576,20 +626,30 @@ class EmStep:
             return np.zeros(self.stats.n_sources)
         return ramp / self.eps
 
-    def e_step(self, beta: np.ndarray, theta: np.ndarray, prev: np.ndarray) -> np.ndarray:
+    def e_step(self, beta: np.ndarray, theta, prev: np.ndarray) -> np.ndarray:
         """See :func:`e_step`; ``prev`` is the previous weights. theta is
-        a float array."""
+        a float array, or on a stack a list of one per dimension group."""
         prior_logit = self.prior_logit
         if not beta.any():
             return self.pi.copy()
         prev = np.minimum(np.maximum(prev, WEIGHT_CLAMP), 1.0 - WEIGHT_CLAMP)
-        rel = _expand(theta, *self.marginal)
-        ratio = rel - self.null(prev, check=False)
+        if self.groups is None:
+            rel = _expand(theta, *self.marginal)
+        else:
+            rel = np.empty(prev.shape)
+            for (rows, group), part in zip(self.groups, theta, strict=True):
+                rel[rows] = _expand(part, *group.marginal)
+        null = self.null(prev, check=False)
+        ratio = rel - null
         if not np.isfinite(ratio).all():
-            # the first fault in order: the marginal, the null, the ratio
-            _name_non_finite(rel, "relevant marginal")
-            self.null(prev)
-            _name_non_finite(ratio, "log-ratio")
+            # the first faulty row's first fault, in order: the marginal,
+            # the null (a mixture null is finite where its peak is), the
+            # ratio
+            row = tuple(np.argwhere(~np.isfinite(ratio))[0][:-1])
+            _name_non_finite(rel[row], "relevant marginal")
+            if self.config.null_spec.kind == "empirical_bayes_mixture":
+                self._check_peak(null[row])
+            _name_non_finite(ratio[row], "log-ratio")
         return expit(beta * ratio + prior_logit)
 
     def null(self, prev: np.ndarray, check: bool = True) -> np.ndarray:
@@ -600,7 +660,16 @@ class EmStep:
             return scores
         terms = np.log(1.0 - prev)[..., :, None] + scores
         peak = terms.max(axis=-2)
-        if check and not (finite := np.isfinite(peak)).all():
+        if check:
+            self._check_peak(peak)
+        # the peak term contributes exp(0) = 1, so the log is finite; the
+        # component axis holds the K mixture components
+        total = np.exp(terms - peak[..., None, :]).sum(axis=-2)
+        return np.log(total) + peak - math.log(scores.shape[-2] - 1)
+
+    def _check_peak(self, peak: np.ndarray) -> None:
+        finite = np.isfinite(peak)
+        if not finite.all():
             # the first bad source of the first bad row
             k = self.sources[np.argwhere(~finite)[0][-1]]
             raise DegenerateNullError(
@@ -608,13 +677,12 @@ class EmStep:
                 "has positive responsibility and a finite likelihood; fall back "
                 "to the parametric_pooled null"
             )
-        # the peak term contributes exp(0) = 1, so the log is finite; the
-        # component axis holds the K mixture components
-        total = np.exp(terms - peak[..., None, :]).sum(axis=-2)
-        return np.log(total) + peak - math.log(scores.shape[-2] - 1)
 
-    def m_step(self, weights: np.ndarray) -> np.ndarray:
-        """The blended theta for weights of one shape per step."""
+    def m_step(self, weights: np.ndarray) -> np.ndarray | list[np.ndarray]:
+        """The blended theta for weights of one shape per step; on a
+        stack, one array per dimension group."""
+        if self.groups is not None:
+            return [group.m_step(weights[rows]) for rows, group in self.groups]
         if self.config.variant == "small_tau_surrogate":
             n0, pull0, sizes, sources = self.surrogate
             mass = weights * sizes
@@ -808,45 +876,55 @@ def _prepare(
 
 class _History:
     """Per-row weight, theta, beta and delta_w trajectories, one slot
-    per iteration counter value; capacity doubles as iterations run."""
+    per iteration counter value; capacity doubles as iterations run.
+    A row of dimension d fills the first d theta columns."""
 
-    def __init__(self, n_rows: int, n_sources: int, dim: int):
-        width = (n_sources, dim, n_sources)
+    def __init__(self, n_sources: int, dims: np.ndarray):
+        n_rows, self.dims = len(dims), dims
+        width = (n_sources, int(dims.max()), n_sources)
         self.slots = [np.empty((n_rows, 8, w)) for w in width]
         self.slots.append(np.empty((n_rows, 8)))
 
-    def record(self, rows, t: int, *values: np.ndarray) -> None:
+    def record(self, rows, t: int, weights, thetas, beta, delta) -> None:
+        """``thetas`` holds one (rows, theta) pair per dimension group."""
         if t == self.slots[0].shape[1]:
             self.slots = [
                 np.concatenate([slot, np.empty_like(slot)], axis=1)
                 for slot in self.slots
             ]
-        for slot, value in zip(self.slots, values):
-            slot[rows, t] = value
+        weight_slot, theta_slot, beta_slot, delta_slot = self.slots
+        weight_slot[rows, t], beta_slot[rows, t], delta_slot[rows, t] = weights, beta, delta
+        for group_rows, theta in thetas:
+            theta_slot[group_rows, t, : theta.shape[-1]] = theta
 
     def row(self, r: int, iterations: int) -> list[np.ndarray]:
-        return [slot[r, : iterations + 1].copy() for slot in self.slots]
+        weights, theta, beta, delta = (slot[r, : iterations + 1] for slot in self.slots)
+        return [a.copy() for a in (weights, theta[:, : self.dims[r]], beta, delta)]
 
 
 def run_em_rows(
     collections: Sequence[Sequence[Dataset]],
-    model: LikelihoodFamily,
+    model: LikelihoodFamily | Sequence[LikelihoodFamily],
     rows: Sequence[tuple[int, Sequence[float]]],
     config: EmConfig,
 ) -> list[tuple[EmState, EmRunReport]]:
-    """Tempered EM over R problems of one shape, advanced together.
+    """Tempered EM over R problems with one source count, advanced together.
 
     Each collection is a target followed by its candidate sources, as
-    in :func:`run_em`. Row r = (c, pi) runs EM on ``collections[c]``
-    from the prior ``pi``, so rows may share a collection; its
-    statistics, and the run's constants on them, are built once, in
-    one ``EmStep`` per collection that ``EmStep.stack`` puts on the row
-    axis. Every row's prior is checked before any dataset is read.
-    Empty sources are dropped per collection; the rows must then share
-    one shape (K, d), or ``InvalidConfigurationError`` is raised.
+    in :func:`run_em`, and is read by ``model``, or by its own entry of
+    a sequence with one model per collection; collections may differ in
+    dimension. Row r = (c, pi) runs EM on ``collections[c]`` from the
+    prior ``pi``, so rows may share a collection; its statistics, and
+    the run's constants on them, are built once, in one ``EmStep`` per
+    collection that ``EmStep.stack`` puts on the row axis. Every row's
+    prior is checked before any dataset is read. Empty sources are
+    dropped per collection; the rows must then share one source count
+    K, or ``InvalidConfigurationError`` is raised.
 
     Each iteration refreshes the tempering multipliers, re-scores the
-    weights and blends a new theta for every active row. A row has
+    weights and blends a new theta for every active row. All that is
+    shaped by the sources alone runs once over every row; only the
+    relevant marginal and the blend run once per dimension. A row has
     converged when its weight vector moves less than ``config.tol`` in
     the max norm for ``config.patience`` consecutive iterations; it
     then freezes and leaves the stack. Hitting max_iters is reported,
@@ -855,6 +933,13 @@ def run_em_rows(
     equal to that row's solo :func:`run_em`.
     """
     collections = [list(datasets) for datasets in collections]
+    models = [model] * len(collections) if isinstance(model, LikelihoodFamily) else list(model)
+    if len(models) != len(collections):
+        raise InvalidConfigurationError(
+            f"need one model per collection, got {len(models)} models for "
+            f"{len(collections)} collections",
+            key="model",
+        )
     rows = [(c, np.asarray(pi, dtype=float)) for c, pi in rows]
     if not rows:
         raise InvalidConfigurationError("need at least one row", key="rows")
@@ -867,20 +952,23 @@ def run_em_rows(
             )
         _check_collection(collections[c])
         _check_prior(pi, (len(collections[c]) - 1,))
-    prepared = [_prepare(datasets, model, config) for datasets in collections]
+    prepared = [_prepare(*args, config) for args in zip(collections, models)]
     step = EmStep.stack(
         [EmStep(stats, kept_config) for stats, _, _, kept_config in prepared],
         [c for c, _ in rows],
         [pi[[k - 1 for k in prepared[c][1]]] for c, pi in rows],
     )
-    (n_rows, n_sources), dim = step.pi.shape, prepared[0][0].dim
-    theta, beta = np.zeros((n_rows, dim)), np.zeros((n_rows, n_sources))
+    n_rows, n_sources = step.pi.shape
+    # one theta per dimension group, zero like one source's theta_k per row
+    theta = [np.zeros_like(group.marginal[0][:, 0]) for _, group in step.groups]
+    beta = np.zeros((n_rows, n_sources))
     weights = step.e_step(beta, theta, step.pi)
-    history = _History(n_rows, n_sources, dim)
-    history.record(slice(None), 0, weights, theta, beta, np.full(n_rows, np.inf))
-
-    # the live rows' history slots: all rows until the first one freezes
+    history = _History(n_sources, np.array([prepared[c][0].dim for c, _ in rows]))
+    # the live rows' history slots: all rows until the first one freezes,
+    # and each dimension group's share of them
     active, live = np.arange(n_rows), slice(None)
+    group_slots = [selector for selector, _ in step.groups]
+    history.record(live, 0, weights, zip(group_slots, theta), beta, np.full(n_rows, np.inf))
     streak = np.zeros(n_rows, dtype=int)
     converged = np.zeros(n_rows, dtype=bool)
     iterations = np.full(n_rows, config.max_iters)
@@ -892,7 +980,7 @@ def run_em_rows(
             delta = np.abs(new_weights - weights).max(axis=-1)
             weights = new_weights
             theta = step.m_step(weights)
-            history.record(live, t, weights, theta, beta, delta)
+            history.record(live, t, weights, zip(group_slots, theta), beta, delta)
             streak = (streak + 1) * (delta <= config.tol)
             if streak.max() >= config.patience:
                 done = streak >= config.patience
@@ -901,11 +989,17 @@ def run_em_rows(
                 keep = ~done
                 if not keep.any():
                     break
-                # converged rows freeze: re-index the stack without them
-                active, streak = active[keep], streak[keep]
-                live = active
-                theta, weights = theta[keep], weights[keep]
+                # converged rows freeze: re-index the stack without them,
+                # and drop a dimension group none of whose rows is left
+                theta = [
+                    part[keep[selector]]
+                    for (selector, _), part in zip(step.groups, theta)
+                    if keep[selector].any()
+                ]
                 step = step.take(keep)
+                active, streak = active[keep], streak[keep]
+                live, weights = active, weights[keep]
+                group_slots = [active[selector] for selector, _ in step.groups]
 
     results = []
     for r, (c, _) in enumerate(rows):

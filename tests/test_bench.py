@@ -7,6 +7,7 @@ experiment drivers that consume them are exercised.
 
 import contextlib
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -483,6 +484,28 @@ class TestGaussianExperiment:
         second, _ = gaussian_experiment(config)
         for a, b in zip(first, second):
             assert a == b
+
+    def test_every_dimension_is_a_row_of_one_em_call(self, monkeypatch):
+        import lipem.bench as bench
+
+        calls = []
+        original = bench.run_em_rows
+
+        def spy(collections, model, rows, config):
+            calls.append(len(rows))
+            return original(collections, model, rows, config)
+
+        monkeypatch.setattr(bench, "run_em_rows", spy)
+        config = GaussianExperimentConfig(dims=(1, 2), replications=3, curve_points=11)
+        both, curves = gaussian_experiment(config)
+        # dimension x replication x EM arm
+        assert calls == [2 * 3 * 2]
+        # the first dimension draws from the same seed alone, and its
+        # rows run as they would without the second dimension's
+        alone, alone_curves = gaussian_experiment(replace(config, dims=(1,)))
+        assert [r for r in both if r.param_value == 1.0] == alone
+        assert [r.param_value for r in both] == [1.0] * 5 + [2.0] * 5
+        np.testing.assert_array_equal(curves["x"], alone_curves["x"])
 
 
 class TestFastDecayLip:

@@ -1594,6 +1594,18 @@ class TestConfigValueFaults:
             ("run-em", {"model": {"covariance": [[1], [2, 3]]}}, "model.covariance"),
             ("run-em", {"model": {"covariance": -1}}, "model.covariance"),
             ("run-em", {"model": {"covariance": [[1, 2]]}}, "model.covariance"),
+            # one source: these studies score under the mixture null
+            ("bench gaussian", {"experiment": {"n_sources": 1}}, "experiment.n_sources"),
+            (
+                "bench consistency",
+                {"generator": {"n_sources": 1, "relevant": [1]}},
+                "generator.n_sources",
+            ),
+            (
+                "bench dichotomy",
+                {"generator": {"n_sources": 1, "relevant": [1]}},
+                "generator.n_sources",
+            ),
         ],
     )
     def test_exits_three_naming_key(self, cmapss_dir, capsys, command, doc, key):

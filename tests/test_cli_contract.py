@@ -61,6 +61,7 @@ def _run(argv) -> int:
     if code != 0:
         assert err.getvalue().startswith("error:")
         assert err.getvalue().count("\n") == 1
+        assert len(err.getvalue().splitlines()) == 1
     if code == 3:
         assert "[key: " in err.getvalue()
     return code
@@ -98,6 +99,8 @@ def test_cmapss_list_flags_keep_the_contract(cutoff, engines):
 @example(doc={"lip": {"tol": -1.0, "max_iters": 10**12}})
 @example(doc={"lip": {"eps": 1e308, "max_iters": 10**12}})
 @example(doc={"lip": {"p0": 1e-320}})
+@example(doc={"\n": None})
+@example(doc={"em": {"a\rb": 1}})
 def test_any_config_document_keeps_the_contract(doc):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)

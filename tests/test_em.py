@@ -646,9 +646,10 @@ class TestEStep:
             for theta in thetas
         ]
         np.testing.assert_allclose(rel, public, rtol=1e-15)
-        # the loop's stack of the same rows reads the same bits
+        # the loop's stack of the same rows reads the same bits; a
+        # stack's theta is one array per dimension group
         stack = em.EmStep.stack([step], [0] * 6, pi)
-        np.testing.assert_array_equal(stack.e_step(ones, thetas, pi), rel)
+        np.testing.assert_array_equal(stack.e_step(ones, [thetas], pi), rel)
         if tau == 0:
             quadratic = stats.theta_hat, stats.loglik_hat, stats.gradients, stats.hessians
             np.testing.assert_array_equal(rel, em._expand(thetas, *quadratic)[..., 1:])
@@ -1259,16 +1260,20 @@ class TestRowAxis:
         seed=st.integers(0, 2**32 - 1),
         n_rows=st.integers(1, 6),
         k=st.integers(2, 5),
-        d=st.integers(1, 3),
         variant=st.sampled_from(em.VARIANTS),
         null_kind=st.sampled_from(em.NULL_KINDS),
         tau=st.sampled_from([0.0, 0.1, 1.0]),
     )
     def test_every_row_equals_its_solo_run(
-        self, seed, n_rows, k, d, variant, null_kind, tau
+        self, seed, n_rows, k, variant, null_kind, tau
     ):
+        # each collection draws its own dimension and has its own model
         rng = np.random.default_rng(seed)
-        collections = [_collection(rng, k, d) for _ in range(int(rng.integers(1, n_rows + 1)))]
+        collections = [
+            _collection(rng, k, int(rng.integers(1, 4)))
+            for _ in range(int(rng.integers(1, n_rows + 1)))
+        ]
+        models = [GaussianMeanModel(data[0].points.shape[1]) for data in collections]
         table = {j: float(rng.normal(-60.0, 10.0)) for j in range(1, k + 1)}
         config = EmConfig(
             tau=tau,
@@ -1282,12 +1287,11 @@ class TestRowAxis:
             (int(rng.integers(len(collections))), rng.uniform(0.01, 0.99, size=k))
             for _ in range(n_rows)
         ]
-        model = GaussianMeanModel(d)
-        got = run_em_rows(collections, model, rows, config)
+        got = run_em_rows(collections, models, rows, config)
         assert len(got) == n_rows
         for (c, pi), result in zip(rows, got):
-            _assert_same_run(result, run_em(collections[c], model, pi, config))
-            _assert_same_run(result, _reference_run(collections[c], model, pi, config))
+            _assert_same_run(result, run_em(collections[c], models[c], pi, config))
+            _assert_same_run(result, _reference_run(collections[c], models[c], pi, config))
 
     def test_a_converged_row_freezes_while_others_run(self):
         rng = np.random.default_rng(42)
@@ -1449,7 +1453,7 @@ class TestRowAxis:
             state = EmState(theta=theta, weights=pis, t=1, beta=np.ones(pis.shape))
             stack = em.EmStep.stack([em.EmStep(stats, config)], [0, 0, 0], pis)
             np.testing.assert_array_equal(
-                e_step(state, stats, pis, config), stack.e_step(state.beta, theta, pis)
+                e_step(state, stats, pis, config), stack.e_step(state.beta, [theta], pis)
             )
 
     def test_jitter_reaches_only_the_singular_row(self):
@@ -1480,7 +1484,7 @@ class TestRowAxis:
                 [0, 1],
                 np.full((2, 2), 0.5),
             )
-        got = step.m_step(weights)
+        [got] = step.m_step(weights)  # one dimension group
         np.testing.assert_array_equal(got[0], m_step_exact(singular, weights[0], 0.1))
         np.testing.assert_array_equal(got[1], m_step_exact(regular, weights[1], 0.1))
         assert np.all(np.isfinite(got))
@@ -1513,6 +1517,54 @@ class TestRowAxis:
                 )
         assert type(batched.value) is type(solo.value)
         assert str(batched.value) == str(solo.value)
+
+    def test_the_first_faulty_row_raises_its_own_fault(self, monkeypatch):
+        # row 0's mixture null is degenerate while its marginal is
+        # finite; row 1's marginal is not finite. Both fail at the first
+        # tempered E-step, and the error is row 0's, as its solo run's
+        degenerate = SufficientStats(
+            np.array([[0.0], [1e10], [0.0], [-1e10]]),
+            np.array([-5.0, -20.0, -20.0, -20.0]),
+            np.zeros((4, 1)),
+            np.array([[[1.0]], [[1.0]], [[1e300]], [[1.0]]]),
+            np.array([4, 10, 10, 10]),
+            np.zeros(1),
+        )
+        _, _, base = gaussian_stats(
+            np.random.default_rng(42), [0.0, 1.0, 2.0, 3.0], [4, 10, 10, 10]
+        )
+        loglik_hat = base.loglik_hat.copy()
+        loglik_hat[2] = -np.inf
+        broken = TestEStep._stats_with(base, loglik_hat=loglik_hat)
+        collections = [
+            [Dataset(np.full((n, 1), float(c))) for n in (4, 10, 10, 10)] for c in range(2)
+        ]
+        by_collection = {0.0: degenerate, 1.0: broken}
+        monkeypatch.setattr(
+            em, "build_sufficient_stats",
+            lambda model, datasets: by_collection[float(datasets[0].points[0, 0])],
+        )
+        config = EmConfig(tau=0.1)
+        pi = np.full(3, 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for order, error in (((0, 1), DegenerateNullError), ((1, 0), NonFiniteLikelihoodError)):
+                with pytest.raises(LipemError) as solo:
+                    run_em(collections[order[0]], GaussianMeanModel(1), pi, config)
+                with pytest.raises(LipemError) as batched:
+                    run_em_rows(
+                        collections, GaussianMeanModel(1), [(c, pi) for c in order], config
+                    )
+                assert type(solo.value) is type(batched.value) is error
+                assert str(batched.value) == str(solo.value)
+
+    def test_one_model_per_collection(self):
+        rng = np.random.default_rng(42)
+        collections = [_collection(rng, 3, 1), _collection(rng, 3, 2)]
+        rows = [(0, np.full(3, 0.5)), (1, np.full(3, 0.5))]
+        with pytest.raises(InvalidConfigurationError) as err:
+            run_em_rows(collections, [GaussianMeanModel(1)], rows, EmConfig(max_iters=5))
+        assert err.value.key == "model"
 
     def test_rows_of_different_shapes_after_dropping_are_rejected(self):
         rng = np.random.default_rng(42)
