@@ -55,7 +55,6 @@ from .em import (
     build_sufficient_stats,
     e_step,
     m_step_exact,
-    m_step_surrogate,
     null_loglik,
     relevant_marginal_loglik,
     run_em,
@@ -155,7 +154,6 @@ __all__ = [
     "tempering_schedule",
     "e_step",
     "m_step_exact",
-    "m_step_surrogate",
     "run_em",
     "run_em_rows",
     "write_em_report",

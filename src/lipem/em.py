@@ -12,8 +12,8 @@ Every dataset is read once. The likelihood families are exactly
 quadratic in theta, so :func:`build_sufficient_stats` makes one
 ``model.summarize`` call per dataset, which returns its MLE theta_k and
 the log-likelihood l_k, gradient g_k and PSD Hessian H_k there; every
-later likelihood value (the cross table, the pooled null) is the
-expansion in delta = theta - theta_k,
+later likelihood value (the mixture null's table over the sources, the
+pooled null) is the expansion in delta = theta - theta_k,
 
     loglik(theta; D_k) = l_k + g_k'delta - (1/2) delta' H_k delta.
 
@@ -31,16 +31,17 @@ the summed normal equations of fits kept on each dataset.
 statistics and an :class:`EmConfig`. It resolves what does not change
 between iterations once, on first use: the tempering scales eps_k, the
 logit of the clamped prior, the sources' theta_k, c_k, b_k and C_k, the
-pooled or fixed null's scores or the mixture null's column copy of the
-cross table, the exact blend's rows [H0 | H0 theta_0] and [C_k | C_k
-theta_k] (C_k is built once for both readers) or the surrogate's N0
-theta_0, and the blend's weight buffer. An iteration then computes only
-what depends on the iterate: the tempering ramp, the marginal's
-quadratic over the K sources, the mixture null's log-sum-exp over the
-lagged weights, one finite check, the sigmoid, and one weighted sum and
-d x d solve for the blend. Its steps broadcast over leading axes of
-theta, the weights and pi. The public step functions below are one
-``EmStep`` call each, so they and the loop share one arithmetic path.
+pooled or fixed null's scores or the mixture null's column copy of its
+K x K table, which reads the sources alone, the exact blend's rows
+[H0 | H0 theta_0] and [C_k | C_k theta_k] (C_k is built once for both
+readers) or the surrogate's N0 theta_0, and the blend's weight buffer.
+An iteration then computes only what depends on the iterate: the
+tempering ramp, the marginal's quadratic over the K sources, the
+mixture null's log-sum-exp over the lagged weights, one finite check,
+the sigmoid, and one weighted sum and d x d solve for the blend. Its
+steps broadcast over leading axes of theta, the weights and pi. The
+public step functions below are one ``EmStep`` call each, so they and
+the loop share one arithmetic path.
 
 One loop, :func:`run_em_rows`, advances R problems with one source
 count K together; their dimensions d may differ. A row is a (dataset
@@ -52,10 +53,12 @@ alone (the tempering schedule, the null scores, the log-ratio and its
 finite check, the sigmoid) runs once over every row; the relevant
 marginal and both M-steps run once per dimension group, each on its own
 rows, and the jittered solve reaches only a row whose blend is
-singular. A row freezes once it converges: ``EmStep.take`` slices it
-out of the stack, so its iteration count, histories and report equal a
-solo run's. :func:`run_em` is the R = 1 call of that loop. Histories
-grow with the iterations run, not with ``max_iters``.
+singular. A row freezes once it converges: the loop stacks the live
+rows again from the steps it holds, whose constants are built already,
+and each reads its theta back from the histories, so its iteration
+count, histories and report equal a solo run's. :func:`run_em` is the
+R = 1 call of that loop. Histories grow with the iterations run, not
+with ``max_iters``.
 """
 
 from __future__ import annotations
@@ -94,7 +97,6 @@ __all__ = [
     "tempering_schedule",
     "e_step",
     "m_step_exact",
-    "m_step_surrogate",
     "run_em",
     "run_em_rows",
     "write_em_report",
@@ -245,12 +247,8 @@ class SufficientStats:
     and gradient ``gradients[k]`` there (the gradient is nonzero only
     under a ridge), the PSD Hessian ``hessians[k]`` and the size
     ``sizes[k]``; plus ``pooled_theta``, the MLE on all sources pooled.
-    ``crossloglik[j, k]`` is loglik(theta_hat_j; D_k), read off the
-    expansion like every other likelihood value the EM needs;
-    ``mixture_table`` is its source block ``crossloglik[1:, 1:]`` with
-    -inf on the diagonal, since no source is a component of its own
-    mixture null. Only the mixture null reads those two tables, so each
-    is built on first use.
+    It holds data only: every likelihood value the EM needs is read off
+    these expansions by ``EmStep``.
     """
 
     theta_hat: np.ndarray
@@ -264,19 +262,6 @@ class SufficientStats:
         for value in vars(self).values():
             value.setflags(write=False)
 
-    @cached_property
-    def crossloglik(self) -> np.ndarray:
-        table = self.expand(self.theta_hat)
-        table.setflags(write=False)
-        return table
-
-    @cached_property
-    def mixture_table(self) -> np.ndarray:
-        table = self.crossloglik[1:, 1:].copy()
-        np.fill_diagonal(table, -np.inf)
-        table.setflags(write=False)
-        return table
-
     @property
     def n_sources(self) -> int:
         return self.theta_hat.shape[-2] - 1
@@ -284,11 +269,6 @@ class SufficientStats:
     @property
     def dim(self) -> int:
         return self.theta_hat.shape[-1]
-
-    def expand(self, theta: np.ndarray) -> np.ndarray:
-        """Log-likelihood of every dataset at theta; see ``_expand``."""
-        theta = np.asarray(theta, dtype=float)
-        return _expand(theta, self.theta_hat, self.loglik_hat, self.gradients, self.hessians)
 
 
 def _expand(theta, center, value, slope, curvature):
@@ -442,9 +422,8 @@ class EmStep:
     the prior the E-step corrects; ``sources`` are the sources (from 1)
     the null scores, all by default. :meth:`stack` puts several
     collections' constants on a leading row axis, one row per
-    (collection, prior) pair, and :meth:`take` slices them when rows
-    freeze: the row axis lives on this object only, and on the steps of
-    its dimension groups.
+    (collection, prior) pair: the row axis lives on a stack only, and
+    on the steps of its dimension groups.
     """
 
     stats: SufficientStats | None  # None on a stack
@@ -463,20 +442,16 @@ class EmStep:
         return ("marginal", "surrogate" if self.config.variant == "small_tau_surrogate" else "blend")
 
     def _stack(self, steps: Sequence["EmStep"], index: np.ndarray, names) -> None:
-        # each step's constants built once, then laid on the row axis
+        # the constants of the steps the rows read, each built once, then
+        # laid on the row axis
+        used = sorted(set(index.tolist()))
+        at = np.searchsorted(used, index)
         for name in names:
-            parts = [getattr(step, name) for step in steps]
+            parts = [getattr(steps[c], name) for c in used]
             if isinstance(parts[0], tuple):
-                self.__dict__[name] = tuple(np.stack(p)[index] for p in zip(*parts))
+                self.__dict__[name] = tuple(np.stack(p)[at] for p in zip(*parts))
             else:
-                self.__dict__[name] = np.stack(parts)[index]
-
-    def _take(self, source: "EmStep", rows, names) -> None:
-        for name in names:
-            value = getattr(source, name)
-            self.__dict__[name] = (
-                tuple(a[rows] for a in value) if isinstance(value, tuple) else value[rows]
-            )
+                self.__dict__[name] = np.stack(parts)[at]
 
     @classmethod
     def stack(cls, steps: Sequence["EmStep"], index: Sequence[int], pi) -> "EmStep":
@@ -487,8 +462,10 @@ class EmStep:
         d (the tempering scales, the null's part, the prior) lies on the
         row axis; the marginal and the M-step's constants lie on one row
         axis per dimension, in ``groups``: one (rows, step) pair per
-        dimension, in the order of its first row. A stack's theta is a
-        list with one array per group."""
+        dimension, in the order of its first row. Only the steps some row
+        reads are stacked, so a loop restacks its live rows from the
+        steps it holds without rebuilding a constant. A stack's theta is
+        a list with one array per group."""
         counts = sorted({step.stats.n_sources for step in steps})
         if len(counts) != 1:
             raise InvalidConfigurationError(
@@ -503,32 +480,9 @@ class EmStep:
         out.groups = []
         for d in dict.fromkeys(dims.tolist()):
             rows = np.flatnonzero(dims == d)
-            members = sorted(set(index[rows].tolist()))
             group = replace(steps[0], stats=None)
-            group._stack(
-                [steps[c] for c in members],
-                np.searchsorted(members, index[rows]),
-                group._dim_constants(),
-            )
+            group._stack(steps, index[rows], group._dim_constants())
             out.groups.append((_selector(rows), group))
-        return out
-
-    def take(self, rows) -> "EmStep":
-        """The stack of the selected rows (an index array or a mask).
-        The groups keep their order; one none of the rows is in leaves."""
-        rows = np.arange(len(self.pi))[rows]
-        out = replace(self, pi=self.pi[rows])
-        out._take(self, rows, ("prior_logit", *_DIM_FREE))
-        out.groups = []
-        for selector, group in self.groups:
-            # each stack row's position in this group, -1 outside it
-            place = np.full(len(self.pi), -1)
-            place[selector] = np.arange(place[selector].size)
-            kept = np.flatnonzero(place[rows] >= 0)
-            if kept.size:
-                part = replace(group)
-                part._take(group, place[rows[kept]], group._dim_constants())
-                out.groups.append((_selector(kept), part))
         return out
 
     @cached_property
@@ -586,13 +540,16 @@ class EmStep:
     @cached_property
     def null_part(self) -> np.ndarray:
         """The scored sources' pooled-MLE likelihoods or fixed-table
-        values, or their columns of ``stats.mixture_table``."""
+        values, or their columns of the mixture table, whose entry (j, k)
+        is loglik(theta_j; D_k) over the sources, -inf where j = k since
+        no source is a component of its own mixture null."""
         stats, ks, null_spec = self.stats, self.sources, self.config.null_spec
         if null_spec.kind == "fixed":
             table = _table_lookup(null_spec.table, range(1, stats.n_sources + 1))
             return table[ks - 1]
+        sources = (stats.theta_hat[1:], stats.loglik_hat[1:], stats.gradients[1:], stats.hessians[1:])
         if null_spec.kind == "parametric_pooled":
-            return stats.expand(stats.pooled_theta)[ks]
+            return _expand(stats.pooled_theta, *sources)[ks - 1]
         if stats.n_sources < 2:
             raise InvalidConfigurationError(
                 "the mixture null needs at least two sources", key="null_spec.kind"
@@ -601,7 +558,9 @@ class EmStep:
         # The fancy index lays the copy out column by column, and a stack
         # keeps that layout, so the sum over components in ``null`` runs
         # along contiguous memory (pairwise from eight components on)
-        return stats.mixture_table[:, ks - 1]
+        table = _expand(sources[0], *sources)
+        np.fill_diagonal(table, -np.inf)
+        return table[:, ks - 1]
 
     @cached_property
     def blend(self) -> np.ndarray:
@@ -623,7 +582,8 @@ class EmStep:
         """The tempering multipliers (1 - exp(-nu t)) / eps_k."""
         ramp = -np.expm1(-self.config.nu * t)
         if ramp == 0.0:
-            return np.zeros(self.stats.n_sources)
+            # a solo step builds no eps for it; a stack holds them per row
+            return np.zeros(self.eps.shape if self.stats is None else self.stats.n_sources)
         return ramp / self.eps
 
     def e_step(self, beta: np.ndarray, theta, prev: np.ndarray) -> np.ndarray:
@@ -710,8 +670,9 @@ def null_loglik(
 
     The mixture form averages the other sources' fitted models with
     responsibilities (1 - w_j) lagged from the previous iteration,
-    evaluated with a max-shifted log-sum-exp over one column of
-    ``stats.mixture_table``; a component of weight 1 drops out.
+    evaluated with a max-shifted log-sum-exp over one column of the
+    step's mixture table (``EmStep.null_part``); a component of weight 1
+    drops out.
     """
     if not 1 <= k <= stats.n_sources:
         raise InvalidConfigurationError(f"source index {k} out of range", key="k")
@@ -802,15 +763,6 @@ def m_step_exact(
     return EmStep(stats, EmConfig(tau=tau)).m_step(np.asarray(weights, dtype=float))
 
 
-def m_step_surrogate(
-    stats: SufficientStats, weights: np.ndarray
-) -> np.ndarray:
-    """Sample-size weighted average of the target and source MLEs:
-    (N0 theta_0 + sum_k w_k N_k theta_k) / (N0 + sum_k w_k N_k)."""
-    step = EmStep(stats, EmConfig(variant="small_tau_surrogate"))
-    return step.m_step(np.asarray(weights, dtype=float))
-
-
 def run_em(
     datasets: Sequence[Dataset],
     model: LikelihoodFamily,
@@ -897,6 +849,10 @@ class _History:
         for group_rows, theta in thetas:
             theta_slot[group_rows, t, : theta.shape[-1]] = theta
 
+    def theta(self, rows: np.ndarray, t: int) -> np.ndarray:
+        """The theta at iteration t of rows that share one dimension."""
+        return self.slots[1][rows, t, : self.dims[rows[0]]]
+
     def row(self, r: int, iterations: int) -> list[np.ndarray]:
         weights, theta, beta, delta = (slot[r, : iterations + 1] for slot in self.slots)
         return [a.copy() for a in (weights, theta[:, : self.dims[r]], beta, delta)]
@@ -916,7 +872,8 @@ def run_em_rows(
     dimension. Row r = (c, pi) runs EM on ``collections[c]`` from the
     prior ``pi``, so rows may share a collection; its statistics, and
     the run's constants on them, are built once, in one ``EmStep`` per
-    collection that ``EmStep.stack`` puts on the row axis. Every row's
+    collection that ``EmStep.stack`` puts on the row axis, and puts
+    again on a shorter one whenever rows freeze. Every row's
     prior is checked before any dataset is read. Empty sources are
     dropped per collection; the rows must then share one source count
     K, or ``InvalidConfigurationError`` is raised.
@@ -953,16 +910,16 @@ def run_em_rows(
         _check_collection(collections[c])
         _check_prior(pi, (len(collections[c]) - 1,))
     prepared = [_prepare(*args, config) for args in zip(collections, models)]
-    step = EmStep.stack(
-        [EmStep(stats, kept_config) for stats, _, _, kept_config in prepared],
-        [c for c, _ in rows],
-        [pi[[k - 1 for k in prepared[c][1]]] for c, pi in rows],
-    )
-    n_rows, n_sources = step.pi.shape
+    steps = [EmStep(stats, kept_config) for stats, _, _, kept_config in prepared]
+    index = np.array([c for c, _ in rows])
+    # the stack checks the source counts before the priors become one array
+    step = EmStep.stack(steps, index, [pi[[k - 1 for k in prepared[c][1]]] for c, pi in rows])
+    pis, prior_logit = step.pi, step.prior_logit
+    n_rows, n_sources = pis.shape
     # one theta per dimension group, zero like one source's theta_k per row
     theta = [np.zeros_like(group.marginal[0][:, 0]) for _, group in step.groups]
-    beta = np.zeros((n_rows, n_sources))
-    weights = step.e_step(beta, theta, step.pi)
+    beta = step.beta(0)
+    weights = step.e_step(beta, theta, pis)
     history = _History(n_sources, np.array([prepared[c][0].dim for c, _ in rows]))
     # the live rows' history slots: all rows until the first one freezes,
     # and each dimension group's share of them
@@ -989,17 +946,15 @@ def run_em_rows(
                 keep = ~done
                 if not keep.any():
                     break
-                # converged rows freeze: re-index the stack without them,
-                # and drop a dimension group none of whose rows is left
-                theta = [
-                    part[keep[selector]]
-                    for (selector, _), part in zip(step.groups, theta)
-                    if keep[selector].any()
-                ]
-                step = step.take(keep)
-                active, streak = active[keep], streak[keep]
-                live, weights = active, weights[keep]
+                # converged rows freeze: the others go on a new stack of
+                # the held steps, whose groups may come in another order,
+                # so each reads its theta back from the history
+                active, streak, weights = active[keep], streak[keep], weights[keep]
+                step = EmStep.stack(steps, index[active], pis[active])
+                step.prior_logit = prior_logit[active]
+                live = active
                 group_slots = [active[selector] for selector, _ in step.groups]
+                theta = [history.theta(slots, t) for slots in group_slots]
 
     results = []
     for r, (c, _) in enumerate(rows):

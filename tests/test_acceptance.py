@@ -27,7 +27,7 @@ from lipem.bench import (
     oracle_mse_check,
 )
 from lipem.cli import dispatch
-from lipem.em import build_sufficient_stats, m_step_exact, m_step_surrogate
+from lipem.em import EmConfig, EmStep, build_sufficient_stats, m_step_exact
 from lipem.em import relevant_marginal_loglik
 from lipem.likelihood import Dataset, GaussianMeanModel, SplineGlmModel
 from lipem.lip import (
@@ -266,7 +266,7 @@ def test_09_m_step_variants_agree_under_proportional_curvature():
             stats = build_sufficient_stats(model, datasets)
             weights = rng.uniform(0.0, 1.0, size=k)
             exact = m_step_exact(stats, weights, tau=0.0)
-            surrogate = m_step_surrogate(stats, weights)
+            surrogate = EmStep(stats, EmConfig(variant="small_tau_surrogate")).m_step(weights)
             assert np.max(np.abs(exact - surrogate)) <= 1e-12
     _announce(9, "m step variants agree under proportional curvature")
 

@@ -29,7 +29,6 @@ from lipem.em import (
     build_sufficient_stats,
     e_step,
     m_step_exact,
-    m_step_surrogate,
     null_loglik,
     relevant_marginal_loglik,
     run_em,
@@ -56,6 +55,14 @@ def gaussian_stats(rng, means, sizes, dim=1, sigma=1.0):
         for mean, n in zip(means, sizes)
     ]
     return model, datasets, build_sufficient_stats(model, datasets)
+
+
+def m_step_surrogate(stats, weights):
+    """The surrogate M-step through the public step: the sample-size
+    weighted average (N0 theta_0 + sum_k w_k N_k theta_k) / (N0 + sum_k
+    w_k N_k) of the target and source MLEs."""
+    step = em.EmStep(stats, EmConfig(variant="small_tau_surrogate"))
+    return step.m_step(np.asarray(weights, dtype=float))
 
 
 def model_path_marginal(model, data, theta, tau):
@@ -260,7 +267,8 @@ class TestNullLoglik:
                 NullSpec("empirical_bayes_mixture"), k, stats, weights_prev
             )
             terms = [
-                (1.0 - weights_prev[j - 1]) * math.exp(stats.crossloglik[j, k])
+                (1.0 - weights_prev[j - 1])
+                * math.exp(model.loglik(stats.theta_hat[j], datasets[k]))
                 for j in (1, 2, 3)
                 if j != k
             ]
@@ -299,8 +307,7 @@ class TestNullLoglik:
             # at least two components keep positive survival, so no
             # column is left without one
             prev[rng.permutation(k)[: rng.integers(0, k - 1)]] = 1.0
-            table = stats.crossloglik[1:, 1:].copy()
-            np.fill_diagonal(table, -np.inf)
+            table = em.EmStep(stats).null_part
             with np.errstate(divide="ignore"):
                 terms = np.log(1.0 - prev)[:, None] + table
             expected = logsumexp(terms, axis=0) - np.log(k - 1)
@@ -328,7 +335,7 @@ class TestNullLoglik:
             # the reference: the expression the E-step evaluated every
             # iteration on a two-row stack of the tables, fancy index
             # included
-            table = np.stack([stats.mixture_table] * 2)
+            table = np.stack([em.EmStep(stats).null_part] * 2)
             terms = np.log(1.0 - prev)[..., :, None] + table[..., :, ks - 1]
             peak = terms.max(axis=-2)
             total = np.exp(terms - peak[..., None, :]).sum(axis=-2)
@@ -348,7 +355,7 @@ class TestNullLoglik:
             warnings.simplefilter("error")
             got = null_loglik(NullSpec(), 1, stats, prev)
         # source 2 is committed, so only source 3 is left in the mixture
-        expected = math.log(0.6) + stats.mixture_table[2, 0] - math.log(2)
+        expected = math.log(0.6) + em.EmStep(stats).null_part[2, 0] - math.log(2)
         assert np.isfinite(got)
         assert got == pytest.approx(expected, rel=1e-15)
 
@@ -701,7 +708,7 @@ class TestEStep:
             datasets = [Dataset(np.zeros((n, 1))) for n in (4, 10, 10, 10)]
             with pytest.raises(DegenerateNullError, match="source 2"):
                 run_em(datasets, GaussianMeanModel(1), np.full(3, 0.5), EmConfig(tau=0.1))
-        assert np.all(np.isinf(stats.mixture_table[[0, 2], 1]))
+        assert np.all(np.isinf(em.EmStep(stats).null_part[[0, 2], 1]))
 
     def test_overflowing_ratio_is_named_as_the_log_ratio(self):
         # both terms are finite; their difference is not
@@ -852,12 +859,19 @@ class TestSufficientStats:
         assert "dataset 2" in str(err.value) and "row 2" in str(err.value)
 
     def test_cross_table_holds_every_pairing(self):
+        # the mixture null's table: entry (j, k) is loglik(theta_j; D_k)
+        # over the sources, -inf on the diagonal
         rng = np.random.default_rng(42)
-        model, datasets, stats = gaussian_stats(rng, [0.0, 1.0, -1.0], [3, 5, 7])
-        for j in range(3):
-            for k in range(3):
+        model, datasets, stats = gaussian_stats(rng, [0.0, 1.0, -1.0, 0.5], [3, 5, 7, 6])
+        table = em.EmStep(stats).null_part
+        assert table.shape == (3, 3)
+        for j in range(1, 4):
+            for k in range(1, 4):
+                if j == k:
+                    assert table[j - 1, k - 1] == -np.inf
+                    continue
                 np.testing.assert_allclose(
-                    stats.crossloglik[j, k],
+                    table[j - 1, k - 1],
                     model.loglik(stats.theta_hat[j], datasets[k]),
                     rtol=1e-12,
                 )
@@ -1308,14 +1322,64 @@ class TestRowAxis:
             # one history row per iteration run, not per max_iters
             assert result[1].weight_history.shape == (result[1].iterations + 1, 3)
 
+    @pytest.mark.parametrize(
+        "pis, order",
+        [
+            # the d = 1 group freezes whole while the d = 2 row runs on
+            (([1e-6, 0.999, 1e-6], [0.999, 1e-6, 1e-6], [0.5, 0.5, 0.5]), [0, 2, 1]),
+            # the d = 2 group freezes whole while a d = 1 row runs on
+            (([1e-6, 0.999, 1e-6], [0.5, 0.5, 0.5], [0.9, 0.9, 0.9]), [0, 1, 2]),
+        ],
+        ids=["first-group-freezes", "second-group-freezes"],
+    )
+    @pytest.mark.parametrize("variant", em.VARIANTS)
+    def test_a_restack_that_reorders_the_groups(self, variant, pis, order):
+        # rows [d1, d2, d1]: the first row freezes first, so the live
+        # rows' groups come back as (d2, d1), the reverse of the stack's
+        rng = np.random.default_rng(42)
+        collections = [_collection(rng, 3, 1), _collection(rng, 3, 2)]
+        models = [GaussianMeanModel(1), GaussianMeanModel(2)]
+        rows = [(c, np.array(pi)) for c, pi in zip((0, 1, 0), pis)]
+        config = EmConfig(tau=0.1, nu=0.05, variant=variant, max_iters=400, tol=1e-4)
+        got = run_em_rows(collections, models, rows, config)
+        iterations = [report.iterations for _, report in got]
+        assert all(report.converged for _, report in got)
+        assert len(set(iterations)) == 3
+        assert sorted(range(3), key=iterations.__getitem__) == order
+        for (c, pi), result in zip(rows, got):
+            _assert_same_run(result, run_em(collections[c], models[c], pi, config))
+            _assert_same_run(result, _reference_run(collections[c], models[c], pi, config))
+
+    def test_a_stack_at_t_zero_returns_its_priors(self):
+        # beta at a zero ramp lies on the stack's (R, K) row axis, and the
+        # E-step there returns each row's prior exactly
+        rng = np.random.default_rng(42)
+        _, _, stats = gaussian_stats(rng, [0.0, 1.0, 2.0], [4, 10, 10])
+        pis = np.array([[0.2, 0.7], [0.9, 0.4]])
+        stack = em.EmStep.stack([em.EmStep(stats)], [0, 0], pis)
+        beta = stack.beta(0)
+        np.testing.assert_array_equal(beta, np.zeros((2, 2)))
+        np.testing.assert_array_equal(stack.e_step(beta, [np.zeros((2, 1))], pis), pis)
+        # a solo step reads no tempering scale at t = 0, so a singular
+        # target Hessian warns nothing there
+        singular = SufficientStats(
+            np.zeros((3, 1)), np.zeros(3), np.zeros((3, 1)), np.zeros((3, 1, 1)),
+            np.full(3, 10), np.zeros(1),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = tempering_schedule(0, singular, "trace_exact", 0.05)
+        np.testing.assert_array_equal(got, np.zeros(2))
+        with pytest.warns(RuntimeWarning, match="target Hessian is singular"):
+            tempering_schedule(1, singular, "trace_exact", 0.05)
+
     def test_constants_are_built_once_per_collection(self, monkeypatch):
         # two collections of two rows each: every per-run constant is
         # built once per collection, not per row, and a row that freezes
-        # keeps the others' constants instead of rebuilding them
+        # leaves the others restacked from the constants already built
         calls = Counter()
         monkeypatch.setattr(em, "_laplace_terms", counting(calls, "laplace", em._laplace_terms))
         monkeypatch.setattr(em, "logit", counting(calls, "logit", em.logit))
-        monkeypatch.setattr(em.EmStep, "take", counting(calls, "take", em.EmStep.take))
         # the mixture null's column copy is made by the step's null_part,
         # the marginal's theta_k, c_k, b_k and C_k by its marginal
         count_step_builds(monkeypatch, calls, "eps", "blend", "null_part", "marginal")
@@ -1328,12 +1392,10 @@ class TestRowAxis:
         iterations = [report.iterations for _, report in got]
         assert all(report.converged for _, report in got)
         assert min(iterations) < max(iterations)
-        # the stack is sliced at every freeze but the last; the column
-        # copy is made once per collection and sliced with the rest
-        takes = len(set(iterations)) - 1
+        # the column copy is made once per collection and restacked with
+        # the rest
         assert calls == {
-            "laplace": 2, "blend": 2, "eps": 2, "logit": 1,
-            "take": takes, "null_part": 2, "marginal": 2,
+            "laplace": 2, "blend": 2, "eps": 2, "logit": 1, "null_part": 2, "marginal": 2,
         }
 
     @pytest.mark.parametrize("null_kind", em.NULL_KINDS)
@@ -1341,15 +1403,17 @@ class TestRowAxis:
         # the Laplace terms are taken once per collection, and no
         # iteration expands a dataset: an iteration evaluates the K
         # sources' marginal quadratics once, for every row, and the only
-        # dataset expansion is the null's own, the cross table or the
+        # dataset expansion is the null's own, the mixture table or the
         # pooled scores, once per collection
-        calls, centers = Counter(), Counter()
+        calls, kinds = Counter(), Counter()
         monkeypatch.setattr(em, "_laplace_terms", counting(calls, "laplace", em._laplace_terms))
         expand = em._expand
 
-        def recording(theta, center, *terms):
-            centers[center.shape[-2]] += 1  # K + 1 for a dataset expansion
-            return expand(theta, center, *terms)
+        def recording(theta, center, value, *terms):
+            # the stack's marginal has a row axis; a dataset expansion
+            # reads one collection's statistics
+            kinds["marginal" if value.ndim == 2 else "dataset"] += 1
+            return expand(theta, center, value, *terms)
 
         monkeypatch.setattr(em, "_expand", recording)
         rng = np.random.default_rng(42)
@@ -1361,7 +1425,7 @@ class TestRowAxis:
         got = run_em_rows(collections, GaussianMeanModel(2), rows, config)
         assert [report.iterations for _, report in got] == [30, 30, 30]
         assert calls["laplace"] == 2
-        assert centers == {3: 30, **({} if null_kind == "fixed" else {4: 2})}
+        assert kinds == {"marginal": 30, **({} if null_kind == "fixed" else {"dataset": 2})}
 
     @pytest.mark.parametrize("tau", [0.0, 0.1])
     @pytest.mark.parametrize("null_kind", em.NULL_KINDS)
@@ -1416,26 +1480,27 @@ class TestRowAxis:
 
     @pytest.mark.parametrize("null_kind", em.NULL_KINDS)
     def test_only_the_mixture_null_builds_the_cross_table(self, monkeypatch, null_kind):
-        # the (K+1) x (K+1) tables are built on first use, and only the
-        # mixture null uses them
-        built = []
+        # the K x K table is built once per collection, and only for the
+        # mixture null; two rows keep the marginal's (2, K) values apart
+        # from it
+        shapes = []
+        expand = em._expand
 
-        def recording(model, datasets):
-            built.append(build_sufficient_stats(model, datasets))
-            return built[-1]
+        def recording(*args):
+            out = expand(*args)
+            shapes.append(out.shape)
+            return out
 
-        monkeypatch.setattr(em, "build_sufficient_stats", recording)
+        monkeypatch.setattr(em, "_expand", recording)
         rng = np.random.default_rng(42)
         collections = [_collection(rng, 4, 2) for _ in range(2)]
         table = {j: -50.0 - j for j in range(1, 5)}
         spec = NullSpec(null_kind, table if null_kind == "fixed" else None)
         rows = [(0, np.full(4, 0.5)), (1, np.full(4, 0.3))]
         run_em_rows(collections, GaussianMeanModel(2), rows, EmConfig(tau=0.1, null_spec=spec))
-        assert len(built) == 2
         mixture = null_kind == "empirical_bayes_mixture"
-        for stats in built:
-            assert ("mixture_table" in vars(stats)) == mixture
-            assert ("crossloglik" in vars(stats)) == mixture
+        assert shapes.count((4, 4)) == (2 if mixture else 0)
+        assert (2, 4) in shapes
 
     @pytest.mark.parametrize("n_sources", [3, 12])
     def test_a_broadcast_prior_axis_is_the_stack_of_one_collection(self, n_sources):
