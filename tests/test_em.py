@@ -1480,27 +1480,34 @@ class TestRowAxis:
 
     @pytest.mark.parametrize("null_kind", em.NULL_KINDS)
     def test_only_the_mixture_null_builds_the_cross_table(self, monkeypatch, null_kind):
-        # the K x K table is built once per collection, and only for the
-        # mixture null; two rows keep the marginal's (2, K) values apart
-        # from it
-        shapes = []
+        # each collection's statistics are built once, and the K x K table
+        # once per collection, only for the mixture null
+        built, dataset_shapes = [], []
         expand = em._expand
 
-        def recording(*args):
-            out = expand(*args)
-            shapes.append(out.shape)
+        def building(model, datasets):
+            built.append(build_sufficient_stats(model, datasets))
+            return built[-1]
+
+        def expanding(theta, center, value, *terms):
+            out = expand(theta, center, value, *terms)
+            # the stack's marginal has a row axis; a dataset expansion
+            # reads one collection's statistics
+            if value.ndim == 1:
+                dataset_shapes.append(out.shape)
             return out
 
-        monkeypatch.setattr(em, "_expand", recording)
+        monkeypatch.setattr(em, "build_sufficient_stats", building)
+        monkeypatch.setattr(em, "_expand", expanding)
         rng = np.random.default_rng(42)
         collections = [_collection(rng, 4, 2) for _ in range(2)]
         table = {j: -50.0 - j for j in range(1, 5)}
         spec = NullSpec(null_kind, table if null_kind == "fixed" else None)
         rows = [(0, np.full(4, 0.5)), (1, np.full(4, 0.3))]
         run_em_rows(collections, GaussianMeanModel(2), rows, EmConfig(tau=0.1, null_spec=spec))
-        mixture = null_kind == "empirical_bayes_mixture"
-        assert shapes.count((4, 4)) == (2 if mixture else 0)
-        assert (2, 4) in shapes
+        assert len(built) == 2
+        tables = [shape for shape in dataset_shapes if shape == (4, 4)]
+        assert tables == ([(4, 4)] * 2 if null_kind == "empirical_bayes_mixture" else [])
 
     @pytest.mark.parametrize("n_sources", [3, 12])
     def test_a_broadcast_prior_axis_is_the_stack_of_one_collection(self, n_sources):
