@@ -32,33 +32,34 @@ statistics and an :class:`EmConfig`. It resolves what does not change
 between iterations once, on first use: the tempering scales eps_k, the
 logit of the clamped prior, the sources' theta_k, c_k, b_k and C_k, the
 pooled or fixed null's scores or the mixture null's column copy of its
-K x K table, which reads the sources alone, the exact blend's rows
-[H0 | H0 theta_0] and [C_k | C_k theta_k] (C_k is built once for both
-readers) or the surrogate's N0 theta_0, and the blend's weight buffer.
-An iteration then computes only what depends on the iterate: the
-tempering ramp, the marginal's quadratic over the K sources, the
-mixture null's log-sum-exp over the lagged weights, one finite check,
-the sigmoid, and one weighted sum and d x d solve for the blend. Its
-steps broadcast over leading axes of theta, the weights and pi. The
-public step functions below are one ``EmStep`` call each, so they and
-the loop share one arithmetic path.
+K x K table, which reads the sources alone, the M-step's table (the
+exact blend's rows [H0 theta_0 | H0] and [C_k theta_k | C_k], C_k built
+once for both readers, or the surrogate's [N0 | N0 theta_0] and [N_k |
+N_k theta_k]) and its weight buffer. An iteration then computes only
+what depends on the iterate: the tempering ramp, the marginal's
+quadratic over the K sources, the mixture null's log-sum-exp over the
+lagged weights, one finite check, the sigmoid, and one weighted sum of
+the table, then one d x d solve for the exact blend or one divide for
+the surrogate. Its steps broadcast over leading axes of theta, the
+weights and pi. The public step functions below are one ``EmStep`` call
+each, so they and the loop share one arithmetic path.
 
 One loop, :func:`run_em_rows`, advances R problems with one source
 count K together; their dimensions d may differ. A row is a (dataset
 collection, prior) pair. Each collection's statistics are built once,
 and so is its step, whose constants are built once however many rows
 share it; ``EmStep.stack`` then puts those constants on a leading row
-axis, which no other object carries. What is shaped by the sources
-alone (the tempering schedule, the null scores, the log-ratio and its
-finite check, the sigmoid) runs once over every row; the relevant
-marginal and both M-steps run once per dimension group, each on its own
-rows, and the jittered solve reaches only a row whose blend is
-singular. A row freezes once it converges: the loop stacks the live
+axis, which no other object carries, zero-padded to the largest d, D.
+Every step of an iteration runs once over every row, and the jittered
+solve reaches only a row whose blend is singular, on that row's own
+d x d block. A row freezes once it converges: the loop stacks the live
 rows again from the steps it holds, whose constants are built already,
-and each reads its theta back from the histories, so its iteration
-count, histories and report equal a solo run's. :func:`run_em` is the
-R = 1 call of that loop. Histories grow with the iterations run, not
-with ``max_iters``.
+at the same D, so theta carries over as it is. Padding adds exact zeros
+to the marginal's sums and to the blend's solve, which changes no bit at the
+widths measured (D <= 7 on OpenBLAS 0.3.31 Haswell, numpy 2.4) and moves
+a row off its solo run by rounding beyond them (below 1e-14 relative at
+d >= 5, D = 8). :func:`run_em` is the R = 1 call of that loop. Histories
+grow with the iterations run, not with ``max_iters``.
 """
 
 from __future__ import annotations
@@ -149,17 +150,6 @@ class NullSpec:
                     "table",
                     {int(k): float(v) for k, v in self.table.items()},
                 )
-
-
-# the constants of an EM run that do not depend on the dimension d
-_DIM_FREE = ("eps", "null_part")
-
-
-def _selector(rows: np.ndarray) -> slice | np.ndarray:
-    """Ascending row indices as a slice where they are contiguous."""
-    if rows[-1] - rows[0] + 1 == rows.size:
-        return slice(int(rows[0]), int(rows[-1]) + 1)
-    return rows
 
 
 def _is_finite(value, power: int = 1) -> bool:
@@ -279,8 +269,8 @@ def _expand(theta, center, value, slope, curvature):
     log-likelihood, exact for the shipped families; with the sources'
     theta_k, c_k, b_k and C_k (``_laplace_terms``) it is their Laplace
     relevant marginal. ``theta`` is a float array of shape (..., d) and
-    gives values of shape (..., K); terms with a leading row axis take
-    theta (R, d).
+    gives values of shape (..., K); a stack's terms, with a leading row
+    axis, take theta (R, D).
     """
     dev = theta[..., None, :] - center
     curv = np.einsum("...kij,...kj->...ki", curvature, dev)
@@ -413,6 +403,14 @@ def relevant_marginal_loglik(
     return out
 
 
+def _pad(value, axes, by: int):
+    """``value`` with ``by`` zeros after the end of each of its last
+    ``axes`` axes; a tuple is padded part by part, with one count each."""
+    if isinstance(value, tuple):
+        return tuple(_pad(part, n, by) for part, n in zip(value, axes))
+    return np.pad(value, [(0, 0)] * (value.ndim - axes) + [(0, by)] * axes)
+
+
 @dataclass(eq=False)
 class EmStep:
     """One EM step on one collection's statistics under one ``EmConfig``.
@@ -422,8 +420,8 @@ class EmStep:
     the prior the E-step corrects; ``sources`` are the sources (from 1)
     the null scores, all by default. :meth:`stack` puts several
     collections' constants on a leading row axis, one row per
-    (collection, prior) pair: the row axis lives on a stack only, and
-    on the steps of its dimension groups.
+    (collection, prior) pair, padded to one dimension: the row axis
+    lives on a stack only, and ``dims`` holds each row's own d.
     """
 
     stats: SufficientStats | None  # None on a stack
@@ -434,38 +432,24 @@ class EmStep:
     def __post_init__(self):
         if self.sources is None:
             self.sources = np.arange(1, self.stats.n_sources + 1)
-        self._scale = None  # [1, w_1..w_K] per row, for the blend
-        self.groups = None  # a stack's dimension groups; see ``stack``
-
-    def _dim_constants(self) -> tuple[str, ...]:
-        # what an EM run reads that has the collection's dimension d
-        return ("marginal", "surrogate" if self.config.variant == "small_tau_surrogate" else "blend")
-
-    def _stack(self, steps: Sequence["EmStep"], index: np.ndarray, names) -> None:
-        # the constants of the steps the rows read, each built once, then
-        # laid on the row axis
-        used = sorted(set(index.tolist()))
-        at = np.searchsorted(used, index)
-        for name in names:
-            parts = [getattr(steps[c], name) for c in used]
-            if isinstance(parts[0], tuple):
-                self.__dict__[name] = tuple(np.stack(p)[at] for p in zip(*parts))
-            else:
-                self.__dict__[name] = np.stack(parts)[at]
+        self._scale = None  # [1, w_1..w_K] per row, for the M-step
+        # d for the M-step's solve; a stack sets each row's own
+        self.dims = None if self.stats is None else self.stats.dim
 
     @classmethod
     def stack(cls, steps: Sequence["EmStep"], index: Sequence[int], pi) -> "EmStep":
         """R rows on a leading axis: row r reads ``steps[index[r]]`` from
         the prior ``pi[r]``. Each step builds the run's constants once,
         here, however many rows read it. The steps must share one source
-        count K; their dimensions d may differ. What does not depend on
-        d (the tempering scales, the null's part, the prior) lies on the
-        row axis; the marginal and the M-step's constants lie on one row
-        axis per dimension, in ``groups``: one (rows, step) pair per
-        dimension, in the order of its first row. Only the steps some row
-        reads are stacked, so a loop restacks its live rows from the
-        steps it holds without rebuilding a constant. A stack's theta is
-        a list with one array per group."""
+        count K; their dimensions d may differ. Every constant lies on
+        the one row axis. Those shaped by d (the marginal's theta_k, b_k
+        and C_k, and the M-step table) are zero-padded to D, the largest
+        d of ``steps``, and the target's pad rows of the exact blend get
+        an identity block: the blend stays regular and solves the pad
+        entries of a row's theta, of width D, to exactly 0. Only the
+        steps some row reads are stacked, and D does not depend on
+        which, so a loop restacks its live rows from the steps it holds,
+        and keeps their theta, without rebuilding a constant."""
         counts = sorted({step.stats.n_sources for step in steps})
         if len(counts) != 1:
             raise InvalidConfigurationError(
@@ -473,16 +457,35 @@ class EmStep:
                 f"dropped; got source counts {counts}",
                 key="rows",
             )
-        index = np.asarray(index, dtype=int)
+        index = np.asarray(index)
+        if not (
+            index.ndim == 1 and index.dtype.kind in "iu"
+            and np.all((index >= 0) & (index < len(steps)))
+        ):
+            raise InvalidConfigurationError(
+                f"row steps {index.tolist()} are not indices of the {len(steps)} steps",
+                key="rows",
+            )
         out = replace(steps[0], stats=None, pi=np.array(pi, dtype=float))
-        out._stack(steps, index, _DIM_FREE)
-        dims = np.array([step.stats.dim for step in steps])[index]
-        out.groups = []
-        for d in dict.fromkeys(dims.tolist()):
-            rows = np.flatnonzero(dims == d)
-            group = replace(steps[0], stats=None)
-            group._stack(steps, index[rows], group._dim_constants())
-            out.groups.append((_selector(rows), group))
+        _check_prior(out.pi, index.shape + (counts[0],))
+        dims = np.array([step.stats.dim for step in steps])
+        out.dims, width = dims[index], dims.max()
+        exact = out.config.variant == "exact_hessian_reuse"
+        used = sorted(set(index.tolist()))
+        at = np.searchsorted(used, index)
+        # each constant's trailing axes of length d, padded to D
+        for name, axes in (
+            ("eps", 0), ("null_part", 0), ("marginal", (1, 0, 1, 2)), ("blend", 2 if exact else 1)
+        ):
+            parts = [_pad(getattr(steps[c], name), axes, width - dims[c]) for c in used]
+            if isinstance(parts[0], tuple):
+                out.__dict__[name] = tuple(np.stack(p)[at] for p in zip(*parts))
+            else:
+                out.__dict__[name] = np.stack(parts)[at]
+        if exact:
+            # in the target's table row, the block's column i is column i + 1
+            rows, pads = np.nonzero(np.arange(width) >= out.dims[:, None])
+            out.blend[rows, 0, pads, pads + 1] = 1.0
         return out
 
     @cached_property
@@ -564,19 +567,20 @@ class EmStep:
 
     @cached_property
     def blend(self) -> np.ndarray:
-        """The exact M-step's rows [H0 | H0 theta_0] and [C_k | C_k theta_k]."""
-        h0, theta_hat, blocks = self.stats.hessians[0], self.stats.theta_hat, self.marginal[3]
+        """The M-step's table, one row per dataset, that :meth:`m_step`
+        sums with weights [1, w_1..w_K]: the exact blend's [H0 theta_0 |
+        H0] and [C_k theta_k | C_k], or the surrogate's [N0 | N0 theta_0]
+        and [N_k | N_k theta_k] (one table row each)."""
+        stats = self.stats
+        if self.config.variant == "small_tau_surrogate":
+            if stats.sizes[0] < 1:
+                raise InsufficientDataError("target dataset is empty")
+            sizes = stats.sizes[:, None]
+            return np.concatenate([sizes, sizes * stats.theta_hat], axis=-1)[:, None]
+        h0, theta_hat, blocks = stats.hessians[0], stats.theta_hat, self.marginal[3]
         pulls = [(h0 @ theta_hat[0])[None], (blocks @ theta_hat[1:, :, None])[..., 0]]
         rows = np.concatenate([h0[None], blocks])
-        return np.concatenate([rows, np.concatenate(pulls)[..., None]], axis=-1)
-
-    @cached_property
-    def surrogate(self) -> tuple[np.ndarray, ...]:
-        """N0, N0 theta_0, the source sizes N_k and the source MLEs."""
-        n0, theta_hat = self.stats.sizes[:1], self.stats.theta_hat
-        if n0[0] < 1:
-            raise InsufficientDataError("target dataset is empty")
-        return n0, n0 * theta_hat[0], self.stats.sizes[1:], theta_hat[1:]
+        return np.concatenate([np.concatenate(pulls)[..., None], rows], axis=-1)
 
     def beta(self, t: int) -> np.ndarray:
         """The tempering multipliers (1 - exp(-nu t)) / eps_k."""
@@ -586,19 +590,14 @@ class EmStep:
             return np.zeros(self.eps.shape if self.stats is None else self.stats.n_sources)
         return ramp / self.eps
 
-    def e_step(self, beta: np.ndarray, theta, prev: np.ndarray) -> np.ndarray:
-        """See :func:`e_step`; ``prev`` is the previous weights. theta is
-        a float array, or on a stack a list of one per dimension group."""
+    def e_step(self, beta: np.ndarray, theta: np.ndarray, prev: np.ndarray) -> np.ndarray:
+        """See :func:`e_step`; ``prev`` is the previous weights. On a
+        stack theta is of width D, zero beyond each row's d."""
         prior_logit = self.prior_logit
         if not beta.any():
             return self.pi.copy()
         prev = np.minimum(np.maximum(prev, WEIGHT_CLAMP), 1.0 - WEIGHT_CLAMP)
-        if self.groups is None:
-            rel = _expand(theta, *self.marginal)
-        else:
-            rel = np.empty(prev.shape)
-            for (rows, group), part in zip(self.groups, theta, strict=True):
-                rel[rows] = _expand(part, *group.marginal)
+        rel = _expand(theta, *self.marginal)
         null = self.null(prev, check=False)
         ratio = rel - null
         if not np.isfinite(ratio).all():
@@ -638,16 +637,10 @@ class EmStep:
                 "to the parametric_pooled null"
             )
 
-    def m_step(self, weights: np.ndarray) -> np.ndarray | list[np.ndarray]:
-        """The blended theta for weights of one shape per step; on a
-        stack, one array per dimension group."""
-        if self.groups is not None:
-            return [group.m_step(weights[rows]) for rows, group in self.groups]
-        if self.config.variant == "small_tau_surrogate":
-            n0, pull0, sizes, sources = self.surrogate
-            mass = weights * sizes
-            numer = pull0 + (mass[..., None, :] @ sources)[..., 0, :]
-            return numer / (n0 + mass.sum(axis=-1, keepdims=True))
+    def m_step(self, weights: np.ndarray) -> np.ndarray:
+        """The blended theta for weights of one shape per step, of width D
+        on a stack: one weighted sum of the table, then one d x d solve
+        for the exact blend or one divide for the surrogate."""
         if self._scale is None:
             self._scale = np.ones(weights.shape[:-1] + (weights.shape[-1] + 1,))
         # weight 1 on the target row, then the sources in order: the sum
@@ -656,7 +649,9 @@ class EmStep:
         scale = self._scale
         scale[..., 1:] = weights
         joint = np.einsum("...k,...kij->...ij", scale, self.blend)
-        return _solve_with_jitter(joint[..., :-1], joint[..., -1])
+        if self.config.variant == "small_tau_surrogate":
+            return joint[..., 0, 1:] / joint[..., 0, :1]
+        return _solve_with_jitter(joint[..., 1:], joint[..., 0], self.dims)
 
 
 def null_loglik(
@@ -674,6 +669,8 @@ def null_loglik(
     step's mixture table (``EmStep.null_part``); a component of weight 1
     drops out.
     """
+    if isinstance(k, bool) or not isinstance(k, Integral):
+        raise InvalidConfigurationError(f"k must be an integer, got {k!r}", key="k")
     if not 1 <= k <= stats.n_sources:
         raise InvalidConfigurationError(f"source index {k} out of range", key="k")
     step = EmStep(stats, EmConfig(null_spec=null_spec), sources=np.array([k]))
@@ -689,8 +686,8 @@ def tempering_schedule(
     beta_k = (1 - exp(-nu t)) / eps_k, with eps_k from ``EmStep.eps``
     in the given mode.
     """
-    if t < 0:
-        raise InvalidConfigurationError("t must be >= 0", key="t")
+    if not t >= 0:
+        raise InvalidConfigurationError(f"t must be >= 0, got {t}", key="t")
     if mode not in TEMPERING_MODES:
         raise InvalidConfigurationError(
             f"unknown tempering_mode {mode!r}", key="tempering_mode"
@@ -730,18 +727,25 @@ def e_step(
         return step.e_step(beta, np.asarray(state.theta, dtype=float), prev)
 
 
-def _solve_with_jitter(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _solve_with_jitter(lhs: np.ndarray, rhs: np.ndarray, dims) -> np.ndarray:
     """Solve lhs x = rhs, batched over leading axes; diagonal jitter
-    escalates only for a system whose plain solve fails."""
+    escalates only for a system whose plain solve fails. ``dims`` gives
+    each system's own d, over the leading axes: a system padded beyond d
+    jitters its leading d x d block at that block's scale, and its pad
+    entries, which the identity block there solves to 0, stay 0."""
     try:
         return np.linalg.solve(lhs, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError:
         if lhs.ndim > 2:
-            return np.stack([_solve_with_jitter(a, b) for a, b in zip(lhs, rhs)])
-    scale = 1.0 + abs(np.trace(lhs)) / lhs.shape[0]
+            dims = np.broadcast_to(dims, lhs.shape[:-2])
+            return np.stack([_solve_with_jitter(*system) for system in zip(lhs, rhs, dims)])
+    d = int(dims)
+    block, out = lhs[:d, :d], np.zeros_like(rhs)
+    scale = 1.0 + abs(np.trace(block)) / d
     for jitter in (1e-12, 1e-10, 1e-8, 1e-6):
         try:
-            return np.linalg.solve(lhs + jitter * scale * np.eye(lhs.shape[0]), rhs)
+            out[:d] = np.linalg.solve(block + jitter * scale * np.eye(d), rhs[:d])
+            return out
         except np.linalg.LinAlgError:
             continue
     raise SingularFitError("blend system is singular even after jitter")
@@ -829,29 +833,23 @@ def _prepare(
 class _History:
     """Per-row weight, theta, beta and delta_w trajectories, one slot
     per iteration counter value; capacity doubles as iterations run.
-    A row of dimension d fills the first d theta columns."""
+    theta is recorded at the stack's width D; a row of dimension d
+    reads back its first d columns."""
 
-    def __init__(self, n_sources: int, dims: np.ndarray):
-        n_rows, self.dims = len(dims), dims
-        width = (n_sources, int(dims.max()), n_sources)
-        self.slots = [np.empty((n_rows, 8, w)) for w in width]
-        self.slots.append(np.empty((n_rows, 8)))
+    def __init__(self, n_sources: int, dims: np.ndarray, width: int):
+        self.dims = dims
+        self.slots = [np.empty((len(dims), 8, w)) for w in (n_sources, width, n_sources)]
+        self.slots.append(np.empty((len(dims), 8)))
 
-    def record(self, rows, t: int, weights, thetas, beta, delta) -> None:
-        """``thetas`` holds one (rows, theta) pair per dimension group."""
+    def record(self, rows, t: int, *values) -> None:
+        """The weights, theta, beta and delta_w of ``rows`` at iteration t."""
         if t == self.slots[0].shape[1]:
             self.slots = [
                 np.concatenate([slot, np.empty_like(slot)], axis=1)
                 for slot in self.slots
             ]
-        weight_slot, theta_slot, beta_slot, delta_slot = self.slots
-        weight_slot[rows, t], beta_slot[rows, t], delta_slot[rows, t] = weights, beta, delta
-        for group_rows, theta in thetas:
-            theta_slot[group_rows, t, : theta.shape[-1]] = theta
-
-    def theta(self, rows: np.ndarray, t: int) -> np.ndarray:
-        """The theta at iteration t of rows that share one dimension."""
-        return self.slots[1][rows, t, : self.dims[rows[0]]]
+        for slot, value in zip(self.slots, values, strict=True):
+            slot[rows, t] = value
 
     def row(self, r: int, iterations: int) -> list[np.ndarray]:
         weights, theta, beta, delta = (slot[r, : iterations + 1] for slot in self.slots)
@@ -879,15 +877,15 @@ def run_em_rows(
     K, or ``InvalidConfigurationError`` is raised.
 
     Each iteration refreshes the tempering multipliers, re-scores the
-    weights and blends a new theta for every active row. All that is
-    shaped by the sources alone runs once over every row; only the
-    relevant marginal and the blend run once per dimension. A row has
-    converged when its weight vector moves less than ``config.tol`` in
-    the max norm for ``config.patience`` consecutive iterations; it
-    then freezes and leaves the stack. Hitting max_iters is reported,
-    not raised. An error in any row is raised as its solo run raises
-    it. Returns one (state, report) pair per row, in row order, each
-    equal to that row's solo :func:`run_em`.
+    weights and blends a new theta for every active row, each step
+    once over all rows at the padded width D. A row has converged when
+    its weight vector moves less than ``config.tol`` in the max norm for
+    ``config.patience`` consecutive iterations; it then freezes and
+    leaves the stack. Hitting max_iters is reported, not raised. An
+    error in any row is raised as its solo run raises it. Returns one
+    (state, report) pair per row, in row order, each equal to that
+    row's solo :func:`run_em`, bit for bit at the widths the module
+    docstring names and to rounding beyond them.
     """
     collections = [list(datasets) for datasets in collections]
     models = [model] * len(collections) if isinstance(model, LikelihoodFamily) else list(model)
@@ -916,16 +914,14 @@ def run_em_rows(
     step = EmStep.stack(steps, index, [pi[[k - 1 for k in prepared[c][1]]] for c, pi in rows])
     pis, prior_logit = step.pi, step.prior_logit
     n_rows, n_sources = pis.shape
-    # one theta per dimension group, zero like one source's theta_k per row
-    theta = [np.zeros_like(group.marginal[0][:, 0]) for _, group in step.groups]
+    # theta starts at zero, as wide as one source's padded theta_k
+    theta = np.zeros_like(step.marginal[0][:, 0])
     beta = step.beta(0)
     weights = step.e_step(beta, theta, pis)
-    history = _History(n_sources, np.array([prepared[c][0].dim for c, _ in rows]))
-    # the live rows' history slots: all rows until the first one freezes,
-    # and each dimension group's share of them
+    history = _History(n_sources, step.dims, theta.shape[-1])
+    # the live rows' history slots: all rows until the first one freezes
     active, live = np.arange(n_rows), slice(None)
-    group_slots = [selector for selector, _ in step.groups]
-    history.record(live, 0, weights, zip(group_slots, theta), beta, np.full(n_rows, np.inf))
+    history.record(live, 0, weights, theta, beta, np.full(n_rows, np.inf))
     streak = np.zeros(n_rows, dtype=int)
     converged = np.zeros(n_rows, dtype=bool)
     iterations = np.full(n_rows, config.max_iters)
@@ -937,7 +933,7 @@ def run_em_rows(
             delta = np.abs(new_weights - weights).max(axis=-1)
             weights = new_weights
             theta = step.m_step(weights)
-            history.record(live, t, weights, zip(group_slots, theta), beta, delta)
+            history.record(live, t, weights, theta, beta, delta)
             streak = (streak + 1) * (delta <= config.tol)
             if streak.max() >= config.patience:
                 done = streak >= config.patience
@@ -947,14 +943,12 @@ def run_em_rows(
                 if not keep.any():
                     break
                 # converged rows freeze: the others go on a new stack of
-                # the held steps, whose groups may come in another order,
-                # so each reads its theta back from the history
-                active, streak, weights = active[keep], streak[keep], weights[keep]
+                # the held steps, of the same width D
+                active, streak = active[keep], streak[keep]
+                weights, theta = weights[keep], theta[keep]
                 step = EmStep.stack(steps, index[active], pis[active])
                 step.prior_logit = prior_logit[active]
                 live = active
-                group_slots = [active[selector] for selector, _ in step.groups]
-                theta = [history.theta(slots, t) for slots in group_slots]
 
     results = []
     for r, (c, _) in enumerate(rows):

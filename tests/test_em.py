@@ -404,7 +404,28 @@ class TestNullLoglik:
         assert spec.table == {1: -1.0, 2: -2.0}
 
 
+    @pytest.mark.parametrize("k", [1.5, True, "1"])
+    def test_a_non_integer_source_index_is_refused(self, k):
+        # 1.5 used to end in numpy's IndexError and True to read source 1
+        rng = np.random.default_rng(42)
+        _, _, stats = gaussian_stats(rng, [0.0, 1.0, 2.0], [4, 10, 10])
+        with pytest.raises(InvalidConfigurationError) as err:
+            null_loglik(NullSpec(), k, stats, np.full(2, 0.5))
+        assert err.value.key == "k"
+        # a numpy integer is an integer
+        assert np.isfinite(null_loglik(NullSpec(), np.int64(2), stats, np.full(2, 0.5)))
+
+
 class TestTemperingSchedule:
+    @pytest.mark.parametrize("t", [-1, float("nan")])
+    def test_a_negative_or_nan_iteration_is_refused(self, t):
+        # nan used to give an all-nan beta
+        rng = np.random.default_rng(42)
+        _, _, stats = gaussian_stats(rng, [0.0, 1.0], [4, 200])
+        with pytest.raises(InvalidConfigurationError) as err:
+            tempering_schedule(t, stats, "fisher_ratio", 0.05)
+        assert err.value.key == "t"
+
     def test_zero_iteration_gives_zero(self):
         rng = np.random.default_rng(42)
         _, _, stats = gaussian_stats(rng, [0.0, 1.0], [4, 200])
@@ -654,9 +675,9 @@ class TestEStep:
         ]
         np.testing.assert_allclose(rel, public, rtol=1e-15)
         # the loop's stack of the same rows reads the same bits; a
-        # stack's theta is one array per dimension group
+        # stack of one collection reads theta at its own width
         stack = em.EmStep.stack([step], [0] * 6, pi)
-        np.testing.assert_array_equal(stack.e_step(ones, [thetas], pi), rel)
+        np.testing.assert_array_equal(stack.e_step(ones, thetas, pi), rel)
         if tau == 0:
             quadratic = stats.theta_hat, stats.loglik_hat, stats.gradients, stats.hessians
             np.testing.assert_array_equal(rel, em._expand(thetas, *quadratic)[..., 1:])
@@ -1325,9 +1346,9 @@ class TestRowAxis:
     @pytest.mark.parametrize(
         "pis, order",
         [
-            # the d = 1 group freezes whole while the d = 2 row runs on
+            # both d = 1 rows freeze while the d = 2 row runs on
             (([1e-6, 0.999, 1e-6], [0.999, 1e-6, 1e-6], [0.5, 0.5, 0.5]), [0, 2, 1]),
-            # the d = 2 group freezes whole while a d = 1 row runs on
+            # the d = 2 row freezes while a d = 1 row runs on
             (([1e-6, 0.999, 1e-6], [0.5, 0.5, 0.5], [0.9, 0.9, 0.9]), [0, 1, 2]),
         ],
         ids=["first-group-freezes", "second-group-freezes"],
@@ -1335,7 +1356,8 @@ class TestRowAxis:
     @pytest.mark.parametrize("variant", em.VARIANTS)
     def test_a_restack_that_reorders_the_groups(self, variant, pis, order):
         # rows [d1, d2, d1]: the first row freezes first, so the live
-        # rows' groups come back as (d2, d1), the reverse of the stack's
+        # rows come back as (d2, d1), the reverse of the first stack's
+        # order of dimensions, on a restack of the same padded width
         rng = np.random.default_rng(42)
         collections = [_collection(rng, 3, 1), _collection(rng, 3, 2)]
         models = [GaussianMeanModel(1), GaussianMeanModel(2)]
@@ -1359,7 +1381,7 @@ class TestRowAxis:
         stack = em.EmStep.stack([em.EmStep(stats)], [0, 0], pis)
         beta = stack.beta(0)
         np.testing.assert_array_equal(beta, np.zeros((2, 2)))
-        np.testing.assert_array_equal(stack.e_step(beta, [np.zeros((2, 1))], pis), pis)
+        np.testing.assert_array_equal(stack.e_step(beta, np.zeros((2, 1)), pis), pis)
         # a solo step reads no tempering scale at t = 0, so a singular
         # target Hessian warns nothing there
         singular = SufficientStats(
@@ -1416,16 +1438,22 @@ class TestRowAxis:
             return expand(theta, center, value, *terms)
 
         monkeypatch.setattr(em, "_expand", recording)
-        rng = np.random.default_rng(42)
-        collections = [_collection(rng, 3, 2) for _ in range(2)]
         table = {j: -50.0 - j for j in range(1, 4)}
         spec = NullSpec(null_kind, table if null_kind == "fixed" else None)
         config = EmConfig(tau=0.1, nu=6e-5, null_spec=spec, max_iters=30, tol=1e-15)
         rows = [(0, np.full(3, 0.5)), (1, np.full(3, 0.3)), (1, np.full(3, 0.7))]
-        got = run_em_rows(collections, GaussianMeanModel(2), rows, config)
-        assert [report.iterations for _, report in got] == [30, 30, 30]
-        assert calls["laplace"] == 2
-        assert kinds == {"marginal": 30, **({} if null_kind == "fixed" else {"dataset": 2})}
+        # collections of one dimension, then of d = 1 and d = 3: the
+        # marginal runs once per iteration over the padded rows either way
+        for dims in ((2, 2), (1, 3)):
+            calls.clear()
+            kinds.clear()
+            rng = np.random.default_rng(42)
+            collections = [_collection(rng, 3, d) for d in dims]
+            models = [GaussianMeanModel(d) for d in dims]
+            got = run_em_rows(collections, models, rows, config)
+            assert [report.iterations for _, report in got] == [30, 30, 30]
+            assert calls["laplace"] == 2
+            assert kinds == {"marginal": 30, **({} if null_kind == "fixed" else {"dataset": 2})}
 
     @pytest.mark.parametrize("tau", [0.0, 0.1])
     @pytest.mark.parametrize("null_kind", em.NULL_KINDS)
@@ -1525,41 +1553,47 @@ class TestRowAxis:
             state = EmState(theta=theta, weights=pis, t=1, beta=np.ones(pis.shape))
             stack = em.EmStep.stack([em.EmStep(stats, config)], [0, 0, 0], pis)
             np.testing.assert_array_equal(
-                e_step(state, stats, pis, config), stack.e_step(state.beta, [theta], pis)
+                e_step(state, stats, pis, config), stack.e_step(state.beta, theta, pis)
             )
 
     def test_jitter_reaches_only_the_singular_row(self):
         # every Hessian of the first collection is zero in its second
         # coordinate, so that row's blend is exactly singular and needs
         # jitter (and its target Hessian downgrades the tempering scale);
-        # the second row's blend solves as it is
+        # the second row's blend solves as it is. Against a regular
+        # collection of d = 3 the singular row is padded to D = 3, and
+        # jitters its own 2 x 2 block as its solo step does
         rng = np.random.default_rng(42)
 
         def stats(hessians):
-            n = len(hessians)
+            n, d = len(hessians), len(hessians[0])
             return SufficientStats(
-                rng.normal(size=(n, 2)), rng.normal(size=n), np.zeros((n, 2)),
-                np.asarray(hessians, dtype=float), np.full(n, 10), np.zeros(2),
+                rng.normal(size=(n, d)), rng.normal(size=n), np.zeros((n, d)),
+                np.asarray(hessians, dtype=float), np.full(n, 10), np.zeros(d),
             )
 
         singular = stats([np.diag([2.0, 0.0]), np.diag([3.0, 0.0]), np.diag([1.0, 0.0])])
         regular = stats([np.eye(2) * 2.0, np.diag([3.0, 1.0]), np.diag([1.0, 4.0])])
+        wider = stats([np.eye(3) * 2.0, np.diag([3.0, 1.0, 2.0]), np.diag([1.0, 4.0, 0.5])])
         weights = np.array([[0.3, 0.6], [0.2, 0.9]])
         config = EmConfig(tau=0.1)
         blend = em.EmStep(singular, config).blend
-        blocks, pulls = blend[..., :-1], blend[0, :, -1]
+        blocks, pulls = blend[..., 1:], blend[0, :, 0]
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(blocks[0] + 0.3 * blocks[1] + 0.6 * blocks[2], pulls)
-        with pytest.warns(RuntimeWarning, match="target Hessian is singular"):
-            step = em.EmStep.stack(
-                [em.EmStep(singular, config), em.EmStep(regular, config)],
-                [0, 1],
-                np.full((2, 2), 0.5),
-            )
-        [got] = step.m_step(weights)  # one dimension group
-        np.testing.assert_array_equal(got[0], m_step_exact(singular, weights[0], 0.1))
-        np.testing.assert_array_equal(got[1], m_step_exact(regular, weights[1], 0.1))
-        assert np.all(np.isfinite(got))
+        for other in (regular, wider):
+            with pytest.warns(RuntimeWarning, match="target Hessian is singular"):
+                step = em.EmStep.stack(
+                    [em.EmStep(singular, config), em.EmStep(other, config)],
+                    [0, 1],
+                    np.full((2, 2), 0.5),
+                )
+            got = step.m_step(weights)
+            assert got.shape == (2, other.dim)
+            np.testing.assert_array_equal(got[0, :2], m_step_exact(singular, weights[0], 0.1))
+            np.testing.assert_array_equal(got[0, 2:], np.zeros(other.dim - 2))
+            np.testing.assert_array_equal(got[1], m_step_exact(other, weights[1], 0.1))
+            assert np.all(np.isfinite(got))
 
     @pytest.mark.parametrize(
         "break_row",
@@ -1629,6 +1663,28 @@ class TestRowAxis:
                     )
                 assert type(solo.value) is type(batched.value) is error
                 assert str(batched.value) == str(solo.value)
+
+    @pytest.mark.parametrize("index", [[0, 2], [0, -1], [0.0, 1.0]])
+    def test_a_stack_refuses_a_row_that_names_no_step(self, index):
+        # an index past the steps used to end in a bare IndexError
+        rng = np.random.default_rng(42)
+        steps = [em.EmStep(build_sufficient_stats(GaussianMeanModel(1), _collection(rng, 2, 1)))
+                 for _ in range(2)]
+        with pytest.raises(InvalidConfigurationError) as err:
+            em.EmStep.stack(steps, index, np.full((2, 2), 0.5))
+        assert err.value.key == "rows"
+
+    @pytest.mark.parametrize(
+        "pi", [[[0.5, 0.5], [0.5, 1.5]], [[0.5, 0.5], [0.5, 0.0]], [[0.5, 0.5]]],
+        ids=["above-one", "zero", "one-row-short"],
+    )
+    def test_a_stack_refuses_a_prior_outside_the_open_interval(self, pi):
+        # a prior of 1.5 used to be clamped, so the E-step returned 1.0
+        rng = np.random.default_rng(42)
+        step = em.EmStep(build_sufficient_stats(GaussianMeanModel(1), _collection(rng, 2, 1)))
+        with pytest.raises(InvalidConfigurationError) as err:
+            em.EmStep.stack([step], [0, 0], pi)
+        assert err.value.key == "pi"
 
     def test_one_model_per_collection(self):
         rng = np.random.default_rng(42)
