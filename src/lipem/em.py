@@ -31,18 +31,24 @@ the summed normal equations of fits kept on each dataset.
 statistics and an :class:`EmConfig`. It resolves what does not change
 between iterations once, on first use: the tempering scales eps_k, the
 logit of the clamped prior, the sources' theta_k, c_k, b_k and C_k, the
-pooled or fixed null's scores or the mixture null's column copy of its
-K x K table, which reads the sources alone, the M-step's table (the
-exact blend's rows [H0 theta_0 | H0] and [C_k theta_k | C_k], C_k built
-once for both readers, or the surrogate's [N0 | N0 theta_0] and [N_k |
-N_k theta_k]) and its weight buffer. An iteration then computes only
-what depends on the iterate: the tempering ramp, the marginal's
-quadratic over the K sources, the mixture null's log-sum-exp over the
-lagged weights, one finite check, the sigmoid, and one weighted sum of
+pooled or fixed null's scores, the M-step's table (the exact blend's
+rows [H0 theta_0 | H0] and [C_k theta_k | C_k], C_k built once for both
+readers, or the surrogate's [N0 | N0 theta_0] and [N_k | N_k theta_k])
+and its weight buffer. The mixture null's K x K table reads the sources
+alone; it is exponentiated once, E_jk = exp(table_jk - m_k) with m_k
+the largest finite entry of column k, next to the shift m_k - log(K -
+1). An iteration then computes only what depends on the iterate: the
+tempering ramp, the marginal's quadratic over the K sources, the
+mixture null's one product (1 - w) @ E over the lagged weights, a log
+and the shift, one finite check, the sigmoid, and one weighted sum of
 the table, then one d x d solve for the exact blend or one divide for
-the surrogate. Its steps broadcast over leading axes of theta, the
-weights and pi. The public step functions below are one ``EmStep`` call
-each, so they and the loop share one arithmetic path.
+the surrogate. A mixture column whose product is 0 or below the normal
+range falls back to the log-sum-exp over the table: that takes a weight
+of exactly 1 on the column's peak component, which the E-step's clamped
+weights never are, or a degenerate column. Its steps broadcast over
+leading axes of theta, the weights and pi. The public step functions
+below are one ``EmStep`` call each, so they and the loop share one
+arithmetic path.
 
 One loop, :func:`run_em_rows`, advances R problems with one source
 count K together; their dimensions d may differ. A row is a (dataset
@@ -106,6 +112,8 @@ __all__ = [
 # weights are clamped to [WEIGHT_CLAMP, 1 - WEIGHT_CLAMP] before any
 # logit-space arithmetic so saturation cannot produce infinities
 WEIGHT_CLAMP = 1e-12
+# the smallest normal float: a mixture null's product below it falls back
+_TINY = np.finfo(float).tiny
 
 VARIANTS = ("exact_hessian_reuse", "small_tau_surrogate")
 TEMPERING_MODES = ("trace_exact", "fisher_ratio")
@@ -303,6 +311,19 @@ def _check_prior(pi: np.ndarray, shape: tuple[int, ...]) -> None:
         )
 
 
+def _checked(value, key: str, width: int, lead: bool = True, unit: bool = False) -> np.ndarray:
+    """``value`` as floats, ``width`` of them along the last axis, which
+    leading axes may precede if ``lead``, each in [0, 1] if ``unit``;
+    otherwise ``InvalidConfigurationError`` keyed ``key``."""
+    value = np.asarray(value, dtype=float)
+    if value.shape[-1:] != (width,) or (value.ndim > 1 and not lead):
+        want = f"(..., {width})" if lead else f"({width},)"
+        raise InvalidConfigurationError(f"{key} must have shape {want}, got {value.shape}", key=key)
+    if unit and not np.all((value >= 0.0) & (value <= 1.0)):
+        raise InvalidConfigurationError(f"{key} must lie in [0, 1]", key=key)
+    return value
+
+
 def _table_lookup(table: Mapping[int, float], ks) -> np.ndarray:
     try:
         return np.array([table[k] for k in ks], dtype=float)
@@ -405,10 +426,16 @@ def relevant_marginal_loglik(
 
 def _pad(value, axes, by: int):
     """``value`` with ``by`` zeros after the end of each of its last
-    ``axes`` axes; a tuple is padded part by part, with one count each."""
+    ``axes`` axes; a tuple is padded part by part, with one count each.
+    Unpadded, ``value`` itself is returned."""
     if isinstance(value, tuple):
         return tuple(_pad(part, n, by) for part, n in zip(value, axes))
-    return np.pad(value, [(0, 0)] * (value.ndim - axes) + [(0, by)] * axes)
+    if not (axes and by):
+        return value
+    lead = value.ndim - axes
+    out = np.zeros(value.shape[:lead] + tuple(n + by for n in value.shape[lead:]), value.dtype)
+    out[tuple(map(slice, value.shape))] = value
+    return out
 
 
 @dataclass(eq=False)
@@ -417,21 +444,18 @@ class EmStep:
 
     Each constant :meth:`beta`, :meth:`e_step`, :meth:`null` and
     :meth:`m_step` read is built on first use and then held. ``pi`` is
-    the prior the E-step corrects; ``sources`` are the sources (from 1)
-    the null scores, all by default. :meth:`stack` puts several
+    the prior the E-step corrects. :meth:`stack` puts several
     collections' constants on a leading row axis, one row per
     (collection, prior) pair, padded to one dimension: the row axis
-    lives on a stack only, and ``dims`` holds each row's own d.
+    lives on a stack only, ``dims`` holds each row's own d and ``rows``
+    each row's step.
     """
 
     stats: SufficientStats | None  # None on a stack
     config: EmConfig = field(default_factory=EmConfig)
     pi: np.ndarray | None = None
-    sources: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.sources is None:
-            self.sources = np.arange(1, self.stats.n_sources + 1)
         self._scale = None  # [1, w_1..w_K] per row, for the M-step
         # d for the M-step's solve; a stack sets each row's own
         self.dims = None if self.stats is None else self.stats.dim
@@ -449,7 +473,8 @@ class EmStep:
         entries of a row's theta, of width D, to exactly 0. Only the
         steps some row reads are stacked, and D does not depend on
         which, so a loop restacks its live rows from the steps it holds,
-        and keeps their theta, without rebuilding a constant."""
+        and keeps their theta, without rebuilding a constant. The
+        mixture null stacks its E and shift, not its table."""
         counts = sorted({step.stats.n_sources for step in steps})
         if len(counts) != 1:
             raise InvalidConfigurationError(
@@ -470,12 +495,15 @@ class EmStep:
         _check_prior(out.pi, index.shape + (counts[0],))
         dims = np.array([step.stats.dim for step in steps])
         out.dims, width = dims[index], dims.max()
+        out.rows = [steps[c] for c in index]
         exact = out.config.variant == "exact_hessian_reuse"
         used = sorted(set(index.tolist()))
         at = np.searchsorted(used, index)
+        mixture = out.config.null_spec.kind == "empirical_bayes_mixture"
+        null = ("mixture", (0, 0)) if mixture else ("null_part", 0)
         # each constant's trailing axes of length d, padded to D
         for name, axes in (
-            ("eps", 0), ("null_part", 0), ("marginal", (1, 0, 1, 2)), ("blend", 2 if exact else 1)
+            ("eps", 0), null, ("marginal", (1, 0, 1, 2)), ("blend", 2 if exact else 1)
         ):
             parts = [_pad(getattr(steps[c], name), axes, width - dims[c]) for c in used]
             if isinstance(parts[0], tuple):
@@ -542,28 +570,38 @@ class EmStep:
 
     @cached_property
     def null_part(self) -> np.ndarray:
-        """The scored sources' pooled-MLE likelihoods or fixed-table
-        values, or their columns of the mixture table, whose entry (j, k)
-        is loglik(theta_j; D_k) over the sources, -inf where j = k since
-        no source is a component of its own mixture null."""
-        stats, ks, null_spec = self.stats, self.sources, self.config.null_spec
+        """The sources' pooled-MLE likelihoods or fixed-table values, or
+        the mixture table, whose entry (j, k) is loglik(theta_j; D_k)
+        over the sources, -inf where j = k since no source is a component
+        of its own mixture null. A stack holds no mixture table: the
+        fallback of :meth:`null` reads its rows' steps' tables."""
+        if self.stats is None:
+            return np.stack([step.null_part for step in self.rows])
+        stats, null_spec = self.stats, self.config.null_spec
         if null_spec.kind == "fixed":
-            table = _table_lookup(null_spec.table, range(1, stats.n_sources + 1))
-            return table[ks - 1]
+            return _table_lookup(null_spec.table, range(1, stats.n_sources + 1))
         sources = (stats.theta_hat[1:], stats.loglik_hat[1:], stats.gradients[1:], stats.hessians[1:])
         if null_spec.kind == "parametric_pooled":
-            return _expand(stats.pooled_theta, *sources)[ks - 1]
+            return _expand(stats.pooled_theta, *sources)
         if stats.n_sources < 2:
             raise InvalidConfigurationError(
                 "the mixture null needs at least two sources", key="null_spec.kind"
             )
-        # rows: mixture components j = 1..K; columns: the scored sources.
-        # The fancy index lays the copy out column by column, and a stack
-        # keeps that layout, so the sum over components in ``null`` runs
-        # along contiguous memory (pairwise from eight components on)
+        # rows: mixture components j = 1..K; columns: the sources scored
         table = _expand(sources[0], *sources)
         np.fill_diagonal(table, -np.inf)
-        return table[:, ks - 1]
+        return table
+
+    @cached_property
+    def mixture(self) -> tuple[np.ndarray, np.ndarray]:
+        """The mixture null's run constants: the table exponentiated,
+        E_jk = exp(table_jk - m_k), and the shift m_k - log(K - 1), with
+        m_k the largest finite entry of column k (0 where there is none,
+        so such a column's E holds no finite nonzero entry)."""
+        table = self.null_part
+        peak = np.max(table, axis=0, initial=-np.inf, where=np.isfinite(table))
+        peak[np.isinf(peak)] = 0.0
+        return np.exp(table - peak), peak - math.log(table.shape[0] - 1)
 
     @cached_property
     def blend(self) -> np.ndarray:
@@ -607,35 +645,35 @@ class EmStep:
             row = tuple(np.argwhere(~np.isfinite(ratio))[0][:-1])
             _name_non_finite(rel[row], "relevant marginal")
             if self.config.null_spec.kind == "empirical_bayes_mixture":
-                self._check_peak(null[row])
+                _check_mixture(null[row])
             _name_non_finite(ratio[row], "log-ratio")
         return expit(beta * ratio + prior_logit)
 
     def null(self, prev: np.ndarray, check: bool = True) -> np.ndarray:
-        """See :func:`null_loglik`; a ``prev`` of 1 divides by zero in the
-        log. Unchecked, a degenerate mixture column reads nan."""
-        scores = self.null_part
+        """See :func:`null_loglik`: per row, one product (1 - w) @ E over
+        the components, a log and the shift. Where the product is 0,
+        below the normal range or nan (a weight of exactly 1 on the
+        column's peak component, or a degenerate column), the column is
+        the log-sum-exp over the table instead. Checked, a degenerate
+        column raises; unchecked, it reads nan or an infinity."""
         if self.config.null_spec.kind != "empirical_bayes_mixture":
-            return scores
-        terms = np.log(1.0 - prev)[..., :, None] + scores
-        peak = terms.max(axis=-2)
-        if check:
-            self._check_peak(peak)
-        # the peak term contributes exp(0) = 1, so the log is finite; the
-        # component axis holds the K mixture components
-        total = np.exp(terms - peak[..., None, :]).sum(axis=-2)
-        return np.log(total) + peak - math.log(scores.shape[-2] - 1)
-
-    def _check_peak(self, peak: np.ndarray) -> None:
-        finite = np.isfinite(peak)
-        if not finite.all():
-            # the first bad source of the first bad row
-            k = self.sources[np.argwhere(~finite)[0][-1]]
-            raise DegenerateNullError(
-                f"mixture null for source {k} is degenerate: no other component "
-                "has positive responsibility and a finite likelihood; fall back "
-                "to the parametric_pooled null"
-            )
+            return self.null_part
+        table, shift = self.mixture
+        total = ((1.0 - prev)[..., None, :] @ table)[..., 0, :]
+        if total.min(initial=np.inf) >= _TINY:
+            out = np.log(total) + shift
+            if check:
+                _check_mixture(out)  # a column holding +inf
+            return out
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = np.log(1.0 - prev)[..., :, None] + self.null_part
+            peak = terms.max(axis=-2)
+            if check:
+                _check_mixture(peak)
+            # the peak term contributes exp(0) = 1, so the log is finite
+            lse = np.log(np.exp(terms - peak[..., None, :]).sum(axis=-2))
+            lse += peak - math.log(terms.shape[-2] - 1)
+            return np.where(total >= _TINY, np.log(total) + shift, lse)
 
     def m_step(self, weights: np.ndarray) -> np.ndarray:
         """The blended theta for weights of one shape per step, of width D
@@ -664,18 +702,24 @@ def null_loglik(
     hypothesis.
 
     The mixture form averages the other sources' fitted models with
-    responsibilities (1 - w_j) lagged from the previous iteration,
-    evaluated with a max-shifted log-sum-exp over one column of the
-    step's mixture table (``EmStep.null_part``); a component of weight 1
-    drops out.
+    responsibilities (1 - w_j) lagged from the previous iteration, the
+    weights, each in [0, 1]: log(sum_j (1 - w_j) E_jk) + m_k - log(K -
+    1), one product over the step's exponentiated mixture table
+    (``EmStep.mixture``). A component of weight 1 drops out; where that
+    leaves the product 0 or below the normal range, the column is the
+    log-sum-exp over the table. Only column k is checked, so another
+    source's degenerate column does not raise here.
     """
     if isinstance(k, bool) or not isinstance(k, Integral):
         raise InvalidConfigurationError(f"k must be an integer, got {k!r}", key="k")
     if not 1 <= k <= stats.n_sources:
         raise InvalidConfigurationError(f"source index {k} out of range", key="k")
-    step = EmStep(stats, EmConfig(null_spec=null_spec), sources=np.array([k]))
-    with np.errstate(divide="ignore"):
-        return float(step.null(np.asarray(weights_prev, dtype=float))[0])
+    weights = _checked(weights_prev, "weights", stats.n_sources, lead=False, unit=True)
+    step = EmStep(stats, EmConfig(null_spec=null_spec))
+    value = step.null(weights, check=False)[k - 1 : k]
+    if null_spec.kind == "empirical_bayes_mixture":
+        _check_mixture(value, k)
+    return float(value[0])
 
 
 def tempering_schedule(
@@ -694,6 +738,20 @@ def tempering_schedule(
         )
     variant = "exact_hessian_reuse" if mode == "trace_exact" else "small_tau_surrogate"
     return EmStep(stats, EmConfig(nu=nu, variant=variant)).beta(t)
+
+
+def _check_mixture(values: np.ndarray, first: int = 1) -> None:
+    """Raise ``DegenerateNullError`` at the first non-finite mixture null
+    value (or peak) of the first bad row; its last axis holds the
+    sources from ``first`` on."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        k = int(np.argwhere(~finite)[0][-1]) + first
+        raise DegenerateNullError(
+            f"mixture null for source {k} is degenerate: no other component "
+            "has positive responsibility and a finite likelihood; fall back "
+            "to the parametric_pooled null"
+        )
 
 
 def _name_non_finite(values: np.ndarray, what: str) -> None:
@@ -719,12 +777,15 @@ def e_step(
     null_k the irrelevance score. With beta identically zero (t = 0)
     the prior is returned exactly and no statistic is read. theta,
     the weights, beta and pi may carry leading axes (several priors on
-    one collection, say), over which the step broadcasts.
+    one collection, say), over which the step broadcasts. Each must
+    have one entry per dimension (theta) or source along its last axis.
     """
+    theta = _checked(state.theta, "theta", stats.dim)
+    prev = _checked(state.weights, "weights", stats.n_sources)
+    beta = _checked(state.beta, "beta", stats.n_sources)
     step = EmStep(stats, config, np.asarray(pi, dtype=float))
-    beta, prev = np.asarray(state.beta, dtype=float), np.asarray(state.weights, dtype=float)
     with np.errstate(invalid="ignore"):  # as in run_em_rows
-        return step.e_step(beta, np.asarray(state.theta, dtype=float), prev)
+        return step.e_step(beta, theta, prev)
 
 
 def _solve_with_jitter(lhs: np.ndarray, rhs: np.ndarray, dims) -> np.ndarray:
@@ -762,9 +823,11 @@ def m_step_exact(
     sum Lambda_k theta_k), Lambda_k = w_k H0^{-1} C_k, multiplied
     through by H0. The blocks and pulls come from ``EmStep.blend``; the
     step forms one weighted sum of their table and makes one d x d solve
-    per leading index of the weights, no explicit inverses.
+    per leading index of the weights, no explicit inverses. The weights
+    lie in [0, 1], one per source along their last axis.
     """
-    return EmStep(stats, EmConfig(tau=tau)).m_step(np.asarray(weights, dtype=float))
+    weights = _checked(weights, "weights", stats.n_sources, unit=True)
+    return EmStep(stats, EmConfig(tau=tau)).m_step(weights)
 
 
 def run_em(

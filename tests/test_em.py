@@ -315,37 +315,90 @@ class TestNullLoglik:
             worst = max(worst, np.max(np.abs(got - expected) / np.abs(expected)))
         assert worst <= 1e-14
 
-    def test_many_component_mixture_sums_as_the_column_copy_lays_it_out(self):
-        # from eight components on numpy sums a contiguous run pairwise,
-        # so the column-major copy of the table pins the bits; a
-        # C-ordered copy sums the same terms in another order
+    @staticmethod
+    def _exact_null(table, prev, mp):
+        """The mixture null of every column in 50-digit arithmetic:
+        log(sum_j (1 - w_j) exp(table_jk)) - log(K - 1) per column k."""
+        mp.mp.dps = 50
+        k = table.shape[0]
+        return np.array([
+            [
+                float(mp.log(mp.fsum(
+                    (1 - mp.mpf(w[j])) * mp.exp(mp.mpf(table[j, col]))
+                    for j in range(k) if np.isfinite(table[j, col])
+                )) - mp.log(k - 1))
+                for col in range(k)
+            ]
+            for w in np.atleast_2d(prev)
+        ])
+
+    def test_many_component_mixture_matches_an_exact_sum(self):
+        # the product (1 - w) @ E over many components, its log and shift
+        # agree with the mixture summed in 50-digit arithmetic, to 1e-14
+        # relative, or absolute (the density's relative error) where the
+        # log is near 0 and its two terms cancel: one null here is 0.0117.
+        # A stack of two collections reads each row's solo values bit for
+        # bit
+        mp = pytest.importorskip("mpmath")
         rng = np.random.default_rng(7)
         for k in (8, 12, 21):
-            a = rng.normal(size=(k + 1, 1, 1))
-            stats = SufficientStats(
-                rng.normal(0.0, 3.0, size=(k + 1, 1)),
-                rng.normal(0.0, 5.0, size=k + 1),
-                np.zeros((k + 1, 1)),
-                a * a + 0.5,
-                np.full(k + 1, 20),
-                np.zeros(1),
-            )
-            prev = rng.uniform(0.05, 0.95, size=(2, k))
-            ks = np.arange(1, k + 1)
-            # the reference: the expression the E-step evaluated every
-            # iteration on a two-row stack of the tables, fancy index
-            # included
-            table = np.stack([em.EmStep(stats).null_part] * 2)
-            terms = np.log(1.0 - prev)[..., :, None] + table[..., :, ks - 1]
-            peak = terms.max(axis=-2)
-            total = np.exp(terms - peak[..., None, :]).sum(axis=-2)
-            expected = np.log(total) + peak - math.log(k - 1)
-            step = em.EmStep(stats)
-            np.testing.assert_array_equal(step.null(prev), expected)
-            stack = em.EmStep.stack([step], [0, 0], np.full((2, k), 0.5))
-            np.testing.assert_array_equal(stack.null(prev), expected)
-            for j in (1, k):
-                assert null_loglik(NullSpec(), j, stats, prev[0]) == expected[0, j - 1]
+            steps = []
+            for _ in range(2):
+                a = rng.normal(size=(k + 1, 1, 1))
+                stats = SufficientStats(
+                    rng.normal(0.0, 3.0, size=(k + 1, 1)),
+                    rng.normal(0.0, 5.0, size=k + 1),
+                    np.zeros((k + 1, 1)),
+                    a * a + 0.5,
+                    np.full(k + 1, 20),
+                    np.zeros(1),
+                )
+                steps.append(em.EmStep(stats))
+            prev = rng.uniform(0.05, 0.95, size=(4, k))
+            for step in steps:
+                expected = self._exact_null(step.null_part, prev, mp)
+                np.testing.assert_allclose(step.null(prev), expected, rtol=1e-14, atol=1e-14)
+            index = [0, 1, 1, 0]
+            stack = em.EmStep.stack(steps, index, np.full((4, k), 0.5))
+            stacked = stack.null(prev)
+            for r, c in enumerate(index):
+                np.testing.assert_array_equal(stacked[r], steps[c].null(prev[r]))
+                for j in (1, k):
+                    got = null_loglik(NullSpec(), j, steps[c].stats, prev[r])
+                    assert got == stacked[r, j - 1]
+
+    def test_an_underflowing_product_falls_back_to_the_log_sum_exp(self):
+        # source 1's column: its peak component, source 2, has weight 1,
+        # and source 3 lies 799.5 nats below it, so the product (1 - w) @ E
+        # is 0. The column is the log-sum-exp over the table instead,
+        # without a warning, on a solo step, through null_loglik and on a
+        # stack; the other columns keep the product
+        mp = pytest.importorskip("mpmath")
+        stats = SufficientStats(
+            np.array([[0.0], [0.0], [1.0], [40.0]]),
+            np.array([-5.0, -3.0, -4.0, -6.0]),
+            np.zeros((4, 1)),
+            np.ones((4, 1, 1)),
+            np.full(4, 10),
+            np.zeros(1),
+        )
+        prev = np.array([0.3, 1.0, 0.4])
+        step = em.EmStep(stats)
+        table, shift = step.mixture
+        assert (1.0 - prev) @ table[:, 0] == 0.0
+        expected = self._exact_null(step.null_part, prev, mp)[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = step.null(prev)
+            public = [null_loglik(NullSpec(), j, stats, prev) for j in (1, 2, 3)]
+            stack = em.EmStep.stack([step], [0, 0], np.full((2, 3), 0.5))
+            stacked = stack.null(np.stack([prev, prev]))
+        np.testing.assert_allclose(got, expected, rtol=1e-14, atol=1e-14)
+        np.testing.assert_array_equal(public, got)
+        np.testing.assert_array_equal(stacked, [got, got])
+        with np.errstate(divide="ignore"):
+            product = np.log((1.0 - prev) @ table) + shift
+        np.testing.assert_array_equal(got[1:], product[1:])
 
     def test_weight_of_one_drops_its_component_without_a_warning(self):
         rng = np.random.default_rng(42)
@@ -414,6 +467,25 @@ class TestNullLoglik:
         assert err.value.key == "k"
         # a numpy integer is an integer
         assert np.isfinite(null_loglik(NullSpec(), np.int64(2), stats, np.full(2, 0.5)))
+
+    @pytest.mark.parametrize(
+        "weights",
+        [[0.5, 0.5], [0.5] * 4, [[0.5] * 3] * 2, 0.5, [0.5, 1.5, 0.2], [0.5, -0.1, 0.2],
+         [0.5, np.nan, 0.2]],
+    )
+    def test_weights_of_the_wrong_shape_or_outside_the_unit_interval_are_refused(self, weights):
+        # a wrong length used to end in numpy's broadcast ValueError, a
+        # weight of 1.5 in a DegenerateNullError that blamed the data and
+        # nan in a nan score
+        rng = np.random.default_rng(42)
+        _, _, stats = gaussian_stats(rng, [0.0, 1.0, 2.0, 3.0], [4, 10, 10, 10])
+        for kind in em.NULL_KINDS:
+            spec = NullSpec(kind, {j: -1.0 for j in (1, 2, 3)} if kind == "fixed" else None)
+            with pytest.raises(InvalidConfigurationError) as err:
+                null_loglik(spec, 1, stats, np.array(weights))
+            assert err.value.key == "weights"
+        # the interval is closed
+        assert np.isfinite(null_loglik(NullSpec(), 1, stats, np.array([0.0, 0.5, 1.0])))
 
 
 class TestTemperingSchedule:
@@ -579,6 +651,36 @@ class TestEStep:
         state = EmState(np.zeros(1), np.array([0.5]), 1, np.array([1.0]))
         with pytest.raises(InvalidConfigurationError):
             e_step(state, stats, np.array([1.0]), EmConfig())
+
+    @pytest.mark.parametrize(
+        "field, value, key",
+        [
+            ("theta", np.zeros(3), "theta"),
+            ("theta", np.zeros((2, 1)), "theta"),
+            ("weights", np.full(3, 0.5), "weights"),
+            ("weights", np.full(1, 0.5), "weights"),
+            ("beta", np.ones(3), "beta"),
+            ("beta", np.ones((2, 1)), "beta"),
+            ("pi", np.full(3, 0.5), "pi"),
+        ],
+    )
+    def test_a_member_of_the_wrong_width_is_refused(self, field, value, key):
+        # d = 2, K = 2: each used to end in numpy's broadcast ValueError
+        # (pi was refused already), at t = 0 as well
+        rng = np.random.default_rng(42)
+        _, _, stats = gaussian_stats(rng, [0.0, 1.0, 2.0], [4, 8, 8], dim=2)
+        pi = value if field == "pi" else np.full(2, 0.5)
+        for beta in (np.ones(2), np.zeros(2)):
+            members = {"theta": np.zeros(2), "weights": np.full(2, 0.5), "beta": beta}
+            if field in members:
+                members[field] = value
+            state = EmState(**members, t=1)
+            with pytest.raises(InvalidConfigurationError) as err:
+                e_step(state, stats, pi, EmConfig(tau=0.1))
+            assert err.value.key == key
+        # leading axes stay free
+        state = EmState(np.zeros((3, 2)), np.full((3, 2), 0.5), 1, np.ones((3, 2)))
+        assert e_step(state, stats, np.full((3, 2), 0.5), EmConfig(tau=0.1)).shape == (3, 2)
 
     def test_offending_source_named_on_non_finite_ratio(self):
         rng = np.random.default_rng(42)
@@ -760,6 +862,20 @@ class TestEStep:
 
 
 class TestMStepExact:
+    @pytest.mark.parametrize(
+        "weights", [[0.5], [0.5] * 3, 0.5, [0.5, 1.5], [-0.1, 0.5], [np.nan, 0.5]]
+    )
+    def test_weights_of_the_wrong_width_or_outside_the_unit_interval_are_refused(self, weights):
+        # a wrong width used to end in numpy's broadcast ValueError, and
+        # nan in a nan theta
+        rng = np.random.default_rng(42)
+        _, _, stats = gaussian_stats(rng, [0.0, 3.0, -2.0], [6, 30, 30], dim=2)
+        with pytest.raises(InvalidConfigurationError) as err:
+            m_step_exact(stats, np.array(weights), tau=0.1)
+        assert err.value.key == "weights"
+        # the interval is closed, and leading axes stay free
+        assert m_step_exact(stats, np.array([[0.0, 1.0]] * 3), tau=0.1).shape == (3, 2)
+
     def test_zero_weights_return_target_mle(self):
         rng = np.random.default_rng(42)
         _, _, stats = gaussian_stats(rng, [0.0, 3.0, -2.0], [6, 30, 30], dim=2)
@@ -1372,6 +1488,39 @@ class TestRowAxis:
             _assert_same_run(result, run_em(collections[c], models[c], pi, config))
             _assert_same_run(result, _reference_run(collections[c], models[c], pi, config))
 
+    @pytest.mark.parametrize("variant", em.VARIANTS)
+    def test_a_stack_pads_each_constant_as_np_pad_does(self, variant):
+        # collections of d = 1, 2 and 3: each row's marginal terms and
+        # blend table are its step's, zero-padded to D = 3 bit for bit as
+        # np.pad pads them (the exact blend's target row then gains its
+        # identity block), and its eps, E and shift are its step's own;
+        # a restack of fewer rows, as the loop makes, reads the same
+        rng = np.random.default_rng(42)
+        config = EmConfig(tau=0.1, variant=variant)
+        steps = [
+            em.EmStep(build_sufficient_stats(GaussianMeanModel(d), _collection(rng, 3, d)), config)
+            for d in (1, 2, 3)
+        ]
+        blend_axes = 2 if variant == "exact_hessian_reuse" else 1
+
+        def padded(value, axes, by):
+            return np.pad(value, [(0, 0)] * (value.ndim - axes) + [(0, by)] * axes)
+
+        for index in ([2, 0, 1, 0], [1, 0]):
+            stack = em.EmStep.stack(steps, index, np.full((len(index), 3), 0.5))
+            for r, c in enumerate(index):
+                step, by = steps[c], 2 - c
+                for got, want, axes in zip(stack.marginal, step.marginal, (1, 0, 1, 2)):
+                    np.testing.assert_array_equal(got[r], padded(want, axes, by))
+                blend = padded(step.blend, blend_axes, by)
+                if variant == "exact_hessian_reuse":
+                    for i in range(c + 1, 3):
+                        blend[0, i, i + 1] = 1.0
+                np.testing.assert_array_equal(stack.blend[r], blend)
+                np.testing.assert_array_equal(stack.eps[r], step.eps)
+                for got, want in zip(stack.mixture, step.mixture):
+                    np.testing.assert_array_equal(got[r], want)
+
     def test_a_stack_at_t_zero_returns_its_priors(self):
         # beta at a zero ramp lies on the stack's (R, K) row axis, and the
         # E-step there returns each row's prior exactly
@@ -1402,9 +1551,10 @@ class TestRowAxis:
         calls = Counter()
         monkeypatch.setattr(em, "_laplace_terms", counting(calls, "laplace", em._laplace_terms))
         monkeypatch.setattr(em, "logit", counting(calls, "logit", em.logit))
-        # the mixture null's column copy is made by the step's null_part,
-        # the marginal's theta_k, c_k, b_k and C_k by its marginal
-        count_step_builds(monkeypatch, calls, "eps", "blend", "null_part", "marginal")
+        # the mixture null's table is made by the step's null_part, its E
+        # and shift by its mixture, the marginal's theta_k, c_k, b_k and
+        # C_k by its marginal
+        count_step_builds(monkeypatch, calls, "eps", "blend", "null_part", "mixture", "marginal")
         rng = np.random.default_rng(42)
         collections = [_collection(rng, 3, 2), _collection(rng, 3, 2)]
         pis = [np.full(3, 0.5), np.array([1e-6, 0.999, 1e-6])]
@@ -1414,10 +1564,11 @@ class TestRowAxis:
         iterations = [report.iterations for _, report in got]
         assert all(report.converged for _, report in got)
         assert min(iterations) < max(iterations)
-        # the column copy is made once per collection and restacked with
-        # the rest
+        # the table, E and the shift are made once per collection, and E
+        # and the shift are restacked with the rest
         assert calls == {
-            "laplace": 2, "blend": 2, "eps": 2, "logit": 1, "null_part": 2, "marginal": 2,
+            "laplace": 2, "blend": 2, "eps": 2, "logit": 1, "null_part": 2, "mixture": 2,
+            "marginal": 2,
         }
 
     @pytest.mark.parametrize("null_kind", em.NULL_KINDS)
