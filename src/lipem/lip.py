@@ -30,16 +30,25 @@ records; a quasi-Newton solve with numeric gradients moves measurably
 when those last bits change.  The gradient and Hessian are scatter-adds
 (``np.bincount``).  The Hessian scatters p (1 - p) onto its diagonal
 and -p_i p_j once per pair i < j of a row's options, in one call per
-block of up to ``_PAIR_CELLS`` pairs, and mirrors the pairs, so its
-temporaries stay bounded however large a block is.  Records are not
-aggregated into counts of identical (subgroup, choice) pairs: with K =
-50 and subgroups of 3 to 5 members, 2,500 simulated records hold over
-2,470 distinct pairs, so counting would save almost nothing.
+chunk of up to ``_PAIR_CELLS`` pairs, and mirrors the pairs, so its
+weight temporaries stay bounded however large a block is.  Records are
+not aggregated into counts of identical (subgroup, choice) pairs: with
+K = 50 and subgroups of 3 to 5 members, 2,500 simulated records hold
+over 2,470 distinct pairs, so counting would save almost nothing.
 
-Settings and K are checked once per fit, and each Newton iterate's
-softmax is computed once: the Hessian reuses the probabilities of the
-line search's accepted evaluation, which are bit-equal to recomputing
-them.
+A fit compiles its queries once more, into a fit plan (``_plan``):
+every index array the kernels read that does not depend on the worths.
+Per block that is the records' places among the objective's terms, the
+options raveled column-major, the chosen indices, the option pairs and
+each chunk's Hessian cells, 8 bytes per option pair per record (about
+206 KB for 2,500 records of 3 to 5 members); and the choice counts
+once.  Each Newton iteration then only does arithmetic, and adds in the
+same order as without a plan, so its numbers are bit-equal.
+
+Settings and K are checked, and the plan built, once per fit, and each
+Newton iterate's softmax is computed once: the Hessian reuses the
+probabilities of the line search's accepted evaluation, which are
+bit-equal to recomputing them.
 
 The records commands never build a ``ChoiceRecord`` per query.  The
 sampler's stream is that of one ``Generator.integers`` and one
@@ -390,6 +399,72 @@ def _compile(records: Iterable[ChoiceRecord] | _Queries, n_sources=None) -> _Que
     return records
 
 
+# the most option pairs one Hessian scatter takes: larger scatters save
+# little time, and their weight temporaries raise the process's peak
+# memory (the fit plan holds every pair's cell, chunk by chunk)
+_PAIR_CELLS = 1 << 13
+
+
+class _Block(NamedTuple):
+    """One option count's queries, laid out for the fit's kernels.
+
+    ``at`` holds the records' places behind the objective's leading 0
+    (their positions plus 1), ``flat`` the options raveled column-major,
+    ``chosen`` each record's chosen index and ``pairs`` the column pairs
+    i < j.  ``chunks`` splits the rows into runs of at most
+    ``_PAIR_CELLS`` pairs, each with the Hessian cells a * n + b of its
+    rows' option pairs a, b, pair by pair.
+    """
+
+    at: np.ndarray
+    options: np.ndarray
+    flat: np.ndarray
+    chosen: np.ndarray
+    pairs: tuple[np.ndarray, np.ndarray]
+    chunks: tuple[tuple[slice, np.ndarray], ...]
+
+
+class _Plan(NamedTuple):
+    """Checked queries with everything the fit indexes by that does not
+    depend on the worths: one ``_Block`` per option count, the record
+    count and each option's float choice count."""
+
+    blocks: tuple[_Block, ...]
+    size: int
+    counts: np.ndarray
+
+
+def _plan(queries: _Queries, n_sources: int) -> _Plan:
+    """The fit plan of queries checked against ``n_sources``."""
+    n = n_sources + 1
+    blocks = []
+    for rows, options in queries.blocks:
+        first, second = np.triu_indices(options.shape[1], 1)
+        step = max(1, _PAIR_CELLS // first.size)
+        chunks = []
+        for top in range(0, rows.size, step):
+            span = slice(top, top + step)
+            # pair by pair, each over the chunk's rows: the column-major
+            # order of a (rows, pairs) table, which the scatter adds in
+            cells = options.T[first, span] * n
+            cells += options.T[second, span]
+            chunks.append((span, cells.ravel()))
+        blocks.append(_Block(
+            rows + 1, options, options.ravel("F"), queries.chosen[rows],
+            (first, second), tuple(chunks),
+        ))
+    counts = np.bincount(queries.chosen, minlength=n).astype(float)
+    return _Plan(tuple(blocks), queries.chosen.size, counts)
+
+
+def _planned(records, n_sources: int) -> _Plan:
+    """``records`` as a fit plan: a plan is taken as it is, and a record
+    list or queries are checked against ``n_sources`` and laid out."""
+    if isinstance(records, _Plan):
+        return records
+    return _plan(_compile(records, n_sources), n_sources)
+
+
 def _each_query(queries: _Queries, form) -> list:
     """``form(members, choice)`` of each query, in record order."""
     out: list = [None] * queries.chosen.size
@@ -477,65 +552,60 @@ def nll_objective(
     The null worth alpha_0 carries no regularization.
     """
     _check_settings(p0=p0, eps=eps)
-    value, grad, _ = _nll(worths.alpha, _compile(records, worths.n_sources), p0, eps)
+    value, grad, _ = _nll(worths.alpha, records, p0, eps)
     return value, grad
 
 
-def _nll(alpha: np.ndarray, queries: _Queries, p0: float, eps: float):
-    """``nll_objective`` on checked queries, plus each block's choice
-    probabilities (``_nll_hessian`` reuses them at the same worths)."""
+def _nll(alpha: np.ndarray, records, p0: float, eps: float):
+    """``nll_objective`` on a fit plan (or on records, planned here), plus
+    each block's choice probabilities (``_nll_hessian`` reuses them at
+    the same worths)."""
+    plan = _planned(records, alpha.size - 1)
     # -log p(k_m | S_m) per record behind a leading 0, summed in record
     # order (see the module doc)
-    terms = np.zeros(queries.chosen.size + 1)
-    grad = -np.bincount(queries.chosen, minlength=alpha.size).astype(float)
+    terms = np.zeros(plan.size + 1)
+    grad = -plan.counts
     block_probs = []
-    for rows, options in queries.blocks:
-        probs, shift, denom = _softmax(alpha, options)
+    for block in plan.blocks:
+        probs, shift, denom = _softmax(alpha, block.options)
         # math.log, because numpy's vectorised log differs from it in the
         # last bit on some inputs
         log_denom = np.fromiter(map(math.log, denom.tolist()), float, denom.size)
-        terms[rows + 1] = log_denom + shift - alpha[queries.chosen[rows]]
-        grad += np.bincount(options.ravel("F"), probs.ravel("F"), minlength=alpha.size)
+        terms[block.at] = log_denom + shift - alpha[block.chosen]
+        grad += np.bincount(block.flat, probs.ravel("F"), minlength=alpha.size)
         block_probs.append(probs)
     value = float(np.cumsum(terms)[-1])
     dev = alpha[1:] - float(logit(p0))
     value += eps * float(dev @ dev)
-    grad[1:] += 2.0 * eps * dev
+    # 2 eps overflows to inf past 8.9e307; inf * 0 is a nan gradient
+    # that the fit reports, so numpy need not warn of it
+    with np.errstate(invalid="ignore"):
+        grad[1:] += 2.0 * eps * dev
     return value, grad, block_probs
 
 
-# the most option pairs one Hessian scatter takes: larger scatters save
-# little time, and their temporaries raise the process's peak memory
-_PAIR_CELLS = 1 << 13
-
-
-def _nll_hessian(
-    worths: WorthVector, records: Sequence[ChoiceRecord], eps: float, block_probs=None
-) -> np.ndarray:
-    """The objective's Hessian; ``block_probs``, if given, are the
-    probabilities ``_nll`` returned for these worths and queries."""
-    queries = _compile(records, worths.n_sources)
+def _nll_hessian(worths: WorthVector, records, eps: float, block_probs=None) -> np.ndarray:
+    """The objective's Hessian on a fit plan (or on records, planned
+    here); ``block_probs``, if given, are the probabilities ``_nll``
+    returned for these worths and that plan."""
+    plan = _planned(records, worths.n_sources)
     alpha = worths.alpha
     n = alpha.size
     if block_probs is None:
-        block_probs = [_softmax(alpha, options)[0] for _, options in queries.blocks]
+        block_probs = [_softmax(alpha, block.options)[0] for block in plan.blocks]
     # each record adds diag(p) - p p' on its options: p (1 - p) on the
     # diagonal, and -p_i p_j at (a, b) and (b, a) for each pair i < j of
     # its options a, b, which are scattered once and mirrored
     diag = np.zeros(n)
     upper = np.zeros(n * n)
-    for (_, options), probs in zip(queries.blocks, block_probs):
-        diag += np.bincount(options.ravel("F"), (probs * (1.0 - probs)).ravel("F"), minlength=n)
-        first, second = np.triu_indices(options.shape[1], 1)
-        # one scatter per _PAIR_CELLS pairs bounds the temporaries
-        step = max(1, _PAIR_CELLS // first.size)
-        for top in range(0, options.shape[0], step):
-            rows = slice(top, top + step)
-            cells = options[rows, first] * n
-            cells += options[rows, second]
-            weights = probs[rows, first]
-            weights *= probs[rows, second]
-            upper += np.bincount(cells.ravel("F"), weights.ravel("F"), minlength=n * n)
+    for block, probs in zip(plan.blocks, block_probs):
+        diag += np.bincount(block.flat, (probs * (1.0 - probs)).ravel("F"), minlength=n)
+        first, second = block.pairs
+        by_option = probs.T
+        for rows, cells in block.chunks:
+            weights = by_option[first, rows]
+            weights *= by_option[second, rows]
+            upper += np.bincount(cells, weights.ravel(), minlength=n * n)
     upper = upper.reshape(n, n)
     hess = np.diag(diag) - upper - upper.T
     hess[1:, 1:] += 2.0 * eps * np.eye(n - 1)
@@ -544,11 +614,17 @@ def _nll_hessian(
 
 @dataclass(frozen=True)
 class NewtonResult:
+    """A converged fit.  ``evaluations`` counts objective evaluations and
+    ``backtracks`` the line search's halvings of a step, so there is one
+    evaluation at the start, one per iteration and one per backtrack."""
+
     worths: WorthVector
     objective: float
     gradient_norm: float
     iterations: int
     objective_trace: tuple[float, ...]
+    evaluations: int = 0
+    backtracks: int = 0
 
 
 def minimize_worths(
@@ -574,27 +650,33 @@ def minimize_worths(
     # a gradient norm is never negative, so a negative tol is never met
     if not tol >= 0.0:
         raise InvalidConfigurationError("tol must be nonnegative", key="tol")
+    if max_iters < 0:
+        raise InvalidConfigurationError("max_iters must be nonnegative", key="max_iters")
     # the Newton step holds a dense (K+1) x (K+1) Hessian of float64
     if 8 * (n_sources + 1) ** 2 > np.iinfo(np.intp).max:
         raise InvalidConfigurationError(
             f"{n_sources} sources is more than numpy can size arrays for",
             key="n_sources",
         )
-    # settings and K are checked once, here, not per evaluation
-    queries = _compile(records, n_sources)
+    # settings and K are checked, and the queries laid out, once, here
+    plan = _plan(_compile(records, n_sources), n_sources)
     alpha = np.concatenate(([0.0], np.full(n_sources, float(logit(p0)))))
     worths = WorthVector(alpha)
-    value, grad, probs = _nll(alpha, queries, p0, eps)
+    value, grad, probs = _nll(alpha, plan, p0, eps)
     trace = [value]
+    backtracks = 0
     for iteration in range(max_iters):
         gnorm = float(np.max(np.abs(grad)))
         if gnorm <= tol:
-            return NewtonResult(worths, value, gnorm, iteration, tuple(trace))
+            return NewtonResult(
+                worths, value, gnorm, iteration, tuple(trace),
+                1 + iteration + backtracks, backtracks,
+            )
         if not math.isfinite(gnorm):  # no Newton step can recover from here
             raise OptimizationFailureError(
                 f"non-finite gradient at iteration {iteration}", last_iterate=worths
             )
-        hess = _nll_hessian(worths, queries, eps, probs)
+        hess = _nll_hessian(worths, plan, eps, probs)
         # tiny ridge keeps the flat null direction solvable
         jitter = 1e-10 * (1.0 + float(np.trace(hess)) / hess.shape[0])
         try:
@@ -616,17 +698,21 @@ def minimize_worths(
         # full Newton step still lands and polishes the gradient
         noise = 64.0 * np.finfo(float).eps * max(1.0, abs(value))
         scale = 1.0
-        for _ in range(60):
+        for halvings in range(60):
             cand = WorthVector(worths.alpha + scale * step)
-            cand_value, cand_grad, cand_probs = _nll(cand.alpha, queries, p0, eps)
+            cand_value, cand_grad, cand_probs = _nll(cand.alpha, plan, p0, eps)
             if cand_value <= value + 1e-4 * scale * slope + noise:
                 break
             scale *= 0.5
+        # the 60th candidate is taken as it is: no halving follows it
+        backtracks += halvings
         worths, value, grad, probs = cand, cand_value, cand_grad, cand_probs
         trace.append(value)
     gnorm = float(np.max(np.abs(grad)))
     if gnorm <= tol:
-        return NewtonResult(worths, value, gnorm, max_iters, tuple(trace))
+        return NewtonResult(
+            worths, value, gnorm, max_iters, tuple(trace), 1 + max_iters + backtracks, backtracks
+        )
     raise OptimizationFailureError(
         f"no convergence after {max_iters} iterations (|grad|_inf={gnorm:.3e})",
         last_iterate=worths,

@@ -563,6 +563,52 @@ class TestFitLipCommand:
         assert err.startswith("error:") and err.count("\n") == 1
         assert f"[key: {key}]" in err
 
+    @pytest.mark.parametrize(
+        "max_iters, code, start",
+        [
+            (-1, 3, "error: invalid-configuration: max_iters must be nonnegative"),
+            # no step is a budget, not a fault: the fit fails to converge
+            (0, 1, "error: optimization-failure: no convergence after 0 iterations"),
+        ],
+    )
+    def test_max_iters_below_one(self, tmp_path, capsys, max_iters, code, start):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"lip": {"max_iters": max_iters}}))
+        records = tmp_path / "records.txt"
+        records.write_text("subgroup=1,2;choice=1\n")
+        out = tmp_path / "lip.txt"
+        assert dispatch(
+            ["fit-lip", "--records", str(records), "--sources", "2",
+             "--config", str(cfg), "--out", str(out)]
+        ) == code
+        err = capsys.readouterr().err
+        assert err.startswith(start) and err.count("\n") == 1
+        assert err.endswith("[key: lip.max_iters]\n") == (code == 3)
+        assert not out.exists()
+
+    def test_overflowing_eps_prints_one_error_line(self, tmp_path):
+        # 2 * eps overflows and the gradient is NaN: the error says so,
+        # and no numpy warning reaches stderr before it
+        import os
+        import subprocess
+        import sys
+
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"lip": {"eps": 1e308}}))
+        records = tmp_path / "records.txt"
+        records.write_text("subgroup=1,2;choice=1\n")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "lipem", "fit-lip", "--records", str(records),
+             "--sources", "2", "--config", str(cfg), "--out", str(tmp_path / "lip.txt")],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
+        )
+        assert done.returncode == 1
+        assert done.stderr.startswith(
+            "error: optimization-failure: non-finite gradient at iteration 0"
+        )
+        assert done.stderr.count("\n") == 1
+
 
 # the records grammar, as a parse error states it
 GRAMMAR = "expected 'subgroup=<i>,...;choice=<c>', digits 0-9 only, at most 18 per field"

@@ -344,6 +344,35 @@ def reference_newton(records, n_sources, p0=0.01, eps=0.1, tol=1e-8, max_iters=2
     return ("no convergence", max_iters, worths.alpha.tobytes()), iterates
 
 
+def unplanned_kernels(alpha, queries, eps):
+    """The gradient and Hessian as computed before the fit plan: every
+    index array rebuilt per call, and one Hessian scatter per
+    ``_PAIR_CELLS`` pairs of each block."""
+    n = alpha.size
+    grad = -np.bincount(queries.chosen, minlength=n).astype(float)
+    diag, upper = np.zeros(n), np.zeros(n * n)
+    for _, options in queries.blocks:
+        probs = lip_module._softmax(alpha, options)[0]
+        grad += np.bincount(options.ravel("F"), probs.ravel("F"), minlength=n)
+        diag += np.bincount(options.ravel("F"), (probs * (1.0 - probs)).ravel("F"), minlength=n)
+        first, second = np.triu_indices(options.shape[1], 1)
+        step = max(1, lip_module._PAIR_CELLS // first.size)
+        for top in range(0, options.shape[0], step):
+            rows = slice(top, top + step)
+            cells = options[rows, first] * n + options[rows, second]
+            weights = probs[rows, first] * probs[rows, second]
+            upper += np.bincount(cells.ravel("F"), weights.ravel("F"), minlength=n * n)
+    grad[1:] += 2.0 * eps * (alpha[1:] - float(lip_module.logit(0.01)))
+    upper = upper.reshape(n, n)
+    hess = np.diag(diag) - upper - upper.T
+    hess[1:, 1:] += 2.0 * eps * np.eye(n - 1)
+    return grad, hess
+
+
+# a fit whose line search halves one Newton step
+BACKTRACKING_RECORDS = [ChoiceRecord((1,), 1)] * 20 + [ChoiceRecord((1,), 0)] * 10
+
+
 def newton_outcome(records, n_sources, monkeypatch, **settings):
     """``minimize_worths``'s result or failure, in ``reference_newton``'s
     form, with the iterates its Hessians were taken at."""
@@ -478,6 +507,7 @@ class TestArrayKernels:
                 assert (got.objective, got.gradient_norm, got.iterations) == (
                     want.objective, want.gradient_norm, want.iterations
                 )
+                assert got.evaluations == 1 + got.iterations + got.backtracks
             else:
                 assert got == want
             outcomes.append(want)
@@ -507,6 +537,83 @@ class TestArrayKernels:
         # softmax of the Hessian's own
         assert calls["softmax"] == 3 * calls["nll"]
         assert calls["nll"] > result.iterations
+
+    def test_one_plan_per_fit(self, monkeypatch):
+        records = simulate_elicitation(
+            WorthVector(np.linspace(-1.0, 1.0, 9)), [2, 3, 5], 300, np.random.default_rng(7)
+        )
+        calls = Counter()
+        plan, triu_indices = lip_module._plan, np.triu_indices
+
+        def count_plan(*args):
+            calls["plan"] += 1
+            return plan(*args)
+
+        def count_triu_indices(*args, **kwargs):
+            calls["triu_indices"] += 1
+            return triu_indices(*args, **kwargs)
+
+        monkeypatch.setattr(lip_module, "_plan", count_plan)
+        monkeypatch.setattr(np, "triu_indices", count_triu_indices)
+        result = minimize_worths(records, 8)
+        monkeypatch.undo()
+        assert result.iterations >= 3
+        # three option counts, laid out once for every evaluation
+        assert calls == {"plan": 1, "triu_indices": 3}
+
+    @pytest.mark.parametrize(
+        "sizes, count, chunks",
+        [
+            # blocks of 7, 8 and 9 options, around the pairwise sum
+            ([6, 7, 8], 300, 1),
+            # 45 pairs a record: one block over six _PAIR_CELLS chunks
+            ([9], 1000, 6),
+        ],
+    )
+    def test_plan_kernels_match_the_unplanned_kernels(self, sizes, count, chunks):
+        rng = np.random.default_rng(42)
+        worths = random_worths(rng, 20, scale=3.0)
+        records = simulate_elicitation(worths, sizes, count, np.random.default_rng(7))
+        queries = lip_module._compile(records, 20)
+        plan = lip_module._plan(queries, 20)
+        assert {len(block.chunks) for block in plan.blocks} == {chunks}
+        value, grad, probs = lip_module._nll(worths.alpha, plan, 0.01, 0.1)
+        from_records = lip_module._nll(worths.alpha, records, 0.01, 0.1)
+        assert value == from_records[0] == loop_objective(worths, records)[0]
+        assert grad.tobytes() == from_records[1].tobytes()
+        want_grad, want_hess = unplanned_kernels(worths.alpha, queries, 0.1)
+        assert grad.tobytes() == want_grad.tobytes()
+        hess = _nll_hessian(worths, plan, 0.1, probs)
+        assert hess.tobytes() == want_hess.tobytes()
+        assert hess.tobytes() == _nll_hessian(worths, records, 0.1).tobytes()
+
+    def test_evaluations_count_objective_calls(self, monkeypatch):
+        calls = Counter()
+        nll = lip_module._nll
+
+        def count_nll(*args):
+            calls["nll"] += 1
+            return nll(*args)
+
+        monkeypatch.setattr(lip_module, "_nll", count_nll)
+        result = minimize_worths(BACKTRACKING_RECORDS, 1)
+        assert result.evaluations == calls["nll"] == 7
+
+    def test_backtracks_count_rejected_steps(self, monkeypatch):
+        values = []
+        nll = lip_module._nll
+
+        def record_nll(*args):
+            out = nll(*args)
+            values.append(out[0])
+            return out
+
+        monkeypatch.setattr(lip_module, "_nll", record_nll)
+        result = minimize_worths(BACKTRACKING_RECORDS, 1)
+        # every evaluation after the first is a candidate; those the line
+        # search rejected are missing from the trace
+        rejected = [v for v in values[1:] if v not in result.objective_trace]
+        assert result.backtracks == len(rejected) == 1
 
     def test_subgroup_beyond_k_rejected(self):
         records = [ChoiceRecord((1, 2), 1), ChoiceRecord((2, 4), 0)]
@@ -545,10 +652,23 @@ class TestFitLip:
                 fit([], n_sources)
             assert err.value.key == "n_sources"
 
+    def test_negative_iteration_budget_rejected(self):
+        for fit in (minimize_worths, fit_lip):
+            with pytest.raises(InvalidConfigurationError) as err:
+                fit([ChoiceRecord((1,), 1)], 1, max_iters=-1)
+            assert err.value.key == "max_iters"
+
+    def test_zero_iteration_budget_takes_no_step(self):
+        assert minimize_worths([], 3, max_iters=0).iterations == 0
+        with pytest.raises(OptimizationFailureError, match="after 0 iterations"):
+            minimize_worths([ChoiceRecord((1,), 1)], 1, max_iters=0)
+
     def test_non_finite_gradient_stops_at_once(self):
-        # 2 * eps overflows, so the objective is NaN from the start; the
-        # fit must not spend its (huge) iteration budget on it
-        with pytest.warns(RuntimeWarning, match="invalid value"):
+        # 2 * eps overflows, so the gradient is NaN from the start; the
+        # fit must not spend its (huge) iteration budget on it, and only
+        # its error reports the NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             with pytest.raises(OptimizationFailureError, match="iteration 0"):
                 fit_lip([], 3, eps=1e308, max_iters=10**12)
 
