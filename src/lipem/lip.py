@@ -27,14 +27,20 @@ the sum runs over a C-order copy (``_row_sums``).  The objective adds
 its per-record terms in record order (a running sum, not numpy's
 pairwise sum), so its value is bit-equal to a plain loop over the
 records; a quasi-Newton solve with numeric gradients moves measurably
-when those last bits change.  The gradient and Hessian are scatter-adds
-(``np.bincount``).  The Hessian scatters p (1 - p) onto its diagonal
-and -p_i p_j once per pair i < j of a row's options, in one call per
-chunk of up to ``_PAIR_CELLS`` pairs, and mirrors the pairs, so its
-weight temporaries stay bounded however large a block is.  Records are
-not aggregated into counts of identical (subgroup, choice) pairs: with
-K = 50 and subgroups of 3 to 5 members, 2,500 simulated records hold
-over 2,470 distinct pairs, so counting would save almost nothing.
+when those last bits change.  Each block's log normalisers are one
+``np.log`` call, numpy's log as for one record alone; it differs from
+``math.log`` in the last bit on some inputs (numpy's SIMD log), but the
+Newton fit does not read that bit: the log enters only the objective's
+value, the value only the Armijo test, which allows 64 eps |f| of
+noise, and the gradient and Hessian never read the log.  The gradient
+and Hessian are scatter-adds (``np.bincount``).  The Hessian scatters
+p (1 - p) onto its diagonal and -p_i p_j once per pair i < j of a row's
+options, in one call per chunk of up to ``_PAIR_CELLS`` pairs, and
+mirrors the pairs, so its weight temporaries stay bounded however large
+a block is.  Records are not aggregated into counts of identical
+(subgroup, choice) pairs: with K = 50 and subgroups of 3 to 5 members,
+2,500 simulated records hold over 2,470 distinct pairs, so counting
+would save almost nothing.
 
 A fit compiles its queries once more, into a fit plan (``_plan``):
 every index array the kernels read that does not depend on the worths.
@@ -568,10 +574,10 @@ def _nll(alpha: np.ndarray, records, p0: float, eps: float):
     block_probs = []
     for block in plan.blocks:
         probs, shift, denom = _softmax(alpha, block.options)
-        # math.log, because numpy's vectorised log differs from it in the
-        # last bit on some inputs
-        log_denom = np.fromiter(map(math.log, denom.tolist()), float, denom.size)
-        terms[block.at] = log_denom + shift - alpha[block.chosen]
+        # numpy's log of each normaliser, as for one record alone; it may
+        # differ from math.log in the last bit, which only the Armijo
+        # test reads, within its 64 eps |f| of noise (see the module doc)
+        terms[block.at] = np.log(denom) + shift - alpha[block.chosen]
         grad += np.bincount(block.flat, probs.ravel("F"), minlength=alpha.size)
         block_probs.append(probs)
     value = float(np.cumsum(terms)[-1])
@@ -616,7 +622,11 @@ def _nll_hessian(worths: WorthVector, records, eps: float, block_probs=None) -> 
 class NewtonResult:
     """A converged fit.  ``evaluations`` counts objective evaluations and
     ``backtracks`` the line search's halvings of a step, so there is one
-    evaluation at the start, one per iteration and one per backtrack."""
+    evaluation at the start, one per iteration and one per backtrack.
+    ``jitter`` is the largest ridge any step added to the Hessian's
+    diagonal (0.0 if no step was taken), and ``fallbacks`` counts the
+    steps that fell back to steepest descent, because the solve failed
+    or its direction did not descend."""
 
     worths: WorthVector
     objective: float
@@ -625,6 +635,8 @@ class NewtonResult:
     objective_trace: tuple[float, ...]
     evaluations: int = 0
     backtracks: int = 0
+    jitter: float = 0.0
+    fallbacks: int = 0
 
 
 def minimize_worths(
@@ -664,13 +676,14 @@ def minimize_worths(
     worths = WorthVector(alpha)
     value, grad, probs = _nll(alpha, plan, p0, eps)
     trace = [value]
-    backtracks = 0
+    backtracks = fallbacks = 0
+    largest_jitter = 0.0
     for iteration in range(max_iters):
         gnorm = float(np.max(np.abs(grad)))
         if gnorm <= tol:
             return NewtonResult(
                 worths, value, gnorm, iteration, tuple(trace),
-                1 + iteration + backtracks, backtracks,
+                1 + iteration + backtracks, backtracks, largest_jitter, fallbacks,
             )
         if not math.isfinite(gnorm):  # no Newton step can recover from here
             raise OptimizationFailureError(
@@ -679,10 +692,12 @@ def minimize_worths(
         hess = _nll_hessian(worths, plan, eps, probs)
         # tiny ridge keeps the flat null direction solvable
         jitter = 1e-10 * (1.0 + float(np.trace(hess)) / hess.shape[0])
+        largest_jitter = max(largest_jitter, jitter)
         try:
             step = np.linalg.solve(hess + jitter * np.eye(hess.shape[0]), -grad)
         except np.linalg.LinAlgError:
             step = -grad
+            fallbacks += 1
         # cap the step so a flat valley (e.g. an unregularized null worth
         # on win-only records) is walked down until the gradient test
         # trips, instead of jumped past into sigmoid saturation
@@ -693,6 +708,7 @@ def minimize_worths(
         if slope >= 0.0:  # not a descent direction; fall back to steepest descent
             step = -grad
             slope = float(grad @ step)
+            fallbacks += 1
         # near the optimum the Armijo decrease sinks below the float
         # resolution of the objective; tolerate that much noise so the
         # full Newton step still lands and polishes the gradient
@@ -711,7 +727,8 @@ def minimize_worths(
     gnorm = float(np.max(np.abs(grad)))
     if gnorm <= tol:
         return NewtonResult(
-            worths, value, gnorm, max_iters, tuple(trace), 1 + max_iters + backtracks, backtracks
+            worths, value, gnorm, max_iters, tuple(trace),
+            1 + max_iters + backtracks, backtracks, largest_jitter, fallbacks,
         )
     raise OptimizationFailureError(
         f"no convergence after {max_iters} iterations (|grad|_inf={gnorm:.3e})",

@@ -260,7 +260,7 @@ def loop_objective(worths, records, p0=0.01, eps=0.1):
         shift = vals.max()
         ex = np.exp(vals - shift)
         denom = ex.sum()
-        value += math.log(denom) + shift - alpha[rec.choice]
+        value += np.log(denom) + shift - alpha[rec.choice]
         grad[opts] += ex / denom
         grad[rec.choice] -= 1.0
     dev = alpha[1:] - float(logit(p0))
@@ -300,13 +300,16 @@ def random_records(rng, n_sources, count, max_size=10):
     return records
 
 
-def reference_newton(records, n_sources, p0=0.01, eps=0.1, tol=1e-8, max_iters=200):
-    """``minimize_worths`` as one public ``nll_objective`` call per
-    evaluation and a fresh ``_nll_hessian`` per iterate; returns the
-    result, or the failure, with the iterates the Hessian was taken at."""
+def reference_newton(
+    records, n_sources, p0=0.01, eps=0.1, tol=1e-8, max_iters=200, objective=nll_objective
+):
+    """``minimize_worths`` as one public ``nll_objective`` call (or one
+    ``objective`` call) per evaluation and a fresh ``_nll_hessian`` per
+    iterate; returns the result, or the failure, with the iterates the
+    Hessian was taken at."""
     iterates = []
     worths = WorthVector(np.concatenate(([0.0], np.full(n_sources, float(logit(p0))))))
-    value, grad = nll_objective(worths, records, p0, eps)
+    value, grad = objective(worths, records, p0, eps)
     trace = [value]
     for iteration in range(max_iters):
         gnorm = float(np.max(np.abs(grad)))
@@ -332,7 +335,7 @@ def reference_newton(records, n_sources, p0=0.01, eps=0.1, tol=1e-8, max_iters=2
         scale = 1.0
         for _ in range(60):
             cand = WorthVector(worths.alpha + scale * step)
-            cand_value, cand_grad = nll_objective(cand, records, p0, eps)
+            cand_value, cand_grad = objective(cand, records, p0, eps)
             if cand_value <= value + 1e-4 * scale * slope + noise:
                 break
             scale *= 0.5
@@ -342,6 +345,57 @@ def reference_newton(records, n_sources, p0=0.01, eps=0.1, tol=1e-8, max_iters=2
     if gnorm <= tol:
         return NewtonResult(worths, value, gnorm, max_iters, tuple(trace)), iterates
     return ("no convergence", max_iters, worths.alpha.tobytes()), iterates
+
+
+def math_log_objective(worths, records, p0=0.01, eps=0.1):
+    """``nll_objective`` with each normaliser's log taken by ``math.log``,
+    as the objective took it before it made one ``np.log`` call per
+    block."""
+    alpha = worths.alpha
+    plan = lip_module._planned(records, alpha.size - 1)
+    terms = np.zeros(plan.size + 1)
+    grad = -plan.counts
+    for block in plan.blocks:
+        probs, shift, denom = lip_module._softmax(alpha, block.options)
+        log_denom = np.fromiter(map(math.log, denom.tolist()), float, denom.size)
+        terms[block.at] = log_denom + shift - alpha[block.chosen]
+        grad += np.bincount(block.flat, probs.ravel("F"), minlength=alpha.size)
+    value = float(np.cumsum(terms)[-1])
+    dev = alpha[1:] - float(logit(p0))
+    value += eps * float(dev @ dev)
+    with np.errstate(invalid="ignore"):
+        grad[1:] += 2.0 * eps * dev
+    return value, grad
+
+
+def kernel_fixtures():
+    """30 random record sets, each with its source count, worths to
+    evaluate at and settings (p0, eps)."""
+    rng = np.random.default_rng(42)
+    cases = []
+    for trial in range(30):
+        n_sources = int(rng.integers(1, 61))
+        count = 0 if trial == 0 else int(rng.integers(1, 300))
+        records = random_records(rng, n_sources, count)
+        worths = random_worths(rng, n_sources)
+        p0, eps = float(rng.uniform(0.001, 0.5)), float(rng.uniform(0.0, 1.0))
+        cases.append((records, n_sources, worths, dict(p0=p0, eps=eps)))
+    return cases
+
+
+def fit_fixtures():
+    """``kernel_fixtures`` as fits: records, source count and settings."""
+    return [(records, n_sources, settings) for records, n_sources, _, settings in kernel_fixtures()]
+
+
+def choice_fit_records(seed):
+    """2,500 simulated records shaped like the ``choice_fit`` benchmark:
+    K = 50, subgroups of 3, 4 and 5 members, a tenth of the sources
+    planted relevant."""
+    rng = np.random.default_rng(seed)
+    alpha = np.concatenate(([0.0], np.log(0.05 / 0.95) + rng.normal(0.0, 0.5, size=50)))
+    alpha[1 + rng.choice(50, size=5, replace=False)] = np.log(0.9 / 0.1)
+    return simulate_elicitation(WorthVector(alpha), [3, 4, 5], 2500, np.random.default_rng(seed))
 
 
 def unplanned_kernels(alpha, queries, eps):
@@ -368,6 +422,17 @@ def unplanned_kernels(alpha, queries, eps):
     hess[1:, 1:] += 2.0 * eps * np.eye(n - 1)
     return grad, hess
 
+
+# a fit one of whose objective values reads a different last bit under
+# math.log than under numpy's log, on a numpy build with an AVX512 log
+LOG_BIT_RECORDS = [
+    ChoiceRecord(subgroup, choice)
+    for subgroup, choice in [
+        ((1, 2), 0), ((1, 3), 1), ((1, 2, 3), 2), ((1, 2, 3), 0), ((1,), 0),
+        ((3,), 3), ((2,), 0), ((1, 2, 3), 3), ((3,), 0), ((1, 2, 3), 0),
+        ((3,), 3), ((2, 3), 0), ((2,), 0), ((2, 3), 0), ((1, 2, 3), 0),
+    ]
+]
 
 # a fit whose line search halves one Newton step
 BACKTRACKING_RECORDS = [ChoiceRecord((1,), 1)] * 20 + [ChoiceRecord((1,), 0)] * 10
@@ -397,13 +462,8 @@ class TestArrayKernels:
     """The array kernels against the per-record loops they replace."""
 
     def test_kernels_match_per_record_loop(self):
-        rng = np.random.default_rng(42)
-        for trial in range(30):
-            n_sources = int(rng.integers(1, 61))
-            count = 0 if trial == 0 else int(rng.integers(1, 300))
-            records = random_records(rng, n_sources, count)
-            worths = random_worths(rng, n_sources)
-            p0, eps = float(rng.uniform(0.001, 0.5)), float(rng.uniform(0.0, 1.0))
+        for records, _, worths, settings in kernel_fixtures():
+            p0, eps = settings["p0"], settings["eps"]
             value, grad = nll_objective(worths, records, p0, eps)
             ref_value, ref_grad = loop_objective(worths, records, p0, eps)
             # summed in record order, so equal to the last bit
@@ -479,15 +539,7 @@ class TestArrayKernels:
     def test_newton_matches_reference_loop_bit_for_bit(self, monkeypatch):
         # the fixtures of test_kernels_match_per_record_loop (each fit
         # converges), then a fit cut short and one with a NaN objective
-        rng = np.random.default_rng(42)
-        cases = []
-        for trial in range(30):
-            n_sources = int(rng.integers(1, 61))
-            count = 0 if trial == 0 else int(rng.integers(1, 300))
-            records = random_records(rng, n_sources, count)
-            random_worths(rng, n_sources)  # keep the fixtures' stream
-            p0, eps = float(rng.uniform(0.001, 0.5)), float(rng.uniform(0.0, 1.0))
-            cases.append((records, n_sources, dict(p0=p0, eps=eps)))
+        cases = fit_fixtures()
         records, n_sources, _ = cases[10]
         cases += [
             (records, n_sources, dict(eps=0.01, max_iters=2)),
@@ -614,6 +666,74 @@ class TestArrayKernels:
         # search rejected are missing from the trace
         rejected = [v for v in values[1:] if v not in result.objective_trace]
         assert result.backtracks == len(rejected) == 1
+
+    def test_newton_decides_the_same_under_a_math_log_objective(self, monkeypatch):
+        # numpy's log of a normaliser may differ from math.log in the
+        # last bit; the objective's value reaches only the Armijo test,
+        # so every iterate and the fitted worths keep their bytes
+        cases = fit_fixtures() + [(choice_fit_records(seed), 50, {}) for seed in (42, 1234)]
+        cases.append((LOG_BIT_RECORDS, 3, dict(eps=1.0)))
+        for records, n_sources, settings in cases:
+            got, got_iterates = newton_outcome(records, n_sources, monkeypatch, **settings)
+            want, want_iterates = reference_newton(
+                records, n_sources, objective=math_log_objective, **settings
+            )
+            assert isinstance(got, NewtonResult) and isinstance(want, NewtonResult)
+            assert [a.tobytes() for a in got_iterates] == [a.tobytes() for a in want_iterates]
+            assert got.worths.alpha.tobytes() == want.worths.alpha.tobytes()
+
+    def test_no_scalar_log_per_record(self, monkeypatch):
+        records = choice_fit_records(42)
+        calls = Counter()
+        log = math.log
+
+        def count_log(*args):
+            calls["log"] += 1
+            return log(*args)
+
+        monkeypatch.setattr(lip_module.math, "log", count_log)
+        result = minimize_worths(records, 50)
+        monkeypatch.undo()
+        # logit(p0) once per evaluation, plus once each in the settings
+        # check and for the starting worths; none per record
+        assert result.evaluations >= 3
+        assert calls["log"] <= 2 + result.evaluations
+
+    def test_jitter_is_the_largest_ridge_added(self, monkeypatch):
+        # a strong pull scales the Hessian's diagonal, and the ridge with it
+        hessians = []
+
+        def spy(*args):
+            hessians.append(_nll_hessian(*args))
+            return hessians[-1]
+
+        monkeypatch.setattr(lip_module, "_nll_hessian", spy)
+        result = minimize_worths(BACKTRACKING_RECORDS, 1, eps=1e6)
+        monkeypatch.undo()
+        ridges = [1e-10 * (1.0 + float(np.trace(h)) / h.shape[0]) for h in hessians]
+        assert result.iterations == len(ridges) >= 1
+        assert result.jitter == max(ridges) > 1e-5
+        assert minimize_worths([], 3).jitter == 0.0
+
+    @pytest.mark.parametrize("fault", ["singular", "ascent"])
+    def test_fallbacks_count_steepest_descent_steps(self, monkeypatch, fault):
+        # the first solve raises, or returns a direction that climbs
+        solve, calls = np.linalg.solve, Counter()
+
+        def faulty_solve(a, b):
+            calls["solve"] += 1
+            if calls["solve"] > 1:
+                return solve(a, b)
+            if fault == "singular":
+                raise np.linalg.LinAlgError("singular matrix")
+            return -b
+
+        monkeypatch.setattr(np.linalg, "solve", faulty_solve)
+        result = minimize_worths(BACKTRACKING_RECORDS, 1)
+        monkeypatch.undo()
+        assert result.fallbacks == 1
+        assert calls["solve"] == result.iterations
+        assert minimize_worths(BACKTRACKING_RECORDS, 1).fallbacks == 0
 
     def test_subgroup_beyond_k_rejected(self):
         records = [ChoiceRecord((1, 2), 1), ChoiceRecord((2, 4), 0)]
