@@ -39,16 +39,16 @@ alone; it is exponentiated once, E_jk = exp(table_jk - m_k) with m_k
 the largest finite entry of column k, next to the shift m_k - log(K -
 1). An iteration then computes only what depends on the iterate: the
 tempering ramp, the marginal's quadratic over the K sources, the
-mixture null's one product (1 - w) @ E over the lagged weights, a log
-and the shift, one finite check, the sigmoid, and one weighted sum of
-the table, then one d x d solve for the exact blend or one divide for
-the surrogate. A mixture column whose product is 0 or below the normal
-range falls back to the log-sum-exp over the table: that takes a weight
-of exactly 1 on the column's peak component, which the E-step's clamped
-weights never are, or a degenerate column. Its steps broadcast over
-leading axes of theta, the weights and pi. The public step functions
-below are one ``EmStep`` call each, so they and the loop share one
-arithmetic path.
+mixture null's one product (1 - w) @ E over the lagged weights,
+clamped to [WEIGHT_CLAMP, 1 - WEIGHT_CLAMP], a log and the shift, one
+finite check, the sigmoid, and one weighted sum of the table, then one
+d x d solve for the exact blend or one divide for the surrogate. Each
+factor 1 - w is at least about WEIGHT_CLAMP and a finite column's peak
+entry of E is exactly 1, so the product cannot underflow; only a
+degenerate column reads an infinity. Its steps broadcast over leading
+axes of theta, the weights and pi. The public step functions below are
+one ``EmStep`` call each, so they and the loop share one arithmetic
+path.
 
 One loop, :func:`run_em_rows`, advances R problems with one source
 count K together; their dimensions d may differ. A row is a (dataset
@@ -112,8 +112,6 @@ __all__ = [
 # weights are clamped to [WEIGHT_CLAMP, 1 - WEIGHT_CLAMP] before any
 # logit-space arithmetic so saturation cannot produce infinities
 WEIGHT_CLAMP = 1e-12
-# the smallest normal float: a mixture null's product below it falls back
-_TINY = np.finfo(float).tiny
 
 VARIANTS = ("exact_hessian_reuse", "small_tau_surrogate")
 TEMPERING_MODES = ("trace_exact", "fisher_ratio")
@@ -447,8 +445,7 @@ class EmStep:
     the prior the E-step corrects. :meth:`stack` puts several
     collections' constants on a leading row axis, one row per
     (collection, prior) pair, padded to one dimension: the row axis
-    lives on a stack only, ``dims`` holds each row's own d and ``rows``
-    each row's step.
+    lives on a stack only, and ``dims`` holds each row's own d.
     """
 
     stats: SufficientStats | None  # None on a stack
@@ -495,7 +492,6 @@ class EmStep:
         _check_prior(out.pi, index.shape + (counts[0],))
         dims = np.array([step.stats.dim for step in steps])
         out.dims, width = dims[index], dims.max()
-        out.rows = [steps[c] for c in index]
         exact = out.config.variant == "exact_hessian_reuse"
         used = sorted(set(index.tolist()))
         at = np.searchsorted(used, index)
@@ -573,10 +569,7 @@ class EmStep:
         """The sources' pooled-MLE likelihoods or fixed-table values, or
         the mixture table, whose entry (j, k) is loglik(theta_j; D_k)
         over the sources, -inf where j = k since no source is a component
-        of its own mixture null. A stack holds no mixture table: the
-        fallback of :meth:`null` reads its rows' steps' tables."""
-        if self.stats is None:
-            return np.stack([step.null_part for step in self.rows])
+        of its own mixture null. A stack holds no mixture table."""
         stats, null_spec = self.stats, self.config.null_spec
         if null_spec.kind == "fixed":
             return _table_lookup(null_spec.table, range(1, stats.n_sources + 1))
@@ -634,7 +627,6 @@ class EmStep:
         prior_logit = self.prior_logit
         if not beta.any():
             return self.pi.copy()
-        prev = np.minimum(np.maximum(prev, WEIGHT_CLAMP), 1.0 - WEIGHT_CLAMP)
         rel = _expand(theta, *self.marginal)
         null = self.null(prev, check=False)
         ratio = rel - null
@@ -650,30 +642,20 @@ class EmStep:
         return expit(beta * ratio + prior_logit)
 
     def null(self, prev: np.ndarray, check: bool = True) -> np.ndarray:
-        """See :func:`null_loglik`: per row, one product (1 - w) @ E over
-        the components, a log and the shift. Where the product is 0,
-        below the normal range or nan (a weight of exactly 1 on the
-        column's peak component, or a degenerate column), the column is
-        the log-sum-exp over the table instead. Checked, a degenerate
-        column raises; unchecked, it reads nan or an infinity."""
+        """See :func:`null_loglik`: per row, the weights clamped as the
+        E-step's prior is, then one product (1 - w) @ E over the
+        components, a log and the shift. Checked, a degenerate column
+        raises; unchecked, it reads nan or an infinity."""
         if self.config.null_spec.kind != "empirical_bayes_mixture":
             return self.null_part
         table, shift = self.mixture
+        prev = np.minimum(np.maximum(prev, WEIGHT_CLAMP), 1.0 - WEIGHT_CLAMP)
         total = ((1.0 - prev)[..., None, :] @ table)[..., 0, :]
-        if total.min(initial=np.inf) >= _TINY:
+        with np.errstate(divide="ignore"):  # a column with no finite entry
             out = np.log(total) + shift
-            if check:
-                _check_mixture(out)  # a column holding +inf
-            return out
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.log(1.0 - prev)[..., :, None] + self.null_part
-            peak = terms.max(axis=-2)
-            if check:
-                _check_mixture(peak)
-            # the peak term contributes exp(0) = 1, so the log is finite
-            lse = np.log(np.exp(terms - peak[..., None, :]).sum(axis=-2))
-            lse += peak - math.log(terms.shape[-2] - 1)
-            return np.where(total >= _TINY, np.log(total) + shift, lse)
+        if check:
+            _check_mixture(out)
+        return out
 
     def m_step(self, weights: np.ndarray) -> np.ndarray:
         """The blended theta for weights of one shape per step, of width D
@@ -703,12 +685,12 @@ def null_loglik(
 
     The mixture form averages the other sources' fitted models with
     responsibilities (1 - w_j) lagged from the previous iteration, the
-    weights, each in [0, 1]: log(sum_j (1 - w_j) E_jk) + m_k - log(K -
-    1), one product over the step's exponentiated mixture table
-    (``EmStep.mixture``). A component of weight 1 drops out; where that
-    leaves the product 0 or below the normal range, the column is the
-    log-sum-exp over the table. Only column k is checked, so another
-    source's degenerate column does not raise here.
+    weights, each in [0, 1] and clamped to [WEIGHT_CLAMP, 1 -
+    WEIGHT_CLAMP] as in the E-step: log(sum_j (1 - w_j) E_jk) + m_k -
+    log(K - 1), one product over the step's exponentiated mixture table
+    (``EmStep.mixture``). A component of weight 1 keeps a responsibility
+    of about WEIGHT_CLAMP. Only column k is checked, so another source's
+    degenerate column does not raise here.
     """
     if isinstance(k, bool) or not isinstance(k, Integral):
         raise InvalidConfigurationError(f"k must be an integer, got {k!r}", key="k")
@@ -749,8 +731,7 @@ def _check_mixture(values: np.ndarray, first: int = 1) -> None:
         k = int(np.argwhere(~finite)[0][-1]) + first
         raise DegenerateNullError(
             f"mixture null for source {k} is degenerate: no other component "
-            "has positive responsibility and a finite likelihood; fall back "
-            "to the parametric_pooled null"
+            "has a finite likelihood; fall back to the parametric_pooled null"
         )
 
 

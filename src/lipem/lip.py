@@ -463,14 +463,6 @@ def _plan(queries: _Queries, n_sources: int) -> _Plan:
     return _Plan(tuple(blocks), queries.chosen.size, counts)
 
 
-def _planned(records, n_sources: int) -> _Plan:
-    """``records`` as a fit plan: a plan is taken as it is, and a record
-    list or queries are checked against ``n_sources`` and laid out."""
-    if isinstance(records, _Plan):
-        return records
-    return _plan(_compile(records, n_sources), n_sources)
-
-
 def _each_query(queries: _Queries, form) -> list:
     """``form(members, choice)`` of each query, in record order."""
     out: list = [None] * queries.chosen.size
@@ -558,15 +550,14 @@ def nll_objective(
     The null worth alpha_0 carries no regularization.
     """
     _check_settings(p0=p0, eps=eps)
-    value, grad, _ = _nll(worths.alpha, records, p0, eps)
+    plan = _plan(_compile(records, worths.n_sources), worths.n_sources)
+    value, grad, _ = _nll(worths.alpha, plan, p0, eps)
     return value, grad
 
 
-def _nll(alpha: np.ndarray, records, p0: float, eps: float):
-    """``nll_objective`` on a fit plan (or on records, planned here), plus
-    each block's choice probabilities (``_nll_hessian`` reuses them at
-    the same worths)."""
-    plan = _planned(records, alpha.size - 1)
+def _nll(alpha: np.ndarray, plan: _Plan, p0: float, eps: float):
+    """``nll_objective`` on a fit plan, plus each block's choice
+    probabilities (``_nll_hessian`` reuses them at the same worths)."""
     # -log p(k_m | S_m) per record behind a leading 0, summed in record
     # order (see the module doc)
     terms = np.zeros(plan.size + 1)
@@ -590,15 +581,10 @@ def _nll(alpha: np.ndarray, records, p0: float, eps: float):
     return value, grad, block_probs
 
 
-def _nll_hessian(worths: WorthVector, records, eps: float, block_probs=None) -> np.ndarray:
-    """The objective's Hessian on a fit plan (or on records, planned
-    here); ``block_probs``, if given, are the probabilities ``_nll``
-    returned for these worths and that plan."""
-    plan = _planned(records, worths.n_sources)
-    alpha = worths.alpha
+def _nll_hessian(alpha: np.ndarray, plan: _Plan, eps: float, block_probs) -> np.ndarray:
+    """The objective's Hessian on a fit plan; ``block_probs`` are the
+    probabilities ``_nll`` returned for these worths and that plan."""
     n = alpha.size
-    if block_probs is None:
-        block_probs = [_softmax(alpha, block.options)[0] for block in plan.blocks]
     # each record adds diag(p) - p p' on its options: p (1 - p) on the
     # diagonal, and -p_i p_j at (a, b) and (b, a) for each pair i < j of
     # its options a, b, which are scattered once and mirrored
@@ -689,7 +675,7 @@ def minimize_worths(
             raise OptimizationFailureError(
                 f"non-finite gradient at iteration {iteration}", last_iterate=worths
             )
-        hess = _nll_hessian(worths, plan, eps, probs)
+        hess = _nll_hessian(worths.alpha, plan, eps, probs)
         # tiny ridge keeps the flat null direction solvable
         jitter = 1e-10 * (1.0 + float(np.trace(hess)) / hess.shape[0])
         largest_jitter = max(largest_jitter, jitter)

@@ -275,19 +275,11 @@ class TestNullLoglik:
             expected = math.log(sum(terms) / 2.0)
             np.testing.assert_allclose(got, expected, rtol=1e-10)
 
-    def test_fully_committed_mixture_degenerates(self):
-        rng = np.random.default_rng(42)
-        _, _, stats = gaussian_stats(rng, [0.0, 1.0, 2.0], [4, 10, 10])
-        with pytest.raises(DegenerateNullError) as err:
-            null_loglik(
-                NullSpec("empirical_bayes_mixture"), 1, stats, np.ones(2)
-            )
-        assert "parametric_pooled" in str(err.value)
-
     def test_log_sum_exp_matches_scipy(self):
         # random cross tables over a wide dynamic range, with some
-        # components fully committed (zero survival, a row of -inf):
-        # the max-shifted numpy log-sum-exp agrees with scipy's
+        # components fully committed: the null agrees with scipy's
+        # log-sum-exp at the weights clamped to [WEIGHT_CLAMP,
+        # 1 - WEIGHT_CLAMP], so a weight of 1 keeps its component
         rng = np.random.default_rng(42)
         worst = 0.0
         for _ in range(200):
@@ -308,8 +300,8 @@ class TestNullLoglik:
             # column is left without one
             prev[rng.permutation(k)[: rng.integers(0, k - 1)]] = 1.0
             table = em.EmStep(stats).null_part
-            with np.errstate(divide="ignore"):
-                terms = np.log(1.0 - prev)[:, None] + table
+            clamped = np.clip(prev, em.WEIGHT_CLAMP, 1.0 - em.WEIGHT_CLAMP)
+            terms = np.log(1.0 - clamped)[:, None] + table
             expected = logsumexp(terms, axis=0) - np.log(k - 1)
             got = np.array([null_loglik(NullSpec(), j, stats, prev) for j in range(1, k + 1)])
             worst = max(worst, np.max(np.abs(got - expected) / np.abs(expected)))
@@ -367,12 +359,13 @@ class TestNullLoglik:
                     got = null_loglik(NullSpec(), j, steps[c].stats, prev[r])
                     assert got == stacked[r, j - 1]
 
-    def test_an_underflowing_product_falls_back_to_the_log_sum_exp(self):
+    def test_a_committed_peak_component_keeps_the_product_finite(self):
         # source 1's column: its peak component, source 2, has weight 1,
-        # and source 3 lies 799.5 nats below it, so the product (1 - w) @ E
-        # is 0. The column is the log-sum-exp over the table instead,
-        # without a warning, on a solo step, through null_loglik and on a
-        # stack; the other columns keep the product
+        # and source 3 lies 799.5 nats below it, so unclamped the product
+        # (1 - w) @ E would be 0. Clamped, source 2 keeps a responsibility
+        # of about WEIGHT_CLAMP, and every column's product is finite and
+        # matches the exact sum at the clamped weights, without a warning,
+        # on a solo step, through null_loglik and on a stack alike
         mp = pytest.importorskip("mpmath")
         stats = SufficientStats(
             np.array([[0.0], [0.0], [1.0], [40.0]]),
@@ -383,10 +376,12 @@ class TestNullLoglik:
             np.zeros(1),
         )
         prev = np.array([0.3, 1.0, 0.4])
+        clamped = np.clip(prev, em.WEIGHT_CLAMP, 1.0 - em.WEIGHT_CLAMP)
         step = em.EmStep(stats)
         table, shift = step.mixture
         assert (1.0 - prev) @ table[:, 0] == 0.0
-        expected = self._exact_null(step.null_part, prev, mp)[0]
+        assert np.all((1.0 - clamped) @ table > 0.0)
+        expected = self._exact_null(step.null_part, clamped, mp)[0]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = step.null(prev)
@@ -396,21 +391,50 @@ class TestNullLoglik:
         np.testing.assert_allclose(got, expected, rtol=1e-14, atol=1e-14)
         np.testing.assert_array_equal(public, got)
         np.testing.assert_array_equal(stacked, [got, got])
-        with np.errstate(divide="ignore"):
-            product = np.log((1.0 - prev) @ table) + shift
-        np.testing.assert_array_equal(got[1:], product[1:])
+        np.testing.assert_array_equal(got, np.log((1.0 - clamped) @ table) + shift)
 
-    def test_weight_of_one_drops_its_component_without_a_warning(self):
+    def test_weight_of_one_keeps_a_clamped_responsibility_without_a_warning(self):
         rng = np.random.default_rng(42)
         _, _, stats = gaussian_stats(rng, [0.0, 1.0, 2.0, 3.0], [4, 10, 10, 10])
         prev = np.array([0.3, 1.0, 0.4])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = null_loglik(NullSpec(), 1, stats, prev)
-        # source 2 is committed, so only source 3 is left in the mixture
-        expected = math.log(0.6) + em.EmStep(stats).null_part[2, 0] - math.log(2)
+        # source 2 is committed, so it keeps the clamped responsibility
+        # 1 - (1 - WEIGHT_CLAMP) beside source 3's 0.6
+        table = em.EmStep(stats).null_part
+        committed = 1.0 - (1.0 - em.WEIGHT_CLAMP)
+        expected = math.log(
+            committed * math.exp(table[1, 0]) + 0.6 * math.exp(table[2, 0])
+        ) - math.log(2)
         assert np.isfinite(got)
         assert got == pytest.approx(expected, rel=1e-15)
+
+    def test_null_loglik_at_a_saturated_runs_weights_is_the_loops_null(self, monkeypatch):
+        # source 1's weight saturates to exactly 1.0: null_loglik at each
+        # raw weight_history row reads the null the loop computed from it,
+        # bit for bit
+        rng = np.random.default_rng(2)
+        target = rng.normal(0.0, 1.0, size=(200, 1))
+        sources = [rng.normal(mean, 1.0, size=(400, 1)) for mean in (0.0, 0.3, 3.0)]
+        datasets = [Dataset(x) for x in (target, *sources)]
+        model = GaussianMeanModel(1)
+        nulls = []
+        null = em.EmStep.null
+
+        def recording(self, prev, check=True):
+            nulls.append(null(self, prev, check))
+            return nulls[-1]
+
+        monkeypatch.setattr(em.EmStep, "null", recording)
+        _, report = run_em(datasets, model, [0.9, 0.1, 0.1], EmConfig(nu=1.0))
+        monkeypatch.undo()
+        assert report.iterations == len(nulls) == 7
+        assert report.weight_history[-1, 0] == 1.0
+        stats = build_sufficient_stats(model, datasets)
+        for prev, loop_null in zip(report.weight_history, nulls):
+            for j in (1, 2, 3):
+                assert null_loglik(NullSpec(), j, stats, prev) == loop_null[0, j - 1]
 
     def test_column_without_finite_component_is_degenerate(self):
         # source 2 has likelihood -inf under every fit, so its column of
@@ -1470,7 +1494,7 @@ class TestRowAxis:
         ids=["first-group-freezes", "second-group-freezes"],
     )
     @pytest.mark.parametrize("variant", em.VARIANTS)
-    def test_a_restack_that_reorders_the_groups(self, variant, pis, order):
+    def test_a_restack_that_reorders_the_rows(self, variant, pis, order):
         # rows [d1, d2, d1]: the first row freezes first, so the live
         # rows come back as (d2, d1), the reverse of the first stack's
         # order of dimensions, on a restack of the same padded width
@@ -1644,7 +1668,7 @@ class TestRowAxis:
             if variant == "exact_hessian_reuse" else m_step_surrogate
         )
         for t in range(1, first_freeze + 1):
-            prev = np.clip(weights[t - 1], em.WEIGHT_CLAMP, 1.0 - em.WEIGHT_CLAMP)
+            prev = weights[t - 1]
             loop_null = loop.null(prev)
             for r, (c, pi) in enumerate(rows):
                 state = EmState(thetas[t - 1, r], weights[t - 1, r], t, betas[t, r])
