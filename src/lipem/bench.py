@@ -801,6 +801,7 @@ def consistency_check(
     """
     _check_replications(replications)
     _check_sweep(n0_sweep, "n0_sweep", lambda n: n >= 1, ">= 1")
+    _check_sweep(variants, "variants")
     spec = spec or SEPARATED_SPEC
     _check_mixture_sources(spec.n_sources)
     theta0 = np.asarray(spec.theta0)
@@ -832,28 +833,20 @@ def consistency_check(
         for variant in variants
     ]
     rows = [(r, pi) for r in range(replications)]
-    errs = {}  # (sweep position, variant position) -> one error per replication
-    for j, n0 in enumerate(n0_sweep):
+    errors = {}  # (variant, N0) -> one error per replication, in order
+    for n0 in n0_sweep:
         # each replication's stream draws its targets in sweep order
         collections = [
             [Dataset(theta0 + sigma * rng.standard_normal((int(n0), spec.dim))), *sources]
             for rng, sources in zip(rngs, all_sources)
         ]
-        for v, config in enumerate(configs):
+        for variant, config in zip(variants, configs):
             fits = run_em_rows(collections, model, rows, config)
-            errs[j, v] = [float(np.linalg.norm(s.theta - theta0)) for s, _ in fits]
-    # in the order one replication at a time would append them
-    errors: dict[tuple[str, int], list[float]] = {}
-    for r in range(replications):
-        for j, n0 in enumerate(n0_sweep):
-            for v, variant in enumerate(variants):
-                errors.setdefault((variant, int(n0)), []).append(errs[j, v][r])
-    reports = []
-    for (variant, n0), values in sorted(errors.items()):
-        reports.append(
-            BenchReport.from_values(variant, "error_norm", "n_target", float(n0), values)
-        )
-    return reports
+            errors[variant, int(n0)] = [float(np.linalg.norm(s.theta - theta0)) for s, _ in fits]
+    return [
+        BenchReport.from_values(variant, "error_norm", "n_target", float(n0), values)
+        for (variant, n0), values in sorted(errors.items())
+    ]
 
 
 # the share of engines ``fast_decay_lip`` favours, and their prior

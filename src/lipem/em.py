@@ -628,7 +628,7 @@ class EmStep:
         if not beta.any():
             return self.pi.copy()
         rel = _expand(theta, *self.marginal)
-        null = self.null(prev, check=False)
+        null = self.null(prev)
         ratio = rel - null
         if not np.isfinite(ratio).all():
             # the first faulty row's first fault, in order: the marginal,
@@ -641,21 +641,18 @@ class EmStep:
             _name_non_finite(ratio[row], "log-ratio")
         return expit(beta * ratio + prior_logit)
 
-    def null(self, prev: np.ndarray, check: bool = True) -> np.ndarray:
+    def null(self, prev: np.ndarray) -> np.ndarray:
         """See :func:`null_loglik`: per row, the weights clamped as the
         E-step's prior is, then one product (1 - w) @ E over the
-        components, a log and the shift. Checked, a degenerate column
-        raises; unchecked, it reads nan or an infinity."""
+        components, a log and the shift. A degenerate column reads nan or
+        an infinity; the callers check."""
         if self.config.null_spec.kind != "empirical_bayes_mixture":
             return self.null_part
         table, shift = self.mixture
         prev = np.minimum(np.maximum(prev, WEIGHT_CLAMP), 1.0 - WEIGHT_CLAMP)
         total = ((1.0 - prev)[..., None, :] @ table)[..., 0, :]
         with np.errstate(divide="ignore"):  # a column with no finite entry
-            out = np.log(total) + shift
-        if check:
-            _check_mixture(out)
-        return out
+            return np.log(total) + shift
 
     def m_step(self, weights: np.ndarray) -> np.ndarray:
         """The blended theta for weights of one shape per step, of width D
@@ -698,7 +695,7 @@ def null_loglik(
         raise InvalidConfigurationError(f"source index {k} out of range", key="k")
     weights = _checked(weights_prev, "weights", stats.n_sources, lead=False, unit=True)
     step = EmStep(stats, EmConfig(null_spec=null_spec))
-    value = step.null(weights, check=False)[k - 1 : k]
+    value = step.null(weights)[k - 1 : k]
     if null_spec.kind == "empirical_bayes_mixture":
         _check_mixture(value, k)
     return float(value[0])

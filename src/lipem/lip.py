@@ -62,8 +62,10 @@ sampler's stream is that of one ``Generator.integers`` and one
 simulated records file, but it makes neither call per query: a query's
 draws are bounded integers whose bounds depend only on its size, so a
 block of queries is one array-bounded ``integers`` call, its sizes
-guessed before and checked after (``_draw``).  ``simulate-oracle``
-writes each block from one line template.
+guessed before and checked after (``_draw``).  Only where ``choice``
+shuffles the tail of range(K) (K > 10000 and a size above K // 50) are
+the two calls made, once per query.  ``simulate-oracle`` writes each
+block from one line template.
 
 ``fit-lip`` reads a records file on one path.  Every line must be as
 ``write_records`` writes it: digits only, at most 18 per field, each
@@ -664,12 +666,17 @@ def minimize_worths(
     trace = [value]
     backtracks = fallbacks = 0
     largest_jitter = 0.0
-    for iteration in range(max_iters):
+    for iteration in range(max_iters + 1):
         gnorm = float(np.max(np.abs(grad)))
         if gnorm <= tol:
             return NewtonResult(
                 worths, value, gnorm, iteration, tuple(trace),
                 1 + iteration + backtracks, backtracks, largest_jitter, fallbacks,
+            )
+        if iteration == max_iters:
+            raise OptimizationFailureError(
+                f"no convergence after {max_iters} iterations (|grad|_inf={gnorm:.3e})",
+                last_iterate=worths,
             )
         if not math.isfinite(gnorm):  # no Newton step can recover from here
             raise OptimizationFailureError(
@@ -710,16 +717,6 @@ def minimize_worths(
         backtracks += halvings
         worths, value, grad, probs = cand, cand_value, cand_grad, cand_probs
         trace.append(value)
-    gnorm = float(np.max(np.abs(grad)))
-    if gnorm <= tol:
-        return NewtonResult(
-            worths, value, gnorm, max_iters, tuple(trace),
-            1 + max_iters + backtracks, backtracks, largest_jitter, fallbacks,
-        )
-    raise OptimizationFailureError(
-        f"no convergence after {max_iters} iterations (|grad|_inf={gnorm:.3e})",
-        last_iterate=worths,
-    )
 
 
 def fit_lip(
@@ -755,15 +752,6 @@ def _as_rng(rng) -> np.random.Generator:
 _BLOCK_WORDS = 1 << 11
 
 
-def _tail(n_sources: int, size: int) -> range | None:
-    """The positions i, from K - 1 down, whose draws on [0, i] make a
-    subgroup of ``size`` when ``choice`` shuffles the tail of range(K);
-    None when it takes Floyd's algorithm instead."""
-    if n_sources > 10000 and size > n_sources // 50:
-        return range(n_sources - 1, max(n_sources - size, 1) - 1, -1)
-    return None
-
-
 def _bound_table(n_sources: int, sizes: list[int]) -> np.ndarray:
     """Per subgroup size (a row each), the inclusive upper bound of each
     draw one query of that size makes, in stream order, padded with 0s:
@@ -772,8 +760,7 @@ def _bound_table(n_sources: int, sizes: list[int]) -> np.ndarray:
     for size in sizes:
         # Floyd's draws on [0, j], j = K - s .. K - 1, then the shuffle's
         # on [0, i], i = s - 1 .. 1, whose values the sort discards
-        floyd = [*range(n_sources - size, n_sources), *range(size - 1, 0, -1)]
-        rows.append([len(sizes) - 1, *(_tail(n_sources, size) or floyd)])
+        rows.append([len(sizes) - 1, *range(n_sources - size, n_sources), *range(size - 1, 0, -1)])
     table = np.zeros((len(rows), max(map(len, rows))), dtype=np.int64)
     for row, draws in zip(table, rows):
         row[: len(draws)] = draws
@@ -783,23 +770,12 @@ def _bound_table(n_sources: int, sizes: list[int]) -> np.ndarray:
 def _members(draws: np.ndarray, n_sources: int, size: int) -> np.ndarray:
     """The members (from 0), in increasing order, that the member draws of
     queries of one size make, one query per row."""
-    tail = _tail(n_sources, size)
-    if tail:
-        # swap position i with its draw; the last s positions are the members
-        rows = []
-        for row in draws.tolist():
-            swapped = {}
-            for i, j in zip(tail, row):
-                swapped[i], swapped[j] = swapped.get(j, j), swapped.get(i, i)
-            rows.append([swapped.get(i, i) for i in range(n_sources - size, n_sources)])
-        members = np.array(rows, dtype=np.int64)
-    else:
-        # Floyd's t-th draw, on [0, K - s + t], is the t-th member unless
-        # an earlier member holds it; then K - s + t is
-        members = draws[:, :size].copy()
-        for t in range(1, size):
-            taken = (members[:, :t] == members[:, t, None]).any(axis=1)
-            members[taken, t] = n_sources - size + t
+    # Floyd's t-th draw, on [0, K - s + t], is the t-th member unless an
+    # earlier member holds it; then K - s + t is
+    members = draws[:, :size].copy()
+    for t in range(1, size):
+        taken = (members[:, :t] == members[:, t, None]).any(axis=1)
+        members[taken, t] = n_sources - size + t
     members.sort(axis=1)
     return members
 
@@ -818,9 +794,11 @@ def _draw(n_sources: int, sizes: Sequence[int], count: int, gen) -> _Queries:
     rejected, and the generator is rewound; then the block is drawn in
     one call.  The queries before the first size that differs from its
     guess are exact, and so is that size: the block keeps those queries
-    and draws them again.  The stream tests in tests/test_lip.py compare
-    every case with the per-query calls, so they fail on a numpy that
-    draws ``choice`` another way.
+    and draws them again.  Where ``choice`` shuffles the tail of range(K)
+    instead of taking Floyd's algorithm (K > 10000 and the largest size
+    above K // 50), the two calls are made, once per query.  The stream
+    tests in tests/test_lip.py compare every case with the per-query
+    calls, so they fail on a numpy that draws ``choice`` another way.
     """
     if isinstance(n_sources, bool) or not isinstance(n_sources, Integral):
         raise InvalidConfigurationError(
@@ -850,6 +828,15 @@ def _draw(n_sources: int, sizes: Sequence[int], count: int, gen) -> _Queries:
             f"largest subgroup size {sizes[-1]} exceeds K={n_sources}", key="sizes"
         )
     n_sources, count = int(n_sources), int(count)
+    if n_sources > 10000 and sizes[-1] > n_sources // 50:
+        # numpy shuffles the tail of range(K) for the largest size
+        widths, values = [], {}
+        for _ in range(count):
+            size = sizes[gen.integers(len(sizes))]
+            members = np.sort(gen.choice(n_sources, size, replace=False)) + 1
+            widths.append(size + 1)
+            values.setdefault(size + 1, []).extend([0, *members.tolist()])
+        return _tabulate(widths, values)
     table = _bound_table(n_sources, sizes)
     # a query's words per size, when none is rejected
     words = np.count_nonzero(table, axis=1)

@@ -408,7 +408,9 @@ class TestConsistencyCheck:
     def test_rows_equal_one_run_em_per_replication(self):
         """The row-axis sweep reports exactly what one ``run_em`` per
         (replication, N0, variant) reported, for a sweep out of order; a
-        repeated sweep point is refused."""
+        repeated sweep point is refused, and so is a repeated variant,
+        whose runs would merge into one report of twice the
+        replications."""
         spec = HierarchicalSpec(
             n_sources=4, relevant=(1, 3), theta0=(0.0, 1.0), tau=0.2,
             null_gen=NullGen(offset=(5.0, -1.0), spread=1.0), seed=7,
@@ -448,6 +450,9 @@ class TestConsistencyCheck:
         with pytest.raises(InvalidConfigurationError) as err:
             consistency_check(spec, (50, 200, 50), replications=3, pi=pi, variants=variants)
         assert err.value.key == "n0_sweep"
+        with pytest.raises(InvalidConfigurationError, match="more than once") as err:
+            consistency_check(spec, n0_sweep, replications=3, pi=pi, variants=variants[:1] * 2)
+        assert err.value.key == "variants"
 
 
 class TestGaussianExperiment:

@@ -1127,6 +1127,14 @@ class TestBlockDraw:
         blocks = -(-2500 // (lip_module._BLOCK_WORDS // 10))
         assert gen.calls == {"integers": 2 * blocks}
 
+    def test_tail_shuffle_draws_one_size_and_one_choice_call_per_query(self):
+        # size 201 > 10001 // 50: numpy shuffles the tail of range(K)
+        gen = CountingGenerator(np.random.PCG64(42))
+        loop = np.random.Generator(np.random.PCG64(42))
+        assert sample_subgroups(10001, [3, 201], 40, gen) == loop_sample(10001, [3, 201], 40, loop)
+        assert gen.calls == {"integers": 40, "choice": 40}
+        assert same_state(gen.bit_generator.state, loop.bit_generator.state)
+
     def test_drawn_queries_are_unjudged(self):
         queries = lip_module._draw(50, [3, 4, 5], 500, np.random.default_rng(3))
         assert queries.chosen.shape == (500,) and not queries.chosen.any()
