@@ -158,14 +158,14 @@ class HierarchicalSpec:
                 f"relevant set {self.relevant} outside 1..{self.n_sources}",
                 key="relevant",
             )
-        # both enter squared, so their squares must be finite too
+        # both enter squared, so their squares must be finite, and so must sigma ** -2
         if not (self.tau >= 0 and _is_finite(self.tau, 2)):
             raise InvalidConfigurationError(
                 f"tau must be >= 0 with a finite square, got {self.tau}", key="tau"
             )
-        if not (self.sigma > 0 and _is_finite(self.sigma, 2)):
+        if not (self.sigma > 0 and _is_finite(self.sigma, 2) and _is_finite(self.sigma, -2)):
             raise InvalidConfigurationError(
-                f"sigma must be positive with a finite square, got {self.sigma}",
+                f"sigma must be positive with a finite square and precision, got {self.sigma}",
                 key="sigma",
             )
         for name in ("n_target", "n_source"):
@@ -645,6 +645,21 @@ def _mc_blend_sqerr(
     return np.einsum("cd,cd->c", diff, diff)
 
 
+def _mc_z_score(spec, weights, replications, rng, predicted, fixed_thetas=None):
+    """Mean, standard error and z-score against ``predicted`` of the
+    squared errors ``_mc_blend_sqerr`` draws.  A spread of 0 (noise below
+    float resolution) or one that overflows gives no z-score: refused."""
+    sqerr = _mc_blend_sqerr(spec, weights, replications, rng, fixed_thetas=fixed_thetas)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        mean, stderr = float(sqerr.mean()), float(sqerr.std(ddof=1) / np.sqrt(replications))
+    if not 0.0 < stderr < np.inf:
+        raise InvalidConfigurationError(
+            f"at tau {spec.tau:g} the Monte Carlo spread {stderr:g} is not positive and finite",
+            key="tau",
+        )
+    return mean, stderr, (mean - predicted) / stderr
+
+
 def oracle_mse_check(
     spec: HierarchicalSpec | None = None,
     replications: int = 10**5,
@@ -676,10 +691,7 @@ def oracle_mse_check(
         [1.0 if k in spec.relevant else 0.0 for k in range(1, spec.n_sources + 1)]
     )
     closed = oracle_closed_form_mse(spec)
-    sqerr = _mc_blend_sqerr(spec, indicator, replications, rng)
-    mc_mean = float(sqerr.mean())
-    mc_stderr = float(sqerr.std(ddof=1) / np.sqrt(replications))
-    z = (mc_mean - closed) / mc_stderr
+    mc_mean, mc_stderr, z = _mc_z_score(spec, indicator, replications, rng, closed)
 
     # conditional identity: hold source parameters fixed, vary only data
     if weight_vectors is None:
@@ -701,18 +713,11 @@ def oracle_mse_check(
         predicted = spec.dim * spec.sigma**2 * n_eff / t_mass**2 + float(
             bias_vec @ bias_vec
         )
-        vals = _mc_blend_sqerr(
-            spec, w, replications, rng, fixed_thetas=fixed_thetas
-        )
-        w_mean = float(vals.mean())
-        w_stderr = float(vals.std(ddof=1) / np.sqrt(replications))
         checks.append(
             FixedWeightCheck(
-                weights=tuple(float(v) for v in w),
-                predicted=predicted,
-                mc_mean=w_mean,
-                mc_stderr=w_stderr,
-                z_score=(w_mean - predicted) / w_stderr,
+                tuple(float(v) for v in w),
+                predicted,
+                *_mc_z_score(spec, w, replications, rng, predicted, fixed_thetas),
             )
         )
     return OracleMseRecord(
@@ -897,6 +902,8 @@ def cmapss_experiment(
 
     A target's sources, noise variance, model and prior slice do not
     depend on the cutoff, so they are built once per target engine.
+    Every kept (cutoff, target) cell is fitted first, then scored; the
+    curves show the first kept cell in cutoff-major order.
     """
     all_engines = ingest_cmapss(data_dir)
     _check_sweep(engines, "engines")
@@ -931,10 +938,8 @@ def cmapss_experiment(
         null_spec=NullSpec("empirical_bayes_mixture"),
     )
 
-    # RMSE per method of each (cutoff position, target position) cell
-    cells: dict[tuple[int, int], dict[str, float]] = {}
-    curves: dict = {}
-    curves_cell: tuple[int, int] | None = None
+    # the fit of each kept (cutoff position, target position) cell
+    fits: dict[tuple[int, int], tuple[Dataset, int, SplineGlmModel, dict]] = {}
     for j, target_id in enumerate(engines):
         full = all_engines[target_id]
         n = len(full)
@@ -942,12 +947,9 @@ def cmapss_experiment(
         sources = [all_engines[e] for e in source_engines]
         sigma_sq = pooled_noise_variance(knots, sources, ridge=ridge)
         model = SplineGlmModel(knots, noise_variance=sigma_sq, ridge=ridge)
-        pi = None
-        if lip is not None:
-            pi = np.array([lip.pi[e - 1] for e in source_engines])
+        pi = None if lip is None else np.array([lip.pi[e - 1] for e in source_engines])
         for i, cutoff in enumerate(cutoffs):
-            n_train = int(np.floor((1.0 - cutoff) * n))
-            n_train = max(n_train, 1)
+            n_train = max(int(np.floor((1.0 - cutoff) * n)), 1)
             if n_train >= n:
                 warnings.warn(
                     f"cutoff {cutoff:g} leaves no holdout for engine "
@@ -957,36 +959,32 @@ def cmapss_experiment(
                 )
                 continue
             target = Dataset(full.points[:n_train])
-            holdout = full.points[n_train:]
             estimates = baselines(target, sources, model, em_config=em_config, lip=pi, p0=p0)
-            x_hold, y_hold = holdout[:, 0], holdout[:, 1]
-            cells[i, j] = {}
-            for method, theta in estimates.items():
-                pred = model.predict(theta, x_hold)
-                cells[i, j][method] = float(np.sqrt(np.mean((pred - y_hold) ** 2)))
-            # the curves show the first cell in cutoff-major order
-            if curves_cell is None or (i, j) < curves_cell:
-                curves_cell = (i, j)
-                grid = full.points[:, 0]
-                series = {"observed": full.points[:, 1].copy()}
-                for method, theta in estimates.items():
-                    series[method] = model.predict(theta, grid)
-                curves = {
-                    "x": grid.copy(),
-                    "series": series,
-                    "param_name": "cutoff",
-                    "param_value": float(cutoff),
-                    "engine": int(target_id),
-                }
-    if not cells:
+            fits[i, j] = (full, n_train, model, estimates)
+    if not fits:
         raise InvalidConfigurationError(
             "no target engine keeps a holdout at any cutoff", key="cutoffs"
         )
     # cutoff-major order: a report's values follow the targets as given
     rmse_cells: dict[tuple[str, float], list[float]] = {}
-    for (i, _), rmse in sorted(cells.items()):
-        for method, value in rmse.items():
-            rmse_cells.setdefault((method, float(cutoffs[i])), []).append(value)
+    for i, j in sorted(fits):
+        full, n_train, model, estimates = fits[i, j]
+        x_hold, y_hold = full.points[n_train:].T
+        for method, theta in estimates.items():
+            rmse = float(np.sqrt(np.mean((model.predict(theta, x_hold) - y_hold) ** 2)))
+            rmse_cells.setdefault((method, float(cutoffs[i])), []).append(rmse)
+    # the curves show the first kept cell in cutoff-major order
+    i, j = min(fits)
+    full, _, model, estimates = fits[i, j]
+    grid = full.points[:, 0]
+    series = {method: model.predict(theta, grid) for method, theta in estimates.items()}
+    curves = {
+        "x": grid.copy(),
+        "series": {"observed": full.points[:, 1].copy(), **series},
+        "param_name": "cutoff",
+        "param_value": float(cutoffs[i]),
+        "engine": int(engines[j]),
+    }
     return [
         BenchReport.from_values(method, "rmse", "cutoff", cutoff, values)
         for (method, cutoff), values in sorted(rmse_cells.items())

@@ -529,7 +529,7 @@ def _cmd_bench_oracle_mse(args, cfg: RunConfig) -> int:
         specs = [dataclasses.replace(spec, tau=float(tau)) for tau in taus]
     records = []
     for tau_spec in specs:
-        with _keyed("oracle"):
+        with _keyed("oracle", tau="taus"):
             records.append(oracle_mse_check(tau_spec, **body))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

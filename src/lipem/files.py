@@ -67,7 +67,10 @@ def write_text_atomic(path, text: str) -> None:
 def load_dataset(path) -> Dataset:
     """Read a whitespace-delimited numeric matrix as a Dataset."""
     try:
-        arr = np.loadtxt(path, ndmin=2)
+        # a file with no data rows is an empty dataset, refused where it is used
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            arr = np.loadtxt(path, ndmin=2)
     except OSError as exc:
         raise ParseError(f"cannot read dataset file {path}: {exc}") from exc
     except ValueError as exc:

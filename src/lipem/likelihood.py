@@ -197,6 +197,10 @@ class GaussianMeanModel(LikelihoodFamily):
             ) from exc
         self.covariance = cov
         self._precision = np.linalg.inv(cov)
+        if not np.all(np.isfinite(self._precision)):
+            raise InvalidConfigurationError(
+                "covariance must have a finite inverse", key="covariance"
+            )
         # log det(2 pi Sigma) via the Cholesky factor
         self._logdet_2pi_cov = self._dim * np.log(2.0 * np.pi) + 2.0 * np.sum(
             np.log(np.diag(chol))

@@ -283,10 +283,13 @@ class Lip:
             k = int(header[2:])
         except ValueError as exc:
             raise ParseError(
-                f"{path}: bad K header {header!r}", line_number=header_line
+                f"{path}: bad K header {header!r} on line {header_line}",
+                line_number=header_line,
             ) from exc
         if k < 1:
-            raise ParseError(f"{path}: K must be at least 1, got {k}", line_number=header_line)
+            raise ParseError(
+                f"{path}: K must be at least 1, got {k} on line {header_line}", header_line
+            )
         alpha = {}
         pi = {}
         for lineno, line in lines[1:]:
@@ -488,7 +491,10 @@ def _softmax(alpha: np.ndarray, options: np.ndarray):
     """
     vals = alpha[options]
     shift = vals.max(axis=1)
-    ex = np.exp(vals - shift[:, None])
+    # worths more than the float range apart subtract to -inf, and
+    # exp(-inf) is the exact 0 such an option's probability is
+    with np.errstate(over="ignore"):
+        ex = np.exp(vals - shift[:, None])
     denom = _row_sums(ex)
     return ex / denom[:, None], shift, denom
 

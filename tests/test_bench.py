@@ -96,11 +96,20 @@ class TestHierarchicalSpec:
         with pytest.raises(InvalidConfigurationError):
             HierarchicalSpec(tau=-0.1)
 
-    @pytest.mark.parametrize("field", ["tau", "sigma"])
-    def test_integer_beyond_float_range_rejected_with_key(self, field):
-        # an integer beyond the float range has no finite square
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            pytest.param("tau", 10**400, id="tau"),
+            pytest.param("sigma", 10**400, id="sigma"),
+            pytest.param("sigma", 1e-160, id="sigma-precision-overflows"),
+            pytest.param("sigma", 1e-200, id="sigma-square-underflows"),
+        ],
+    )
+    def test_integer_beyond_float_range_rejected_with_key(self, field, value):
+        # an integer beyond the float range has no finite square, and a
+        # sigma this small no finite precision sigma ** -2
         with pytest.raises(InvalidConfigurationError) as err:
-            HierarchicalSpec(**{field: 10**400})
+            HierarchicalSpec(**{field: value})
         assert err.value.key == field
 
     @pytest.mark.parametrize("config", [HierarchicalSpec, GaussianExperimentConfig])

@@ -783,6 +783,16 @@ class TestSimulateOracleCommand:
         assert code == 3
         capsys.readouterr()
 
+    def test_worths_beyond_the_float_range_apart_draw_without_warning(
+        self, tmp_path, capsys
+    ):
+        argv = ["simulate-oracle", "--alpha=0,1.7e308,-1.7e308", "--sizes", "2",
+                "--count", "5", "--out", str(tmp_path / "r.txt")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert dispatch(argv) == 0
+        assert capsys.readouterr().err == ""
+
 
 class TestRunEmCommand:
     def _write_datasets(self, tmp_path, rng):
@@ -871,6 +881,26 @@ class TestRunEmCommand:
         )
         assert code == 3
         assert "[key: lip]" in capsys.readouterr().err
+
+    def test_fixed_null_and_dropped_source_are_echoed(self, tmp_path, capsys):
+        # the empty second source is dropped, and the fixed table follows
+        # the two sources kept
+        rng = np.random.default_rng(42)
+        target, near, far = self._write_datasets(tmp_path, rng)
+        empty = tmp_path / "empty.txt"
+        empty.write_text("")
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"em": {"null_kind": "fixed", "null_table": [-5, -6, -7]}}))
+        out = tmp_path / "report.txt"
+        argv = ["run-em", "--config", str(config), "--target", str(target),
+                "--sources", str(near), str(empty), str(far), "--out", str(out)]
+        with pytest.warns(RuntimeWarning, match=r"dropping empty source datasets \[2\]"):
+            assert dispatch(argv) == 0
+        capsys.readouterr()
+        header = out.read_text().splitlines()[:5]
+        assert " null=fixed[2 entries] " in header[1]
+        assert header[3] == "# dropped_sources=[2]"
+        assert header[4] == "# columns: t beta_1 beta_2 w_1 w_2 theta_1 delta_w"
 
 
 class TestBenchCmapssCommand:
@@ -1601,8 +1631,10 @@ class TestConfigValueFaults:
         if argv[:2] == ["bench", "cmapss"]:
             argv = argv + ["--data", str(cmapss_dir), "--engines", "4", "--cutoff", "0.5"]
         with warnings.catch_warnings():
-            # the six-engine fixture file is smaller than FD001
-            warnings.simplefilter("ignore", RuntimeWarning)
+            # no fault warns before its error line, but the six-engine
+            # fixture file is smaller than FD001
+            warnings.simplefilter("error")
+            warnings.filterwarnings("ignore", "expected 100 engines", RuntimeWarning)
             return dispatch(argv + ["--config", str(cfg), "--out", str(cmapss_dir / "r")])
 
     @pytest.mark.parametrize(
@@ -1627,6 +1659,19 @@ class TestConfigValueFaults:
             ("bench dichotomy", {"generator": {"offset": 1e400}}, "generator.offset"),
             ("bench dichotomy", {"generator": {"theta0": [1e400]}}, "generator.theta0"),
             ("run-em", {"model": {"covariance": 1e400}}, "model.covariance"),
+            # scales whose precision overflows
+            ("bench gaussian", {"experiment": {"sigma": 1e-200}}, "experiment.sigma"),
+            ("bench gaussian", {"experiment": {"sigma": 1e-160}}, "experiment.sigma"),
+            ("bench dichotomy", {"generator": {"sigma": 1e-200}}, "generator.sigma"),
+            ("run-em", {"model": {"covariance": 1e-310}}, "model.covariance"),
+            # a Monte Carlo spread of 0 (noise below float resolution) or inf
+            ("bench oracle-mse", {"oracle": {"replications": 1000, "taus": [1e140]}},
+             "oracle.taus"),
+            ("bench oracle-mse", {"oracle": {"replications": 1000, "taus": [1e100]}},
+             "oracle.taus"),
+            ("bench oracle-mse",
+             {"oracle": {"replications": 1000}, "generator": {"theta0": [1e160]}},
+             "oracle.taus"),
             # sweeps and generator settings, keyed where they are owned
             ("bench consistency", {"consistency": {"n0_sweep": [-5]}}, "consistency.n0_sweep"),
             ("bench consistency", {"consistency": {"n0_sweep": [0]}}, "consistency.n0_sweep"),

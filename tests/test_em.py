@@ -1806,6 +1806,16 @@ class TestRowAxis:
             np.testing.assert_array_equal(got[1], m_step_exact(other, weights[1], 0.1))
             assert np.all(np.isfinite(got))
 
+    def test_blend_no_jitter_solves_is_singular(self, monkeypatch):
+        def refuse(*_):
+            raise np.linalg.LinAlgError("singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", refuse)
+        # one system, and a stack of two, each of d = 2
+        for lhs, rhs in ((np.eye(2), np.ones(2)), (np.stack([np.eye(2)] * 2), np.ones((2, 2)))):
+            with pytest.raises(SingularFitError, match="singular even after jitter"):
+                em._solve_with_jitter(lhs, rhs, 2)
+
     @pytest.mark.parametrize(
         "break_row",
         [

@@ -56,9 +56,11 @@ def test_reader_returns_or_raises_a_package_error(name):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "train_FD001.txt"
             path.write_bytes(content)
-            # a turbofan file with other than 100 engines warns
+            # no reader warns, but a turbofan file with other than 100
+            # engines does
             with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
+                warnings.simplefilter("error")
+                warnings.filterwarnings("ignore", "expected 100 engines", RuntimeWarning)
                 try:
                     reader(tmp if as_directory else path)
                 except LipemError:

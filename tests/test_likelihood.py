@@ -186,8 +186,12 @@ class TestGaussianMeanModel:
             assert abs(model.loglik(theta, data) - taylor) <= 1e-10
 
     def test_covariance_must_be_positive_definite(self):
-        with pytest.raises(InvalidConfigurationError):
-            GaussianMeanModel(2, np.array([[1.0, 2.0], [2.0, 1.0]]))
+        # an indefinite matrix has no Cholesky factor; one this small has,
+        # but its inverse overflows
+        for covariance in (np.array([[1.0, 2.0], [2.0, 1.0]]), 1e-310, np.diag([1.0, 1e-310])):
+            with pytest.raises(InvalidConfigurationError) as err:
+                GaussianMeanModel(2, covariance)
+            assert err.value.key == "covariance"
 
 
 class TestSplineDesign:

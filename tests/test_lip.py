@@ -1454,11 +1454,17 @@ class TestLipIo:
             ("K=1\npi_1=0.5\nalpha_0=0\n", 3, "mixes alpha_ and pi_ entries"),
             ("\nK=2\nalpha_0=0\nalpha_1=0\n", 2, "needs alpha_0..alpha_2, got [0, 1]"),
             ("K=3\npi_1=0.5\n\npi_3=0.2\n", 1, "needs pi_1..pi_3, got [1, 3]"),
+            ("\nK=two\npi_1=0.5\npi_2=0.5\n", 2, "bad K header 'K=two'"),
+            ("\n\nK=0\npi_1=0.5\n", 3, "K must be at least 1, got 0"),
+            ("K=1\npi_1=0.5\n\npi_2 0.5\n", 4, "expected name=value"),
+            ("K=1\npi_1=half\n", 2, "bad float 'half'"),
+            ("K=1\npi_1=0.5\nbeta_1=0.5\n", 3, "unknown entry 'beta_1'"),
+            ("K=1\npi_one=0.5\n", 2, "bad index in 'pi_one'"),
         ],
     )
     def test_entry_errors_name_their_line(self, tmp_path, text, line, message):
         # a mix names the first line of the second kind; a count that
-        # misses K names the K header
+        # misses K names the K header; blank lines count
         path = tmp_path / "prior.txt"
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ParseError) as err:
